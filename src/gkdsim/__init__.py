@@ -31,7 +31,6 @@ from .codec import (
 from .protocol import (
     Announcement,
     ChallengeMessage,
-    ChallengeSet,
     GroupMember,
     GroupRoster,
     KeyGenerationCentre,
@@ -52,7 +51,6 @@ from .adversary import (
     Interceptor,
     forge_broadcast,
     insider_recover_key,
-    insider_strategy,
 )
 from .simnet import (
     AdversarySpec,

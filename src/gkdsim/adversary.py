@@ -18,8 +18,15 @@ from typing import Mapping
 
 from .algebra import DomainContext, SeededRng, Variant, sample_element
 from .codec import DEFAULT_HASH, DEFAULT_ID_WIDTH, AuthInput, HashConfig, compute_auth
-from .errors import AttackerIsVictim, IncompleteChallenges, IndexOutOfRoster, MalformedBroadcast
-from .protocol import GroupRoster, KgcBroadcast, PartyIdentity, compute_share
+from .errors import AttackerIsVictim, IndexOutOfRoster
+from .protocol import (
+    ChallengeMessage,
+    GroupRoster,
+    KgcBroadcast,
+    PartyIdentity,
+    challenge_vector,
+    unmask,
+)
 
 
 class ActionKind(Enum):
@@ -72,17 +79,7 @@ def insider_recover_key(
     hash_cfg: HashConfig = DEFAULT_HASH,
 ) -> int:
     """Unmask the group key from the attacker's own share, exactly like step 5."""
-    index = roster.index_of(attacker.user_id)
-    if len(bcast.masked_shares) != roster.size:
-        raise MalformedBroadcast(
-            f"{len(bcast.masked_shares)} shares for a roster of {roster.size}"
-        )
-    missing = [m for m in roster.members if m not in challenges]
-    if missing:
-        raise IncompleteChallenges(f"missing challenges from {missing!r}")
-    nonces = (bcast.r0, *(challenges[m] for m in roster.members))
-    share = compute_share(attacker.secret_key, nonces, index, variant, ctx, hash_cfg)
-    return ctx.add(bcast.masked_shares[index], share)
+    return unmask(attacker, roster, challenges, bcast, variant, ctx, hash_cfg)[0]
 
 
 def forge_broadcast(
@@ -104,17 +101,10 @@ def forge_broadcast(
     """
     if not 0 <= victim_index < roster.size:
         raise IndexOutOfRoster(f"victim index {victim_index} outside roster of {roster.size}")
-    missing = [m for m in roster.members if m not in challenges]
-    if missing:
-        raise IncompleteChallenges(f"missing challenges from {missing!r}")
+    nonces = (honest.r0, *challenge_vector(roster, challenges))
     target = ctx.reduce(target_key)
     shifted = ctx.add(ctx.sub(honest.masked_shares[victim_index], recovered_key), target)
-    shares = (
-        honest.masked_shares[:victim_index]
-        + (shifted,)
-        + honest.masked_shares[victim_index + 1 :]
-    )
-    nonces = (honest.r0, *(challenges[m] for m in roster.members))
+    shares = (*honest.masked_shares[:victim_index], shifted, *honest.masked_shares[victim_index + 1 :])
     auth = compute_auth(AuthInput(target, roster.members, nonces, shares), ctx, hash_cfg, id_width)
     return KgcBroadcast(auth=auth, r0=honest.r0, masked_shares=shares)
 
@@ -178,9 +168,7 @@ class InsiderInterceptor(Interceptor):
         self.forged_key: int | None = None
 
     def observe(self, sender: bytes, receivers: tuple[bytes, ...], message: object) -> None:
-        from .protocol import ChallengeMessage  # cycle-free local import
-
-        if isinstance(message, ChallengeMessage) and message.sender in self.roster.members:
+        if isinstance(message, ChallengeMessage) and message.sender in self.roster.index:
             self.challenges[message.sender] = self.ctx.reduce(message.value)
 
     def intercept(self, sender: bytes, receiver: bytes, message: object) -> ChannelAction:
@@ -234,16 +222,3 @@ class BroadcastSuppressor(Interceptor):
             self.dropped += 1
             return ChannelAction.drop()
         return ChannelAction.deliver()
-
-
-def insider_strategy(
-    ictx: InsiderContext,
-    roster: GroupRoster,
-    variant: Variant,
-    ctx: DomainContext,
-    hash_cfg: HashConfig = DEFAULT_HASH,
-    id_width: int = DEFAULT_ID_WIDTH,
-    rng: SeededRng | None = None,
-) -> InsiderInterceptor:
-    """Build the interceptor for the KGC->victim link; validates the attack setup."""
-    return InsiderInterceptor(ictx, roster, variant, ctx, hash_cfg, id_width, rng)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from enum import Enum
+from operator import mul
 from typing import Sequence
 
 from .errors import (
@@ -242,24 +243,21 @@ def domain_new(p: int, q: int | None = None, *, variant: Variant) -> DomainConte
 # ---------------------------------------------------------------------------
 
 def power_vector(x: int, w: int, ctx: DomainContext) -> tuple[int, ...]:
-    """(1, x, x^2, ..., x^w) with every coordinate reduced mod m. Requires w >= 2."""
+    """(1, x, x^2, ..., x^w) mod m, each power one multiplication and one
+    reduction from the last. Requires w >= 2."""
     if w < 2:
         raise WidthTooSmall(f"power vector width must be >= 2, got {w}")
-    x = ctx.reduce(x)
-    coords = [1]
-    for _ in range(w):
-        coords.append(ctx.mul(coords[-1], x))
-    return tuple(coords)
+    m = ctx.modulus
+    x %= m
+    power = 1
+    return (1, *[power := power * x % m for _ in range(w)])
 
 
 def inner_product(a: Sequence[int], b: Sequence[int], ctx: DomainContext) -> int:
-    """Sum of pairwise products mod m, reducing term by term."""
+    """Sum of pairwise products, reduced mod m once at the end."""
     if len(a) != len(b) or len(a) == 0:
         raise LengthMismatch(f"operand lengths {len(a)} and {len(b)}")
-    acc = 0
-    for x, y in zip(a, b):
-        acc = ctx.add(acc, ctx.mul(x, y))
-    return acc
+    return sum(map(mul, a, b)) % ctx.modulus
 
 
 def sample_element(rng: SeededRng, ctx: DomainContext) -> int:

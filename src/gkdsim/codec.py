@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import repeat
 
 from .algebra import DomainContext
 from .errors import IdentifierTooLong
@@ -100,11 +102,25 @@ def encode_identifier(user_id: bytes, id_width: int = DEFAULT_ID_WIDTH) -> bytes
 
 def build_auth_input(ai: AuthInput, ctx: DomainContext, id_width: int = DEFAULT_ID_WIDTH) -> bytes:
     """Concatenate key, ids, nonces and shares, each field fixed-width."""
-    parts = [encode_element(ai.group_key, ctx)]
-    parts += [encode_identifier(m, id_width) for m in ai.member_ids]
-    parts += [encode_element(r, ctx) for r in ai.nonces]
-    parts += [encode_element(u, ctx) for u in ai.masked_shares]
-    return b"".join(parts)
+    key = encode_element(ai.group_key, ctx)
+    return key + _auth_body(tuple(ai.member_ids), (*ai.nonces, *ai.masked_shares), ctx, id_width)
+
+
+@lru_cache(maxsize=1)
+def _auth_body(ids: tuple[bytes, ...], values: tuple[int, ...], ctx: DomainContext, id_width: int) -> bytes:
+    """The ids | nonces | shares block, encoded in bulk and memoised: the KGC,
+    every member and the verifier tag one block under their own candidate keys.
+    A field that does not fit raises what encode_identifier/encode_element raise."""
+    if max(map(len, ids), default=0) > id_width:
+        for m in ids:
+            encode_identifier(m, id_width)
+    try:
+        elements = b"".join(map(int.to_bytes, values, repeat(ctx.byte_width), repeat("big")))
+    except OverflowError:
+        for e in values:
+            encode_element(e, ctx)
+        raise
+    return b"".join(map(bytes.rjust, ids, repeat(id_width), repeat(b"\x00"))) + elements
 
 
 def compute_auth(

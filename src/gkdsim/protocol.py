@@ -17,8 +17,10 @@ where x is the member's long-term key and r_i its own challenge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
+from types import MappingProxyType
 from typing import Mapping
 
 from .algebra import DomainContext, SeededRng, Variant, inner_product, power_vector, sample_element
@@ -57,15 +59,22 @@ class PartyIdentity:
 @dataclass(frozen=True)
 class GroupRoster:
     """Ordered member list for one session; position in this tuple is the
-    index used by every formula, so the order is fixed once at announcement."""
+    index used by every formula, so the order is fixed once at announcement.
+    index maps id to position; rosters over the same ids share one."""
 
     members: tuple[bytes, ...]
+    index: Mapping[bytes, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.members) < 2:
             raise ValueError("a session needs at least two members")
-        if len(set(self.members)) != len(self.members):
+        index = _roster_index(tuple(self.members))
+        if len(index) != len(self.members):
             raise DuplicateMember("roster contains a duplicate id")
+        object.__setattr__(self, "index", index)
+
+    def __reduce__(self):  # the read-only index does not pickle; rebuild it on load
+        return GroupRoster, (self.members,)
 
     @property
     def size(self) -> int:
@@ -73,21 +82,14 @@ class GroupRoster:
 
     def index_of(self, user_id: bytes) -> int:
         try:
-            return self.members.index(user_id)
-        except ValueError:
+            return self.index[user_id]
+        except KeyError:
             raise NotInRoster(f"{user_id!r} is not a roster member") from None
 
 
-@dataclass(frozen=True)
-class ChallengeSet:
-    """The KGC nonce plus one challenge per roster position."""
-
-    r0: int
-    challenges: tuple[int, ...]
-
-    @property
-    def nonces(self) -> tuple[int, ...]:
-        return (self.r0, *self.challenges)
+@lru_cache(maxsize=2)
+def _roster_index(members: tuple[bytes, ...]) -> Mapping[bytes, int]:
+    return MappingProxyType({m: i for i, m in enumerate(members)})
 
 
 # --- messages ---
@@ -178,6 +180,37 @@ def compute_share(
     return inner_product(power_vector(x, t, ctx), nonces, ctx)
 
 
+def challenge_vector(roster: GroupRoster, challenges: Mapping[bytes, int]) -> tuple[int, ...]:
+    """(r_1, ..., r_t): every member's challenge in roster order."""
+    try:
+        return tuple(map(challenges.__getitem__, roster.members))
+    except KeyError:
+        missing = [m for m in roster.members if m not in challenges]
+        raise IncompleteChallenges(f"missing challenges from {missing!r}") from None
+
+
+def unmask(
+    identity: PartyIdentity,
+    roster: GroupRoster,
+    challenges: Mapping[bytes, int],
+    bcast: KgcBroadcast,
+    variant: Variant,
+    ctx: DomainContext,
+    hash_cfg: HashConfig = DEFAULT_HASH,
+) -> tuple[int, tuple[int, ...]]:
+    """Step 5's unmasking: add identity's own share to its masked share.
+
+    Returns (candidate key, nonces). Whether to trust the candidate is the
+    caller's business: a member checks the tag, the insider does not.
+    """
+    index = roster.index_of(identity.user_id)
+    if len(bcast.masked_shares) != roster.size:
+        raise MalformedBroadcast(f"{len(bcast.masked_shares)} shares for a roster of {roster.size}")
+    nonces = (bcast.r0, *challenge_vector(roster, challenges))
+    share = compute_share(identity.secret_key, nonces, index, variant, ctx, hash_cfg)
+    return ctx.add(bcast.masked_shares[index], share), nonces
+
+
 def kgc_distribute(
     roster: GroupRoster,
     registered_keys: Mapping[bytes, int],
@@ -199,21 +232,17 @@ def kgc_distribute(
     for m in roster.members:
         if m not in registered_keys:
             raise UnknownMember(f"no registered key for {m!r}")
-    missing = [m for m in roster.members if m not in challenges]
-    if missing:
-        raise IncompleteChallenges(f"missing challenges from {missing!r}")
+    received = tuple(map(ctx.reduce, challenge_vector(roster, challenges)))
 
     s = sample_element(rng, ctx) if group_key is None else ctx.reduce(group_key)
     r0 = sample_element(rng, ctx) if nonce is None else ctx.reduce(nonce)
-    cs = ChallengeSet(r0, tuple(ctx.reduce(challenges[m]) for m in roster.members))
+    nonces = (r0, *received)
 
     shares = tuple(
-        ctx.sub(s, compute_share(registered_keys[m], cs.nonces, i, variant, ctx, hash_cfg))
+        ctx.sub(s, compute_share(registered_keys[m], nonces, i, variant, ctx, hash_cfg))
         for i, m in enumerate(roster.members)
     )
-    auth = compute_auth(
-        AuthInput(s, roster.members, cs.nonces, shares), ctx, hash_cfg, id_width
-    )
+    auth = compute_auth(AuthInput(s, roster.members, nonces, shares), ctx, hash_cfg, id_width)
     return KgcBroadcast(auth=auth, r0=r0, masked_shares=shares), s
 
 
@@ -232,24 +261,9 @@ def user_process_broadcast(
     The tag is recomputed over the values as received, so any single-field
     tampering that leaves the tag untouched lands in REJECTED.
     """
-    index = roster.index_of(identity.user_id)
-    if len(bcast.masked_shares) != roster.size:
-        raise MalformedBroadcast(
-            f"{len(bcast.masked_shares)} shares for a roster of {roster.size}"
-        )
-    missing = [m for m in roster.members if m not in challenges]
-    if missing:
-        raise IncompleteChallenges(f"missing challenges from {missing!r}")
-
-    nonces = (bcast.r0, *(challenges[m] for m in roster.members))
-    share = compute_share(identity.secret_key, nonces, index, variant, ctx, hash_cfg)
-    candidate = ctx.add(bcast.masked_shares[index], share)
-    expected = compute_auth(
-        AuthInput(candidate, roster.members, nonces, bcast.masked_shares),
-        ctx,
-        hash_cfg,
-        id_width,
-    )
+    candidate, nonces = unmask(identity, roster, challenges, bcast, variant, ctx, hash_cfg)
+    ai = AuthInput(candidate, roster.members, nonces, bcast.masked_shares)
+    expected = compute_auth(ai, ctx, hash_cfg, id_width)
     if expected != bcast.auth:
         return SessionOutcome.rejected(TAG_MISMATCH)
     return SessionOutcome.accepted(candidate)
@@ -295,7 +309,7 @@ class KeyGenerationCentre:
     def receive_challenge(self, msg: ChallengeMessage) -> None:
         if self.roster is None:
             raise NotInRoster("no session announced")
-        if msg.sender not in self.roster.members:
+        if msg.sender not in self.roster.index:
             raise NotInRoster(f"{msg.sender!r} is not in the current roster")
         # no origin authentication: any challenge labeled with a roster id counts
         self._challenges[msg.sender] = self.ctx.reduce(msg.value)
@@ -363,8 +377,8 @@ class GroupMember:
 
     def observe_challenge(self, msg: ChallengeMessage) -> None:
         """Record a challenge seen on the public channel."""
-        if self.roster is not None and msg.sender in self.roster.members:
-            self.observed_challenges[msg.sender] = self.ctx.reduce(msg.value)
+        if self.roster is not None and msg.sender in self.roster.index:
+            self.observed_challenges[msg.sender] = msg.value % self.ctx.modulus
 
     def receive_broadcast(self, bcast: KgcBroadcast) -> None:
         self.pending_broadcast = bcast

@@ -23,8 +23,8 @@ from .adversary import (
     ActionKind,
     BroadcastSuppressor,
     InsiderContext,
+    InsiderInterceptor,
     Interceptor,
-    insider_strategy,
 )
 from .algebra import (
     DomainContext,
@@ -93,10 +93,6 @@ def parse_roster_payload(data: bytes, id_width: int) -> tuple[bytes, ...]:
     )
 
 
-def challenge_payload(value: int, ctx: DomainContext) -> bytes:
-    return encode_element(value, ctx)
-
-
 def broadcast_payload(bcast: KgcBroadcast, ctx: DomainContext) -> bytes:
     return (
         bcast.auth
@@ -121,7 +117,7 @@ def _payload_for(message: object, ctx: DomainContext, id_width: int) -> bytes:
     if isinstance(message, (Request, Announcement)):
         return roster_payload(message.members, id_width)
     if isinstance(message, ChallengeMessage):
-        return challenge_payload(message.value, ctx)
+        return encode_element(message.value, ctx)
     if isinstance(message, KgcBroadcast):
         return broadcast_payload(message, ctx)
     raise TypeError(f"no wire form for {type(message).__name__}")
@@ -491,31 +487,29 @@ class _Network:
         self.ctx = ctx
         self.id_width = id_width
         self.events: list[TranscriptEvent] = []
-        self.interceptors: dict[tuple[str, str], Interceptor] = {}
+        self.interceptors: dict[str, dict[str, Interceptor]] = {}  # sender -> receiver -> icpt
 
     def control_link(self, sender: str, receiver: str, interceptor: Interceptor) -> None:
-        self.interceptors[(sender, receiver)] = interceptor
+        self.interceptors.setdefault(sender, {})[receiver] = interceptor
 
     def send(self, step: str, sender: str, receivers: tuple[str, ...], message: object, deliver) -> None:
+        """Record and deliver one message; deliver(receivers, message) hands it over."""
         payload = _payload_for(message, self.ctx, self.id_width)
-        seen: list[Interceptor] = []
-        for icpt in self.interceptors.values():
-            if not any(icpt is s for s in seen):
-                icpt.observe(sender.encode(), tuple(r.encode() for r in receivers), message)
-                seen.append(icpt)
-
-        plain = tuple(r for r in receivers if (sender, r) not in self.interceptors)
-        controlled = tuple(r for r in receivers if (sender, r) in self.interceptors)
+        observers = {id(i): i for links in self.interceptors.values() for i in links.values()}
+        for icpt in observers.values():
+            icpt.observe(sender.encode(), tuple(map(str.encode, receivers)), message)
+        links = self.interceptors.get(sender, {})
+        controlled = tuple(r for r in receivers if r in links) if links else ()
+        plain = tuple(r for r in receivers if r not in links) if controlled else tuple(receivers)
         # uncontrolled links first: an insider's own copy lands before it can forge
         if plain:
             self._event(step, sender, plain, payload, VERDICT_DELIVERED)
-            for r in plain:
-                deliver(r, message)
+            deliver(plain, message)
         for r in controlled:
-            action = self.interceptors[(sender, r)].intercept(sender.encode(), r.encode(), message)
+            action = links[r].intercept(sender.encode(), r.encode(), message)
             if action.kind is ActionKind.DELIVER:
                 self._event(step, sender, (r,), payload, VERDICT_DELIVERED)
-                deliver(r, message)
+                deliver((r,), message)
             elif action.kind is ActionKind.DROP:
                 self._event(step, sender, (r,), payload, VERDICT_DROPPED)
             else:
@@ -523,7 +517,7 @@ class _Network:
                     raise GkdError("replacement must be the same message kind as the original")
                 substitute = _payload_for(action.message, self.ctx, self.id_width)
                 self._event(step, sender, (r,), payload, VERDICT_REPLACED, substitute)
-                deliver(r, action.message)
+                deliver((r,), action.message)
 
     def _event(self, step, sender, receivers, payload, verdict, delivered=None):
         self.events.append(
@@ -593,26 +587,26 @@ def run_scenario(cfg: ScenarioConfig) -> Transcript:
                 victim_index=names.index(adv.victim),
                 target_key=adv.target_key,
             )
-            insider = insider_strategy(
-                ictx, roster, cfg.variant, ctx, cfg.hash_cfg, cfg.id_width, rng
-            )
+            insider = InsiderInterceptor(ictx, roster, cfg.variant, ctx, cfg.hash_cfg, cfg.id_width, rng)
             net.control_link(KGC_NAME, adv.victim, insider)
         else:
             suppressor = BroadcastSuppressor(ids[adv.victim])
             net.control_link(KGC_NAME, adv.victim, suppressor)
 
-    def deliver(receiver: str, message: object) -> None:
-        if receiver == KGC_NAME:
-            if isinstance(message, ChallengeMessage):
-                kgc.receive_challenge(message)
-            return  # the request is handled by the driver calling announce
-        member = members[receiver]
-        if isinstance(message, Announcement):
-            member.receive_announcement(message)
-        elif isinstance(message, ChallengeMessage):
-            member.observe_challenge(message)
+    def deliver(receivers: tuple[str, ...], message: object) -> None:
+        # the KGC takes only challenges: the driver answers the request by calling announce
+        if isinstance(message, ChallengeMessage):
+            for r in receivers:
+                if r == KGC_NAME:
+                    kgc.receive_challenge(message)
+                else:
+                    members[r].observe_challenge(message)
+        elif isinstance(message, Announcement):
+            for r in receivers:
+                members[r].receive_announcement(message)
         elif isinstance(message, KgcBroadcast):
-            member.receive_broadcast(message)
+            for r in receivers:
+                members[r].receive_broadcast(message)
 
     initiator = cfg.initiator or names[0]
     net.send(STEP_REQUEST, initiator, (KGC_NAME,), Request(roster.members), deliver)
@@ -621,14 +615,13 @@ def run_scenario(cfg: ScenarioConfig) -> Transcript:
     net.send(STEP_ANNOUNCE, KGC_NAME, names, ann, deliver)
 
     issued: dict[str, int] = {}
-    for name in names:
+    for i, name in enumerate(names):
         member = members[name]
         if member.roster is None:
             continue  # never announced to (interceptor dropped it): will time out
         msg = member.issue_challenge(rng)
         issued[name] = msg.value
-        others = tuple(n for n in names if n != name)
-        net.send(STEP_CHALLENGE, name, (KGC_NAME, *others), msg, deliver)
+        net.send(STEP_CHALLENGE, name, (KGC_NAME, *names[:i], *names[i + 1 :]), msg, deliver)
 
     bcast, group_key = kgc.distribute(rng)
     net.send(STEP_BROADCAST, KGC_NAME, names, bcast, deliver)
@@ -813,7 +806,10 @@ def verify_transcript(tr: Transcript) -> VerificationReport:
     # --- challenges ---
     challenges: dict[bytes, int] = {}
     for pos, ev in enumerate(by_step[STEP_CHALLENGE]):
-        _require(ev.sender in names, f"event {ev.index}: challenge from unknown sender {ev.sender!r}")
+        _require(
+            isinstance(ev.sender, str) and ev.sender in ids,
+            f"event {ev.index}: challenge from unknown sender {ev.sender!r}",
+        )
         if ev.sender != names[pos]:
             report.fail(f"event {ev.index}: challenge sender {ev.sender!r} out of roster order")
         if len(ev.payload) != byte_width:
@@ -835,7 +831,7 @@ def verify_transcript(tr: Transcript) -> VerificationReport:
         if ev.payload != honest_payload:
             report.fail(f"event {ev.index}: broadcast original differs across events")
         for r in ev.receivers:
-            if r in received or r not in names:
+            if r in received or r not in ids:
                 raise MalformedTranscript(f"event {ev.index}: bad broadcast receiver {r!r}")
             if ev.verdict == VERDICT_DELIVERED:
                 received[r] = ev.payload
@@ -901,16 +897,18 @@ def verify_transcript(tr: Transcript) -> VerificationReport:
         report.fail(f"event {bcast_events[0].index}: tag does not match recomputation")
     report.note("shares and tag: match recomputation from recorded keys and randomness")
 
+    replay_challenges = {ids[n]: gt.challenges[n] for n in names}
+    distinct = dict.fromkeys(received.values())  # in transcript order: the first bad one raises
+    parsed = {p: parse_broadcast_payload(p, ctx, hash_cfg.digest_size, t) for p in distinct}
     for name in names:
         payload = received.get(name)
         if payload is None:
             expected = SessionOutcome.timeout()
         else:
-            bc = parse_broadcast_payload(payload, ctx, hash_cfg.digest_size, t)
             identity = PartyIdentity(ids[name], ctx.reduce(gt.member_keys[name]))
             expected = user_process_broadcast(
-                identity, roster, {ids[n]: gt.challenges[n] for n in names},
-                bc, variant, ctx, hash_cfg, id_width,
+                identity, roster, replay_challenges,
+                parsed[payload], variant, ctx, hash_cfg, id_width,
             )
         rec = recorded_outcome[name]
         if (rec.status, rec.key, rec.reason) != (

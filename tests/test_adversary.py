@@ -8,7 +8,6 @@ from gkdsim.adversary import (
     InsiderInterceptor,
     forge_broadcast,
     insider_recover_key,
-    insider_strategy,
 )
 from gkdsim.algebra import SeededRng, Variant
 from gkdsim.errors import AttackerIsVictim, IndexOutOfRoster, NotInRoster
@@ -144,25 +143,25 @@ def test_channel_action_constructors():
 
 def make_interceptor(ring35, target_key=4):
     ictx = InsiderContext(attacker=ATTACKER, victim_index=0, target_key=target_key)
-    return insider_strategy(ictx, ROSTER, Variant.RING, ring35, rng=SeededRng(3))
+    return InsiderInterceptor(ictx, ROSTER, Variant.RING, ring35, rng=SeededRng(3))
 
 
 def test_strategy_rejects_attacker_as_victim(ring35):
     ictx = InsiderContext(attacker=ATTACKER, victim_index=1, target_key=4)
     with pytest.raises(AttackerIsVictim):
-        insider_strategy(ictx, ROSTER, Variant.RING, ring35)
+        InsiderInterceptor(ictx, ROSTER, Variant.RING, ring35)
 
 
 def test_strategy_rejects_victim_outside_roster(ring35):
     ictx = InsiderContext(attacker=ATTACKER, victim_index=9, target_key=4)
     with pytest.raises(IndexOutOfRoster):
-        insider_strategy(ictx, ROSTER, Variant.RING, ring35)
+        InsiderInterceptor(ictx, ROSTER, Variant.RING, ring35)
 
 
 def test_strategy_requires_member_attacker(ring35):
     ictx = InsiderContext(attacker=PartyIdentity(b"Z", 1), victim_index=0, target_key=4)
     with pytest.raises(NotInRoster):
-        insider_strategy(ictx, ROSTER, Variant.RING, ring35)
+        InsiderInterceptor(ictx, ROSTER, Variant.RING, ring35)
 
 
 def test_interceptor_passes_everything_but_the_victim_broadcast(ring35, honest_bcast):

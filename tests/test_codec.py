@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gkdsim.algebra import Variant, domain_new
+from gkdsim.algebra import DomainContext, Variant, domain_new
 from gkdsim.codec import (
     AuthInput,
     HashConfig,
@@ -124,6 +124,100 @@ def test_frame_injectivity(a, b):
     ctx = domain_new(5, 7, variant=Variant.RING)
     if build_auth_input(a, ctx) == build_auth_input(b, ctx):
         assert a == b
+
+
+# --- bulk tag body against the per-field reference ------------------------------
+
+def reference_build_auth_input(ai, ctx, id_width=16):
+    """The tag input encoded one field at a time, as the scheme defines it."""
+    parts = [encode_element(ai.group_key, ctx)]
+    parts += [encode_identifier(m, id_width) for m in ai.member_ids]
+    parts += [encode_element(r, ctx) for r in ai.nonces]
+    parts += [encode_element(u, ctx) for u in ai.masked_shares]
+    return b"".join(parts)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, IdentifierTooLong) as e:
+        return type(e)
+
+
+@st.composite
+def wide_auth_cases(draw):
+    """Byte widths 1..16 and id widths 1..16; in half the cases one field does not fit."""
+    bits = draw(st.integers(min_value=3, max_value=128))
+    modulus = draw(st.integers(min_value=2 ** (bits - 1), max_value=2**bits - 1))
+    ctx = DomainContext(modulus=modulus, variant=Variant.FIELD, byte_width=(bits + 7) // 8)
+    id_width = draw(st.integers(min_value=1, max_value=16))
+    t = draw(st.integers(min_value=2, max_value=6))
+    top = 256**ctx.byte_width
+    elem = st.integers(min_value=0, max_value=top - 1)
+    fields = [
+        [draw(elem)],
+        [draw(st.binary(max_size=id_width)) for _ in range(t)],
+        [draw(elem) for _ in range(t + 1)],
+        [draw(elem) for _ in range(t)],
+    ]
+    corrupt = draw(st.sampled_from(["none", "key", "id", "nonce", "share"] + ["none"] * 3))
+    if corrupt != "none":
+        part = fields[["key", "id", "nonce", "share"].index(corrupt)]
+        pos = draw(st.integers(min_value=0, max_value=len(part) - 1))
+        if corrupt == "id":
+            part[pos] = draw(st.binary(min_size=id_width + 1, max_size=id_width + 4))
+        else:
+            part[pos] = draw(st.one_of(st.integers(top, 4 * top), st.integers(-top, -1)))
+    key, ids, nonces, shares = fields
+    return AuthInput(key[0], tuple(ids), tuple(nonces), tuple(shares)), ctx, id_width
+
+
+@given(case=wide_auth_cases())
+@settings(max_examples=300, deadline=None)
+def test_build_auth_input_matches_per_field_reference(case):
+    ai, ctx, id_width = case
+    assert _outcome(build_auth_input, ai, ctx, id_width) == _outcome(
+        reference_build_auth_input, ai, ctx, id_width
+    )
+
+
+def test_build_auth_input_16_byte_fields():
+    ctx = domain_new(2**127 - 1, variant=Variant.FIELD)
+    assert ctx.byte_width == 16
+    ids = tuple(f"member-{k:09d}".encode() for k in range(256))
+    assert {len(m) for m in ids} == {16}
+    nonces = tuple((k * 0x9E3779B97F4A7C15) % ctx.modulus for k in range(257))
+    ai = AuthInput(ctx.modulus - 1, ids, nonces, nonces[1:])
+    out = build_auth_input(ai, ctx, 16)
+    assert len(out) == 16 * (1 + 256 + 257 + 256)
+    assert out == reference_build_auth_input(ai, ctx, 16)
+
+
+# --- error paths through compute_auth -----------------------------------------
+
+@pytest.mark.parametrize("field", ["key", "nonce", "share"])
+@pytest.mark.parametrize("bad", [-1, 256, 2**64])
+def test_compute_auth_rejects_unrepresentable_fields(ring35, field, bad):
+    good = AuthInput(10, (b"A", b"B"), (3, 1, 2), (32, 31))
+    before = compute_auth(good, ring35)  # a memoised good block must not mask the error
+    if field == "key":
+        ai = AuthInput(bad, good.member_ids, good.nonces, good.masked_shares)
+    elif field == "nonce":
+        ai = AuthInput(good.group_key, good.member_ids, (3, bad, 2), good.masked_shares)
+    else:
+        ai = AuthInput(good.group_key, good.member_ids, good.nonces, (32, bad))
+    with pytest.raises(ValueError):
+        compute_auth(ai, ring35)
+    assert compute_auth(good, ring35) == before
+
+
+def test_compute_auth_rejects_over_long_id(ring35):
+    ai = AuthInput(10, (b"A", b"BCD"), (3, 1, 2), (32, 31))
+    compute_auth(ai, ring35, id_width=3)
+    with pytest.raises(IdentifierTooLong):
+        compute_auth(ai, ring35, id_width=2)
+    with pytest.raises(IdentifierTooLong):
+        compute_auth(AuthInput(10, (b"x" * 17, b"B"), (3, 1, 2), (32, 31)), ring35)
 
 
 # --- tag computation -----------------------------------------------------------

@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -99,6 +101,37 @@ def test_share_field_matches_independent_oracle(field23):
             assert compute_share(x, nonces, index, Variant.FIELD, field23) == naive_share_field(
                 x, nonces, index, 23, field23.byte_width
             )
+
+
+# 64-bit parameters for the oracle checks at roster scale: a prime field and
+# a ring over two 64-bit safe primes.
+FIELD_P64 = 18446744073709551557  # 2**64 - 59
+RING_P64, RING_Q64 = 14452609745013686879, 17604556404558656459
+SCALE_T = 256
+
+
+@pytest.mark.parametrize("variant", [Variant.RING, Variant.FIELD])
+@pytest.mark.parametrize("in_range", [True, False])
+def test_share_matches_naive_oracle_at_scale(variant, in_range):
+    if variant is Variant.RING:
+        ctx = domain_new(RING_P64, RING_Q64, variant=variant)
+    else:
+        ctx = domain_new(FIELD_P64, variant=variant)
+    m = ctx.modulus
+    rng = SeededRng(256 + in_range)
+    for trial in range(3):
+        nonces = tuple(sample_element(rng, ctx) for _ in range(SCALE_T + 1))
+        x = sample_element(rng, ctx)
+        if not in_range:
+            # unreduced inputs: shifted by multiples of m, negative, or far wider than m
+            nonces = tuple(r + (k % 5 - 2) * m + (k % 7 == 0) * 2**200 for k, r in enumerate(nonces))
+            x += (trial + 1) * m
+        index = (trial * 97) % SCALE_T
+        got = compute_share(x, nonces, index, variant, ctx)
+        if variant is Variant.RING:
+            assert got == naive_share_ring(x, nonces, m)
+        else:
+            assert got == naive_share_field(x, nonces, index, m, ctx.byte_width)
 
 
 # --- kgc_distribute ----------------------------------------------------------------
@@ -335,6 +368,43 @@ def test_finalize_without_broadcast_times_out(ring35):
 def test_roster_needs_two_members():
     with pytest.raises(ValueError):
         GroupRoster((b"A",))
+
+
+def test_roster_index_and_errors():
+    ids = tuple(f"m{k}".encode() for k in range(300))
+    roster = GroupRoster(ids)
+    assert [roster.index_of(m) for m in ids] == list(range(300))
+    with pytest.raises(NotInRoster):
+        roster.index_of(b"m300")
+    with pytest.raises(DuplicateMember):
+        GroupRoster((b"A", b"B", b"A"))
+    with pytest.raises(DuplicateMember):
+        GroupRoster(ids + (b"m7",))
+    with pytest.raises(TypeError):
+        roster.index[b"new"] = 0  # one read-only map, shared
+
+
+def test_rosters_over_the_same_ids_are_equal_and_share_one_index():
+    a = GroupRoster((b"A", b"B", b"C"))
+    b = GroupRoster(tuple([b"A", b"B", b"C"]))
+    assert a == b and hash(a) == hash(b)
+    assert a.index is b.index
+    assert repr(a) == "GroupRoster(members=(b'A', b'B', b'C'))"
+    assert a != GroupRoster((b"C", b"B", b"A"))
+    for copied in (copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert copied == a and copied.index is a.index
+
+
+def test_member_ignores_challenges_from_non_members(ring35):
+    member = GroupMember(PartyIdentity(b"A", 2), ring35, Variant.RING)
+    from gkdsim.protocol import ChallengeMessage
+
+    member.observe_challenge(ChallengeMessage(b"B", 5))  # before any announcement
+    assert member.observed_challenges == {}
+    member.receive_announcement(Announcement((b"A", b"B")))
+    member.observe_challenge(ChallengeMessage(b"C", 5))
+    member.observe_challenge(ChallengeMessage(b"B", 40))
+    assert member.observed_challenges == {b"B": 5}  # 40 mod 35
 
 
 # --- key secrecy shape check --------------------------------------------------------
