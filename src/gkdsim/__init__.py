@@ -56,7 +56,9 @@ from .simnet import (
     AdversarySpec,
     ScenarioConfig,
     Transcript,
+    TranscriptMeta,
     VerificationReport,
+    build_domain,
     run_scenario,
     verify_transcript,
 )

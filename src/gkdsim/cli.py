@@ -20,22 +20,8 @@ import json
 import sys
 from pathlib import Path
 
-from .algebra import (
-    DomainContext,
-    SeededRng,
-    Variant,
-    domain_new,
-    gen_distinct_safe_primes,
-    gen_safe_prime,
-)
-from .errors import (
-    CompositeWhenPrimeRequired,
-    ConfigError,
-    EqualFactors,
-    GkdError,
-    MalformedTranscript,
-    ModulusTooSmall,
-)
+from .algebra import SeededRng, Variant
+from .errors import ConfigError, MalformedTranscript
 from .simnet import (
     ACTION_FORGE,
     ACTION_SUPPRESS,
@@ -44,6 +30,7 @@ from .simnet import (
     Transcript,
     VERDICT_DROPPED,
     VERDICT_REPLACED,
+    build_domain,
     parse_broadcast_payload,
     run_scenario,
     verify_transcript,
@@ -95,9 +82,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ModulusTooSmall, EqualFactors, CompositeWhenPrimeRequired) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
     except MalformedTranscript as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VERIFY
@@ -111,14 +95,10 @@ def main(argv: list[str] | None = None) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_gen_params(args) -> int:
+    if args.seed < 0:
+        raise ConfigError("seed must be non-negative")
     variant = Variant(args.variant)
-    rng = SeededRng(args.seed)
-    if variant is Variant.RING:
-        p, q = gen_distinct_safe_primes(args.bits, rng)
-        ctx = domain_new(p, q, variant=variant)
-    else:
-        p, q = gen_safe_prime(args.bits, rng), None
-        ctx = domain_new(p, variant=variant)
+    ctx, p, q = build_domain(variant, SeededRng(args.seed), bits=args.bits)
     record = {
         "record": "parameters",
         "variant": variant.value,
@@ -144,16 +124,18 @@ def _verify_parameters(record: dict) -> int:
         variant = Variant(record["variant"])
         p, q = record["p"], record["q"]
         bits, modulus, byte_width = record["bits"], record["modulus"], record["byte_width"]
+        if (q is None) != (variant is Variant.FIELD):
+            raise ValueError("q must be set for the ring variant and null for the field variant")
         for name, value in (("p", p), ("q", q), ("bits", bits),
                             ("modulus", modulus), ("byte_width", byte_width)):
-            if value is not None and not isinstance(value, int):
+            if type(value) is not int and (name, value) != ("q", None):
                 raise ValueError(f"{name} must be an integer")
     except (KeyError, ValueError) as e:
         print(f"parameter file invalid: {e}", file=sys.stderr)
         return EXIT_VERIFY
     try:
-        ctx = domain_new(p, q, variant=variant) if variant is Variant.RING else domain_new(p, variant=variant)
-    except GkdError as e:
+        ctx, _, _ = build_domain(variant, None, p=p, q=q)
+    except ConfigError as e:
         print(f"primality re-check failed: {e}", file=sys.stderr)
         return EXIT_VERIFY
     problems = []
@@ -180,13 +162,9 @@ def _verify_parameters(record: dict) -> int:
 def cmd_run(args) -> int:
     cfg = ScenarioConfig.from_file(args.config)
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("seed must be non-negative")
         cfg = dataclasses.replace(cfg, seed=args.seed)
     if args.variant is not None:
         cfg = dataclasses.replace(cfg, variant=Variant(args.variant))
-    cfg.validate()
-
     tr = run_scenario(cfg)
     out = args.out or args.config.with_suffix(".transcript.jsonl")
     tr.save(out)
@@ -208,8 +186,8 @@ def summarize_run(tr: Transcript) -> tuple[bool, list[str]]:
     """Human summary plus the success verdict the exit status is based on."""
     meta = tr.meta
     lines = [
-        f"variant {meta['variant']}, modulus {meta['modulus']}, "
-        f"{meta['t']} members, seed {meta['seed']}"
+        f"variant {meta.ctx.variant.value}, modulus {meta.ctx.modulus}, "
+        f"{meta.t} members, seed {meta.seed}"
     ]
     by_member = {oc.member: oc for oc in tr.outcomes}
     for oc in tr.outcomes:
@@ -220,7 +198,7 @@ def summarize_run(tr: Transcript) -> tuple[bool, list[str]]:
         else:
             lines.append(f"  {oc.member}: timeout ({oc.reason})")
 
-    adv = meta.get("adversary")
+    adv = meta.adversary
     gt = tr.ground_truth
     if adv is None:
         keys = {oc.key for oc in tr.outcomes}
@@ -233,10 +211,10 @@ def summarize_run(tr: Transcript) -> tuple[bool, list[str]]:
         )
         return ok, lines
 
-    victim = adv["victim"]
+    victim = adv.victim
     vic = by_member[victim]
     others = [oc for oc in tr.outcomes if oc.member != victim]
-    if adv["action"] == ACTION_SUPPRESS:
+    if adv.action == ACTION_SUPPRESS:
         ok = vic.status == "timeout" and all(o.status == "accepted" for o in others)
         lines.append(
             "suppression: victim timed out, everyone else accepted" if ok
@@ -299,7 +277,7 @@ def _first_record(path: Path) -> dict:
                     break
     except OSError as e:
         raise MalformedTranscript(f"cannot read {path}: {e}") from None
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
         raise MalformedTranscript(f"{path} is not a transcript or parameter file: {e}") from None
     raise MalformedTranscript(f"{path} contains no records")
 
@@ -318,24 +296,15 @@ _STEP_BLURBS = {
 
 def cmd_explain(args) -> int:
     tr = Transcript.load(args.path)
-    try:
-        return _explain(tr)
-    except (KeyError, ValueError, TypeError) as e:
-        raise MalformedTranscript(f"transcript fields invalid: {e}") from None
-
-
-def _explain(tr: Transcript) -> int:
     meta = tr.meta
     print(
-        f"scenario: {meta['variant']} variant, modulus {meta['modulus']}, "
-        f"members {', '.join(meta['members'])}, seed {meta['seed']}"
+        f"scenario: {meta.ctx.variant.value} variant, modulus {meta.ctx.modulus}, "
+        f"members {', '.join(meta.members)}, seed {meta.seed}"
     )
-    adv = meta.get("adversary")
+    adv = meta.adversary
     if adv:
-        print(
-            f"adversary: {adv['attacker']} controls the {KGC_NAME}->{adv['victim']} link "
-            f"({adv['action']})"
-        )
+        link = f"{KGC_NAME}->{adv.victim}"
+        print(f"adversary: {adv.attacker} controls the {link} link ({adv.action})")
     for line in _event_lines(tr):
         print(line)
     print("outcomes:")
@@ -361,12 +330,7 @@ def _explain(tr: Transcript) -> int:
 
 
 def _event_lines(tr: Transcript) -> list[str]:
-    meta = tr.meta
-    ctx = DomainContext(
-        modulus=meta["modulus"],
-        variant=Variant(meta["variant"]),
-        byte_width=meta["byte_width"],
-    )
+    ctx, digest_size, t = tr.meta.ctx, tr.meta.hash_cfg.digest_size, tr.meta.t
     lines = []
     for ev in tr.events:
         route = f"{ev.sender} -> {','.join(ev.receivers)}"
@@ -374,14 +338,14 @@ def _event_lines(tr: Transcript) -> list[str]:
         if ev.step == "challenge":
             detail = f"{detail}: {int.from_bytes(ev.payload, 'big')}"
         elif ev.step == "broadcast":
-            bc = parse_broadcast_payload(ev.payload, ctx, meta["digest_size"], meta["t"])
+            bc = parse_broadcast_payload(ev.payload, ctx, digest_size, t)
             detail = (
                 f"{detail}: tag {bc.auth.hex()[:12]}.., nonce {bc.r0}, "
                 f"shares {list(bc.masked_shares)}"
             )
         mark = ""
         if ev.verdict == VERDICT_REPLACED:
-            fb = parse_broadcast_payload(ev.delivered_payload, ctx, meta["digest_size"], meta["t"])
+            fb = parse_broadcast_payload(ev.delivered_payload, ctx, digest_size, t)
             mark = (
                 f"  [REPLACED in transit: tag {fb.auth.hex()[:12]}.., "
                 f"shares {list(fb.masked_shares)}]"

@@ -42,9 +42,12 @@ class HashConfig:
     element_hash: str | None = None
 
     def __post_init__(self):
-        hashlib.new(self.algorithm)
+        names = [self.algorithm]
         if self.element_hash not in (None, ZERO_HASH):
-            hashlib.new(self.element_hash)
+            names.append(self.element_hash)
+        for name in names:
+            if not hashlib.new(name).digest_size:  # shake_*: digest() would need a length
+                raise ValueError(f"{name!r} is a variable-length hash")
 
     @property
     def digest_size(self) -> int:

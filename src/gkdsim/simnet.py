@@ -76,6 +76,20 @@ _VERDICTS = (VERDICT_DELIVERED, VERDICT_DROPPED, VERDICT_REPLACED)
 ACTION_FORGE = "forge"
 ACTION_SUPPRESS = "suppress"
 
+MAX_BITS = 512  # a 512-bit safe-prime pair takes about 30 s; larger sizes take hours
+MAX_ID_WIDTH = 255
+
+_RECORD_ORDER = ("meta", "event", "outcome", "ground_truth")
+_EVENT_FIELDS = frozenset(("index", "step", "sender", "receivers", "payload", "verdict"))
+_REPLACED_FIELDS = _EVENT_FIELDS | {"delivered_payload"}
+_OUTCOME_FIELDS = frozenset(("member", "status"))
+_OUTCOME_OPTIONAL = frozenset(("key", "reason"))
+_DERIVED_FIELDS = ("format", "modulus", "byte_width", "digest_size", "t")
+_TRUTH_FIELDS = frozenset(("group_key", "r0", "member_keys", "challenges", "adversary"))
+_ADVERSARY_FIELDS = frozenset(("attacker", "victim", "action", "recovered_key", "target_key"))
+_STATUSES = tuple(s.value for s in OutcomeStatus)
+_STR_TYPE = frozenset((str,))
+
 
 # ---------------------------------------------------------------------------
 # wire payloads (hex-encoded in transcript events; see docs/transcript-format.md)
@@ -83,14 +97,6 @@ ACTION_SUPPRESS = "suppress"
 
 def roster_payload(member_ids: Iterable[bytes], id_width: int) -> bytes:
     return b"".join(encode_identifier(m, id_width) for m in member_ids)
-
-
-def parse_roster_payload(data: bytes, id_width: int) -> tuple[bytes, ...]:
-    if id_width <= 0 or len(data) % id_width:
-        raise MalformedTranscript(f"roster payload of {len(data)} bytes not a multiple of {id_width}")
-    return tuple(
-        data[i : i + id_width].lstrip(b"\x00") for i in range(0, len(data), id_width)
-    )
 
 
 def broadcast_payload(bcast: KgcBroadcast, ctx: DomainContext) -> bytes:
@@ -135,6 +141,41 @@ class AdversarySpec:
     victim: str
     action: str = ACTION_FORGE
     target_key: int | None = None  # None means drawn at attack time, != real key
+
+
+def _roster_problem(members: tuple, id_width: object) -> str | None:
+    """Why members cannot form a roster of id_width-byte ids, or None if they can."""
+    if type(id_width) is not int or not 1 <= id_width <= MAX_ID_WIDTH:
+        return f"id_width must be an integer in [1, {MAX_ID_WIDTH}]"
+    if not all(isinstance(name, str) and name for name in members):
+        return "member names must be non-empty strings"
+    if len(members) < 2:
+        return "a session needs at least two members"
+    if len(set(members)) != len(members):
+        return "duplicate member names"
+    if KGC_NAME in members:
+        return f"member name {KGC_NAME!r} is reserved"
+    try:
+        too_long = [name for name in members if len(name.encode()) > id_width]
+    except UnicodeEncodeError:
+        return "member names must be encodable as UTF-8"
+    return f"member name {too_long[0]!r} exceeds id width {id_width}" if too_long else None
+
+
+def _adversary_problem(adv: AdversarySpec, members: tuple[str, ...]) -> str | None:
+    """Why adv cannot act on a session of members, or None if it can."""
+    if adv.action not in (ACTION_FORGE, ACTION_SUPPRESS):
+        return f"adversary action must be forge or suppress, got {adv.action!r}"
+    for role, name in (("attacker", adv.attacker), ("victim", adv.victim)):
+        if name not in members:
+            return f"adversary {role} {name!r} not among members"
+    if adv.attacker == adv.victim:
+        return "attacker and victim must be distinct"
+    if adv.target_key is not None and adv.action == ACTION_SUPPRESS:
+        return "suppress action takes no target key"
+    if adv.target_key is not None and (type(adv.target_key) is not int or adv.target_key < 0):
+        return "target_key must be a non-negative integer or 'random'"
+    return None
 
 
 @dataclass(frozen=True)
@@ -202,7 +243,7 @@ class ScenarioConfig:
                 algorithm=hash_d.get("algorithm", "sha256"),
                 element_hash=hash_d.get("element_hash"),
             )
-        except ValueError as e:
+        except (TypeError, ValueError) as e:
             raise ConfigError(f"bad hash config: {e}") from None
 
         cfg = cls(
@@ -211,13 +252,13 @@ class ScenarioConfig:
             p=mod.get("p"),
             q=mod.get("q"),
             bits=mod.get("bits"),
-            keys=dict(d["keys"]) if d.get("keys") is not None else None,
+            keys=d.get("keys"),
             initiator=d.get("initiator"),
             seed=d.get("seed", 0),
             hash_cfg=hash_cfg,
             id_width=d.get("id_width", DEFAULT_ID_WIDTH),
             adversary=adv_spec,
-            redact=bool(d.get("redact", False)),
+            redact=d.get("redact", False),
         )
         cfg.validate()
         return cfg
@@ -226,76 +267,163 @@ class ScenarioConfig:
     def from_file(cls, path: str | Path) -> "ScenarioConfig":
         try:
             text = Path(path).read_text()
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise ConfigError(f"cannot read config: {e}") from None
         try:
             d = json.loads(text)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:
             raise ConfigError(f"config is not valid JSON: {e}") from None
         if not isinstance(d, dict):
             raise ConfigError("config must be a JSON object")
         return cls.from_dict(d)
 
     def validate(self) -> None:
-        if len(self.members) < 2:
-            raise ConfigError("a session needs at least two members")
-        if len(set(self.members)) != len(self.members):
-            raise ConfigError("duplicate member names")
-        for name in self.members:
-            if not isinstance(name, str) or not name:
-                raise ConfigError("member names must be non-empty strings")
-            if name == KGC_NAME:
-                raise ConfigError(f"member name {KGC_NAME!r} is reserved")
-            if len(name.encode()) > self.id_width:
-                raise ConfigError(f"member name {name!r} exceeds id width {self.id_width}")
-        if not isinstance(self.id_width, int) or self.id_width < 1:
-            raise ConfigError("id_width must be a positive integer")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        problem = _roster_problem(self.members, self.id_width)
+        if problem is None and self.adversary is not None:
+            problem = _adversary_problem(self.adversary, self.members)
+        if problem is not None:
+            raise ConfigError(problem)
+        if type(self.seed) is not int or self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
+        if type(self.redact) is not bool:
+            raise ConfigError("redact must be true or false")
 
         has_explicit = self.p is not None
         if has_explicit == (self.bits is not None):
             raise ConfigError("modulus needs either explicit primes or bits, not both")
-        if self.bits is not None and (not isinstance(self.bits, int) or self.bits < 3):
+        if self.bits is not None and (type(self.bits) is not int or self.bits < 3):
             raise ConfigError("modulus bits must be an integer >= 3")
         if self.variant is Variant.RING and has_explicit and self.q is None:
             raise ConfigError("ring variant needs both p and q")
         if self.variant is Variant.FIELD and self.q is not None:
             raise ConfigError("field variant takes a single prime p")
         for v in (self.p, self.q):
-            if v is not None and (not isinstance(v, int) or v < 2):
+            if v is not None and (type(v) is not int or v < 2):
                 raise ConfigError("primes must be integers >= 2")
 
         if self.keys is not None:
+            if not isinstance(self.keys, Mapping):
+                raise ConfigError("keys must be an object")
             stray = set(self.keys) - set(self.members)
             if stray:
                 raise ConfigError(f"keys given for non-members: {sorted(stray)}")
             for name, k in self.keys.items():
-                if not isinstance(k, int) or k < 0:
+                if type(k) is not int or k < 0:
                     raise ConfigError(f"key for {name!r} must be a non-negative integer")
 
         if self.initiator is not None and self.initiator not in self.members:
             raise ConfigError(f"initiator {self.initiator!r} not among members")
 
-        adv = self.adversary
-        if adv is not None:
-            if adv.action not in (ACTION_FORGE, ACTION_SUPPRESS):
-                raise ConfigError(f"adversary action must be forge or suppress, got {adv.action!r}")
-            for role, name in (("attacker", adv.attacker), ("victim", adv.victim)):
-                if name not in self.members:
-                    raise ConfigError(f"adversary {role} {name!r} not among members")
-            if adv.attacker == adv.victim:
-                raise ConfigError("attacker and victim must be distinct")
-            if adv.target_key is not None:
-                if adv.action == ACTION_SUPPRESS:
-                    raise ConfigError("suppress action takes no target key")
-                if not isinstance(adv.target_key, int) or adv.target_key < 0:
-                    raise ConfigError("target_key must be a non-negative integer or 'random'")
-
 
 # ---------------------------------------------------------------------------
 # transcript records
 # ---------------------------------------------------------------------------
+
+def _check_fields(
+    rec: object, fields: frozenset[str], what: str, optional: frozenset[str] = frozenset()
+) -> None:
+    """rec must be an object with every one of fields and nothing beyond fields and optional."""
+    if not isinstance(rec, dict) or (rec.keys() != fields and rec.keys() - optional != fields):
+        found = sorted(rec) if isinstance(rec, dict) else type(rec).__name__
+        extra = f" (optional: {sorted(optional)})" if optional else ""
+        raise MalformedTranscript(f"{what} needs the fields {sorted(fields)}{extra}, got {found}")
+
+
+def _residue(value: object, ctx: DomainContext, what: str) -> int:
+    if type(value) is not int or not ctx.contains(value):
+        raise MalformedTranscript(f"{what} must be a residue in [0, {ctx.modulus})")
+    return value
+
+
+def _residues(value: object, ctx: DomainContext, what: str) -> dict[str, int]:
+    m = ctx.modulus
+    ok = isinstance(value, dict) and all(type(v) is int and 0 <= v < m for v in value.values())
+    if not ok:
+        raise MalformedTranscript(f"{what} must map names to residues in [0, {m})")
+    return value
+
+
+@dataclass(frozen=True)
+class TranscriptMeta:
+    """The header record: public parameters, roster and run settings."""
+
+    ctx: DomainContext
+    hash_cfg: HashConfig
+    p: int
+    q: int | None
+    id_width: int
+    members: tuple[str, ...]
+    initiator: str
+    seed: int
+    redacted: bool
+    adversary: AdversarySpec | None = None  # target_key stays None: ground truth records it
+
+    @property
+    def t(self) -> int:
+        return len(self.members)
+
+    def to_record(self) -> dict:
+        adv = self.adversary
+        return {
+            "format": TRANSCRIPT_FORMAT,
+            "variant": self.ctx.variant.value,
+            "modulus": self.ctx.modulus,
+            "p": self.p,
+            "q": self.q,
+            "byte_width": self.ctx.byte_width,
+            "digest_size": self.hash_cfg.digest_size,
+            "hash_algorithm": self.hash_cfg.algorithm,
+            "element_hash": self.hash_cfg.element_hash,
+            "id_width": self.id_width,
+            "members": list(self.members),
+            "initiator": self.initiator,
+            "seed": self.seed,
+            "t": self.t,
+            "adversary": adv and dict(attacker=adv.attacker, victim=adv.victim, action=adv.action),
+            "redacted": self.redacted,
+        }
+
+    @classmethod
+    def from_record(cls, rec: dict) -> "TranscriptMeta":
+        """Type-check the fields a meta is built from, then require rec to hold exactly what
+        that meta writes: this pins the key set and the derived fields, all of them ints."""
+        try:
+            variant = Variant(rec.get("variant"))
+            hash_cfg = HashConfig(rec.get("hash_algorithm"), rec.get("element_hash"))
+        except (TypeError, ValueError) as e:
+            raise MalformedTranscript(f"meta: bad variant or hash: {e}") from None
+        p, q, members, adv, seed = map(rec.get, ("p", "q", "members", "adversary", "seed"))
+        if type(p) is not int or p < 2 or (q is None) == (variant is Variant.RING) or (
+            q is not None and (type(q) is not int or q < 2)
+        ):
+            raise MalformedTranscript("meta: p (and q, for the ring variant) must be integers >= 2")
+        if not isinstance(members, list) or not isinstance(adv, (dict, type(None))):
+            raise MalformedTranscript("meta: members must be a list, adversary an object or null")
+        members = tuple(members)
+        if adv is not None:
+            adv = AdversarySpec(adv.get("attacker"), adv.get("victim"), adv.get("action"))
+        problem = _roster_problem(members, rec.get("id_width"))
+        if problem is None and adv is not None:
+            problem = _adversary_problem(adv, members)
+        if problem is None and rec.get("initiator") not in members:
+            problem = "initiator not a member"
+        if problem is None and (type(seed) is not int or seed < 0):
+            problem = "seed must be a non-negative integer"
+        if problem is None and type(rec.get("redacted")) is not bool:
+            problem = "redacted must be true or false"
+        if problem is not None:
+            raise MalformedTranscript(f"meta: {problem}")
+        modulus = p * q if q is not None else p
+        ctx = DomainContext(modulus, variant, (modulus.bit_length() + 7) // 8)
+        meta = cls(ctx, hash_cfg, p, q, rec["id_width"], members, rec["initiator"], seed,
+                   rec["redacted"], adv)
+        expected = meta.to_record()
+        if rec != expected or not all(type(rec[k]) is int for k in _DERIVED_FIELDS):
+            wrong = sorted(k for k in expected.keys() | rec.keys()
+                           if _dump(rec.get(k)) != _dump(expected.get(k)))
+            raise MalformedTranscript(f"meta: fields {wrong} missing, unknown or wrong")
+        return meta
+
 
 @dataclass(frozen=True)
 class TranscriptEvent:
@@ -307,6 +435,36 @@ class TranscriptEvent:
     verdict: str
     delivered_payload: bytes | None = None  # only for replaced verdicts
 
+    def to_record(self) -> dict:
+        rec = {
+            "index": self.index, "step": self.step, "sender": self.sender,
+            "receivers": self.receivers, "payload": self.payload.hex(), "verdict": self.verdict,
+        }
+        if self.delivered_payload is not None:
+            rec["delivered_payload"] = self.delivered_payload.hex()
+        return rec
+
+    @classmethod
+    def from_record(cls, rec: dict, index: int) -> "TranscriptEvent":
+        replaced = rec.get("verdict") == VERDICT_REPLACED
+        _check_fields(rec, _REPLACED_FIELDS if replaced else _EVENT_FIELDS, "event")
+        step, sender, verdict = rec["step"], rec["sender"], rec["verdict"]
+        receivers = rec["receivers"]
+        if type(rec["index"]) is not int or rec["index"] != index:
+            raise MalformedTranscript(f"event {rec['index']!r} out of order at position {index}")
+        if step not in _STEPS or verdict not in _VERDICTS:
+            raise MalformedTranscript(f"event {index}: unknown step or verdict")
+        if type(sender) is not str or type(receivers) is not list or not (
+            set(map(type, receivers)) <= _STR_TYPE
+        ):
+            raise MalformedTranscript(f"event {index}: sender and receivers must be names")
+        try:
+            payload = bytes.fromhex(rec["payload"])
+            delivered = bytes.fromhex(rec["delivered_payload"]) if replaced else None
+        except (TypeError, ValueError):
+            raise MalformedTranscript(f"event {index}: payloads must be hex strings") from None
+        return cls(index, step, sender, tuple(receivers), payload, verdict, delivered)
+
 
 @dataclass(frozen=True)
 class OutcomeRecord:
@@ -314,6 +472,19 @@ class OutcomeRecord:
     status: str
     key: int | None = None
     reason: str | None = None
+
+    def to_record(self) -> dict:
+        return {k: v for k, v in vars(self).items() if v is not None}
+
+    @classmethod
+    def from_record(cls, rec: dict) -> "OutcomeRecord":
+        _check_fields(rec, _OUTCOME_FIELDS, "outcome", optional=_OUTCOME_OPTIONAL)
+        member, status, key, reason = map(rec.get, ("member", "status", "key", "reason"))
+        if type(member) is not str or status not in _STATUSES:
+            raise MalformedTranscript(f"outcome for {member!r}: bad member or status")
+        if ("key" in rec and type(key) is not int) or ("reason" in rec and type(reason) is not str):
+            raise MalformedTranscript(f"outcome for {member!r}: key or reason of the wrong type")
+        return cls(member, status, key, reason)
 
 
 @dataclass(frozen=True)
@@ -333,57 +504,44 @@ class GroundTruth:
     challenges: Mapping[str, int]
     adversary: AdversaryTruth | None = None
 
+    def to_record(self) -> dict:
+        return {**vars(self), "adversary": self.adversary and vars(self.adversary)}
+
+    @classmethod
+    def from_record(cls, rec: dict, ctx: DomainContext) -> "GroundTruth":
+        _check_fields(rec, _TRUTH_FIELDS, "ground_truth")
+        adv = rec["adversary"]
+        if adv is not None:
+            roles = ("attacker", "victim", "action")
+            _check_fields(adv, _ADVERSARY_FIELDS, "ground_truth adversary")
+            if not all(type(adv[k]) is str for k in roles):
+                raise MalformedTranscript("ground_truth adversary: roles must be strings")
+            adv = AdversaryTruth(*(adv[k] for k in roles), *(
+                None if adv[k] is None else _residue(adv[k], ctx, f"adversary {k}")
+                for k in ("recovered_key", "target_key")
+            ))
+        return cls(
+            _residue(rec["group_key"], ctx, "group_key"), _residue(rec["r0"], ctx, "r0"),
+            _residues(rec["member_keys"], ctx, "member_keys"),
+            _residues(rec["challenges"], ctx, "challenges"), adv,
+        )
+
 
 @dataclass(frozen=True)
 class Transcript:
     """Everything that happened, in order, plus ground truth unless redacted."""
 
-    meta: Mapping
+    meta: TranscriptMeta
     events: tuple[TranscriptEvent, ...]
     outcomes: tuple[OutcomeRecord, ...]
     ground_truth: GroundTruth | None = None
 
     def to_jsonl(self) -> str:
-        lines = [_dump({"record": "meta", **self.meta})]
-        for ev in self.events:
-            rec = {
-                "record": "event",
-                "index": ev.index,
-                "step": ev.step,
-                "sender": ev.sender,
-                "receivers": list(ev.receivers),
-                "payload": ev.payload.hex(),
-                "verdict": ev.verdict,
-            }
-            if ev.delivered_payload is not None:
-                rec["delivered_payload"] = ev.delivered_payload.hex()
-            lines.append(_dump(rec))
-        for oc in self.outcomes:
-            rec = {"record": "outcome", "member": oc.member, "status": oc.status}
-            if oc.key is not None:
-                rec["key"] = oc.key
-            if oc.reason is not None:
-                rec["reason"] = oc.reason
-            lines.append(_dump(rec))
-        gt = self.ground_truth
-        if gt is not None:
-            rec = {
-                "record": "ground_truth",
-                "group_key": gt.group_key,
-                "r0": gt.r0,
-                "member_keys": dict(gt.member_keys),
-                "challenges": dict(gt.challenges),
-                "adversary": None,
-            }
-            if gt.adversary is not None:
-                rec["adversary"] = {
-                    "attacker": gt.adversary.attacker,
-                    "victim": gt.adversary.victim,
-                    "action": gt.adversary.action,
-                    "recovered_key": gt.adversary.recovered_key,
-                    "target_key": gt.adversary.target_key,
-                }
-            lines.append(_dump(rec))
+        lines = [_dump({"record": "meta", **self.meta.to_record()})]
+        lines += (_dump({"record": "event", **ev.to_record()}) for ev in self.events)
+        lines += (_dump({"record": "outcome", **oc.to_record()}) for oc in self.outcomes)
+        if self.ground_truth is not None:
+            lines.append(_dump({"record": "ground_truth", **self.ground_truth.to_record()}))
         return "\n".join(lines) + "\n"
 
     def save(self, path: str | Path) -> None:
@@ -391,89 +549,55 @@ class Transcript:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Transcript":
-        meta = None
+        """Parse and type-check every record, in the order the format fixes:
+        one meta, the events, the outcomes, then at most one ground_truth."""
+        meta = ground_truth = None
         events: list[TranscriptEvent] = []
         outcomes: list[OutcomeRecord] = []
-        ground_truth = None
+        last = 0
         for lineno, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as e:
+            except (ValueError, RecursionError) as e:
                 raise MalformedTranscript(f"line {lineno}: not valid JSON: {e}") from None
-            if not isinstance(rec, dict) or "record" not in rec:
-                raise MalformedTranscript(f"line {lineno}: missing record type")
-            kind = rec.pop("record")
+            kind = rec.pop("record", None) if isinstance(rec, dict) else None
+            if kind not in _RECORD_ORDER:
+                raise MalformedTranscript(f"line {lineno}: unknown record type {kind!r}")
+            rank = _RECORD_ORDER.index(kind)
+            if (kind == "meta") != (meta is None) or rank < last or ground_truth is not None:
+                raise MalformedTranscript(f"line {lineno}: {kind} record out of order")
+            last = rank
             try:
                 if kind == "meta":
-                    if meta is not None:
-                        raise MalformedTranscript("duplicate meta record")
-                    meta = rec
+                    meta = TranscriptMeta.from_record(rec)
                 elif kind == "event":
-                    payload = bytes.fromhex(rec.pop("payload"))
-                    delivered = rec.pop("delivered_payload", None)
-                    events.append(
-                        TranscriptEvent(
-                            index=rec.pop("index"),
-                            step=rec.pop("step"),
-                            sender=rec.pop("sender"),
-                            receivers=tuple(rec.pop("receivers")),
-                            payload=payload,
-                            verdict=rec.pop("verdict"),
-                            delivered_payload=(
-                                bytes.fromhex(delivered) if delivered is not None else None
-                            ),
-                        )
-                    )
-                    if rec:
-                        raise MalformedTranscript(f"unexpected event fields {sorted(rec)}")
+                    events.append(TranscriptEvent.from_record(rec, len(events)))
                 elif kind == "outcome":
-                    outcomes.append(
-                        OutcomeRecord(
-                            member=rec.pop("member"),
-                            status=rec.pop("status"),
-                            key=rec.pop("key", None),
-                            reason=rec.pop("reason", None),
-                        )
-                    )
-                    if rec:
-                        raise MalformedTranscript(f"unexpected outcome fields {sorted(rec)}")
-                elif kind == "ground_truth":
-                    adv = rec.get("adversary")
-                    ground_truth = GroundTruth(
-                        group_key=rec["group_key"],
-                        r0=rec["r0"],
-                        member_keys=dict(rec["member_keys"]),
-                        challenges=dict(rec["challenges"]),
-                        adversary=AdversaryTruth(**adv) if adv is not None else None,
-                    )
+                    outcomes.append(OutcomeRecord.from_record(rec))
                 else:
-                    raise MalformedTranscript(f"unknown record type {kind!r}")
-            except MalformedTranscript:
-                raise
-            except (KeyError, TypeError, ValueError) as e:
+                    ground_truth = GroundTruth.from_record(rec, meta.ctx)
+            except MalformedTranscript as e:
                 raise MalformedTranscript(f"line {lineno}: {e}") from None
         if meta is None:
             raise MalformedTranscript("no meta record")
-        return cls(
-            meta=meta,
-            events=tuple(events),
-            outcomes=tuple(outcomes),
-            ground_truth=ground_truth,
-        )
+        return cls(meta, tuple(events), tuple(outcomes), ground_truth)
 
     @classmethod
     def load(cls, path: str | Path) -> "Transcript":
         try:
             text = Path(path).read_text()
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise MalformedTranscript(f"cannot read transcript: {e}") from None
         return cls.from_jsonl(text)
 
 
-def _dump(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))  # json.dumps builds one per call
+
+
+def _dump(obj: object) -> str:
+    return _ENCODER.encode(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -520,31 +644,25 @@ class _Network:
                 deliver((r,), action.message)
 
     def _event(self, step, sender, receivers, payload, verdict, delivered=None):
-        self.events.append(
-            TranscriptEvent(
-                index=len(self.events),
-                step=step,
-                sender=sender,
-                receivers=receivers,
-                payload=payload,
-                verdict=verdict,
-                delivered_payload=delivered,
-            )
-        )
+        index = len(self.events)
+        event = TranscriptEvent(index, step, sender, receivers, payload, verdict, delivered)
+        self.events.append(event)
 
 
-def _build_context(cfg: ScenarioConfig, rng: SeededRng) -> tuple[DomainContext, int, int | None]:
-    """Resolve the modulus spec into a context; returns (ctx, p, q)."""
+def build_domain(
+    variant: Variant, rng: SeededRng | None, *,
+    p: int | None = None, q: int | None = None, bits: int | None = None,
+) -> tuple[DomainContext, int, int | None]:
+    """The one parameter builder: explicit primes, or safe primes of `bits` bits
+    drawn from rng. Returns (ctx, p, q); bad parameters raise ConfigError."""
+    if bits is not None and bits > MAX_BITS:
+        raise ConfigError(f"modulus bits must be at most {MAX_BITS}")
     try:
-        if cfg.bits is not None:
-            if cfg.variant is Variant.RING:
-                p, q = gen_distinct_safe_primes(cfg.bits, rng)
-                return domain_new(p, q, variant=cfg.variant), p, q
-            p = gen_safe_prime(cfg.bits, rng)
-            return domain_new(p, variant=cfg.variant), p, None
-        if cfg.variant is Variant.RING:
-            return domain_new(cfg.p, cfg.q, variant=cfg.variant), cfg.p, cfg.q
-        return domain_new(cfg.p, variant=cfg.variant), cfg.p, None
+        if bits is not None and variant is Variant.RING:
+            p, q = gen_distinct_safe_primes(bits, rng)
+        elif bits is not None:
+            p = gen_safe_prime(bits, rng)
+        return domain_new(p, q, variant=variant), p, q
     except GkdError as e:
         raise ConfigError(f"bad modulus parameters: {e}") from e
 
@@ -557,7 +675,7 @@ def run_scenario(cfg: ScenarioConfig) -> Transcript:
     """
     cfg.validate()
     rng = SeededRng(cfg.seed)
-    ctx, p, q = _build_context(cfg, rng)
+    ctx, p, q = build_domain(cfg.variant, rng, p=cfg.p, q=cfg.q, bits=cfg.bits)
 
     names = cfg.members
     ids = {name: name.encode() for name in names}
@@ -629,61 +747,21 @@ def run_scenario(cfg: ScenarioConfig) -> Transcript:
     outcomes = []
     for name in names:
         oc = members[name].finalize()
-        outcomes.append(
-            OutcomeRecord(
-                member=name,
-                status=oc.status.value,
-                key=oc.key,
-                reason=oc.reason,
-            )
-        )
+        outcomes.append(OutcomeRecord(name, oc.status.value, oc.key, oc.reason))
 
-    adv_meta = None
-    adv_truth = None
-    if cfg.adversary is not None:
-        adv = cfg.adversary
-        adv_meta = {"attacker": adv.attacker, "victim": adv.victim, "action": adv.action}
-        adv_truth = AdversaryTruth(
-            attacker=adv.attacker,
-            victim=adv.victim,
-            action=adv.action,
-            recovered_key=insider.recovered_key if insider else None,
-            target_key=insider.forged_key if insider else None,
-        )
-
-    meta = {
-        "format": TRANSCRIPT_FORMAT,
-        "variant": cfg.variant.value,
-        "modulus": ctx.modulus,
-        "p": p,
-        "q": q,
-        "byte_width": ctx.byte_width,
-        "digest_size": cfg.hash_cfg.digest_size,
-        "hash_algorithm": cfg.hash_cfg.algorithm,
-        "element_hash": cfg.hash_cfg.element_hash,
-        "id_width": cfg.id_width,
-        "members": list(names),
-        "initiator": initiator,
-        "seed": cfg.seed,
-        "t": len(names),
-        "adversary": adv_meta,
-        "redacted": cfg.redact,
-    }
+    adv = cfg.adversary
+    meta = TranscriptMeta(
+        ctx, cfg.hash_cfg, p, q, cfg.id_width, names, initiator, cfg.seed, cfg.redact,
+        adv and AdversarySpec(adv.attacker, adv.victim, adv.action),
+    )
     ground_truth = None
     if not cfg.redact:
-        ground_truth = GroundTruth(
-            group_key=group_key,
-            r0=bcast.r0,
-            member_keys=dict(keys),
-            challenges=issued,
-            adversary=adv_truth,
+        adv_truth = adv and AdversaryTruth(
+            adv.attacker, adv.victim, adv.action,
+            insider.recovered_key if insider else None, insider.forged_key if insider else None,
         )
-    return Transcript(
-        meta=meta,
-        events=tuple(net.events),
-        outcomes=tuple(outcomes),
-        ground_truth=ground_truth,
-    )
+        ground_truth = GroundTruth(group_key, bcast.r0, dict(keys), issued, adv_truth)
+    return Transcript(meta, tuple(net.events), tuple(outcomes), ground_truth)
 
 
 # ---------------------------------------------------------------------------
@@ -724,51 +802,11 @@ def verify_transcript(tr: Transcript) -> VerificationReport:
     """
     report = VerificationReport()
     meta = tr.meta
-    for key in (
-        "format", "variant", "modulus", "byte_width", "digest_size",
-        "hash_algorithm", "element_hash", "id_width", "members", "initiator",
-        "t", "redacted",
-    ):
-        _require(key in meta, f"meta missing {key!r}")
-    _require(meta["format"] == TRANSCRIPT_FORMAT, f"unsupported format {meta['format']!r}")
-    try:
-        variant = Variant(meta["variant"])
-    except ValueError:
-        raise MalformedTranscript(f"unknown variant {meta['variant']!r}") from None
-    modulus = meta["modulus"]
-    _require(isinstance(modulus, int) and modulus >= 2, "modulus must be an integer >= 2")
-    byte_width = meta["byte_width"]
-    _require(byte_width == (modulus.bit_length() + 7) // 8, "byte_width inconsistent with modulus")
-    ctx = DomainContext(modulus=modulus, variant=variant, byte_width=byte_width)
-    try:
-        hash_cfg = HashConfig(meta["hash_algorithm"], meta["element_hash"])
-    except (TypeError, ValueError) as e:
-        raise MalformedTranscript(f"bad hash config: {e}") from None
-    _require(hash_cfg.digest_size == meta["digest_size"], "digest_size inconsistent with hash")
-    id_width = meta["id_width"]
-    _require(isinstance(id_width, int) and id_width >= 1, "bad id_width")
-    names = meta["members"]
-    t = meta["t"]
-    _require(
-        isinstance(names, list) and all(isinstance(n, str) for n in names),
-        "bad member list",
-    )
-    _require(len(names) == t and isinstance(t, int) and t >= 2, "bad member count")
-    _require(len(set(names)) == t, "duplicate members in meta")
-    _require(meta["initiator"] in names, "initiator not a member")
+    ctx, hash_cfg, names, t = meta.ctx, meta.hash_cfg, meta.members, meta.t
+    variant = ctx.variant
     ids = {name: name.encode() for name in names}
-    roster = GroupRoster(tuple(ids[n] for n in names))
-    report.note("meta: consistent")
+    roster = GroupRoster(tuple(ids.values()))
 
-    # --- event structure ---
-    for i, ev in enumerate(tr.events):
-        _require(ev.index == i, f"event {ev.index} out of order at position {i}")
-        _require(ev.step in _STEPS, f"event {i}: unknown step {ev.step!r}")
-        _require(ev.verdict in _VERDICTS, f"event {i}: unknown verdict {ev.verdict!r}")
-        _require(
-            (ev.delivered_payload is not None) == (ev.verdict == VERDICT_REPLACED),
-            f"event {i}: delivered_payload does not match verdict",
-        )
     by_step = {step: [ev for ev in tr.events if ev.step == step] for step in _STEPS}
     _require(len(by_step[STEP_REQUEST]) == 1, "expected exactly one request event")
     _require(len(by_step[STEP_ANNOUNCE]) >= 1, "expected at least one announce event")
@@ -788,9 +826,9 @@ def verify_transcript(tr: Transcript) -> VerificationReport:
 
     # --- roster echo ---
     request = by_step[STEP_REQUEST][0]
-    if request.sender != meta["initiator"] or tuple(request.receivers) != (KGC_NAME,):
+    if request.sender != meta.initiator or tuple(request.receivers) != (KGC_NAME,):
         report.fail(f"event {request.index}: request endpoints wrong")
-    expected_roster = roster_payload(roster.members, id_width)
+    expected_roster = roster_payload(roster.members, meta.id_width)
     if request.payload != expected_roster:
         report.fail(f"event {request.index}: requested roster differs from meta members")
     announced: list[str] = []
@@ -806,13 +844,10 @@ def verify_transcript(tr: Transcript) -> VerificationReport:
     # --- challenges ---
     challenges: dict[bytes, int] = {}
     for pos, ev in enumerate(by_step[STEP_CHALLENGE]):
-        _require(
-            isinstance(ev.sender, str) and ev.sender in ids,
-            f"event {ev.index}: challenge from unknown sender {ev.sender!r}",
-        )
+        _require(ev.sender in ids, f"event {ev.index}: challenge from unknown sender {ev.sender!r}")
         if ev.sender != names[pos]:
             report.fail(f"event {ev.index}: challenge sender {ev.sender!r} out of roster order")
-        if len(ev.payload) != byte_width:
+        if len(ev.payload) != ctx.byte_width:
             raise MalformedTranscript(f"event {ev.index}: challenge payload width")
         value = int.from_bytes(ev.payload, "big")
         if not ctx.contains(value):
@@ -843,18 +878,18 @@ def verify_transcript(tr: Transcript) -> VerificationReport:
     report.note("broadcast: framing consistent")
 
     # --- outcome records present, one per member ---
-    _require(len(tr.outcomes) == t, f"expected {t} outcome records")
-    _require([oc.member for oc in tr.outcomes] == names, "outcomes not one-per-member in order")
+    members = tuple(oc.member for oc in tr.outcomes)
+    _require(members == names, f"expected {t} outcome records, one per member in order")
     recorded_outcome = {oc.member: oc for oc in tr.outcomes}
 
-    adv_meta = meta.get("adversary")
+    adv_meta = meta.adversary
     if adv_meta is None:
         if replaced_events or dropped_events:
             report.fail("interceptor verdicts present without a configured adversary")
     else:
-        if adv_meta.get("action") == ACTION_FORGE and len(replaced_events) != 1:
+        if adv_meta.action == ACTION_FORGE and len(replaced_events) != 1:
             report.fail(f"forge scenario has {len(replaced_events)} replaced events, expected 1")
-        if adv_meta.get("action") == ACTION_SUPPRESS and len(dropped_events) != 1:
+        if adv_meta.action == ACTION_SUPPRESS and len(dropped_events) != 1:
             report.fail(f"suppress scenario has {len(dropped_events)} dropped events, expected 1")
 
     gt = tr.ground_truth
@@ -866,8 +901,6 @@ def verify_transcript(tr: Transcript) -> VerificationReport:
     _require(set(gt.member_keys) == set(names), "ground-truth keys do not cover the roster")
     _require(set(gt.challenges) == set(names), "ground-truth challenges do not cover the roster")
     group_key = gt.group_key
-    if not ctx.contains(group_key):
-        report.fail(f"ground-truth group key {group_key} outside [0, m)")
     for ev in by_step[STEP_CHALLENGE]:
         recorded = int.from_bytes(ev.payload, "big")
         if recorded != gt.challenges[ev.sender]:
@@ -882,7 +915,7 @@ def verify_transcript(tr: Transcript) -> VerificationReport:
         )
     nonces = (gt.r0, *(gt.challenges[n] for n in names))
     for i, name in enumerate(names):
-        share = compute_share(ctx.reduce(gt.member_keys[name]), nonces, i, variant, ctx, hash_cfg)
+        share = compute_share(gt.member_keys[name], nonces, i, variant, ctx, hash_cfg)
         expected_mask = ctx.sub(group_key, share)
         if expected_mask != honest.masked_shares[i]:
             report.fail(
@@ -891,7 +924,7 @@ def verify_transcript(tr: Transcript) -> VerificationReport:
             )
     expected_auth = compute_auth(
         AuthInput(group_key, roster.members, nonces, honest.masked_shares),
-        ctx, hash_cfg, id_width,
+        ctx, hash_cfg, meta.id_width,
     )
     if expected_auth != honest.auth:
         report.fail(f"event {bcast_events[0].index}: tag does not match recomputation")
@@ -905,10 +938,10 @@ def verify_transcript(tr: Transcript) -> VerificationReport:
         if payload is None:
             expected = SessionOutcome.timeout()
         else:
-            identity = PartyIdentity(ids[name], ctx.reduce(gt.member_keys[name]))
+            identity = PartyIdentity(ids[name], gt.member_keys[name])
             expected = user_process_broadcast(
                 identity, roster, replay_challenges,
-                parsed[payload], variant, ctx, hash_cfg, id_width,
+                parsed[payload], variant, ctx, hash_cfg, meta.id_width,
             )
         rec = recorded_outcome[name]
         if (rec.status, rec.key, rec.reason) != (
@@ -925,14 +958,8 @@ def verify_transcript(tr: Transcript) -> VerificationReport:
         report.fail("ground-truth adversary section inconsistent with meta")
         adv = None
     elif adv is not None:
-        recorded_identity = (adv.attacker, adv.victim, adv.action)
-        meta_identity = (
-            adv_meta.get("attacker"), adv_meta.get("victim"), adv_meta.get("action"),
-        )
-        if recorded_identity != meta_identity:
+        if AdversarySpec(adv.attacker, adv.victim, adv.action) != adv_meta:
             report.fail("ground-truth adversary identity differs from meta")
-        if adv.victim not in names or adv.attacker not in names:
-            report.fail("ground-truth adversary names someone outside the roster")
             adv = None
         elif adv.action == ACTION_FORGE and adv.target_key is None:
             report.fail("forge scenario lacks a recorded target key")

@@ -117,19 +117,19 @@ def test_criterion_3_forgery_algebra_and_footprint():
 
         # independent byte-level diff of honest vs forged broadcast payloads
         meta = tr.meta
-        ctx = domain_new(meta["p"], meta["q"], variant=Variant.RING) \
-            if meta["variant"] == "ring" else domain_new(meta["p"], variant=Variant.FIELD)
+        ctx = domain_new(meta.p, meta.q, variant=meta.ctx.variant)
+        digest_size = meta.hash_cfg.digest_size
         honest_ev = next(e for e in tr.events if e.step == "broadcast" and e.verdict == "delivered")
         forged_ev = next(e for e in tr.events if e.verdict == "replaced")
-        honest = parse_broadcast_payload(honest_ev.payload, ctx, meta["digest_size"], meta["t"])
-        forged = parse_broadcast_payload(forged_ev.delivered_payload, ctx, meta["digest_size"], meta["t"])
+        honest = parse_broadcast_payload(honest_ev.payload, ctx, digest_size, meta.t)
+        forged = parse_broadcast_payload(forged_ev.delivered_payload, ctx, digest_size, meta.t)
         gt = tr.ground_truth
-        v = meta["members"].index(gt.adversary.victim)
-        m = meta["modulus"]
+        v = meta.members.index(gt.adversary.victim)
+        m = ctx.modulus
         assert (forged.masked_shares[v] - honest.masked_shares[v]) % m == (
             gt.adversary.target_key - gt.group_key
         ) % m, i
-        changed = [k for k in range(meta["t"]) if forged.masked_shares[k] != honest.masked_shares[k]]
+        changed = [k for k in range(meta.t) if forged.masked_shares[k] != honest.masked_shares[k]]
         assert changed == [v], i
         assert forged.auth != honest.auth and forged.r0 == honest.r0, i
     print("\n[criterion 3] PASS: all 200 attack transcripts satisfy the share-delta "

@@ -1,4 +1,7 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from gkdsim.algebra import is_prime
 from gkdsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_SCENARIO, EXIT_VERIFY, main
@@ -44,6 +47,13 @@ def test_gen_params_bits_too_small(tmp_path, capsys):
     out = tmp_path / "params.json"
     assert main(["gen-params", "--bits", "2", "--variant", "ring", "--out", str(out)]) == EXIT_CONFIG
     assert "error" in capsys.readouterr().err
+
+
+def test_gen_params_bits_above_bound(tmp_path, capsys):
+    out = tmp_path / "params.json"
+    assert main(["gen-params", "--bits", "513", "--variant", "field", "--out", str(out)]) == EXIT_CONFIG
+    assert "at most 512" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gen_params_deterministic(tmp_path):
@@ -209,6 +219,84 @@ def test_verify_type_mangled_inputs(tmp_path, capsys):
     lines[0] = json.dumps(meta, sort_keys=True, separators=(",", ":"))
     out.write_text("\n".join(lines) + "\n")
     assert main(["verify", str(out)]) == EXIT_VERIFY
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"variant": "ring", "q": None},
+        {"variant": "ring", "p": None},
+        {"variant": "field", "p": None, "q": None, "modulus": 23},
+        {"variant": "field", "p": 23, "q": 7, "modulus": 23},
+        {"variant": "ring", "p": True},
+        {"variant": ["ring"]},
+    ],
+)
+def test_verify_rejects_hostile_parameter_files(tmp_path, capsys, changes):
+    params = tmp_path / "params.json"
+    rec = {"record": "parameters", "bits": 3, "p": 5, "q": 7, "modulus": 35, "byte_width": 1, "seed": 0}
+    params.write_text(json.dumps({**rec, **changes}))
+    assert main(["verify", str(params)]) == EXIT_VERIFY
+    err = capsys.readouterr().err
+    assert "parameter file invalid" in err or "re-check failed" in err
+
+
+def _attack_golden_records():
+    path = Path(__file__).parent / "golden" / "attack-ring35.jsonl"
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def _set_field(kind, key, value):
+    def edit(records):
+        rec = next(r for r in records if r["record"] == kind)
+        rec[key] = value
+    return edit
+
+
+def _set_challenge_to_list(records):
+    records[-1]["challenges"]["ann"] = [2]
+
+
+def _duplicate_ground_truth(records):
+    records.append(records[-1])
+
+
+def _outcome_before_event(records):
+    first_outcome = next(i for i, r in enumerate(records) if r["record"] == "outcome")
+    records.insert(1, records.pop(first_outcome))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _set_field("meta", "adversary", "bob"),
+        _set_field("meta", "id_width", 2**70),
+        _set_field("event", "receivers", [[]]),
+        _set_challenge_to_list,
+        _duplicate_ground_truth,
+        _outcome_before_event,
+    ],
+    ids=["adversary-string", "id-width-huge", "receivers-nested", "challenge-list",
+         "duplicate-ground-truth", "outcome-before-event"],
+)
+@pytest.mark.parametrize("command", ["verify", "explain"])
+def test_hostile_transcripts_exit_3(tmp_path, capsys, command, edit):
+    records = _attack_golden_records()
+    edit(records)
+    path = tmp_path / "t.jsonl"
+    path.write_text("".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in records))
+    assert main([command, str(path)]) == EXIT_VERIFY
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"members": ["a", []]}, {"seed": True}, {"redact": "no"}, {"modulus": {"bits": 513}}],
+)
+def test_run_rejects_hostile_configs(tmp_path, capsys, overrides):
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    assert "error:" in capsys.readouterr().err
 
 
 # --- explain ---------------------------------------------------------------------

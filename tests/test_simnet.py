@@ -4,15 +4,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gkdsim.adversary import ChannelAction, Interceptor
-from gkdsim.algebra import Variant, domain_new
+from gkdsim.algebra import SeededRng, Variant, domain_new
+from gkdsim.cli import EXIT_OK, EXIT_VERIFY, main as cli_main
 from gkdsim.errors import ConfigError, GkdError, MalformedTranscript
 from gkdsim.protocol import ChallengeMessage
 from gkdsim.simnet import (
+    MAX_BITS,
     ScenarioConfig,
     Transcript,
     parse_broadcast_payload,
     roster_payload,
-    parse_roster_payload,
+    build_domain,
     run_scenario,
     verify_transcript,
 )
@@ -46,7 +48,7 @@ def test_explicit_keys_are_reduced_mod_m():
 
 def test_initiator_defaults_to_first_member():
     tr = run()
-    assert tr.meta["initiator"] == "alice"
+    assert tr.meta.initiator == "alice"
     assert tr.events[0].sender == "alice"
     tr = run(initiator="carol")
     assert tr.events[0].sender == "carol"
@@ -54,8 +56,8 @@ def test_initiator_defaults_to_first_member():
 
 def test_field_variant_with_generated_modulus():
     tr = run(variant="field", modulus={"bits": 32}, members=["a", "b"])
-    assert tr.meta["q"] is None
-    assert tr.meta["modulus"] == tr.meta["p"]
+    assert tr.meta.q is None
+    assert tr.meta.ctx.modulus == tr.meta.p
     assert all(oc.status == "accepted" for oc in tr.outcomes)
 
 
@@ -179,7 +181,7 @@ def test_verify_flags_edited_outcome():
     lines = tr.to_jsonl().splitlines()
     idx = next(i for i, l in enumerate(lines) if '"record":"outcome"' in l)
     rec = json.loads(lines[idx])
-    rec["key"] = (rec["key"] + 1) % tr.meta["modulus"]
+    rec["key"] = (rec["key"] + 1) % tr.meta.ctx.modulus
     lines[idx] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
     report = verify_transcript(Transcript.from_jsonl("\n".join(lines) + "\n"))
     assert not report.ok
@@ -191,7 +193,7 @@ def test_verify_flags_edited_ground_truth():
     lines = tr.to_jsonl().splitlines()
     rec = json.loads(lines[-1])
     assert rec["record"] == "ground_truth"
-    rec["group_key"] = (rec["group_key"] + 1) % tr.meta["modulus"]
+    rec["group_key"] = (rec["group_key"] + 1) % tr.meta.ctx.modulus
     lines[-1] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
     report = verify_transcript(Transcript.from_jsonl("\n".join(lines) + "\n"))
     assert not report.ok
@@ -268,6 +270,20 @@ def test_redacted_transcript_skips_recomputation():
         {"id_width": 0},
         {"hash": {"algorithm": "nope"}},
         {"surprise": True},
+        {"members": ["a", []]},             # types are checked before members are hashed
+        {"members": ["\ud800", "bob"]},     # not encodable as UTF-8
+        {"seed": True},                     # bool is never an integer
+        {"keys": {"alice": True}},
+        {"keys": 5},
+        {"adversary": {"attacker": "alice", "victim": "bob", "target_key": True}},
+        {"id_width": True, "members": ["a", "b"]},  # True == 1 would fit one-byte names
+        {"id_width": 256},
+        {"id_width": 2**70},
+        {"modulus": {"bits": True}},
+        {"modulus": {"p": True, "q": 179}},
+        {"redact": "no"},
+        {"hash": {"algorithm": 5}},
+        {"hash": {"algorithm": "shake_128"}},  # variable-length digest
     ],
 )
 def test_config_rejections(overrides):
@@ -286,6 +302,16 @@ def test_config_rejects_composite_primes_at_run():
     cfg = ScenarioConfig.from_dict(scenario_dict(modulus={"p": 6, "q": 7}))
     with pytest.raises(ConfigError):
         run_scenario(cfg)
+
+
+def test_build_domain_bounds_bits():
+    cfg = ScenarioConfig.from_dict(scenario_dict(modulus={"bits": MAX_BITS + 1}))
+    with pytest.raises(ConfigError, match="at most 512"):
+        run_scenario(cfg)
+    with pytest.raises(ConfigError):
+        build_domain(Variant.FIELD, SeededRng(0), bits=2)
+    ctx, p, q = build_domain(Variant.RING, None, p=5, q=7)
+    assert (ctx.modulus, p, q) == (35, 5, 7)
 
 
 def test_config_rejects_member_name_longer_than_id_width():
@@ -340,6 +366,102 @@ def test_golden_transcripts_verify_clean():
         assert report.ok, (name, report.mismatches)
 
 
+GOLDEN_NAMES = ("honest-ring35.jsonl", "attack-ring35.jsonl")
+
+
+def test_golden_transcripts_round_trip_byte_for_byte():
+    for name in GOLDEN_NAMES:
+        text = _golden_path(name).read_text()
+        assert Transcript.from_jsonl(text).to_jsonl() == text
+
+
+@pytest.mark.parametrize(
+    "line, key, value",
+    [
+        (0, "format", True),               # equal to 1, but not an integer
+        (0, "t", 2.0),
+        (0, "modulus", 36),                # not p * q
+        (0, "p", 7),
+        (0, "id_width", 256),
+        (0, "extra", 1),
+        (1, "receivers", "kgc"),           # a string is not a list of names
+        (1, "index", True),
+        (1, "payload", "0g"),
+        (1, "delivered_payload", "00"),    # only replaced events carry one
+        (9, "status", "won"),
+        (9, "key", True),
+        (9, "key", None),                  # absent, not null, when unset
+        (10, "r0", 35),                    # not a residue mod 35
+        (10, "member_keys", {"ann": -1, "bob": 3}),
+    ],
+)
+def test_from_jsonl_rejects_mistyped_fields(line, key, value):
+    lines = _golden_path("attack-ring35.jsonl").read_text().splitlines()
+    rec = json.loads(lines[line])
+    rec[key] = value
+    lines[line] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    with pytest.raises(MalformedTranscript):
+        Transcript.from_jsonl("\n".join(lines) + "\n")
+
+
+_DELETE = object()
+
+
+def _field_paths(obj, prefix=()):
+    """Every key/index path into a parsed JSON record."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for k, v in items:
+        yield prefix + (k,)
+        yield from _field_paths(v, prefix + (k,))
+
+
+_MUTATION_SITES = [
+    (name, i, path)
+    for name in GOLDEN_NAMES
+    for i, line in enumerate(_golden_path(name).read_text().splitlines())
+    for path in _field_paths(json.loads(line))
+]
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+_FORMAT_WORDS = st.sampled_from([
+    "ring", "field", "forge", "suppress", "kgc", "ann", "bob", "event", "outcome", "ground_truth",
+    "meta", "replaced", "dropped", "delivered", "broadcast", "challenge", "accepted", "timeout",
+    "shake_128", "zero", "00", "0g", 35, 2**70, [[]], ["ann"],
+])
+
+
+@given(
+    site=st.sampled_from(_MUTATION_SITES),
+    value=st.one_of(st.just(_DELETE), _FORMAT_WORDS, _JSON_VALUES),
+)
+@settings(max_examples=300, deadline=None)
+def test_single_field_mutation_of_a_golden_is_malformed_or_reported(site, value, tmp_path_factory):
+    """Hostile input ends in MalformedTranscript or a report, never another exception,
+    and the CLI maps both to a documented exit code."""
+    name, i, path = site
+    lines = _golden_path(name).read_text().splitlines()
+    rec = json.loads(lines[i])
+    parent = rec
+    for k in path[:-1]:
+        parent = parent[k]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    lines[i] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    text = "\n".join(lines) + "\n"
+    try:
+        verify_transcript(Transcript.from_jsonl(text))
+    except MalformedTranscript:
+        pass
+    out = tmp_path_factory.getbasetemp() / "mutated.jsonl"
+    out.write_text(text)
+    assert cli_main(["verify", str(out)]) in (EXIT_OK, EXIT_VERIFY)
+
+
 def test_golden_attack_values_match_hand_arithmetic():
     """Every intermediate of the m=35 attack run, recomputed by hand.
 
@@ -369,9 +491,8 @@ def test_golden_attack_values_match_hand_arithmetic():
 
 # --- wire helpers ----------------------------------------------------------------------
 
-def test_roster_payload_round_trip():
-    ids = (b"alice", b"bob")
-    assert parse_roster_payload(roster_payload(ids, 8), 8) == ids
+def test_roster_payload_exact_bytes():
+    assert roster_payload((b"alice", b"bob"), 8) == b"\x00\x00\x00alice" + b"\x00" * 5 + b"bob"
 
 
 def test_parse_broadcast_payload_length_check(ring35):
