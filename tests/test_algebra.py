@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gkdsim import algebra
 from gkdsim.algebra import (
@@ -7,6 +7,7 @@ from gkdsim.algebra import (
     SeededRng,
     Variant,
     domain_new,
+    gen_distinct_safe_primes,
     gen_safe_prime,
     inner_product,
     is_prime,
@@ -45,12 +46,48 @@ def safe_primes_with_bits(bits):
     ]
 
 
+def naive_gen_safe_prime(bit_length, rng):
+    """The safe-prime search before the combined sieve: every candidate goes
+    straight to the is_prime pair. Same draws, so it must return the same prime."""
+    if bit_length < 3:
+        raise ModulusTooSmall(f"no safe prime has {bit_length} bits")
+    nbytes = (bit_length + 7) // 8
+    mask = (1 << bit_length) - 1
+    while True:
+        v = int.from_bytes(rng.take_bytes(nbytes), "big") & mask
+        v |= (1 << (bit_length - 1)) | 1
+        if bit_length >= 4:
+            v |= 2
+        if is_prime(v >> 1) and is_prime(v):
+            return v
+
+
+def naive_gen_distinct_safe_primes(bit_length, rng, attempts=256):
+    p = naive_gen_safe_prime(bit_length, rng)
+    for _ in range(attempts):
+        q = naive_gen_safe_prime(bit_length, rng)
+        if q != p:
+            return p, q
+    raise ModulusTooSmall(bit_length)
+
+
 def naive_inner(a, b, m):
     """Plain big-integer sum of products, reduced once at the end."""
     return sum(x * y for x, y in zip(a, b)) % m
 
 
 SMALL_SAFE_PRIMES = (5, 7, 11, 23, 47, 59, 83)
+
+# naive_gen_safe_prime(bits, SeededRng(0)) at 64, 96 and 128 bits
+LARGE_SAFE_PRIMES = (
+    17408235005757478019,
+    69687013960252475565001566023,
+    310451668319258438185962149172793334843,
+)
+
+# The least strong pseudoprime to the twelve prime bases 2..37:
+# 399165290221 * 798330580441.
+PSEUDOPRIME_12_BASES = 318_665_857_834_031_151_167_461
 
 
 # --- domain_new ---------------------------------------------------------------
@@ -122,6 +159,14 @@ def test_is_prime_large_known():
     assert is_prime(2**89 - 1)  # beyond the deterministic base-set bound
 
 
+def test_twelve_base_pseudoprime_is_composite():
+    assert PSEUDOPRIME_12_BASES == 399165290221 * 798330580441
+    assert not is_prime(PSEUDOPRIME_12_BASES)
+    assert not is_prime(3_317_044_064_679_887_385_961_981)  # the 13-base one
+    with pytest.raises(CompositeWhenPrimeRequired):
+        domain_new(PSEUDOPRIME_12_BASES, variant=Variant.FIELD)
+
+
 def test_is_safe_prime():
     for p in SMALL_SAFE_PRIMES:
         assert is_safe_prime(p)
@@ -182,6 +227,70 @@ def test_gen_distinct_pair_impossible_sizes_fail_fast():
     for bits in (4, 5):
         with pytest.raises(ModulusTooSmall):
             algebra.gen_distinct_safe_primes(bits, SeededRng(0))
+
+
+# --- combined sieve against the naive search -----------------------------------
+
+def _same_search(gen, naive, bits, seed):
+    rng, oracle_rng = SeededRng(seed), SeededRng(seed)
+    assert gen(bits, rng) == naive(bits, oracle_rng), (bits, seed)
+    assert rng.take_bytes(32) == oracle_rng.take_bytes(32), (bits, seed)
+
+
+@pytest.mark.parametrize("bits", range(3, 41))
+def test_gen_safe_prime_matches_naive_search(bits):
+    for seed in range(200):
+        _same_search(gen_safe_prime, naive_gen_safe_prime, bits, seed)
+
+
+@pytest.mark.parametrize("bits", [48, 64, 96, 128])
+def test_gen_safe_prime_matches_naive_search_wide(bits):
+    for seed in range(20):
+        _same_search(gen_safe_prime, naive_gen_safe_prime, bits, seed)
+
+
+@pytest.mark.parametrize("bits, seeds", [(8, 200), (16, 200), (32, 200), (64, 20)])
+def test_gen_distinct_safe_primes_matches_naive_search(bits, seeds):
+    for seed in range(seeds):
+        _same_search(gen_distinct_safe_primes, naive_gen_distinct_safe_primes, bits, seed)
+
+
+def _is_safe_pair(v):
+    return is_prime(v >> 1) and is_prime(v)
+
+
+def test_sieve_exact_from_11_to_14_bits():
+    # every v = 3 mod 4 across the boundary where v >> 1 first exceeds the
+    # largest sieve prime; below it the sieve must not decide (1907 is a safe
+    # prime whose half, 953, is a sieve prime)
+    top = algebra._SIEVE_TOP
+    assert top == 997 and is_safe_prime(1907)
+    decided = rejected = 0
+    for v in range(1027, 1 << 14, 4):
+        if v >> 1 <= top:
+            assert not algebra._sieve_rejects(v), v
+            continue
+        decided += 1
+        if algebra._sieve_rejects(v):
+            rejected += 1
+            assert not _is_safe_pair(v), v
+        else:
+            assert _is_safe_pair(v), v  # composites below 1009**2 have a factor below 1000
+    assert decided > 3000 and rejected < decided
+
+
+@given(v=st.one_of(
+    st.integers(min_value=1 << 8, max_value=(1 << 126) - 1).map(lambda k: 4 * k + 3),
+    st.sampled_from(LARGE_SAFE_PRIMES),
+))
+@example(v=1995)  # v >> 1 == 997, the largest sieve prime
+@example(v=1999)  # v >> 1 == 999, the first half above it (v = 3 mod 4)
+@settings(max_examples=300, deadline=None)
+def test_sieve_rejects_only_composites(v):
+    if algebra._sieve_rejects(v):
+        assert not _is_safe_pair(v)
+    if v in LARGE_SAFE_PRIMES:
+        assert is_safe_prime(v) and not algebra._sieve_rejects(v)
 
 
 # --- power_vector -------------------------------------------------------------

@@ -241,6 +241,18 @@ def test_verify_rejects_hostile_parameter_files(tmp_path, capsys, changes):
     assert "parameter file invalid" in err or "re-check failed" in err
 
 
+def test_verify_rejects_twelve_base_pseudoprime_field(tmp_path, capsys):
+    # 399165290221 * 798330580441 passes Miller-Rabin to every base 2..37
+    n = 318_665_857_834_031_151_167_461
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({
+        "record": "parameters", "variant": "field", "bits": n.bit_length(), "p": n, "q": None,
+        "modulus": n, "byte_width": (n.bit_length() + 7) // 8, "seed": 0,
+    }))
+    assert main(["verify", str(params)]) == EXIT_VERIFY
+    assert "re-check failed" in capsys.readouterr().err
+
+
 def _attack_golden_records():
     path = Path(__file__).parent / "golden" / "attack-ring35.jsonl"
     return [json.loads(line) for line in path.read_text().splitlines()]
