@@ -31,6 +31,7 @@ from .simnet import (
     VERDICT_DROPPED,
     VERDICT_REPLACED,
     build_domain,
+    outcome_failures,
     parse_broadcast_payload,
     run_scenario,
     verify_transcript,
@@ -182,64 +183,34 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+_VERDICT_LINES = {  # adversary action (None: honest run) -> (verdict if missed, if met)
+    None: ("honest run FAILED: outcomes disagree",
+           "honest run: all members accepted the same key"),
+    ACTION_SUPPRESS: ("suppression FAILED: victim produced an outcome or others rejected",
+                      "suppression: victim timed out, everyone else accepted"),
+    ACTION_FORGE: ("attack FAILED: victim or honest members did not accept as planned",
+                   "victim accepted forged key; honest key differs"),
+}
+
+
 def summarize_run(tr: Transcript) -> tuple[bool, list[str]]:
     """Human summary plus the success verdict the exit status is based on."""
-    meta = tr.meta
+    meta, gt = tr.meta, tr.ground_truth
     lines = [
         f"variant {meta.ctx.variant.value}, modulus {meta.ctx.modulus}, "
         f"{meta.t} members, seed {meta.seed}"
     ]
-    by_member = {oc.member: oc for oc in tr.outcomes}
     for oc in tr.outcomes:
-        if oc.status == "accepted":
-            lines.append(f"  {oc.member}: accepted key {oc.key}")
-        elif oc.status == "rejected":
-            lines.append(f"  {oc.member}: rejected ({oc.reason})")
+        note = f"accepted key {oc.key}" if oc.status == "accepted" else f"{oc.status} ({oc.reason})"
+        lines.append(f"  {oc.member}: {note}")
+    ok = not outcome_failures(tr)
+    lines.append(_VERDICT_LINES[meta.adversary and meta.adversary.action][ok])
+    truth = gt and gt.adversary
+    if ok and truth and truth.action == ACTION_FORGE:
+        if truth.target_key == gt.group_key:
+            lines[-1] = "victim accepted the planted key (identical to the true key)"
         else:
-            lines.append(f"  {oc.member}: timeout ({oc.reason})")
-
-    adv = meta.adversary
-    gt = tr.ground_truth
-    if adv is None:
-        keys = {oc.key for oc in tr.outcomes}
-        ok = all(oc.status == "accepted" for oc in tr.outcomes) and len(keys) == 1
-        if ok and gt is not None and keys != {gt.group_key}:
-            ok = False
-        lines.append(
-            "honest run: all members accepted the same key" if ok
-            else "honest run FAILED: outcomes disagree"
-        )
-        return ok, lines
-
-    victim = adv.victim
-    vic = by_member[victim]
-    others = [oc for oc in tr.outcomes if oc.member != victim]
-    if adv.action == ACTION_SUPPRESS:
-        ok = vic.status == "timeout" and all(o.status == "accepted" for o in others)
-        lines.append(
-            "suppression: victim timed out, everyone else accepted" if ok
-            else "suppression FAILED: victim produced an outcome or others rejected"
-        )
-        return ok, lines
-
-    ok = vic.status == "accepted" and all(o.status == "accepted" for o in others)
-    if gt is not None and gt.adversary is not None:
-        ok = ok and vic.key == gt.adversary.target_key
-        ok = ok and all(o.key == gt.group_key for o in others)
-        if ok and vic.key != gt.group_key:
-            lines.append("victim accepted forged key; honest key differs")
-            lines.append(f"  planted key {vic.key}, true group key {gt.group_key}")
-        elif ok:
-            lines.append("victim accepted the planted key (identical to the true key)")
-        else:
-            lines.append("attack FAILED: victim or honest members did not accept as planned")
-    else:
-        honest_keys = {o.key for o in others}
-        ok = ok and len(honest_keys) == 1 and vic.key not in honest_keys
-        lines.append(
-            "victim accepted forged key; honest key differs" if ok
-            else "attack FAILED: victim or honest members did not accept as planned"
-        )
+            lines.append(f"  planted key {truth.target_key}, true group key {gt.group_key}")
     return ok, lines
 
 
@@ -248,11 +219,17 @@ def summarize_run(tr: Transcript) -> tuple[bool, list[str]]:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    first = _first_record(args.path)
-    if first.get("record") == "parameters":
+    try:
+        text = args.path.read_text()
+    except (OSError, UnicodeDecodeError) as e:
+        raise MalformedTranscript(f"cannot read {args.path}: {e}") from None
+    try:
+        first = json.loads(text.lstrip().partition("\n")[0])
+    except (ValueError, RecursionError):
+        first = None  # not a parameter file: from_jsonl says what is wrong
+    if isinstance(first, dict) and first.get("record") == "parameters":
         return _verify_parameters(first)
-    tr = Transcript.load(args.path)
-    report = verify_transcript(tr)
+    report = verify_transcript(Transcript.from_jsonl(text))
     for line in report.checks:
         print(f"ok: {line}")
     for line in report.skipped:
@@ -264,22 +241,6 @@ def cmd_verify(args) -> int:
         return EXIT_VERIFY
     print("transcript verified: no mismatches")
     return EXIT_OK
-
-
-def _first_record(path: Path) -> dict:
-    try:
-        with open(path) as fh:
-            for line in fh:
-                if line.strip():
-                    rec = json.loads(line)
-                    if isinstance(rec, dict):
-                        return rec
-                    break
-    except OSError as e:
-        raise MalformedTranscript(f"cannot read {path}: {e}") from None
-    except (ValueError, RecursionError) as e:
-        raise MalformedTranscript(f"{path} is not a transcript or parameter file: {e}") from None
-    raise MalformedTranscript(f"{path} contains no records")
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,10 @@ def field23():
     return domain_new(23, variant=Variant.FIELD)
 
 
+FORGE = {"attacker": "carol", "victim": "bob", "target_key": "random"}
+SUPPRESS = {"attacker": "carol", "victim": "bob", "action": "suppress"}
+
+
 def scenario_dict(**overrides):
     """A valid baseline scenario config; override freely per test."""
     base = {

@@ -5,7 +5,7 @@ import pytest
 
 from gkdsim.algebra import is_prime
 from gkdsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_SCENARIO, EXIT_VERIFY, main
-from conftest import scenario_dict
+from conftest import FORGE, SUPPRESS, scenario_dict
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -155,6 +155,81 @@ def test_run_reports_scenario_failure(tmp_path, capsys, monkeypatch):
     assert "did not meet" in capsys.readouterr().err
 
 
+def _doctor_outcome(monkeypatch, member, mimic=None, **changes):
+    """Make `gkdsim run` see member's outcome with changes, or with mimic's key."""
+    import dataclasses
+
+    import gkdsim.cli as cli_mod
+
+    real = cli_mod.run_scenario
+
+    def doctored(config):
+        tr = real(config)
+        keys = {oc.member: oc.key for oc in tr.outcomes}
+        if mimic is not None:
+            changes.update(status="accepted", key=keys[mimic], reason=None)
+        outcomes = tuple(
+            dataclasses.replace(oc, **changes) if oc.member == member else oc for oc in tr.outcomes
+        )
+        return dataclasses.replace(tr, outcomes=outcomes)
+
+    monkeypatch.setattr(cli_mod, "run_scenario", doctored)
+
+
+@pytest.mark.parametrize("redact", [False, True], ids=["ground-truth", "redacted"])
+@pytest.mark.parametrize(
+    "adversary, verdict",
+    [
+        (None, "honest run: all members accepted the same key"),
+        (FORGE, "victim accepted forged key; honest key differs"),
+        (SUPPRESS, "suppression: victim timed out, everyone else accepted"),
+    ],
+    ids=["honest", "forge", "suppress"],
+)
+def test_run_verdicts(tmp_path, capsys, adversary, verdict, redact):
+    cfg = write_config(tmp_path, adversary=adversary, redact=redact)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "t.jsonl")]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert verdict in captured.out.splitlines()
+    assert "did not meet" not in captured.err
+
+
+@pytest.mark.parametrize("redact", [False, True], ids=["ground-truth", "redacted"])
+@pytest.mark.parametrize(
+    "adversary, member, changes, verdict",
+    [
+        # a member accepts a key of its own
+        (None, "carol", {"key": 1}, "honest run FAILED: outcomes disagree"),
+        # the victim ends up with the honest key: the forgery missed
+        (FORGE, "bob", {"mimic": "alice"},
+         "attack FAILED: victim or honest members did not accept as planned"),
+        # a bystander never accepts
+        (FORGE, "alice", {"status": "timeout", "key": None, "reason": "no broadcast"},
+         "attack FAILED: victim or honest members did not accept as planned"),
+        # the suppressed victim gets the honest key after all
+        (SUPPRESS, "bob", {"mimic": "alice"},
+         "suppression FAILED: victim produced an outcome or others rejected"),
+    ],
+    ids=["honest-key-split", "forge-missed", "forge-bystander-timeout", "suppress-missed"],
+)
+def test_run_exits_4_on_doctored_outcomes(
+    tmp_path, capsys, monkeypatch, adversary, member, changes, verdict, redact
+):
+    _doctor_outcome(monkeypatch, member, **changes)
+    cfg = write_config(tmp_path, adversary=adversary, redact=redact)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "t.jsonl")]) == EXIT_SCENARIO
+    captured = capsys.readouterr()
+    assert verdict in captured.out.splitlines()
+    assert "did not meet" in captured.err
+
+
+def test_run_suppress_requires_bystanders_to_agree(tmp_path, capsys, monkeypatch):
+    _doctor_outcome(monkeypatch, "alice", key=1)
+    cfg = write_config(tmp_path, adversary=SUPPRESS)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "t.jsonl")]) == EXIT_SCENARIO
+    assert "suppression FAILED" in capsys.readouterr().out
+
+
 # --- verify ----------------------------------------------------------------------
 
 def test_verify_fresh_transcript(tmp_path, capsys):
@@ -200,6 +275,39 @@ def test_verify_malformed_file(tmp_path, capsys):
     bad.write_text("this is not a transcript\n")
     assert main(["verify", str(bad)]) == EXIT_VERIFY
     assert main(["verify", str(tmp_path / "absent.jsonl")]) == EXIT_VERIFY
+
+
+def test_verify_reads_the_file_once(tmp_path, capsys, monkeypatch):
+    import builtins
+    import io
+
+    out = tmp_path / "t.jsonl"
+    main(["run", str(write_config(tmp_path)), "--out", str(out)])
+    opened = []
+    real_open = io.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(Path(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(io, "open", counting_open)
+    assert main(["verify", str(out)]) == EXIT_OK
+    assert opened == [out]
+
+
+def test_verify_edge_files(tmp_path, capsys):
+    transcript, params = tmp_path / "t.jsonl", tmp_path / "params.json"
+    main(["run", str(write_config(tmp_path)), "--out", str(transcript)])
+    main(["gen-params", "--bits", "5", "--variant", "field", "--out", str(params)])
+    for path in (transcript, params):
+        path.write_text("\n  \n" + path.read_text())
+        assert main(["verify", str(path)]) == EXIT_OK
+    empty, binary = tmp_path / "empty.jsonl", tmp_path / "binary.jsonl"
+    empty.write_text("")
+    binary.write_bytes(b"\xff\xfe{}\n")
+    assert main(["verify", str(empty)]) == EXIT_VERIFY
+    assert main(["verify", str(binary)]) == EXIT_VERIFY
 
 
 def test_verify_type_mangled_inputs(tmp_path, capsys):
@@ -253,6 +361,17 @@ def test_verify_rejects_twelve_base_pseudoprime_field(tmp_path, capsys):
     assert "re-check failed" in capsys.readouterr().err
 
 
+def test_verify_rejects_parameter_file_with_oversized_prime(tmp_path, capsys):
+    p = 2**521 - 1
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({
+        "record": "parameters", "variant": "field", "bits": 521, "p": p, "q": None,
+        "modulus": p, "byte_width": 66, "seed": 0,
+    }))
+    assert main(["verify", str(params)]) == EXIT_VERIFY
+    assert "at most 512 bits" in capsys.readouterr().err
+
+
 def _attack_golden_records():
     path = Path(__file__).parent / "golden" / "attack-ring35.jsonl"
     return [json.loads(line) for line in path.read_text().splitlines()]
@@ -303,7 +422,8 @@ def test_hostile_transcripts_exit_3(tmp_path, capsys, command, edit):
 
 @pytest.mark.parametrize(
     "overrides",
-    [{"members": ["a", []]}, {"seed": True}, {"redact": "no"}, {"modulus": {"bits": 513}}],
+    [{"members": ["a", []]}, {"seed": True}, {"redact": "no"}, {"modulus": {"bits": 513}},
+     {"variant": "field", "modulus": {"p": 2**521 - 1}}],
 )
 def test_run_rejects_hostile_configs(tmp_path, capsys, overrides):
     cfg = write_config(tmp_path, **overrides)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -15,10 +16,11 @@ from gkdsim.simnet import (
     parse_broadcast_payload,
     roster_payload,
     build_domain,
+    outcome_failures,
     run_scenario,
     verify_transcript,
 )
-from conftest import scenario_dict
+from conftest import FORGE, SUPPRESS, scenario_dict
 
 
 def run(**overrides):
@@ -153,6 +155,79 @@ def test_verify_confirms_forgery_relation():
     report = verify_transcript(tr)
     assert any("share shift equals key shift" in c for c in report.checks)
     assert any("exactly the victim's share and the tag" in c for c in report.checks)
+
+
+def _with_outcome(tr: Transcript, member: str, **changes) -> Transcript:
+    outcomes = tuple(
+        dataclasses.replace(oc, **changes) if oc.member == member else oc for oc in tr.outcomes
+    )
+    return dataclasses.replace(tr, outcomes=outcomes)
+
+
+@pytest.mark.parametrize("redact", [False, True], ids=["ground-truth", "redacted"])
+@pytest.mark.parametrize("adversary", [None, FORGE, SUPPRESS], ids=["honest", "forge", "suppress"])
+def test_outcome_failures_none_on_fresh_runs(adversary, redact):
+    assert outcome_failures(run(adversary=adversary, redact=redact)) == []
+
+
+def test_outcome_failures_judge_keys_against_ground_truth_when_present():
+    tr = run()
+    wrong = (tr.ground_truth.group_key + 1) % tr.meta.ctx.modulus
+    agreed = dataclasses.replace(
+        tr, outcomes=tuple(dataclasses.replace(oc, key=wrong) for oc in tr.outcomes)
+    )
+    assert outcome_failures(agreed) == [
+        f"members accepted keys {wrong}, expected the group key {tr.ground_truth.group_key}"
+    ]
+    # without ground truth, members that agree with each other meet the condition
+    assert outcome_failures(dataclasses.replace(agreed, ground_truth=None)) == []
+
+
+def test_outcome_failures_name_each_miss():
+    forge = run(adversary=FORGE)
+    gk, planted = forge.ground_truth.group_key, forge.ground_truth.adversary.target_key
+    missed = _with_outcome(forge, "bob", key=gk)
+    assert outcome_failures(missed) == [
+        f"victim 'bob': accepted/{gk}, expected to accept the planted key {planted}"
+    ]
+    redacted = dataclasses.replace(missed, ground_truth=None)
+    assert outcome_failures(redacted) == [
+        f"victim 'bob': accepted/{gk}, expected to accept a key no other member accepted"
+    ]
+    stray = next(k for k in range(3) if k not in (gk, planted))
+    strayed = _with_outcome(forge, "bob", key=stray)
+    assert outcome_failures(strayed) == [
+        f"victim 'bob': accepted/{stray}, expected to accept the planted key {planted}"
+    ]
+    assert outcome_failures(dataclasses.replace(strayed, ground_truth=None)) == []
+    refused = _with_outcome(forge, "bob", status="rejected", key=None, reason="tag_mismatch")
+    assert outcome_failures(dataclasses.replace(refused, ground_truth=None)) == [
+        "victim 'bob': rejected/None, expected to accept a key no other member accepted"
+    ]
+    suppress = run(adversary=SUPPRESS)
+    bystander = _with_outcome(suppress, "alice", key=1)
+    assert outcome_failures(bystander)[0].startswith("members accepted keys ")
+    got_through = _with_outcome(suppress, "bob", status="accepted", key=suppress.ground_truth.group_key)
+    assert outcome_failures(got_through) == ["suppressed victim 'bob' did not time out: accepted"]
+    rejected = _with_outcome(run(), "carol", status="rejected", key=None, reason="tag_mismatch")
+    assert outcome_failures(rejected) == ["'carol' did not accept: rejected"]
+    no_victim = dataclasses.replace(forge, outcomes=forge.outcomes[:1])
+    assert outcome_failures(no_victim) == [
+        "victim 'bob': missing/None, expected to accept the planted key " + str(planted)
+    ]
+
+
+@pytest.mark.parametrize("adversary", [None, FORGE, SUPPRESS], ids=["honest", "forge", "suppress"])
+def test_verify_reports_the_success_condition(adversary):
+    tr = run(adversary=adversary)
+    assert "success condition: met" in verify_transcript(tr).checks
+    doctored = _with_outcome(tr, "bob", status="rejected", key=None, reason="tag_mismatch")
+    failures = outcome_failures(doctored)
+    report = verify_transcript(doctored)
+    assert failures and "success condition: met" not in report.checks
+    assert [m for m in report.mismatches if m.startswith("success condition: ")] == [
+        f"success condition: {line}" for line in failures
+    ]
 
 
 def _edit_payload_byte(tr: Transcript, event_index: int) -> Transcript:
@@ -312,6 +387,17 @@ def test_build_domain_bounds_bits():
         build_domain(Variant.FIELD, SeededRng(0), bits=2)
     ctx, p, q = build_domain(Variant.RING, None, p=5, q=7)
     assert (ctx.modulus, p, q) == (35, 5, 7)
+
+
+def test_build_domain_bounds_explicit_primes():
+    cfg = ScenarioConfig.from_dict(scenario_dict(variant="field", modulus={"p": 2**521 - 1}))
+    with pytest.raises(ConfigError, match="at most 512 bits"):
+        run_scenario(cfg)
+    with pytest.raises(ConfigError, match="at most 512 bits"):
+        build_domain(Variant.RING, None, p=167, q=2**512 + 1)
+    # 512 bits is inside the bound: this composite gets to the primality test
+    with pytest.raises(ConfigError, match="not prime"):
+        build_domain(Variant.FIELD, None, p=2**512 - 1)
 
 
 def test_config_rejects_member_name_longer_than_id_width():
