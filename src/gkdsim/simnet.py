@@ -76,19 +76,20 @@ _VERDICTS = (VERDICT_DELIVERED, VERDICT_DROPPED, VERDICT_REPLACED)
 ACTION_FORGE = "forge"
 ACTION_SUPPRESS = "suppress"
 
-MAX_BITS = 512  # bits per prime, drawn or explicit; a 512-bit ring pair took 2.2 s (median, 2 vCPUs)
+MAX_BITS = 512  # bits per prime, drawn or explicit; a 512-bit ring pair took 2.3 s (median, 2 vCPUs)
 MAX_ID_WIDTH = 255
 
 _RECORD_ORDER = ("meta", "event", "outcome", "ground_truth")
 _EVENT_FIELDS = frozenset(("index", "step", "sender", "receivers", "payload", "verdict"))
 _REPLACED_FIELDS = _EVENT_FIELDS | {"delivered_payload"}
-_OUTCOME_FIELDS = frozenset(("member", "status"))
-_OUTCOME_OPTIONAL = frozenset(("key", "reason"))
+_ACCEPTED_FIELDS = frozenset(("member", "status", "key"))
+_UNACCEPTED_FIELDS = frozenset(("member", "status", "reason"))
 _DERIVED_FIELDS = ("format", "modulus", "byte_width", "digest_size", "t")
 _TRUTH_FIELDS = frozenset(("group_key", "r0", "member_keys", "challenges", "adversary"))
 _ADVERSARY_FIELDS = frozenset(("attacker", "victim", "action", "recovered_key", "target_key"))
 _STATUSES = tuple(s.value for s in OutcomeStatus)
 _ACCEPTED = OutcomeStatus.ACCEPTED.value
+_TIMEOUT = OutcomeStatus.TIMEOUT.value
 _STR_TYPE = frozenset((str,))
 
 
@@ -320,14 +321,11 @@ class ScenarioConfig:
 # transcript records
 # ---------------------------------------------------------------------------
 
-def _check_fields(
-    rec: object, fields: frozenset[str], what: str, optional: frozenset[str] = frozenset()
-) -> None:
-    """rec must be an object with every one of fields and nothing beyond fields and optional."""
-    if not isinstance(rec, dict) or (rec.keys() != fields and rec.keys() - optional != fields):
+def _check_fields(rec: object, fields: frozenset[str], what: str) -> None:
+    """rec must be an object with exactly the given fields."""
+    if not isinstance(rec, dict) or rec.keys() != fields:
         found = sorted(rec) if isinstance(rec, dict) else type(rec).__name__
-        extra = f" (optional: {sorted(optional)})" if optional else ""
-        raise MalformedTranscript(f"{what} needs the fields {sorted(fields)}{extra}, got {found}")
+        raise MalformedTranscript(f"{what} needs the fields {sorted(fields)}, got {found}")
 
 
 def _residue(value: object, ctx: DomainContext, what: str) -> int:
@@ -478,14 +476,18 @@ class OutcomeRecord:
         return {k: v for k, v in vars(self).items() if v is not None}
 
     @classmethod
-    def from_record(cls, rec: dict) -> "OutcomeRecord":
-        _check_fields(rec, _OUTCOME_FIELDS, "outcome", optional=_OUTCOME_OPTIONAL)
-        member, status, key, reason = map(rec.get, ("member", "status", "key", "reason"))
+    def from_record(cls, rec: dict, ctx: DomainContext) -> "OutcomeRecord":
+        """A key exactly when accepted, a residue; a reason exactly when not."""
+        accepted = rec.get("status") == _ACCEPTED
+        _check_fields(rec, _ACCEPTED_FIELDS if accepted else _UNACCEPTED_FIELDS, "outcome")
+        member, status = rec["member"], rec["status"]
         if type(member) is not str or status not in _STATUSES:
             raise MalformedTranscript(f"outcome for {member!r}: bad member or status")
-        if ("key" in rec and type(key) is not int) or ("reason" in rec and type(reason) is not str):
-            raise MalformedTranscript(f"outcome for {member!r}: key or reason of the wrong type")
-        return cls(member, status, key, reason)
+        if accepted:
+            return cls(member, status, key=_residue(rec["key"], ctx, f"outcome key of {member!r}"))
+        if type(rec["reason"]) is not str:
+            raise MalformedTranscript(f"outcome for {member!r}: reason must be a string")
+        return cls(member, status, reason=rec["reason"])
 
 
 @dataclass(frozen=True)
@@ -576,7 +578,7 @@ class Transcript:
                 elif kind == "event":
                     events.append(TranscriptEvent.from_record(rec, len(events)))
                 elif kind == "outcome":
-                    outcomes.append(OutcomeRecord.from_record(rec))
+                    outcomes.append(OutcomeRecord.from_record(rec, meta.ctx))
                 else:
                     ground_truth = GroundTruth.from_record(rec, meta.ctx)
             except MalformedTranscript as e:
@@ -814,7 +816,7 @@ def outcome_failures(tr: Transcript) -> list[str]:
     status, key = next(((oc.status, oc.key) for oc in tr.outcomes if oc.member == victim),
                        ("missing", None))
     planted = gt.adversary.target_key if gt is not None and gt.adversary else None
-    if adv.action == ACTION_SUPPRESS and status != OutcomeStatus.TIMEOUT.value:
+    if adv.action == ACTION_SUPPRESS and status != _TIMEOUT:
         failures.append(f"suppressed victim {victim!r} did not time out: {status}")
     elif adv.action == ACTION_FORGE and (
         status != _ACCEPTED or (key in keys if planted is None else key != planted)
@@ -831,7 +833,8 @@ def verify_transcript(tr: Transcript) -> VerificationReport:
     a recorded value and its recomputation, and every way the outcomes miss
     the scenario's success condition, lands in the report, naming the event
     it was found at. Redacted transcripts get the structural and wire-level
-    checks only.
+    checks and the success condition, with the accepted keys compared with
+    each other.
     """
     report = VerificationReport()
     meta = tr.meta
@@ -913,9 +916,17 @@ def verify_transcript(tr: Transcript) -> VerificationReport:
     dropped = sum(ev.verdict == VERDICT_DROPPED for ev in bcast_events)
     report.note("broadcast: framing consistent")
 
-    # --- outcome records present, one per member ---
+    # --- outcome records: one per member, timed out exactly when nothing arrived ---
     members = tuple(oc.member for oc in tr.outcomes)
     _require(members == names, f"expected {t} outcome records, one per member in order")
+    for oc in tr.outcomes:
+        if (oc.status == _TIMEOUT) == (oc.member in received):
+            arrived = "a" if oc.member in received else "no"
+            report.fail(f"outcome for {oc.member!r}: {oc.status} after {arrived} broadcast")
+    failures = outcome_failures(tr)
+    report.mismatches += (f"success condition: {line}" for line in failures)
+    if not failures:
+        report.note("success condition: met")
 
     adv_meta = meta.adversary
     if adv_meta is None:
@@ -984,10 +995,6 @@ def verify_transcript(tr: Transcript) -> VerificationReport:
                 f"recomputed {expected.status.value}/{expected.key}"
             )
     report.note("outcomes: match replayed processing")
-    failures = outcome_failures(tr)
-    report.mismatches += (f"success condition: {line}" for line in failures)
-    if not failures:
-        report.note("success condition: met")
 
     adv = gt.adversary
     if (adv is None) != (adv_meta is None):

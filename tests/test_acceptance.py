@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. Every tolerance and trial count is pinned here, not configurable.
 """
 
+import itertools
 import random
 import time
 
@@ -18,6 +19,7 @@ from gkdsim.protocol import (
     kgc_distribute,
     user_process_broadcast,
 )
+from gkdsim.adversary import forge_broadcast, insider_recover_key
 from gkdsim.simnet import ScenarioConfig, parse_broadcast_payload, run_scenario, verify_transcript
 
 from test_protocol import naive_share_field, naive_share_ring
@@ -236,3 +238,57 @@ def test_criterion_7_determinism_and_replay():
         assert report.ok, (i, report.mismatches)
     print("\n[criterion 7] PASS: 20 configs ran twice to byte-identical transcripts, "
           "all replay-verified clean")
+
+
+def _exhaust(ctx, variant, key_pairs, challenge_pairs, nonces, group_keys):
+    """Every combination of the given inputs at t = 2, the insider at index 0
+    and the victim at index 1: every honest member must accept S and the
+    insider recover it, and the victim must accept every planted T != S.
+    Returns (honest sessions, forge cases)."""
+    ids = (b"A", b"V")
+    roster = GroupRoster(ids)
+    rng = SeededRng(0)  # never drawn from: group key and nonce are forced
+    sessions = forged = 0
+    for keys, chal, r0, s in itertools.product(key_pairs, challenge_pairs, nonces, group_keys):
+        registered, challenges = dict(zip(ids, keys)), dict(zip(ids, chal))
+        bcast, key = kgc_distribute(roster, registered, challenges, rng, variant, ctx,
+                                    group_key=s, nonce=r0)
+        members = [PartyIdentity(i, k) for i, k in zip(ids, keys)]
+        for me in members:
+            out = user_process_broadcast(me, roster, challenges, bcast, variant, ctx)
+            assert (out.status, out.key) == (OutcomeStatus.ACCEPTED, s), (keys, chal, r0, s)
+        recovered = insider_recover_key(members[0], roster, challenges, bcast, variant, ctx)
+        assert key == recovered == s, (keys, chal, r0, s)
+        for target in range(ctx.modulus):
+            if target == s:
+                continue
+            forged_bcast = forge_broadcast(1, target, recovered, bcast, roster, challenges, ctx)
+            out = user_process_broadcast(members[1], roster, challenges, forged_bcast, variant, ctx)
+            assert (out.status, out.key) == (OutcomeStatus.ACCEPTED, target), (keys, chal, r0, s, target)
+            forged += 1
+        sessions += 1
+    return sessions, forged
+
+
+def test_criterion_8_claims_exhaustive_on_the_smallest_field():
+    # p = 5, t = 2: every pair of member keys, every pair of challenges, every
+    # KGC nonce, every group key S and every planted key T != S
+    ctx = domain_new(5, variant=Variant.FIELD)
+    residues = range(5)
+    pairs = list(itertools.product(residues, repeat=2))
+    sessions, forged = _exhaust(ctx, Variant.FIELD, pairs, pairs, residues, residues)
+    assert (sessions, forged) == (5**6, 62_500)
+    print(f"\n[criterion 8] PASS: field p=5, t=2 exhausted: {sessions} honest sessions accepted "
+          f"by both members and recovered by the insider, {forged}/{forged} forgeries accepted")
+
+
+def test_criterion_9_claims_exhaustive_over_keys_on_the_smallest_ring():
+    # m = 35, t = 2: every group key S, planted key T != S and victim key,
+    # with the insider's key, the challenges and the nonce fixed
+    ctx = domain_new(5, 7, variant=Variant.RING)
+    residues = range(35)
+    key_pairs = [(12, v) for v in residues]
+    sessions, forged = _exhaust(ctx, Variant.RING, key_pairs, [(3, 29)], [17], residues)
+    assert (sessions, forged) == (35 * 35, 41_650)
+    print(f"\n[criterion 9] PASS: ring m=35, t=2, every (S, T, victim key): {sessions} honest "
+          f"sessions accepted and recovered, {forged}/{forged} forgeries accepted")

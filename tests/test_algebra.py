@@ -1,3 +1,7 @@
+import hashlib
+import itertools
+import random
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -69,6 +73,25 @@ def naive_gen_distinct_safe_primes(bit_length, rng, attempts=256):
         if q != p:
             return p, q
     raise ModulusTooSmall(bit_length)
+
+
+class ReslicingRng:
+    """SeededRng as it was before the offset buffer: every take re-concatenates
+    and re-slices the buffer. The stream oracle for SeededRng."""
+
+    def __init__(self, seed):
+        seed_bytes = seed.to_bytes((seed.bit_length() + 7) // 8 or 1, "big")
+        self._key = hashlib.sha256(b"gkdsim/rng:" + seed_bytes).digest()
+        self._counter = 0
+        self._buffer = b""
+
+    def take_bytes(self, n):
+        while len(self._buffer) < n:
+            block = self._key + self._counter.to_bytes(8, "big")
+            self._buffer += hashlib.sha256(block).digest()
+            self._counter += 1
+        out, self._buffer = self._buffer[:n], self._buffer[n:]
+        return out
 
 
 def naive_inner(a, b, m):
@@ -165,6 +188,39 @@ def test_twelve_base_pseudoprime_is_composite():
     assert not is_prime(3_317_044_064_679_887_385_961_981)  # the 13-base one
     with pytest.raises(CompositeWhenPrimeRequired):
         domain_new(PSEUDOPRIME_12_BASES, variant=Variant.FIELD)
+
+
+def test_cached_is_prime_agrees_with_the_uncached_test():
+    uncached = is_prime.__wrapped__
+    carmichael = (561, 1105, 1729, 2465, 2821, 6601, 8911)
+    cases = (*range(3000), *carmichael, PSEUDOPRIME_12_BASES, 2**61 - 1, 2**61 + 1,
+             2**89 - 1, *LARGE_SAFE_PRIMES, *(p >> 1 for p in LARGE_SAFE_PRIMES))
+    for _ in range(2):  # the second pass answers from the cache where it can
+        for n in cases:
+            assert is_prime(n) == uncached(n), n
+    assert not is_prime(PSEUDOPRIME_12_BASES) and not uncached(PSEUDOPRIME_12_BASES)
+
+
+def test_domain_new_reuses_the_verdicts_of_the_search():
+    p, q = gen_distinct_safe_primes(64, SeededRng(4))
+    misses = is_prime.cache_info().misses
+    domain_new(p, q, variant=Variant.RING)
+    assert is_prime.cache_info().misses == misses
+
+
+def test_domain_new_rejects_bad_factors_after_a_search_filled_the_cache():
+    p = gen_safe_prime(64, SeededRng(3))
+    half = p >> 1
+    assert is_prime(p) and is_prime(half) and not is_safe_prime(half)
+    with pytest.raises(CompositeWhenPrimeRequired):
+        domain_new(p, half, variant=Variant.RING)  # prime, but (half-1)/2 is not
+    with pytest.raises(CompositeWhenPrimeRequired):
+        domain_new(p, p + 4, variant=Variant.RING)  # safe primes above 7 are 2 mod 3
+    with pytest.raises(CompositeWhenPrimeRequired):
+        domain_new(p * half, variant=Variant.FIELD)
+    with pytest.raises(CompositeWhenPrimeRequired):
+        domain_new(PSEUDOPRIME_12_BASES, variant=Variant.FIELD)
+    assert domain_new(p, variant=Variant.FIELD).modulus == p
 
 
 def test_is_safe_prime():
@@ -287,10 +343,34 @@ def test_sieve_exact_from_11_to_14_bits():
 @example(v=1999)  # v >> 1 == 999, the first half above it (v = 3 mod 4)
 @settings(max_examples=300, deadline=None)
 def test_sieve_rejects_only_composites(v):
-    if algebra._sieve_rejects(v):
+    screened = v.bit_length() >= algebra._PRESCREEN_MIN_BITS
+    if algebra._sieve_rejects(v) or (screened and _prescreen_rejects(v)):
         assert not _is_safe_pair(v)
     if v in LARGE_SAFE_PRIMES:
-        assert is_safe_prime(v) and not algebra._sieve_rejects(v)
+        assert is_safe_prime(v) and not algebra._sieve_rejects(v) and not _prescreen_rejects(v)
+
+
+def _prescreen_rejects(v):
+    return algebra._PRESCREEN[v % algebra._PRESCREEN_MOD] == 1
+
+
+def test_prescreen_table_marks_zero_and_one_mod_each_prime():
+    primes = algebra._PRESCREEN_PRIMES
+    assert primes == (3, 5, 7, 11) and algebra._PRESCREEN_MOD == 1155 == len(algebra._PRESCREEN)
+    for v in range(algebra._PRESCREEN_MOD):
+        assert _prescreen_rejects(v) == any(v % r in (0, 1) for r in primes), v
+
+
+def test_prescreen_exact_from_12_to_16_bits():
+    # every v = 3 mod 4 the search can draw at these sizes: a rejection must
+    # name a proper factor of v or of (v-1)/2, found here by trial division
+    assert algebra._PRESCREEN_MIN_BITS == 12
+    rejected = 0
+    for v in range(1 << 11 | 3, 1 << 16, 4):
+        if _prescreen_rejects(v):
+            rejected += 1
+            assert not (prime_by_trial_division(v) and prime_by_trial_division(v >> 1)), v
+    assert 0.85 < rejected / ((1 << 16) - (1 << 11)) * 4 < 0.95
 
 
 # --- power_vector -------------------------------------------------------------
@@ -428,3 +508,61 @@ def test_rng_streams_differ_by_seed():
 def test_rng_rejects_negative_seed():
     with pytest.raises(ValueError):
         SeededRng(-1)
+
+
+# --- SeededRng against the re-slicing oracle -----------------------------------
+
+def _oracle_draw(oracle, n):
+    return int.from_bytes(oracle.take_bytes(n), "big")
+
+
+def _oracle_sample(oracle, ctx):
+    while True:
+        v = _oracle_draw(oracle, ctx.byte_width)
+        if v < ctx.modulus:
+            return v
+
+
+def test_rng_mixed_draw_sizes_match_oracle():
+    # take_bytes, whole runs of draws, and sample_element, sizes 1..100
+    ctx = DomainContext(modulus=300, variant=Variant.FIELD, byte_width=2)
+    for seed in range(100):
+        plan = random.Random(seed)
+        rng, oracle = SeededRng(seed), ReslicingRng(seed)
+        for _ in range(30):
+            n, k, op = plan.randint(1, 100), plan.randint(1, 150), plan.randrange(3)
+            if op == 0:
+                assert rng.take_bytes(n) == oracle.take_bytes(n), seed
+            elif op == 1:
+                got = list(itertools.islice(rng.draws(n), k))
+                assert got == [_oracle_draw(oracle, n) for _ in range(k)], seed
+            else:
+                assert sample_element(rng, ctx) == _oracle_sample(oracle, ctx), seed
+
+
+def test_rng_take_bytes_between_yields_of_live_draws_match_oracle():
+    # several draws iterators stay open while take_bytes and each other read on
+    for seed in range(100):
+        plan = random.Random(seed)
+        rng, oracle = SeededRng(seed), ReslicingRng(seed)
+        sizes = [plan.randint(1, 100) for _ in range(3)]
+        live = [rng.draws(n) for n in sizes]
+        for _ in range(200):
+            pick = plan.randrange(4)
+            if pick == 3:
+                n = plan.randint(0, 100)
+                assert rng.take_bytes(n) == oracle.take_bytes(n), seed
+            else:
+                assert next(live[pick]) == _oracle_draw(oracle, sizes[pick]), seed
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 33, 100])
+def test_rng_abandoned_draws_then_take_bytes_match_oracle(n):
+    assert algebra._READ_AHEAD >= 50 * 8
+    for seed in range(100):
+        rng, oracle = SeededRng(seed), ReslicingRng(seed)
+        it = rng.draws(n)
+        k = 1 + seed % 50  # for n = 8, stops inside the first decoded batch
+        assert [next(it) for _ in range(k)] == [_oracle_draw(oracle, n) for _ in range(k)]
+        del it
+        assert rng.take_bytes(300) == oracle.take_bytes(300), (n, seed)

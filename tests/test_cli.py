@@ -8,6 +8,9 @@ from gkdsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_SCENARIO, EXIT_VERIFY, main
 from conftest import FORGE, SUPPRESS, scenario_dict
 
 
+CONFIGS = Path(__file__).parent.parent / "configs"
+
+
 def write_config(tmp_path, name="cfg.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(scenario_dict(**overrides)))
@@ -268,6 +271,38 @@ def test_verify_tampered_transcript(tmp_path, capsys):
     assert main(["verify", str(out)]) == EXIT_VERIFY
     captured = capsys.readouterr()
     assert "MISMATCH" in captured.out and "event 2" in captured.out
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda oc, m: oc.pop("key"),
+        lambda oc, m: oc.update(key=-1),
+        lambda oc, m: oc.update(key=m),
+        lambda oc, m: oc.update(key=True),
+        lambda oc, m: oc.update(reason="tag_mismatch"),
+        lambda oc, m: oc.update(status="rejected"),
+        lambda oc, m: oc.update(status="rejected", reason=None),
+        lambda oc, m: (oc.pop("key"), oc.update(status="timeout", reason="no broadcast received")),
+        lambda oc, m: oc.update(key=(oc["key"] + 1) % m),
+    ],
+    ids=["key-deleted", "key-negative", "key-modulus", "key-bool", "reason-added",
+         "rejected-with-key", "reason-null", "timeout-after-broadcast", "key-differs"],
+)
+def test_verify_redacted_transcript_with_doctored_outcome_exits_3(tmp_path, capsys, edit):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**json.loads(CONFIGS.joinpath("honest.json").read_text()), "redact": True}))
+    out = tmp_path / "t.jsonl"
+    assert main(["run", str(cfg), "--out", str(out)]) == EXIT_OK
+    lines = out.read_text().splitlines()
+    modulus = json.loads(lines[0])["modulus"]
+    at = next(i for i, line in enumerate(lines) if '"member":"bob"' in line)
+    rec = json.loads(lines[at])
+    edit(rec, modulus)
+    lines[at] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    out.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == EXIT_VERIFY
 
 
 def test_verify_malformed_file(tmp_path, capsys):

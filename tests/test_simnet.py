@@ -230,6 +230,34 @@ def test_verify_reports_the_success_condition(adversary):
     ]
 
 
+@pytest.mark.parametrize("adversary", [None, FORGE, SUPPRESS], ids=["honest", "forge", "suppress"])
+def test_verify_judges_redacted_transcripts_by_the_success_condition(adversary):
+    tr = run(adversary=adversary, redact=True)
+    assert "success condition: met" in verify_transcript(tr).checks
+    alice_key = tr.outcomes[0].key
+    if adversary is None:
+        stray = _with_outcome(tr, "carol", key=(alice_key + 1) % tr.meta.ctx.modulus)
+    else:  # the forge victim keeps the honest key, the suppressed one gets it
+        stray = _with_outcome(tr, "bob", status="accepted", key=alice_key, reason=None)
+    failures = outcome_failures(stray)
+    report = verify_transcript(stray)
+    assert failures and "success condition: met" not in report.checks
+    assert [m for m in report.mismatches if m.startswith("success condition: ")] == [
+        f"success condition: {line}" for line in failures
+    ]
+
+
+@pytest.mark.parametrize("redact", [False, True], ids=["ground-truth", "redacted"])
+def test_verify_checks_outcomes_against_the_wire(redact):
+    suppress = run(adversary=SUPPRESS, redact=redact)
+    alice_key = suppress.outcomes[0].key
+    through = _with_outcome(suppress, "bob", status="accepted", key=alice_key, reason=None)
+    assert "outcome for 'bob': accepted after no broadcast" in verify_transcript(through).mismatches
+    timed_out = _with_outcome(run(redact=redact), "carol", status="timeout", key=None,
+                              reason="no broadcast received")
+    assert "outcome for 'carol': timeout after a broadcast" in verify_transcript(timed_out).mismatches
+
+
 def _edit_payload_byte(tr: Transcript, event_index: int) -> Transcript:
     """Flip the low bit of the last payload byte of one event, via the file form."""
     lines = tr.to_jsonl().splitlines()
@@ -461,6 +489,9 @@ def test_golden_transcripts_round_trip_byte_for_byte():
         assert Transcript.from_jsonl(text).to_jsonl() == text
 
 
+_DELETE = object()
+
+
 @pytest.mark.parametrize(
     "line, key, value",
     [
@@ -479,18 +510,23 @@ def test_golden_transcripts_round_trip_byte_for_byte():
         (9, "key", None),                  # absent, not null, when unset
         (10, "r0", 35),                    # not a residue mod 35
         (10, "member_keys", {"ann": -1, "bob": 3}),
+        (9, "key", _DELETE),               # an accepted outcome names its key
+        (9, "key", -1),
+        (9, "key", 35),                    # not a residue mod 35
+        (9, "reason", "tag_mismatch"),     # only outcomes not accepted carry a reason
+        (9, "status", "rejected"),         # ... and no key
     ],
 )
 def test_from_jsonl_rejects_mistyped_fields(line, key, value):
     lines = _golden_path("attack-ring35.jsonl").read_text().splitlines()
     rec = json.loads(lines[line])
-    rec[key] = value
+    if value is _DELETE:
+        del rec[key]
+    else:
+        rec[key] = value
     lines[line] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
     with pytest.raises(MalformedTranscript):
         Transcript.from_jsonl("\n".join(lines) + "\n")
-
-
-_DELETE = object()
 
 
 def _field_paths(obj, prefix=()):
