@@ -143,7 +143,8 @@ def is_prime(n: int) -> bool:
     Above the exact bound, 40 extra bases are derived from n itself by
     hashing, so the verdict is deterministic without being attacker-choosable
     in any way that matters for a testbed. The last verdicts are cached, so
-    domain_new re-checking primes a search just proved costs no modexp.
+    domain_new re-checking a prime a search just proved needs no Miller-Rabin
+    run on (p-1)/2, only is_safe_prime's one exponentiation.
     """
     if n < 2:
         return False
@@ -171,8 +172,13 @@ def is_prime(n: int) -> bool:
 
 
 def is_safe_prime(n: int) -> bool:
-    """True when n and (n-1)/2 are both prime."""
-    return n > 4 and is_prime(n) and is_prime((n - 1) // 2)
+    """True when n and (n-1)/2 are both prime.
+
+    Once q = (n-1)/2 is proven prime, one exponentiation proves n: by
+    Pocklington's theorem with a = 2, if 3 does not divide n and
+    2^(n-1) = 1 mod n, then n is prime, since q > sqrt(n) - 1 for every n >= 5.
+    """
+    return n > 4 and is_prime((n - 1) // 2) and n % 3 != 0 and pow(2, n - 1, n) == 1
 
 
 # Wiener's combined sieve: an odd prime r divides v or (v-1)/2 exactly when
@@ -225,9 +231,10 @@ def gen_safe_prime(bit_length: int, rng: SeededRng) -> int:
     The residue pre-screen (from 12 bits), Wiener's combined sieve (M. Wiener,
     "Safe Prime Generation with a Combined Sieve", IACR ePrint 2003/186) and
     base-2 Fermat tests on v and (v-1)/2 only ever reject composites, and a
-    survivor still needs the full is_prime pair, so the prime returned and the
-    bytes drawn are those of testing every candidate with is_prime. The pair's
-    cached verdicts make the domain_new check that follows free.
+    survivor still needs is_safe_prime, which proves v prime once is_prime
+    passes (v-1)/2, so the prime returned and the bytes drawn are those of
+    testing every candidate with the is_prime pair. The cached verdict on
+    (v-1)/2 leaves one exponentiation to the domain_new check that follows.
     """
     if bit_length < 3:
         raise ModulusTooSmall(f"no safe prime has {bit_length} bits")
@@ -239,8 +246,7 @@ def gen_safe_prime(bit_length: int, rng: SeededRng) -> int:
         v = (v & mask) | forced
         if screen[v % mod]:
             continue
-        # v odd, so (v-1)/2 == v >> 1; test the half first, it fails more often
-        if not _sieve_rejects(v) and is_prime(v >> 1) and is_prime(v):
+        if not _sieve_rejects(v) and is_safe_prime(v):
             return v
 
 
@@ -308,17 +314,19 @@ def domain_new(p: int, q: int | None = None, *, variant: Variant) -> DomainConte
         if p == q:
             raise EqualFactors("ring factors must be distinct")
         for f in (p, q):
+            if is_safe_prime(f):
+                continue
             if not is_prime(f):
                 raise CompositeWhenPrimeRequired(f"{f} is not prime")
-            if not is_prime((f - 1) // 2):
-                raise CompositeWhenPrimeRequired(f"{f} is not a safe prime: ({f}-1)/2 is composite")
+            raise CompositeWhenPrimeRequired(f"{f} is not a safe prime: ({f}-1)/2 is composite")
         modulus = p * q
     elif variant is Variant.FIELD:
         if q is not None:
             raise ValueError("field variant takes a single prime")
         if p < 5:
             raise ModulusTooSmall("prime must be at least 5")
-        if not is_prime(p):
+        # a searched prime is safe, and then proving it costs one exponentiation
+        if not (is_safe_prime(p) or is_prime(p)):
             raise CompositeWhenPrimeRequired(f"{p} is not prime")
         modulus = p
     else:  # pragma: no cover - enum is closed

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -43,7 +44,10 @@ EXIT_VERIFY = 3
 EXIT_SCENARIO = 4
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later main
+    call in the process; each parse_args call still returns a fresh Namespace."""
     parser = argparse.ArgumentParser(
         prog="gkdsim",
         description="group key distribution testbed: honest runs, insider forgery, transcript replay",

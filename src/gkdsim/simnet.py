@@ -76,7 +76,7 @@ _VERDICTS = (VERDICT_DELIVERED, VERDICT_DROPPED, VERDICT_REPLACED)
 ACTION_FORGE = "forge"
 ACTION_SUPPRESS = "suppress"
 
-MAX_BITS = 512  # bits per prime, drawn or explicit; a 512-bit ring pair took 2.3 s (median, 2 vCPUs)
+MAX_BITS = 512  # bits per prime, drawn or explicit; a 512-bit ring pair took 2.3 s (8-seed median, 2 vCPUs)
 MAX_ID_WIDTH = 255
 
 _RECORD_ORDER = ("meta", "event", "outcome", "ground_truth")
@@ -860,6 +860,9 @@ def verify_transcript(tr: Transcript) -> VerificationReport:
     challenge_events = tr.events[1 + announces : first_bcast]
     bcast_events = tr.events[first_bcast:]
     report.note("events: complete and ordered")
+    for ev in tr.events[:first_bcast]:
+        if ev.verdict != VERDICT_DELIVERED:
+            report.fail(f"event {ev.index}: {ev.step} {ev.verdict}, expected delivered")
 
     # --- roster echo ---
     if request.sender != meta.initiator or tuple(request.receivers) != (KGC_NAME,):
@@ -881,8 +884,12 @@ def verify_transcript(tr: Transcript) -> VerificationReport:
     challenges: dict[str, int] = {}
     for pos, ev in enumerate(challenge_events):
         _require(ev.sender in ids, f"event {ev.index}: challenge from unknown sender {ev.sender!r}")
+        i = pos
         if ev.sender != names[pos]:
             report.fail(f"event {ev.index}: challenge sender {ev.sender!r} out of roster order")
+            i = names.index(ev.sender)
+        if ev.receivers != (KGC_NAME, *names[:i], *names[i + 1 :]):
+            report.fail(f"event {ev.index}: challenge not sent to {KGC_NAME} and every other member")
         if len(ev.payload) != ctx.byte_width:
             raise MalformedTranscript(f"event {ev.index}: challenge payload width")
         value = int.from_bytes(ev.payload, "big")

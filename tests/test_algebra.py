@@ -108,6 +108,18 @@ LARGE_SAFE_PRIMES = (
     310451668319258438185962149172793334843,
 )
 
+# 64-bit safe primes: the first sixteen distinct of gen_safe_prime(64, SeededRng(64))
+SAFE_PRIMES_64 = (
+    14452609745013686879, 17604556404558656459, 17481500801171414759,
+    11976539028622655027, 13086318123050346467, 12985823824803098099,
+    15489725004288001319, 16664951786095319723, 16817513930271049943,
+    10354931375472857423, 11892824236705887863, 16975924637581344143,
+    12444373566001348523, 11521214555200846283, 13732032780645776687,
+    16955405760800252363,
+)
+
+CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911)
+
 # The least strong pseudoprime to the twelve prime bases 2..37:
 # 399165290221 * 798330580441.
 PSEUDOPRIME_12_BASES = 318_665_857_834_031_151_167_461
@@ -228,6 +240,61 @@ def test_is_safe_prime():
         assert is_safe_prime(p)
     assert not is_safe_prime(13)
     assert not is_safe_prime(4)
+
+
+def _safe_by_the_is_prime_pair(n):
+    return is_prime(n) and is_prime((n - 1) // 2)
+
+
+def test_is_safe_prime_agrees_with_the_is_prime_pair_below_200000():
+    assert [n for n in range(200_000) if is_safe_prime(n) != _safe_by_the_is_prime_pair(n)] == []
+
+
+def test_is_safe_prime_accepts_listed_safe_primes():
+    for n in (*SAFE_PRIMES_64, *LARGE_SAFE_PRIMES):
+        assert _safe_by_the_is_prime_pair(n) and is_safe_prime(n), n
+
+
+def test_is_safe_prime_rejects_composites_with_a_prime_half():
+    """n = 2q + 1 with q prime: only the exponentiation can reject a composite n."""
+    halves = (*(q for q in range(2, 3000) if is_prime(q)), *SAFE_PRIMES_64,
+              *(p >> 1 for p in SAFE_PRIMES_64), *LARGE_SAFE_PRIMES, 2**61 - 1, 2**89 - 1)
+    composites = [2 * q + 1 for q in halves if not is_prime(2 * q + 1)]
+    assert len(composites) > 300 and any(n % 3 for n in composites)
+    for n in composites:
+        assert not is_safe_prime(n), n
+
+
+def test_is_safe_prime_rejects_pseudoprimes():
+    for n in (*CARMICHAEL, PSEUDOPRIME_12_BASES, 2 * PSEUDOPRIME_12_BASES + 1,
+              *(2 * c + 1 for c in CARMICHAEL)):
+        assert not _safe_by_the_is_prime_pair(n) and not is_safe_prime(n), n
+
+
+@pytest.mark.parametrize(
+    "p, q, message",
+    [
+        (6, 7, "6 is not prime"),
+        (15, 7, "15 is not prime"),  # (15-1)/2 = 7 is prime
+        (5, 561, "561 is not prime"),
+        (13, 7, "13 is not a safe prime: (13-1)/2 is composite"),
+        (5, 331, "331 is not a safe prime: (331-1)/2 is composite"),
+        (333, None, "333 is not prime"),
+        (PSEUDOPRIME_12_BASES, None, f"{PSEUDOPRIME_12_BASES} is not prime"),
+    ],
+)
+def test_domain_new_error_messages(p, q, message):
+    variant = Variant.FIELD if q is None else Variant.RING
+    with pytest.raises(CompositeWhenPrimeRequired) as exc:
+        domain_new(p, q, variant=variant)
+    assert str(exc.value) == message
+
+
+def test_field_domain_new_reuses_the_verdict_of_the_search():
+    p = gen_safe_prime(64, SeededRng(5))
+    misses = is_prime.cache_info().misses
+    assert domain_new(p, variant=Variant.FIELD).modulus == p
+    assert is_prime.cache_info().misses == misses
 
 
 # --- gen_safe_prime -----------------------------------------------------------

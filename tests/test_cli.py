@@ -1,14 +1,21 @@
+import argparse
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from gkdsim.algebra import is_prime
-from gkdsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_SCENARIO, EXIT_VERIFY, main
+from gkdsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_SCENARIO, EXIT_VERIFY, build_parser, main
 from conftest import FORGE, SUPPRESS, scenario_dict
 
 
 CONFIGS = Path(__file__).parent.parent / "configs"
+GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -489,3 +496,82 @@ def test_explain_redacted_transcript(tmp_path, capsys):
     capsys.readouterr()
     assert main(["explain", str(out)]) == EXIT_OK
     assert "ground truth: redacted" in capsys.readouterr().out
+
+
+# --- one parser per process -------------------------------------------------------
+
+EVENT_LINE = re.compile(r"^ +\d+\. (request|announce|challenge|broadcast) ", re.M)
+
+
+def gkdsim_process(*args, cwd):
+    """`python -m gkdsim args` in a fresh interpreter."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-m", "gkdsim", *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_main_builds_one_parser_tree(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser.cache_clear()
+    for _ in range(2):
+        assert main(["verify", str(GOLDEN / "honest-ring35.jsonl")]) == EXIT_OK
+    assert built == ["gkdsim", "gkdsim gen-params", "gkdsim run", "gkdsim verify", "gkdsim explain"]
+
+
+def test_options_do_not_carry_over_between_calls(tmp_path, capsys):
+    cfg = tmp_path / "honest.json"
+    cfg.write_text(CONFIGS.joinpath("honest.json").read_text())
+    fresh = gkdsim_process("run", str(cfg), "--out", str(tmp_path / "fresh.jsonl"), cwd=tmp_path)
+    assert fresh.returncode == EXIT_OK, fresh.stderr
+    capsys.readouterr()
+    assert main(["run", str(cfg), "--seed", "5", "-v", "--out", str(tmp_path / "seed5.jsonl")]) == EXIT_OK
+    assert EVENT_LINE.search(capsys.readouterr().out)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "plain.jsonl")]) == EXIT_OK
+    stdout = capsys.readouterr().out
+    assert not EVENT_LINE.search(stdout) and "seed 11" in stdout
+    plain = (tmp_path / "plain.jsonl").read_bytes()
+    assert plain == (tmp_path / "fresh.jsonl").read_bytes()
+    assert plain != (tmp_path / "seed5.jsonl").read_bytes()
+
+
+def test_a_usage_error_leaves_the_parser_usable(capsys):
+    for bad in (["run"], ["gen-params", "--bits", "x", "--variant", "ring"], ["mystery"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        assert main(["verify", str(GOLDEN / "attack-ring35.jsonl")]) == EXIT_OK
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"], ["gen-params", "--help"]])
+def test_help_text_matches_a_fresh_parser(capsys, argv):
+    with pytest.raises(SystemExit):
+        build_parser.__wrapped__().parse_args(argv)
+    expected = capsys.readouterr().out
+    assert "usage: gkdsim" in expected
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == expected
+
+
+def test_python_dash_m_gkdsim_exit_codes(tmp_path):
+    ok = gkdsim_process("verify", str(GOLDEN / "honest-ring35.jsonl"), cwd=tmp_path)
+    assert ok.returncode == EXIT_OK and "transcript verified: no mismatches" in ok.stdout
+    bad_config = write_config(tmp_path, members=["solo"])
+    assert gkdsim_process("run", str(bad_config), cwd=tmp_path).returncode == EXIT_CONFIG
+    records = [json.loads(line) for line in GOLDEN.joinpath("honest-ring35.jsonl").read_text().splitlines()]
+    challenge = next(r for r in records if r.get("step") == "challenge")
+    challenge["payload"] = f"{int(challenge['payload'], 16) ^ 1:0{len(challenge['payload'])}x}"
+    tampered = tmp_path / "tampered.jsonl"
+    tampered.write_text("".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in records))
+    failed = gkdsim_process("verify", str(tampered), cwd=tmp_path)
+    assert failed.returncode == EXIT_VERIFY and "MISMATCH" in failed.stdout

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +22,9 @@ from gkdsim.simnet import (
     verify_transcript,
 )
 from conftest import FORGE, SUPPRESS, scenario_dict
+
+
+CONFIGS = Path(__file__).parent.parent / "configs"
 
 
 def run(**overrides):
@@ -300,6 +304,44 @@ def test_verify_flags_edited_ground_truth():
     lines[-1] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
     report = verify_transcript(Transcript.from_jsonl("\n".join(lines) + "\n"))
     assert not report.ok
+
+
+@pytest.mark.parametrize(
+    "index, key, value",
+    [
+        (3, "receivers", ["kgc"]),
+        (2, "receivers", ["kgc", "bob", "carol", "zed"]),
+        (4, "verdict", "dropped"),
+        (0, "verdict", "dropped"),
+        (1, "verdict", "dropped"),
+    ],
+    ids=["challenge-to-kgc-only", "challenge-to-a-stranger", "challenge-dropped",
+         "request-dropped", "announce-dropped"],
+)
+def test_verify_flags_intercepted_or_misrouted_pre_broadcast_events(index, key, value):
+    """Only a broadcast may be dropped or replaced, and member i's challenge goes
+    to the KGC and every other member, in roster order."""
+    tr = run_scenario(ScenarioConfig.from_file(CONFIGS / "honest.json"))
+    lines = tr.to_jsonl().splitlines()
+    rec = json.loads(lines[1 + index])  # meta is line 0
+    assert rec["record"] == "event" and rec["index"] == index and rec[key] != value
+    rec[key] = value
+    lines[1 + index] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    report = verify_transcript(Transcript.from_jsonl("\n".join(lines) + "\n"))
+    assert any(m.startswith(f"event {index}: ") for m in report.mismatches), report.mismatches
+
+
+def test_verify_judges_the_receivers_of_a_reordered_challenge_by_its_sender():
+    tr = run_scenario(ScenarioConfig.from_file(CONFIGS / "honest.json"))
+    lines = tr.to_jsonl().splitlines()
+    alice, bob = json.loads(lines[3]), json.loads(lines[4])  # events 2 and 3
+    alice["index"], bob["index"] = 3, 2
+    lines[3], lines[4] = (json.dumps(r, sort_keys=True, separators=(",", ":")) for r in (bob, alice))
+    report = verify_transcript(Transcript.from_jsonl("\n".join(lines) + "\n"))
+    assert report.mismatches == [
+        "event 2: challenge sender 'bob' out of roster order",
+        "event 3: challenge sender 'alice' out of roster order",
+    ]
 
 
 def test_malformed_transcripts_raise():
