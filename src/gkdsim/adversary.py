@@ -121,7 +121,7 @@ class Interceptor:
     interceptor was registered on, one message at a time.
     """
 
-    def observe(self, sender: bytes, receivers: tuple[bytes, ...], message: object) -> None:
+    def observe(self, sender: bytes, message: object) -> None:
         pass
 
     def intercept(self, sender: bytes, receiver: bytes, message: object) -> ChannelAction:
@@ -167,7 +167,7 @@ class InsiderInterceptor(Interceptor):
         self.recovered_key: int | None = None
         self.forged_key: int | None = None
 
-    def observe(self, sender: bytes, receivers: tuple[bytes, ...], message: object) -> None:
+    def observe(self, sender: bytes, message: object) -> None:
         if isinstance(message, ChallengeMessage) and message.sender in self.roster.index:
             self.challenges[message.sender] = self.ctx.reduce(message.value)
 

@@ -220,6 +220,7 @@ _PRESCREEN_PRIMES = (3, 5, 7, 11)
 _PRESCREEN_MOD = math.prod(_PRESCREEN_PRIMES)
 _PRESCREEN = _residue_screen(_PRESCREEN_PRIMES)
 _PRESCREEN_MIN_BITS = 12  # v >> 1 >= 2**10 > _SIEVE_TOP
+_DISTINCT_ATTEMPTS = 256  # safe-prime draws gen_distinct_safe_primes makes for a second prime
 
 
 def gen_safe_prime(bit_length: int, rng: SeededRng) -> int:
@@ -250,14 +251,14 @@ def gen_safe_prime(bit_length: int, rng: SeededRng) -> int:
             return v
 
 
-def gen_distinct_safe_primes(bit_length: int, rng: SeededRng, attempts: int = 256) -> tuple[int, int]:
+def gen_distinct_safe_primes(bit_length: int, rng: SeededRng) -> tuple[int, int]:
     """Two distinct safe primes for a ring modulus.
 
     Some bit lengths admit only one safe prime (4 bits: just 11; 5 bits:
     just 23), so the retry loop is bounded rather than spinning forever.
     """
     p = gen_safe_prime(bit_length, rng)
-    for _ in range(attempts):
+    for _ in range(_DISTINCT_ATTEMPTS):
         q = gen_safe_prime(bit_length, rng)
         if q != p:
             return p, q

@@ -21,7 +21,7 @@ import json
 import sys
 from pathlib import Path
 
-from .algebra import SeededRng, Variant
+from .algebra import DomainContext, SeededRng, Variant
 from .errors import ConfigError, MalformedTranscript
 from .simnet import (
     ACTION_FORGE,
@@ -99,23 +99,28 @@ def main(argv: list[str] | None = None) -> int:
 # gen-params
 # ---------------------------------------------------------------------------
 
-def cmd_gen_params(args) -> int:
-    if args.seed < 0:
-        raise ConfigError("seed must be non-negative")
-    variant = Variant(args.variant)
-    ctx, p, q = build_domain(variant, SeededRng(args.seed), bits=args.bits)
+def _parameters_line(ctx: DomainContext, p: int, q: int | None, seed: int) -> str:
+    """The parameter file gen-params writes for these primes and seed, and the only
+    one verify accepts for them."""
     record = {
         "record": "parameters",
-        "variant": variant.value,
-        "bits": args.bits,
+        "variant": ctx.variant.value,
+        "bits": p.bit_length(),
         "p": p,
         "q": q,
         "modulus": ctx.modulus,
         "byte_width": ctx.byte_width,
-        "seed": args.seed,
+        "seed": seed,
     }
-    out = args.out or Path(f"params-{variant.value}-{args.bits}bit.json")
-    data = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def cmd_gen_params(args) -> int:
+    if args.seed < 0:
+        raise ConfigError("seed must be non-negative")
+    ctx, p, q = build_domain(Variant(args.variant), SeededRng(args.seed), bits=args.bits)
+    out = args.out or Path(f"params-{args.variant}-{args.bits}bit.json")
+    data = _parameters_line(ctx, p, q, args.seed)
     out.write_text(data)
     digest = hashlib.sha256(data.encode()).hexdigest()
     print(f"wrote {out}")
@@ -124,39 +129,26 @@ def cmd_gen_params(args) -> int:
     return EXIT_OK
 
 
-def _verify_parameters(record: dict) -> int:
+def _verify_parameters(text: str) -> int:
+    """Prove the recorded primes, then require the file to hold just the record
+    gen-params writes for them and the recorded seed: one bit length for both
+    primes, every field typed."""
     try:
-        variant = Variant(record["variant"])
-        p, q = record["p"], record["q"]
-        bits, modulus, byte_width = record["bits"], record["modulus"], record["byte_width"]
-        if (q is None) != (variant is Variant.FIELD):
-            raise ValueError("q must be set for the ring variant and null for the field variant")
-        for name, value in (("p", p), ("q", q), ("bits", bits),
-                            ("modulus", modulus), ("byte_width", byte_width)):
-            if type(value) is not int and (name, value) != ("q", None):
-                raise ValueError(f"{name} must be an integer")
-    except (KeyError, ValueError) as e:
+        record = json.loads(text)
+        seed = record.get("seed")
+        ctx, p, q = build_domain(Variant(record.get("variant")), None, p=record.get("p"), q=record.get("q"))
+        if type(seed) is not int or seed < 0 or (q is not None and q.bit_length() != p.bit_length()) or (
+            json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n" != _parameters_line(ctx, p, q, seed)
+        ):
+            raise ValueError("not the file gen-params writes for its primes and seed")
+    except ValueError as e:
         print(f"parameter file invalid: {e}", file=sys.stderr)
         return EXIT_VERIFY
-    try:
-        ctx, _, _ = build_domain(variant, None, p=p, q=q)
     except ConfigError as e:
         print(f"primality re-check failed: {e}", file=sys.stderr)
         return EXIT_VERIFY
-    problems = []
-    if ctx.modulus != modulus:
-        problems.append(f"modulus {modulus} != p*q product {ctx.modulus}")
-    if ctx.byte_width != byte_width:
-        problems.append(f"byte_width {byte_width} != {ctx.byte_width}")
-    for name, value in (("p", p), ("q", q)):
-        if value is not None and value.bit_length() != bits:
-            problems.append(f"{name} has {value.bit_length()} bits, file says {bits}")
-    if problems:
-        for pr in problems:
-            print(f"mismatch: {pr}", file=sys.stderr)
-        return EXIT_VERIFY
     primes = f"p={p}" + (f", q={q}" if q is not None else "")
-    print(f"parameters ok: {primes} (safe-primality re-checked), modulus {modulus}")
+    print(f"parameters ok: {primes} (safe-primality re-checked), modulus {ctx.modulus}")
     return EXIT_OK
 
 
@@ -232,7 +224,7 @@ def cmd_verify(args) -> int:
     except (ValueError, RecursionError):
         first = None  # not a parameter file: from_jsonl says what is wrong
     if isinstance(first, dict) and first.get("record") == "parameters":
-        return _verify_parameters(first)
+        return _verify_parameters(text)
     report = verify_transcript(Transcript.from_jsonl(text))
     for line in report.checks:
         print(f"ok: {line}")

@@ -29,6 +29,11 @@ DEFAULT_ID_WIDTH = 16
 ZERO_HASH = "zero"
 
 
+@lru_cache(maxsize=64)  # one entry per hashlib name a config or transcript uses
+def _digest_size(name: str) -> int:
+    return hashlib.new(name).digest_size
+
+
 @dataclass(frozen=True)
 class HashConfig:
     """Which hash backs the broadcast tag and the share-offset hash.
@@ -46,12 +51,12 @@ class HashConfig:
         if self.element_hash not in (None, ZERO_HASH):
             names.append(self.element_hash)
         for name in names:
-            if not hashlib.new(name).digest_size:  # shake_*: digest() would need a length
+            if not _digest_size(name):  # shake_*: digest() would need a length
                 raise ValueError(f"{name!r} is a variable-length hash")
 
     @property
     def digest_size(self) -> int:
-        return hashlib.new(self.algorithm).digest_size
+        return _digest_size(self.algorithm)
 
     @property
     def effective_element_hash(self) -> str:

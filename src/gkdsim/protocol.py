@@ -314,12 +314,7 @@ class KeyGenerationCentre:
         # no origin authentication: any challenge labeled with a roster id counts
         self._challenges[msg.sender] = self.ctx.reduce(msg.value)
 
-    def distribute(
-        self,
-        rng: SeededRng,
-        group_key: int | None = None,
-        nonce: int | None = None,
-    ) -> tuple[KgcBroadcast, int]:
+    def distribute(self, rng: SeededRng) -> tuple[KgcBroadcast, int]:
         if self.roster is None:
             raise IncompleteChallenges("no session announced")
         return kgc_distribute(
@@ -331,8 +326,6 @@ class KeyGenerationCentre:
             self.ctx,
             self.hash_cfg,
             self.id_width,
-            group_key=group_key,
-            nonce=nonce,
         )
 
 

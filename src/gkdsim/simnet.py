@@ -14,6 +14,7 @@ fixed, so a config maps to byte-identical transcript files on every run.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -91,6 +92,7 @@ _STATUSES = tuple(s.value for s in OutcomeStatus)
 _ACCEPTED = OutcomeStatus.ACCEPTED.value
 _TIMEOUT = OutcomeStatus.TIMEOUT.value
 _STR_TYPE = frozenset((str,))
+_ADVERSARY_KEYS = frozenset(("attacker", "victim", "action", "target_key"))
 
 
 # ---------------------------------------------------------------------------
@@ -145,39 +147,39 @@ class AdversarySpec:
     target_key: int | None = None  # None means drawn at attack time, != real key
 
 
-def _roster_problem(members: tuple, id_width: object) -> str | None:
-    """Why members cannot form a roster of id_width-byte ids, or None if they can."""
-    if type(id_width) is not int or not 1 <= id_width <= MAX_ID_WIDTH:
-        return f"id_width must be an integer in [1, {MAX_ID_WIDTH}]"
-    if not all(isinstance(name, str) and name for name in members):
-        return "member names must be non-empty strings"
-    if len(members) < 2:
-        return "a session needs at least two members"
-    if len(set(members)) != len(members):
-        return "duplicate member names"
-    if KGC_NAME in members:
-        return f"member name {KGC_NAME!r} is reserved"
+# Field typing shared by configs and transcript metas; validate checks the values.
+
+def _variant(value: object) -> Variant:
     try:
-        too_long = [name for name in members if len(name.encode()) > id_width]
-    except UnicodeEncodeError:
-        return "member names must be encodable as UTF-8"
-    return f"member name {too_long[0]!r} exceeds id width {id_width}" if too_long else None
+        return Variant(value)
+    except ValueError:
+        raise ConfigError("variant must be 'ring' or 'field'") from None
 
 
-def _adversary_problem(adv: AdversarySpec, members: tuple[str, ...]) -> str | None:
-    """Why adv cannot act on a session of members, or None if it can."""
-    if adv.action not in (ACTION_FORGE, ACTION_SUPPRESS):
-        return f"adversary action must be forge or suppress, got {adv.action!r}"
-    for role, name in (("attacker", adv.attacker), ("victim", adv.victim)):
-        if name not in members:
-            return f"adversary {role} {name!r} not among members"
-    if adv.attacker == adv.victim:
-        return "attacker and victim must be distinct"
-    if adv.target_key is not None and adv.action == ACTION_SUPPRESS:
-        return "suppress action takes no target key"
-    if adv.target_key is not None and (type(adv.target_key) is not int or adv.target_key < 0):
-        return "target_key must be a non-negative integer or 'random'"
-    return None
+def _names(value: object) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError("members must be a list of names")
+    return tuple(value)
+
+
+def _hash_config(algorithm: object, element_hash: object) -> HashConfig:
+    try:
+        return HashConfig(algorithm, element_hash)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad hash config: {e}") from None
+
+
+def _adversary_spec(adv: object) -> AdversarySpec | None:
+    if adv is None:
+        return None
+    if not isinstance(adv, Mapping):
+        raise ConfigError("adversary must be an object or null")
+    unknown = adv.keys() - _ADVERSARY_KEYS
+    if unknown:
+        raise ConfigError(f"unknown adversary keys: {sorted(unknown)}")
+    target = adv.get("target_key")
+    return AdversarySpec(adv.get("attacker"), adv.get("victim"), adv.get("action", ACTION_FORGE),
+                         None if target == "random" else target)
 
 
 @dataclass(frozen=True)
@@ -204,62 +206,27 @@ class ScenarioConfig:
         unknown = set(d) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        try:
-            variant = Variant(d["variant"])
-        except (KeyError, ValueError):
-            raise ConfigError("variant must be 'ring' or 'field'") from None
-        members = d.get("members")
-        if not isinstance(members, (list, tuple)) or not members:
-            raise ConfigError("members must be a non-empty list of names")
-
-        mod = d.get("modulus")
+        mod, hash_d = d.get("modulus"), d.get("hash", {})
         if not isinstance(mod, Mapping):
             raise ConfigError("modulus must be an object with p/q or bits")
         mod_unknown = set(mod) - {"p", "q", "bits"}
         if mod_unknown:
             raise ConfigError(f"unknown modulus keys: {sorted(mod_unknown)}")
-
-        adv = d.get("adversary")
-        adv_spec = None
-        if adv is not None:
-            if not isinstance(adv, Mapping):
-                raise ConfigError("adversary must be an object or null")
-            adv_unknown = set(adv) - {"attacker", "victim", "action", "target_key"}
-            if adv_unknown:
-                raise ConfigError(f"unknown adversary keys: {sorted(adv_unknown)}")
-            target = adv.get("target_key")
-            if target == "random":
-                target = None
-            adv_spec = AdversarySpec(
-                attacker=adv.get("attacker"),
-                victim=adv.get("victim"),
-                action=adv.get("action", ACTION_FORGE),
-                target_key=target,
-            )
-
-        hash_d = d.get("hash", {})
         if not isinstance(hash_d, Mapping):
             raise ConfigError("hash must be an object")
-        try:
-            hash_cfg = HashConfig(
-                algorithm=hash_d.get("algorithm", "sha256"),
-                element_hash=hash_d.get("element_hash"),
-            )
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"bad hash config: {e}") from None
 
         cfg = cls(
-            variant=variant,
-            members=tuple(members),
+            variant=_variant(d.get("variant")),
+            members=_names(d.get("members")),
             p=mod.get("p"),
             q=mod.get("q"),
             bits=mod.get("bits"),
             keys=d.get("keys"),
             initiator=d.get("initiator"),
             seed=d.get("seed", 0),
-            hash_cfg=hash_cfg,
+            hash_cfg=_hash_config(hash_d.get("algorithm", "sha256"), hash_d.get("element_hash")),
             id_width=d.get("id_width", DEFAULT_ID_WIDTH),
-            adversary=adv_spec,
+            adversary=_adversary_spec(d.get("adversary")),
             redact=d.get("redact", False),
         )
         cfg.validate()
@@ -280,28 +247,43 @@ class ScenarioConfig:
         return cls.from_dict(d)
 
     def validate(self) -> None:
-        problem = _roster_problem(self.members, self.id_width)
-        if problem is None and self.adversary is not None:
-            problem = _adversary_problem(self.adversary, self.members)
-        if problem is not None:
-            raise ConfigError(problem)
+        """Type and check every field; build_domain proves the primes."""
+        members, id_width, adv = self.members, self.id_width, self.adversary
+        if type(id_width) is not int or not 1 <= id_width <= MAX_ID_WIDTH:
+            raise ConfigError(f"id_width must be an integer in [1, {MAX_ID_WIDTH}]")
+        if not all(isinstance(name, str) and name for name in members):
+            raise ConfigError("member names must be non-empty strings")
+        if len(members) < 2:
+            raise ConfigError("a session needs at least two members")
+        if len(set(members)) != len(members):
+            raise ConfigError("duplicate member names")
+        if KGC_NAME in members:
+            raise ConfigError(f"member name {KGC_NAME!r} is reserved")
+        try:
+            too_long = [name for name in members if len(name.encode()) > id_width]
+        except UnicodeEncodeError:
+            raise ConfigError("member names must be encodable as UTF-8") from None
+        if too_long:
+            raise ConfigError(f"member name {too_long[0]!r} exceeds id width {id_width}")
+
+        if adv is not None:
+            if adv.action not in (ACTION_FORGE, ACTION_SUPPRESS):
+                raise ConfigError(f"adversary action must be forge or suppress, got {adv.action!r}")
+            for role, name in (("attacker", adv.attacker), ("victim", adv.victim)):
+                if name not in members:
+                    raise ConfigError(f"adversary {role} {name!r} not among members")
+            if adv.attacker == adv.victim:
+                raise ConfigError("attacker and victim must be distinct")
+            if adv.target_key is not None and adv.action == ACTION_SUPPRESS:
+                raise ConfigError("suppress action takes no target key")
+            if adv.target_key is not None and (type(adv.target_key) is not int or adv.target_key < 0):
+                raise ConfigError("target_key must be a non-negative integer or 'random'")
+
         if type(self.seed) is not int or self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
         if type(self.redact) is not bool:
             raise ConfigError("redact must be true or false")
-
-        has_explicit = self.p is not None
-        if has_explicit == (self.bits is not None):
-            raise ConfigError("modulus needs either explicit primes or bits, not both")
-        if self.bits is not None and (type(self.bits) is not int or self.bits < 3):
-            raise ConfigError("modulus bits must be an integer >= 3")
-        if self.variant is Variant.RING and has_explicit and self.q is None:
-            raise ConfigError("ring variant needs both p and q")
-        if self.variant is Variant.FIELD and self.q is not None:
-            raise ConfigError("field variant takes a single prime p")
-        for v in (self.p, self.q):
-            if v is not None and (type(v) is not int or v < 2):
-                raise ConfigError("primes must be integers >= 2")
+        _check_modulus_shape(self.variant, self.p, self.q, self.bits)
 
         if self.keys is not None:
             if not isinstance(self.keys, Mapping):
@@ -383,39 +365,30 @@ class TranscriptMeta:
         }
 
     @classmethod
+    def from_config(cls, cfg: ScenarioConfig, ctx: DomainContext, p: int, q: int | None) -> "TranscriptMeta":
+        """The meta of a run of cfg over the domain build_domain returned for it."""
+        adv = cfg.adversary
+        if adv is not None and adv.target_key is not None:  # ground truth records it
+            adv = AdversarySpec(adv.attacker, adv.victim, adv.action)
+        return cls(ctx, cfg.hash_cfg, p, q, cfg.id_width, cfg.members, cfg.initiator or cfg.members[0],
+                   cfg.seed, cfg.redact, adv)
+
+    @classmethod
     def from_record(cls, rec: dict) -> "TranscriptMeta":
-        """Type-check the fields a meta is built from, then require rec to hold exactly what
-        that meta writes: this pins the key set and the derived fields, all of them ints."""
+        """Check the fields a meta is built from as a config's, proving p and q with build_domain,
+        then require rec to hold exactly what that meta writes: the key set and derived ints."""
         try:
-            variant = Variant(rec.get("variant"))
-            hash_cfg = HashConfig(rec.get("hash_algorithm"), rec.get("element_hash"))
-        except (TypeError, ValueError) as e:
-            raise MalformedTranscript(f"meta: bad variant or hash: {e}") from None
-        p, q, members, adv, seed = map(rec.get, ("p", "q", "members", "adversary", "seed"))
-        if type(p) is not int or p < 2 or (q is None) == (variant is Variant.RING) or (
-            q is not None and (type(q) is not int or q < 2)
-        ):
-            raise MalformedTranscript("meta: p (and q, for the ring variant) must be integers >= 2")
-        if not isinstance(members, list) or not isinstance(adv, (dict, type(None))):
-            raise MalformedTranscript("meta: members must be a list, adversary an object or null")
-        members = tuple(members)
-        if adv is not None:
-            adv = AdversarySpec(adv.get("attacker"), adv.get("victim"), adv.get("action"))
-        problem = _roster_problem(members, rec.get("id_width"))
-        if problem is None and adv is not None:
-            problem = _adversary_problem(adv, members)
-        if problem is None and rec.get("initiator") not in members:
-            problem = "initiator not a member"
-        if problem is None and (type(seed) is not int or seed < 0):
-            problem = "seed must be a non-negative integer"
-        if problem is None and type(rec.get("redacted")) is not bool:
-            problem = "redacted must be true or false"
-        if problem is not None:
-            raise MalformedTranscript(f"meta: {problem}")
-        modulus = p * q if q is not None else p
-        ctx = DomainContext(modulus, variant, (modulus.bit_length() + 7) // 8)
-        meta = cls(ctx, hash_cfg, p, q, rec["id_width"], members, rec["initiator"], seed,
-                   rec["redacted"], adv)
+            cfg = ScenarioConfig(
+                _variant(rec.get("variant")), _names(rec.get("members")), rec.get("p"), rec.get("q"),
+                initiator=rec.get("initiator"), seed=rec.get("seed"),
+                hash_cfg=_hash_config(rec.get("hash_algorithm"), rec.get("element_hash")),
+                id_width=rec.get("id_width"), adversary=_adversary_spec(rec.get("adversary")),
+                redact=rec.get("redacted"),
+            )
+            cfg.validate()
+            meta = cls.from_config(cfg, *build_domain(cfg.variant, None, p=cfg.p, q=cfg.q))
+        except ConfigError as e:
+            raise MalformedTranscript(f"meta: {e}") from None
         expected = meta.to_record()
         if rec != expected or not all(type(rec[k]) is int for k in _DERIVED_FIELDS):
             wrong = sorted(k for k in expected.keys() | rec.keys()
@@ -615,16 +588,17 @@ class _Network:
         self.id_width = id_width
         self.events: list[TranscriptEvent] = []
         self.interceptors: dict[str, dict[str, Interceptor]] = {}  # sender -> receiver -> icpt
+        self.observers: dict[int, Interceptor] = {}  # id -> interceptor, each observing once
 
     def control_link(self, sender: str, receiver: str, interceptor: Interceptor) -> None:
         self.interceptors.setdefault(sender, {})[receiver] = interceptor
+        self.observers.setdefault(id(interceptor), interceptor)
 
     def send(self, step: str, sender: str, receivers: tuple[str, ...], message: object, deliver) -> None:
         """Record and deliver one message; deliver(receivers, message) hands it over."""
         payload = _payload_for(message, self.ctx, self.id_width)
-        observers = {id(i): i for links in self.interceptors.values() for i in links.values()}
-        for icpt in observers.values():
-            icpt.observe(sender.encode(), tuple(map(str.encode, receivers)), message)
+        for icpt in self.observers.values():
+            icpt.observe(sender.encode(), message)
         links = self.interceptors.get(sender, {})
         controlled = tuple(r for r in receivers if r in links) if links else ()
         plain = tuple(r for r in receivers if r not in links) if controlled else tuple(receivers)
@@ -652,23 +626,46 @@ class _Network:
         self.events.append(event)
 
 
+def _check_modulus_shape(variant: Variant, p: object, q: object, bits: object) -> None:
+    """Raise ConfigError unless p, q and bits have the shape build_domain accepts."""
+    if (p is not None or q is not None) == (bits is not None):
+        raise ConfigError("modulus needs either explicit primes or bits, not both")
+    if bits is not None and (type(bits) is not int or bits < 3):
+        raise ConfigError("modulus bits must be an integer >= 3")
+    if variant is Variant.RING and (p is None) != (q is None):
+        raise ConfigError("ring variant needs both p and q")
+    if variant is Variant.FIELD and q is not None:
+        raise ConfigError("field variant takes a single prime p")
+    for v in (p, q):
+        if v is not None and (type(v) is not int or v < 2):
+            raise ConfigError("primes must be integers >= 2")
+
+
+@functools.lru_cache(maxsize=64)
+def _proven_domain(variant: Variant, p: int, q: int | None) -> DomainContext:
+    return domain_new(p, q, variant=variant)  # looked up per call: a rebound domain_new sees each miss
+
+
 def build_domain(
     variant: Variant, rng: SeededRng | None, *,
     p: int | None = None, q: int | None = None, bits: int | None = None,
 ) -> tuple[DomainContext, int, int | None]:
     """The one parameter builder: explicit primes, or safe primes of `bits` bits
-    drawn from rng, at most MAX_BITS bits either way (checked before any primality
-    test). Returns (ctx, p, q); bad parameters raise ConfigError."""
-    if bits is not None and bits > MAX_BITS:
-        raise ConfigError(f"modulus bits must be at most {MAX_BITS}")
-    if any(v is not None and v.bit_length() > MAX_BITS for v in (p, q)):
-        raise ConfigError(f"explicit primes must be at most {MAX_BITS} bits")
+    drawn from rng. Before any primality test it checks the shape (explicit primes
+    or bits, not both; ints, bools excluded, with bits >= 3 and primes >= 2; q given
+    exactly for the ring variant) and at most MAX_BITS bits per prime. domain_new
+    then proves the primes, once per (variant, p, q) in a process: a verify after
+    its run, or sessions over one pool of primes, reuse the memoised domain.
+    Returns (ctx, p, q); bad parameters raise ConfigError."""
+    _check_modulus_shape(variant, p, q, bits)
+    if max(bits or 0, (p or 0).bit_length(), (q or 0).bit_length()) > MAX_BITS:
+        raise ConfigError(f"primes must be at most {MAX_BITS} bits")
     try:
         if bits is not None and variant is Variant.RING:
             p, q = gen_distinct_safe_primes(bits, rng)
         elif bits is not None:
             p = gen_safe_prime(bits, rng)
-        return domain_new(p, q, variant=variant), p, q
+        return _proven_domain(variant, p, q), p, q
     except GkdError as e:
         raise ConfigError(f"bad modulus parameters: {e}") from e
 
@@ -681,7 +678,8 @@ def run_scenario(cfg: ScenarioConfig) -> Transcript:
     """
     cfg.validate()
     rng = SeededRng(cfg.seed)
-    ctx, p, q = build_domain(cfg.variant, rng, p=cfg.p, q=cfg.q, bits=cfg.bits)
+    meta = TranscriptMeta.from_config(cfg, *build_domain(cfg.variant, rng, p=cfg.p, q=cfg.q, bits=cfg.bits))
+    ctx = meta.ctx
 
     names = cfg.members
     ids = {name: name.encode() for name in names}
@@ -732,8 +730,7 @@ def run_scenario(cfg: ScenarioConfig) -> Transcript:
             for r in receivers:
                 members[r].receive_broadcast(message)
 
-    initiator = cfg.initiator or names[0]
-    net.send(STEP_REQUEST, initiator, (KGC_NAME,), Request(roster.members), deliver)
+    net.send(STEP_REQUEST, meta.initiator, (KGC_NAME,), Request(roster.members), deliver)
 
     ann = kgc.announce(roster.members)
     net.send(STEP_ANNOUNCE, KGC_NAME, names, ann, deliver)
@@ -756,10 +753,6 @@ def run_scenario(cfg: ScenarioConfig) -> Transcript:
         outcomes.append(OutcomeRecord(name, oc.status.value, oc.key, oc.reason))
 
     adv = cfg.adversary
-    meta = TranscriptMeta(
-        ctx, cfg.hash_cfg, p, q, cfg.id_width, names, initiator, cfg.seed, cfg.redact,
-        adv and AdversarySpec(adv.attacker, adv.victim, adv.action),
-    )
     ground_truth = None
     if not cfg.redact:
         adv_truth = adv and AdversaryTruth(

@@ -168,8 +168,8 @@ def test_interceptor_passes_everything_but_the_victim_broadcast(ring35, honest_b
     icpt = make_interceptor(ring35)
     challenge = ChallengeMessage(b"A", 1)
     assert icpt.intercept(b"kgc", b"A", challenge).kind is ActionKind.DELIVER
-    icpt.observe(b"A", (b"kgc", b"B"), ChallengeMessage(b"A", 1))
-    icpt.observe(b"B", (b"kgc", b"A"), ChallengeMessage(b"B", 2))
+    icpt.observe(b"A", ChallengeMessage(b"A", 1))
+    icpt.observe(b"B", ChallengeMessage(b"B", 2))
     # broadcast to the attacker itself: delivered untouched
     assert icpt.intercept(b"kgc", b"B", honest_bcast).kind is ActionKind.DELIVER
     # broadcast to the victim: replaced with the forgery
@@ -181,8 +181,8 @@ def test_interceptor_passes_everything_but_the_victim_broadcast(ring35, honest_b
 
 def test_interceptor_draws_random_target_distinct_from_key(ring35, honest_bcast):
     icpt = make_interceptor(ring35, target_key=None)
-    icpt.observe(b"A", (), ChallengeMessage(b"A", 1))
-    icpt.observe(b"B", (), ChallengeMessage(b"B", 2))
+    icpt.observe(b"A", ChallengeMessage(b"A", 1))
+    icpt.observe(b"B", ChallengeMessage(b"B", 2))
     action = icpt.intercept(b"kgc", b"A", honest_bcast)
     assert action.kind is ActionKind.REPLACE
     assert icpt.forged_key != icpt.recovered_key == 10

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -10,6 +11,8 @@ import pytest
 
 from gkdsim.algebra import is_prime
 from gkdsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_SCENARIO, EXIT_VERIFY, build_parser, main
+from gkdsim.errors import MalformedTranscript
+from gkdsim.simnet import Transcript
 from conftest import FORGE, SUPPRESS, scenario_dict
 
 
@@ -71,6 +74,18 @@ def test_gen_params_deterministic(tmp_path):
     main(["gen-params", "--bits", "16", "--variant", "ring", "--seed", "3", "--out", str(a)])
     main(["gen-params", "--bits", "16", "--variant", "ring", "--seed", "3", "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_gen_params_bytes_are_pinned_and_verify(tmp_path, capsys):
+    digest = hashlib.sha256()
+    for variant in ("ring", "field"):
+        for seed in range(8):
+            out = tmp_path / f"{variant}-{seed}.json"
+            argv = ["--bits", "64", "--variant", variant, "--seed", str(seed), "--out", str(out)]
+            assert main(["gen-params", *argv]) == EXIT_OK
+            assert main(["verify", str(out)]) == EXIT_OK
+            digest.update(out.read_bytes())
+    assert digest.hexdigest() == "fd758b89c36de1d50b3e18a13c7e6bb9931aaf50e191299142b4a8f1f437dd0a"
 
 
 def test_verify_flags_doctored_params(tmp_path, capsys):
@@ -412,6 +427,45 @@ def test_verify_rejects_parameter_file_with_oversized_prime(tmp_path, capsys):
     }))
     assert main(["verify", str(params)]) == EXIT_VERIFY
     assert "at most 512 bits" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [{"note": "x"}, {"seed": "abc"}, {"seed": -4}, {"seed": True}, {"bits": True},
+     {"p": 5, "q": 11, "modulus": 55}],
+    ids=["unknown-key", "seed-string", "seed-negative", "seed-true", "bits-true", "q-of-4-bits"],
+)
+def test_verify_accepts_only_the_parameter_file_gen_params_writes(tmp_path, capsys, changes):
+    params = tmp_path / "params.json"
+    main(["gen-params", "--bits", "3", "--variant", "ring", "--seed", "4", "--out", str(params)])
+    assert main(["verify", str(params)]) == EXIT_OK
+    rec = json.loads(params.read_text())
+    assert rec["bits"] == 3 and rec["seed"] == 4
+    params.write_text(json.dumps({**rec, **changes}))
+    assert main(["verify", str(params)]) == EXIT_VERIFY
+    assert "parameter file invalid" in capsys.readouterr().err
+
+
+def test_verify_rejects_a_parameter_file_with_more_after_the_record(tmp_path, capsys):
+    params = tmp_path / "params.json"
+    main(["gen-params", "--bits", "5", "--variant", "field", "--out", str(params)])
+    params.write_text(params.read_text() + "garbage\n")
+    assert main(["verify", str(params)]) == EXIT_VERIFY
+    assert "parameter file invalid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("golden", ["honest-ring35", "attack-ring35"])
+def test_verify_rejects_a_meta_whose_modulus_is_not_prime(tmp_path, capsys, golden):
+    lines = (GOLDEN / f"{golden}.jsonl").read_text().splitlines()
+    meta = json.loads(lines[0])
+    meta.update(variant="field", p=35, q=None, element_hash="zero")
+    text = "\n".join([json.dumps(meta, sort_keys=True, separators=(",", ":")), *lines[1:]]) + "\n"
+    with pytest.raises(MalformedTranscript, match="meta: .*35 is not prime"):
+        Transcript.from_jsonl(text)
+    path = tmp_path / "t.jsonl"
+    path.write_text(text)
+    assert main(["verify", str(path)]) == EXIT_VERIFY
+    assert "35 is not prime" in capsys.readouterr().err
 
 
 def _attack_golden_records():

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gkdsim import simnet
 from gkdsim.adversary import ChannelAction, Interceptor
 from gkdsim.algebra import SeededRng, Variant, domain_new
 from gkdsim.cli import EXIT_OK, EXIT_VERIFY, main as cli_main
@@ -468,6 +469,31 @@ def test_build_domain_bounds_explicit_primes():
     # 512 bits is inside the bound: this composite gets to the primality test
     with pytest.raises(ConfigError, match="not prime"):
         build_domain(Variant.FIELD, None, p=2**512 - 1)
+
+
+@pytest.mark.parametrize(
+    "variant, modulus",
+    [(Variant.FIELD, {"p": 23, "q": 7}), (Variant.RING, {"p": 23}), (Variant.FIELD, {"p": "x"}),
+     (Variant.FIELD, {"p": None}), (Variant.FIELD, {"bits": "x"})],
+    ids=["field-with-q", "ring-without-q", "p-string", "field-without-p", "bits-string"],
+)
+def test_build_domain_raises_config_error_on_bad_shapes(variant, modulus):
+    with pytest.raises(ConfigError):
+        build_domain(variant, SeededRng(0), **modulus)
+
+
+def test_a_verify_after_its_run_proves_the_domain_once(monkeypatch):
+    proofs = []
+
+    def counting_domain_new(*args, **kwargs):
+        proofs.append(args)
+        return domain_new(*args, **kwargs)
+
+    monkeypatch.setattr(simnet, "domain_new", counting_domain_new)
+    simnet._proven_domain.cache_clear()
+    tr = run()
+    assert verify_transcript(Transcript.from_jsonl(tr.to_jsonl())).ok
+    assert proofs == [(167, 179)]
 
 
 def test_config_rejects_member_name_longer_than_id_width():
