@@ -36,6 +36,7 @@ from .simnet import (
     parse_broadcast_payload,
     run_scenario,
     verify_transcript,
+    write_text,
 )
 
 EXIT_OK = 0
@@ -121,12 +122,21 @@ def cmd_gen_params(args) -> int:
     ctx, p, q = build_domain(Variant(args.variant), SeededRng(args.seed), bits=args.bits)
     out = args.out or Path(f"params-{args.variant}-{args.bits}bit.json")
     data = _parameters_line(ctx, p, q, args.seed)
-    out.write_text(data)
+    write_text(out, data)
     digest = hashlib.sha256(data.encode()).hexdigest()
     print(f"wrote {out}")
     print(f"modulus: {ctx.modulus} ({ctx.modulus.bit_length()} bits, {ctx.byte_width}-byte residues)")
     print(f"fingerprint: sha256:{digest[:16]}")
     return EXIT_OK
+
+
+def _is_parameter_file(text: str) -> bool:
+    """Whether the first record is a parameter record, which from_jsonl rejects."""
+    try:
+        first = json.loads(text.lstrip().partition("\n")[0])
+    except (ValueError, RecursionError):
+        return False
+    return isinstance(first, dict) and first.get("record") == "parameters"
 
 
 def _verify_parameters(text: str) -> int:
@@ -220,12 +230,12 @@ def cmd_verify(args) -> int:
     except (OSError, UnicodeDecodeError) as e:
         raise MalformedTranscript(f"cannot read {args.path}: {e}") from None
     try:
-        first = json.loads(text.lstrip().partition("\n")[0])
-    except (ValueError, RecursionError):
-        first = None  # not a parameter file: from_jsonl says what is wrong
-    if isinstance(first, dict) and first.get("record") == "parameters":
-        return _verify_parameters(text)
-    report = verify_transcript(Transcript.from_jsonl(text))
+        tr = Transcript.from_jsonl(text)
+    except MalformedTranscript:
+        if _is_parameter_file(text):
+            return _verify_parameters(text)
+        raise
+    report = verify_transcript(tr)
     for line in report.checks:
         print(f"ok: {line}")
     for line in report.skipped:

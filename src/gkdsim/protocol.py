@@ -9,10 +9,13 @@ member unmasks its share and accepts iff the recomputed tag matches.
 
 The share formula is intentionally one function used by both sides:
 
-    ring variant:   share = <power_vector(x, t),            (r_0, r_1..r_t)>
-    field variant:  share = <power_vector(x + H(x|r_i|r_0), t), (r_0, r_1..r_t)>
+    ring variant:   share = sum_{j=0..t} r_j * x^j               mod m
+    field variant:  share = sum_{j=0..t} r_j * (x + H(x|r_i|r_0))^j  mod m
 
-where x is the member's long-term key and r_i its own challenge.
+where x is the member's long-term key, r_0 the KGC nonce and r_i the
+member's own challenge. compute_share evaluates the polynomial in blocks of
+about 2*sqrt(t) coefficients (Paterson and Stockmeyer), so a share costs
+O(sqrt(t)) Python-level steps rather than O(t).
 """
 
 from __future__ import annotations
@@ -20,10 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from math import isqrt
+from operator import mul
 from types import MappingProxyType
 from typing import Mapping
 
-from .algebra import DomainContext, SeededRng, Variant, inner_product, power_vector, sample_element
+from .algebra import DomainContext, SeededRng, Variant, power_vector, sample_element
 from .codec import (
     DEFAULT_HASH,
     DEFAULT_ID_WIDTH,
@@ -162,10 +167,18 @@ def compute_share(
     ctx: DomainContext,
     hash_cfg: HashConfig = DEFAULT_HASH,
 ) -> int:
-    """The masking share for the member at roster_index (0-based).
+    """The masking share for the member at roster_index (0-based):
+    sum_{j=0..t} r_j * x^j mod m, with x the (field variant: hash-offset) key.
 
     nonces is the full (t+1)-tuple (r_0, r_1, ..., r_t). The same function
     runs on the KGC and on every member, which is what makes unmasking work.
+
+    The value is inner_product(power_vector(x, t), nonces). Up to t = 12 it is
+    computed as that, in one block. Above, one power_vector(x, b) with
+    b = isqrt(4t) (32 at t = 256) balances b baby-step powers against t/b
+    giant steps: each block of b nonces is one C-level sum of products
+    against x^0..x^(b-1), the top block takes up to b+1 nonces, and the
+    blocks are combined from the top by Horner in x^b.
     """
     t = len(nonces) - 1
     x = ctx.reduce(secret_key)
@@ -177,7 +190,16 @@ def compute_share(
             + encode_element(ctx.reduce(nonces[0]), ctx)
         )
         x = ctx.add(x, hash_to_element(material, ctx, hash_cfg))
-    return inner_product(power_vector(x, t, ctx), nonces, ctx)
+    if t <= 12:  # a single block: the plain inner product
+        return sum(map(mul, power_vector(x, t, ctx), nonces)) % ctx.modulus
+    b = isqrt(4 * t)
+    powers = power_vector(x, b, ctx)
+    m = ctx.modulus
+    top = b * ((t - 1) // b)
+    acc = sum(map(mul, powers, nonces[top:])) % m
+    for start in range(top - b, -1, -b):
+        acc = (acc * powers[b] + sum(map(mul, powers, nonces[start:start + b]))) % m
+    return acc
 
 
 def challenge_vector(roster: GroupRoster, challenges: Mapping[bytes, int]) -> tuple[int, ...]:

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import functools
 import json
+import os
+import stat
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -521,7 +523,7 @@ class Transcript:
         return "\n".join(lines) + "\n"
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_jsonl())
+        write_text(path, self.to_jsonl())
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Transcript":
@@ -574,6 +576,17 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))  # json.dumps
 
 def _dump(obj: object) -> str:
     return _ENCODER.encode(obj)
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Leave exactly text's bytes in path, as Path.write_text does, but cut a
+    regular file to the new length after writing instead of to zero before:
+    on ext4, closing a file truncated to zero starts a writeback, which costs
+    more than the write. Other targets (a pipe, /dev/stdout) are only written."""
+    with open(path, "wb", opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as f:
+        f.write(text.encode())
+        if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+            f.truncate()
 
 
 # ---------------------------------------------------------------------------

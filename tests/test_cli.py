@@ -629,3 +629,41 @@ def test_python_dash_m_gkdsim_exit_codes(tmp_path):
     tampered.write_text("".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in records))
     failed = gkdsim_process("verify", str(tampered), cwd=tmp_path)
     assert failed.returncode == EXIT_VERIFY and "MISMATCH" in failed.stdout
+
+
+# --- file writes and single parse ----------------------------------------------------
+
+def test_gen_params_over_a_longer_file_leaves_exactly_the_new_record(tmp_path, capsys):
+    params, fresh = tmp_path / "params.json", tmp_path / "fresh.json"
+    params.write_bytes(b"x" * 4096)
+    for out in (params, fresh):
+        assert main(["gen-params", "--bits", "5", "--variant", "field", "--out", str(out)]) == EXIT_OK
+    assert params.read_bytes() == fresh.read_bytes()
+    assert main(["verify", str(params)]) == EXIT_OK
+
+
+def test_run_and_gen_params_write_to_stdout(tmp_path):
+    cfg = tmp_path / "honest.json"
+    cfg.write_text(CONFIGS.joinpath("honest.json").read_text())
+    assert main(["run", str(cfg), "--out", str(tmp_path / "t.jsonl")]) == EXIT_OK
+    piped = gkdsim_process("run", str(cfg), "--out", "/dev/stdout", cwd=tmp_path)
+    assert piped.returncode == EXIT_OK, piped.stderr
+    assert piped.stdout.startswith((tmp_path / "t.jsonl").read_text())
+    piped = gkdsim_process("gen-params", "--bits", "5", "--variant", "field", "--out", "/dev/stdout", cwd=tmp_path)
+    assert piped.returncode == EXIT_OK, piped.stderr
+    assert piped.stdout.startswith('{"bits":5,')
+
+
+def test_verify_parses_each_transcript_line_once(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "t.jsonl"
+    main(["run", str(write_config(tmp_path)), "--out", str(out)])
+    parsed = []
+    loads = json.loads
+
+    def counting_loads(s, *args, **kwargs):
+        parsed.append(s)
+        return loads(s, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting_loads)
+    assert main(["verify", str(out)]) == EXIT_OK
+    assert parsed == out.read_text().splitlines()

@@ -1,11 +1,14 @@
 import copy
 import hashlib
+import math
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gkdsim.algebra import SeededRng, Variant, domain_new, sample_element
+from gkdsim import protocol
+from gkdsim.algebra import SeededRng, Variant, domain_new, inner_product, power_vector, sample_element
 from gkdsim.codec import AuthInput, HashConfig, ZERO_HASH, compute_auth
 from gkdsim.errors import (
     DuplicateMember,
@@ -13,6 +16,7 @@ from gkdsim.errors import (
     MalformedBroadcast,
     NotInRoster,
     UnknownMember,
+    WidthTooSmall,
 )
 from gkdsim.protocol import (
     Announcement,
@@ -132,6 +136,97 @@ def test_share_matches_naive_oracle_at_scale(variant, in_range):
             assert got == naive_share_ring(x, nonces, m)
         else:
             assert got == naive_share_field(x, nonces, index, m, ctx.byte_width)
+
+
+# Blocked evaluation against the plain inner product, across block shapes: every
+# t from 2 to 40 (one block up to t = 12, then ragged and exact top blocks), the
+# widths around 64 = 4 * 16 and 256, and t = 1000; over 8-, 64-, 128- and 256-bit
+# primes (the ring modulus is the product of two).
+BLOCK_TS = (*range(2, 41), 63, 64, 65, 255, 256, 257, 1000)
+PRIMES_BY_BITS = {
+    8: (167, 179),
+    64: (RING_P64, RING_Q64),
+    128: (331880924911097912510186328625611380459, 233130395800815978343738073760064868627),
+    256: (
+        104749286590735697114613829773036310625443839502274178850587864130300388349767,
+        111427156808220404598333390809508413518829084314371931086682939062144999363647,
+    ),
+}
+
+
+def _domain(bits, variant):
+    p, q = PRIMES_BY_BITS[bits]
+    return domain_new(p, q, variant=variant) if variant is Variant.RING else domain_new(p, variant=variant)
+
+
+def _oracle_share(x, nonces, index, variant, ctx):
+    """inner_product over the full power vector, field offset from hashlib."""
+    m = ctx.modulus
+    if variant is Variant.FIELD:
+        width = ctx.byte_width
+        material = b"".join((v % m).to_bytes(width, "big") for v in (x, nonces[index + 1], nonces[0]))
+        x += int.from_bytes(hashlib.sha256(material).digest(), "big")
+    return inner_product(power_vector(x, len(nonces) - 1, ctx), nonces, ctx)
+
+
+def _unreduced_inputs(rnd, t, m):
+    """A key and t+1 nonces, some in range and some shifted by multiples of m,
+    negative, or far wider than m."""
+    nonces = tuple(rnd.randrange(m) + rnd.choice((0, 0, m, 7 * m, -m, 2**300)) for _ in range(t + 1))
+    return rnd.randrange(m) + rnd.choice((0, m, 3 * m)), nonces
+
+
+@pytest.mark.parametrize("bits", sorted(PRIMES_BY_BITS))
+@pytest.mark.parametrize("variant", [Variant.RING, Variant.FIELD])
+def test_blocked_share_matches_inner_product(bits, variant):
+    ctx = _domain(bits, variant)
+    rnd = random.Random(bits)
+    for t in BLOCK_TS:
+        x, nonces = _unreduced_inputs(rnd, t, ctx.modulus)
+        index = rnd.randrange(t)
+        assert compute_share(x, nonces, index, variant, ctx) == _oracle_share(x, nonces, index, variant, ctx), t
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bits=st.sampled_from(sorted(PRIMES_BY_BITS)),
+    variant=st.sampled_from(list(Variant)),
+    t=st.one_of(st.integers(2, 80), st.sampled_from(BLOCK_TS)),
+    seed=st.integers(0, 2**32),
+)
+def test_blocked_share_property(bits, variant, t, seed):
+    ctx = _domain(bits, variant)
+    rnd = random.Random(seed)
+    x, nonces = _unreduced_inputs(rnd, t, ctx.modulus)
+    index = rnd.randrange(t)
+    assert compute_share(x, nonces, index, variant, ctx) == _oracle_share(x, nonces, index, variant, ctx)
+
+
+@pytest.mark.parametrize("nonces", [(4, 5), (4,), ()], ids=["t=1", "t=0", "empty"])
+def test_share_widths_below_two_raise_width_too_small(ring35, field23, nonces):
+    with pytest.raises(WidthTooSmall):
+        compute_share(2, nonces, 0, Variant.RING, ring35)
+    if len(nonces) == 2:
+        with pytest.raises(WidthTooSmall):
+            compute_share(2, nonces, 0, Variant.FIELD, field23)
+
+
+def test_share_builds_one_power_vector_of_the_block_width(monkeypatch):
+    """One power_vector call per share, of width t up to t = 12 and isqrt(4t) above."""
+    ctx = _domain(64, Variant.FIELD)
+    widths = []
+
+    def spy(x, w, ctx):
+        widths.append(w)
+        return power_vector(x, w, ctx)
+
+    monkeypatch.setattr(protocol, "power_vector", spy)
+    for t in BLOCK_TS:
+        widths.clear()
+        compute_share(3, tuple(range(t + 1)), 0, Variant.FIELD, ctx)
+        assert widths == [t if t <= 12 else math.isqrt(4 * t)], t
+    compute_share(3, tuple(range(257)), 0, Variant.FIELD, ctx)
+    assert widths[-1] <= 33
 
 
 # --- kgc_distribute ----------------------------------------------------------------

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import os
+import threading
 from pathlib import Path
 
 import pytest
@@ -141,6 +143,30 @@ def test_transcript_file_round_trip(tmp_path):
     loaded = Transcript.load(path)
     assert loaded == tr
     assert loaded.to_jsonl() == tr.to_jsonl()
+
+
+def test_save_over_a_longer_file_leaves_exactly_the_new_bytes(tmp_path):
+    longer = run(members=[f"member-{k}" for k in range(8)]).to_jsonl()
+    tr = run()
+    path = tmp_path / "t.jsonl"
+    path.write_text(longer)
+    tr.save(path)
+    assert len(longer) > len(tr.to_jsonl())
+    assert path.read_bytes() == tr.to_jsonl().encode()
+
+
+def test_save_writes_to_targets_that_are_not_regular_files(tmp_path):
+    tr = run()
+    tr.save(os.devnull)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    tr.save(fifo)
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert received == [tr.to_jsonl().encode()]
 
 
 # --- verification ------------------------------------------------------------------
