@@ -173,12 +173,12 @@ def compute_share(
     nonces is the full (t+1)-tuple (r_0, r_1, ..., r_t). The same function
     runs on the KGC and on every member, which is what makes unmasking work.
 
-    The value is inner_product(power_vector(x, t), nonces). Up to t = 12 it is
-    computed as that, in one block. Above, one power_vector(x, b) with
-    b = isqrt(4t) (32 at t = 256) balances b baby-step powers against t/b
-    giant steps: each block of b nonces is one C-level sum of products
-    against x^0..x^(b-1), the top block takes up to b+1 nonces, and the
-    blocks are combined from the top by Horner in x^b.
+    The value is inner_product(power_vector(x, t), nonces), evaluated from one
+    power_vector(x, b): b = t up to t = 12, so the whole sum is one block, and
+    b = isqrt(4t) above (32 at t = 256), which balances b baby-step powers
+    against t/b giant steps. Each block of b nonces is one C-level sum of
+    products against x^0..x^(b-1), the top block takes up to b+1 nonces, and
+    the blocks are combined from the top by Horner in x^b.
     """
     t = len(nonces) - 1
     x = ctx.reduce(secret_key)
@@ -190,15 +190,14 @@ def compute_share(
             + encode_element(ctx.reduce(nonces[0]), ctx)
         )
         x = ctx.add(x, hash_to_element(material, ctx, hash_cfg))
-    if t <= 12:  # a single block: the plain inner product
-        return sum(map(mul, power_vector(x, t, ctx), nonces)) % ctx.modulus
-    b = isqrt(4 * t)
+    b = t if t <= 12 else isqrt(4 * t)
     powers = power_vector(x, b, ctx)
     m = ctx.modulus
     top = b * ((t - 1) // b)
     acc = sum(map(mul, powers, nonces[top:])) % m
-    for start in range(top - b, -1, -b):
-        acc = (acc * powers[b] + sum(map(mul, powers, nonces[start:start + b]))) % m
+    while top > 0:
+        top -= b
+        acc = (acc * powers[b] + sum(map(mul, powers, nonces[top:top + b]))) % m
     return acc
 
 

@@ -582,11 +582,21 @@ def write_text(path: str | Path, text: str) -> None:
     """Leave exactly text's bytes in path, as Path.write_text does, but cut a
     regular file to the new length after writing instead of to zero before:
     on ext4, closing a file truncated to zero starts a writeback, which costs
-    more than the write. Other targets (a pipe, /dev/stdout) are only written."""
-    with open(path, "wb", opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as f:
-        f.write(text.encode())
-        if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
-            f.truncate()
+    more than the write. Other targets (a pipe, /dev/stdout) are only written.
+
+    The cut runs even when the write fails, so a failed rewrite leaves a
+    prefix of the new text, as Path.write_text does, never old bytes after
+    new ones. The gain is only on rewriting an existing file, and the
+    trade-off is crash safety: a process or machine that dies between write
+    and cut leaves the new text followed by the old file's tail."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") as f:
+        try:
+            f.write(text.encode())
+            f.flush()
+        finally:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
 
 
 # ---------------------------------------------------------------------------

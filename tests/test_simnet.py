@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import json
 import os
 import threading
@@ -153,6 +154,38 @@ def test_save_over_a_longer_file_leaves_exactly_the_new_bytes(tmp_path):
     tr.save(path)
     assert len(longer) > len(tr.to_jsonl())
     assert path.read_bytes() == tr.to_jsonl().encode()
+
+
+def test_save_that_fails_partway_over_a_longer_file_keeps_no_old_bytes(tmp_path, monkeypatch):
+    tr = run()
+    new = tr.to_jsonl().encode()
+    path = tmp_path / "t.jsonl"
+    path.write_text(run(members=[f"member-{k}" for k in range(8)]).to_jsonl())
+
+    class HalfThenNoSpace:
+        """A file whose write gets half the bytes to disk, then fails."""
+
+        def __init__(self, fd, mode):
+            self.file = open(fd, mode)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.file.close()
+
+        def write(self, data):
+            self.file.write(data[: len(data) // 2])
+            self.file.flush()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def flush(self):
+            self.file.flush()
+
+    monkeypatch.setattr(simnet, "open", HalfThenNoSpace, raising=False)
+    with pytest.raises(OSError):
+        tr.save(path)
+    assert path.read_bytes() == new[: len(new) // 2]
 
 
 def test_save_writes_to_targets_that_are_not_regular_files(tmp_path):
