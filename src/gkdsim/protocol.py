@@ -14,8 +14,16 @@ The share formula is intentionally one function used by both sides:
 
 where x is the member's long-term key, r_0 the KGC nonce and r_i the
 member's own challenge. compute_share evaluates the polynomial in blocks of
-about 2*sqrt(t) coefficients (Paterson and Stockmeyer), so a share costs
-O(sqrt(t)) Python-level steps rather than O(t).
+b coefficients (Paterson and Stockmeyer): one power vector x^0..x^b, one sum
+per block, and Horner in x^b across the blocks. Above t = 12 the block sums
+come out of one packed integer (Kronecker substitution): lane l holds the
+l-th nonce of every block, one slot per block, and slots of
+2*bits(m) + bits(b+1) bits hold a block sum of up to b+1 products below m^2
+without carrying into the next, so all block sums cost b+1 big-integer
+products. The lanes depend only on the nonces, b and m, and in a session the
+KGC, every member, the insider and the verifier evaluate shares over equal
+nonce vectors, so they are memoised on the last vector (_lanes) and built
+once per session. Up to t = 12 the one block is a plain inner product.
 """
 
 from __future__ import annotations
@@ -44,6 +52,7 @@ from .errors import (
     MalformedBroadcast,
     NotInRoster,
     UnknownMember,
+    WidthTooSmall,
 )
 
 TAG_MISMATCH = "tag_mismatch"
@@ -170,17 +179,29 @@ def compute_share(
     """The masking share for the member at roster_index (0-based):
     sum_{j=0..t} r_j * x^j mod m, with x the (field variant: hash-offset) key.
 
-    nonces is the full (t+1)-tuple (r_0, r_1, ..., r_t). The same function
-    runs on the KGC and on every member, which is what makes unmasking work.
+    nonces is the full (t+1)-tuple (r_0, r_1, ..., r_t), t >= 2, else
+    WidthTooSmall. The same function runs on the KGC and on every member,
+    which is what makes unmasking work.
 
     The value is inner_product(power_vector(x, t), nonces), evaluated from one
-    power_vector(x, b): b = t up to t = 12, so the whole sum is one block, and
-    b = isqrt(4t) above (32 at t = 256), which balances b baby-step powers
-    against t/b giant steps. Each block of b nonces is one C-level sum of
-    products against x^0..x^(b-1), the top block takes up to b+1 nonces, and
-    the blocks are combined from the top by Horner in x^b.
+    power_vector(x, b): b = t up to t = 12, b = isqrt(4t) above (32 at
+    t = 256). Block k holds r_kb..r_(kb+b-1), the top block takes up to b+1
+    nonces, and the block sums are combined from the top by Horner in x^b.
+
+    Up to t = 12 there is one block, and it is a plain C-level inner product:
+    packing would only add the cost of building lanes. Above, the block sums
+    are the slots of the one integer sum_l x^l * lane[l]. Lane l packs the
+    l-th nonce of every block, reduced mod m, one w-bit slot per block, with
+    w = 2*bits(m) + bits(b+1): a slot sums at most b+1 products below m^2,
+    so it stays below 2^w and never carries into the next. The slots are
+    read out by shift and mask. The lanes are memoised on (nonces, b, m),
+    one entry: this relies on every share of a session being over equal
+    nonce vectors, which holds for the KGC, the members, the insider and the
+    verifier; a caller that alternates vectors rebuilds them on every call.
     """
     t = len(nonces) - 1
+    if t < 2:
+        raise WidthTooSmall(f"a share needs t >= 2 challenges, got {t}")
     x = ctx.reduce(secret_key)
     if variant is Variant.FIELD:
         own_challenge = ctx.reduce(nonces[roster_index + 1])
@@ -193,12 +214,35 @@ def compute_share(
     b = t if t <= 12 else isqrt(4 * t)
     powers = power_vector(x, b, ctx)
     m = ctx.modulus
-    top = b * ((t - 1) // b)
-    acc = sum(map(mul, powers, nonces[top:])) % m
-    while top > 0:
-        top -= b
-        acc = (acc * powers[b] + sum(map(mul, powers, nonces[top:top + b]))) % m
+    if b == t:
+        return sum(map(mul, powers, nonces)) % m
+    lanes, w = _lanes(nonces, b, m)
+    packed = sum(map(mul, powers, lanes))
+    mask = (1 << w) - 1
+    xb = powers[b]
+    shift = (t - 1) // b * w
+    acc = (packed >> shift) % m
+    while shift:
+        shift -= w
+        acc = (acc * xb + (packed >> shift & mask)) % m
     return acc
+
+
+@lru_cache(maxsize=1)
+def _lanes(nonces: tuple[int, ...], b: int, m: int) -> tuple[tuple[int, ...], int]:
+    """compute_share's b+1 lanes and their slot width w in bits.
+
+    Lane l < b holds r_(kb+l) mod m in bits kw..kw+w-1 for every block k.
+    Lane b holds r_t in the top slot when the top block is full (t is b
+    times the number of blocks) and is 0 otherwise.
+    """
+    t = len(nonces) - 1
+    w = 2 * m.bit_length() + (b + 1).bit_length()
+    end = b * ((t - 1) // b + 1)
+    slots = range(0, end // b * w, w)
+    lanes = [sum(r % m << s for r, s in zip(nonces[l:end:b], slots)) for l in range(b)]
+    lanes.append(nonces[t] % m << slots[-1] if end == t else 0)
+    return tuple(lanes), w
 
 
 def challenge_vector(roster: GroupRoster, challenges: Mapping[bytes, int]) -> tuple[int, ...]:

@@ -206,9 +206,50 @@ def test_blocked_share_property(bits, variant, t, seed):
 def test_share_widths_below_two_raise_width_too_small(ring35, field23, nonces):
     with pytest.raises(WidthTooSmall):
         compute_share(2, nonces, 0, Variant.RING, ring35)
-    if len(nonces) == 2:
-        with pytest.raises(WidthTooSmall):
-            compute_share(2, nonces, 0, Variant.FIELD, field23)
+    with pytest.raises(WidthTooSmall):
+        compute_share(2, nonces, 0, Variant.FIELD, field23)
+
+
+@pytest.mark.parametrize("bits", sorted(PRIMES_BY_BITS))
+@pytest.mark.parametrize("variant", [Variant.RING, Variant.FIELD])
+@pytest.mark.parametrize("excess", [0, 2**300], ids=["m-1", "m-1+2^300"])
+def test_packed_share_at_the_largest_residues(bits, variant, excess):
+    """x = m-1 and every nonce m-1: the largest residues every slot sum can see.
+    The field variant runs with the hash offset (default hash) and without
+    (zero hash, so the evaluation point stays m-1)."""
+    ctx = _domain(bits, variant)
+    m = ctx.modulus
+    zero = HashConfig(element_hash=ZERO_HASH)
+    for t in BLOCK_TS:
+        nonces = (m - 1 + excess,) * (t + 1)
+        got = compute_share(m - 1, nonces, t - 1, variant, ctx)
+        assert got == _oracle_share(m - 1, nonces, t - 1, variant, ctx), t
+        if variant is Variant.FIELD:
+            got = compute_share(m - 1, nonces, t - 1, variant, ctx, zero)
+            assert got == _oracle_share(m - 1, nonces, t - 1, Variant.RING, ctx), t
+
+
+def test_packed_lanes_are_not_shared_across_moduli():
+    """One nonce tuple under two moduli, in turn: each share uses its own lanes."""
+    rnd = random.Random(7)
+    small, large = _domain(64, Variant.FIELD), _domain(128, Variant.FIELD)
+    nonces = tuple(rnd.randrange(large.modulus) for _ in range(41))
+    for ctx in (small, large, small, large):
+        x = rnd.randrange(ctx.modulus)
+        assert compute_share(x, nonces, 3, Variant.FIELD, ctx) == _oracle_share(x, nonces, 3, Variant.FIELD, ctx)
+
+
+def test_packed_lanes_follow_alternating_nonce_vectors():
+    """Two nonce vectors in turn: every call rebuilds its lanes, none reads stale ones."""
+    ctx = _domain(64, Variant.RING)
+    rnd = random.Random(8)
+    vectors = [_unreduced_inputs(rnd, 40, ctx.modulus)[1] for _ in range(2)]
+    protocol._lanes.cache_clear()
+    for k in range(6):
+        x = rnd.randrange(ctx.modulus)
+        nonces = vectors[k % 2]
+        assert compute_share(x, nonces, 0, Variant.RING, ctx) == _oracle_share(x, nonces, 0, Variant.RING, ctx)
+    assert protocol._lanes.cache_info().misses == 6
 
 
 def test_share_builds_one_power_vector_of_the_block_width(monkeypatch):

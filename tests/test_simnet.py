@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gkdsim import simnet
+from gkdsim import protocol, simnet
 from gkdsim.adversary import ChannelAction, Interceptor
 from gkdsim.algebra import SeededRng, Variant, domain_new
 from gkdsim.cli import EXIT_OK, EXIT_VERIFY, main as cli_main
@@ -33,6 +33,20 @@ CONFIGS = Path(__file__).parent.parent / "configs"
 
 def run(**overrides):
     return run_scenario(ScenarioConfig.from_dict(scenario_dict(**overrides)))
+
+
+@pytest.mark.parametrize("adversary", [None, FORGE], ids=["honest", "forge"])
+def test_pipeline_builds_the_share_lanes_once(adversary):
+    """run, serialise, parse and verify at t = 40 evaluate every share over one
+    nonce vector, so compute_share builds its packed lanes exactly once."""
+    members = ["alice", "bob", "carol", *(f"m{k}" for k in range(37))]
+    cfg = scenario_dict(variant="field", modulus={"p": 2**64 - 59}, members=members)
+    if adversary:
+        cfg["adversary"] = adversary
+    protocol._lanes.cache_clear()
+    tr = run_scenario(ScenarioConfig.from_dict(cfg))
+    assert verify_transcript(Transcript.from_jsonl(tr.to_jsonl())).ok
+    assert protocol._lanes.cache_info().misses == 1
 
 
 # --- honest runs -----------------------------------------------------------------
