@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
 
 from .algebra import DomainContext, SeededRng, Variant, sample_element
 from .codec import DEFAULT_HASH, DEFAULT_ID_WIDTH, AuthInput, HashConfig, compute_auth
@@ -72,13 +71,15 @@ class InsiderContext:
 def insider_recover_key(
     attacker: PartyIdentity,
     roster: GroupRoster,
-    challenges: Mapping[bytes, int],
+    challenges: tuple[int, ...],
     bcast: KgcBroadcast,
     variant: Variant,
     ctx: DomainContext,
     hash_cfg: HashConfig = DEFAULT_HASH,
 ) -> int:
-    """Unmask the group key from the attacker's own share, exactly like step 5."""
+    """Unmask the group key from the attacker's own share, exactly like step 5.
+
+    challenges is the roster-ordered vector (r_1, ..., r_t) (challenge_vector)."""
     return unmask(attacker, roster, challenges, bcast, variant, ctx, hash_cfg)[0]
 
 
@@ -88,7 +89,7 @@ def forge_broadcast(
     recovered_key: int,
     honest: KgcBroadcast,
     roster: GroupRoster,
-    challenges: Mapping[bytes, int],
+    challenges: tuple[int, ...],
     ctx: DomainContext,
     hash_cfg: HashConfig = DEFAULT_HASH,
     id_width: int = DEFAULT_ID_WIDTH,
@@ -97,11 +98,12 @@ def forge_broadcast(
 
     Exactly two fields differ from the honest broadcast: the victim's masked
     share and the tag. With target_key == recovered_key the output degenerates
-    to the honest message.
+    to the honest message. challenges is the roster-ordered vector
+    (r_1, ..., r_t) (challenge_vector).
     """
     if not 0 <= victim_index < roster.size:
         raise IndexOutOfRoster(f"victim index {victim_index} outside roster of {roster.size}")
-    nonces = (honest.r0, *challenge_vector(roster, challenges))
+    nonces = (honest.r0, *challenges)
     target = ctx.reduce(target_key)
     shifted = ctx.add(ctx.sub(honest.masked_shares[victim_index], recovered_key), target)
     shares = (*honest.masked_shares[:victim_index], shifted, *honest.masked_shares[victim_index + 1 :])
@@ -174,10 +176,11 @@ class InsiderInterceptor(Interceptor):
     def intercept(self, sender: bytes, receiver: bytes, message: object) -> ChannelAction:
         if not isinstance(message, KgcBroadcast) or receiver != self.victim_id:
             return ChannelAction.deliver()
+        challenges = challenge_vector(self.roster, self.challenges)
         recovered = insider_recover_key(
             self.ictx.attacker,
             self.roster,
-            self.challenges,
+            challenges,
             message,
             self.variant,
             self.ctx,
@@ -196,7 +199,7 @@ class InsiderInterceptor(Interceptor):
             recovered,
             message,
             self.roster,
-            self.challenges,
+            challenges,
             self.ctx,
             self.hash_cfg,
             self.id_width,

@@ -15,9 +15,10 @@ boundaries for free.
 from __future__ import annotations
 
 import hashlib
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import repeat
+from functools import lru_cache, wraps
+from itertools import chain, repeat
 
 from .algebra import DomainContext
 from .errors import IdentifierTooLong
@@ -108,24 +109,72 @@ def encode_identifier(user_id: bytes, id_width: int = DEFAULT_ID_WIDTH) -> bytes
     return user_id.rjust(id_width, b"\x00")
 
 
+MemoInfo = namedtuple("MemoInfo", "hits misses")
+
+
+def memo_last(fn):
+    """fn memoised on its last call, for functions of immutable arguments.
+
+    A call whose every argument is the last call's object, or equal to it
+    (==), returns the last result. No argument is hashed: a tuple the caller
+    passes again costs one identity test, an equal copy one element-by-element
+    comparison. A call that raises leaves the memo as it was. cache_info()
+    and cache_clear() work as on functools.lru_cache.
+    """
+    last_args = last_result = None
+    hits = misses = 0
+
+    @wraps(fn)
+    def memo(*args):
+        nonlocal last_args, last_result, hits, misses
+        if last_args is not None:
+            for a, b in zip(args, last_args):
+                if a is not b and a != b:
+                    break
+            else:
+                hits += 1
+                return last_result
+        misses += 1
+        result = fn(*args)
+        last_args, last_result = args, result
+        return result
+
+    def cache_info() -> MemoInfo:
+        return MemoInfo(hits, misses)
+
+    def cache_clear() -> None:
+        nonlocal last_args, last_result, hits, misses
+        last_args = last_result = None
+        hits = misses = 0
+
+    memo.cache_info, memo.cache_clear = cache_info, cache_clear
+    return memo
+
+
 def build_auth_input(ai: AuthInput, ctx: DomainContext, id_width: int = DEFAULT_ID_WIDTH) -> bytes:
     """Concatenate key, ids, nonces and shares, each field fixed-width."""
     key = encode_element(ai.group_key, ctx)
-    return key + _auth_body(tuple(ai.member_ids), (*ai.nonces, *ai.masked_shares), ctx, id_width)
+    body = _auth_body(tuple(ai.member_ids), tuple(ai.nonces), tuple(ai.masked_shares), ctx, id_width)
+    return key + body
 
 
-@lru_cache(maxsize=1)
-def _auth_body(ids: tuple[bytes, ...], values: tuple[int, ...], ctx: DomainContext, id_width: int) -> bytes:
-    """The ids | nonces | shares block, encoded in bulk and memoised: the KGC,
-    every member and the verifier tag one block under their own candidate keys.
-    A field that does not fit raises what encode_identifier/encode_element raise."""
+@memo_last
+def _auth_body(
+    ids: tuple[bytes, ...], nonces: tuple[int, ...], shares: tuple[int, ...], ctx: DomainContext, id_width: int
+) -> bytes:
+    """The ids | nonces | shares block, encoded in bulk and memoised on the last
+    call: the KGC, every member and the verifier tag one block under their own
+    candidate keys, and pass the roster's ids and the broadcast's shares as the
+    same tuples, so a hit mostly costs one comparison of the nonce vectors.
+    A field that does not fit raises what encode_identifier/encode_element
+    raise, and nothing is memoised."""
     if max(map(len, ids), default=0) > id_width:
         for m in ids:
             encode_identifier(m, id_width)
     try:
-        elements = b"".join(map(int.to_bytes, values, repeat(ctx.byte_width), repeat("big")))
+        elements = b"".join(map(int.to_bytes, chain(nonces, shares), repeat(ctx.byte_width), repeat("big")))
     except OverflowError:
-        for e in values:
+        for e in chain(nonces, shares):
             encode_element(e, ctx)
         raise
     return b"".join(map(bytes.rjust, ids, repeat(id_width), repeat(b"\x00"))) + elements

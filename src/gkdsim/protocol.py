@@ -22,8 +22,15 @@ l-th nonce of every block, one slot per block, and slots of
 without carrying into the next, so all block sums cost b+1 big-integer
 products. The lanes depend only on the nonces, b and m, and in a session the
 KGC, every member, the insider and the verifier evaluate shares over equal
-nonce vectors, so they are memoised on the last vector (_lanes) and built
-once per session. Up to t = 12 the one block is a plain inner product.
+nonce vectors, so _lanes keeps the last call's lanes and they are built once
+per session. That memo, like the tag body's in codec, never hashes the
+vector: a hit costs one identity test when the caller passes the same tuple
+and one element-by-element comparison when it passes an equal copy. Up to
+t = 12 the one block is a plain inner product.
+
+Step 5 (unmask, user_process_broadcast) and the insider (adversary) take the
+public challenge vector (r_1, ..., r_t) in roster order, which each caller
+builds once with challenge_vector, not a mapping they would each re-collect.
 """
 
 from __future__ import annotations
@@ -45,6 +52,7 @@ from .codec import (
     compute_auth,
     encode_element,
     hash_to_element,
+    memo_last,
 )
 from .errors import (
     DuplicateMember,
@@ -194,10 +202,11 @@ def compute_share(
     l-th nonce of every block, reduced mod m, one w-bit slot per block, with
     w = 2*bits(m) + bits(b+1): a slot sums at most b+1 products below m^2,
     so it stays below 2^w and never carries into the next. The slots are
-    read out by shift and mask. The lanes are memoised on (nonces, b, m),
-    one entry: this relies on every share of a session being over equal
-    nonce vectors, which holds for the KGC, the members, the insider and the
-    verifier; a caller that alternates vectors rebuilds them on every call.
+    read out by shift and mask. _lanes keeps the lanes of the last
+    (nonces, b, m) only, matched by identity or ==, never by hash: this
+    relies on every share of a session being over equal nonce vectors, which
+    holds for the KGC, the members, the insider and the verifier; a caller
+    that alternates vectors rebuilds them on every call.
     """
     t = len(nonces) - 1
     if t < 2:
@@ -216,7 +225,7 @@ def compute_share(
     m = ctx.modulus
     if b == t:
         return sum(map(mul, powers, nonces)) % m
-    lanes, w = _lanes(nonces, b, m)
+    lanes, w = _lanes(tuple(nonces), b, m)
     packed = sum(map(mul, powers, lanes))
     mask = (1 << w) - 1
     xb = powers[b]
@@ -228,7 +237,7 @@ def compute_share(
     return acc
 
 
-@lru_cache(maxsize=1)
+@memo_last
 def _lanes(nonces: tuple[int, ...], b: int, m: int) -> tuple[tuple[int, ...], int]:
     """compute_share's b+1 lanes and their slot width w in bits.
 
@@ -257,7 +266,7 @@ def challenge_vector(roster: GroupRoster, challenges: Mapping[bytes, int]) -> tu
 def unmask(
     identity: PartyIdentity,
     roster: GroupRoster,
-    challenges: Mapping[bytes, int],
+    challenges: tuple[int, ...],
     bcast: KgcBroadcast,
     variant: Variant,
     ctx: DomainContext,
@@ -265,13 +274,16 @@ def unmask(
 ) -> tuple[int, tuple[int, ...]]:
     """Step 5's unmasking: add identity's own share to its masked share.
 
+    challenges is the vector (r_1, ..., r_t) in roster order (challenge_vector).
     Returns (candidate key, nonces). Whether to trust the candidate is the
     caller's business: a member checks the tag, the insider does not.
     """
     index = roster.index_of(identity.user_id)
     if len(bcast.masked_shares) != roster.size:
         raise MalformedBroadcast(f"{len(bcast.masked_shares)} shares for a roster of {roster.size}")
-    nonces = (bcast.r0, *challenge_vector(roster, challenges))
+    if len(challenges) != roster.size:
+        raise IncompleteChallenges(f"{len(challenges)} challenges for a roster of {roster.size}")
+    nonces = (bcast.r0, *challenges)
     share = compute_share(identity.secret_key, nonces, index, variant, ctx, hash_cfg)
     return ctx.add(bcast.masked_shares[index], share), nonces
 
@@ -314,7 +326,7 @@ def kgc_distribute(
 def user_process_broadcast(
     identity: PartyIdentity,
     roster: GroupRoster,
-    challenges: Mapping[bytes, int],
+    challenges: tuple[int, ...],
     bcast: KgcBroadcast,
     variant: Variant,
     ctx: DomainContext,
@@ -323,6 +335,7 @@ def user_process_broadcast(
 ) -> SessionOutcome:
     """Step 5: unmask the candidate key and accept iff the recomputed tag matches.
 
+    challenges is the roster-ordered vector (r_1, ..., r_t), as for unmask.
     The tag is recomputed over the values as received, so any single-field
     tampering that leaves the tag untouched lands in REJECTED.
     """
@@ -415,6 +428,7 @@ class GroupMember:
         self.hash_cfg = hash_cfg
         self.id_width = id_width
         self.roster: GroupRoster | None = None
+        self._index: Mapping[bytes, int] = {}  # the roster's, once announced
         self.observed_challenges: dict[bytes, int] = {}
         self.pending_broadcast: KgcBroadcast | None = None
 
@@ -423,6 +437,7 @@ class GroupMember:
         roster = GroupRoster(ann.members)
         roster.index_of(self.identity.user_id)
         self.roster = roster
+        self._index = roster.index
         self.observed_challenges = {}
         self.pending_broadcast = None
 
@@ -434,8 +449,8 @@ class GroupMember:
         return ChallengeMessage(sender=self.identity.user_id, value=value)
 
     def observe_challenge(self, msg: ChallengeMessage) -> None:
-        """Record a challenge seen on the public channel."""
-        if self.roster is not None and msg.sender in self.roster.index:
+        """Record a challenge seen on the public channel from a roster member."""
+        if msg.sender in self._index:
             self.observed_challenges[msg.sender] = msg.value % self.ctx.modulus
 
     def receive_broadcast(self, bcast: KgcBroadcast) -> None:
@@ -448,7 +463,7 @@ class GroupMember:
         return user_process_broadcast(
             self.identity,
             self.roster,
-            self.observed_challenges,
+            challenge_vector(self.roster, self.observed_challenges),
             self.pending_broadcast,
             self.variant,
             self.ctx,

@@ -409,15 +409,6 @@ class TranscriptEvent:
     verdict: str
     delivered_payload: bytes | None = None  # only for replaced verdicts
 
-    def to_record(self) -> dict:
-        rec = {
-            "index": self.index, "step": self.step, "sender": self.sender,
-            "receivers": self.receivers, "payload": self.payload.hex(), "verdict": self.verdict,
-        }
-        if self.delivered_payload is not None:
-            rec["delivered_payload"] = self.delivered_payload.hex()
-        return rec
-
     @classmethod
     def from_record(cls, rec: dict, index: int) -> "TranscriptEvent":
         replaced = rec.get("verdict") == VERDICT_REPLACED
@@ -516,7 +507,7 @@ class Transcript:
 
     def to_jsonl(self) -> str:
         lines = [_dump({"record": "meta", **self.meta.to_record()})]
-        lines += (_dump({"record": "event", **ev.to_record()}) for ev in self.events)
+        lines += _event_lines(self.events)
         lines += (_dump({"record": "outcome", **oc.to_record()}) for oc in self.outcomes)
         if self.ground_truth is not None:
             lines.append(_dump({"record": "ground_truth", **self.ground_truth.to_record()}))
@@ -576,6 +567,26 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))  # json.dumps
 
 def _dump(obj: object) -> str:
     return _ENCODER.encode(obj)
+
+
+class _Quoted(dict):
+    """name -> its JSON string, encoded by _dump on first use."""
+
+    def __missing__(self, name: str) -> str:
+        self[name] = quoted = _dump(name)
+        return quoted
+
+
+def _event_lines(events: Iterable[TranscriptEvent]) -> Iterable[str]:
+    """Each event as _dump writes {"record": "event", **fields}: keys sorted, hex
+    payloads, delivered_payload only on replaced events, and every name, step
+    and verdict JSON-encoded once per transcript, not once per appearance."""
+    q = _Quoted().__getitem__
+    for ev in events:
+        head = "{" if ev.delivered_payload is None else f'{{"delivered_payload":"{ev.delivered_payload.hex()}",'
+        yield (f'{head}"index":{ev.index},"payload":"{ev.payload.hex()}",'
+               f'"receivers":[{",".join(map(q, ev.receivers))}],"record":"event",'
+               f'"sender":{q(ev.sender)},"step":{q(ev.step)},"verdict":{q(ev.verdict)}}}')
 
 
 def write_text(path: str | Path, text: str) -> None:
@@ -738,14 +749,14 @@ def run_scenario(cfg: ScenarioConfig) -> Transcript:
             suppressor = BroadcastSuppressor(ids[adv.victim])
             net.control_link(KGC_NAME, adv.victim, suppressor)
 
+    # the KGC takes only challenges: run_scenario answers the request by calling announce
+    observers = {KGC_NAME: kgc.receive_challenge}
+    observers.update((name, member.observe_challenge) for name, member in members.items())
+
     def deliver(receivers: tuple[str, ...], message: object) -> None:
-        # the KGC takes only challenges: the driver answers the request by calling announce
         if isinstance(message, ChallengeMessage):
             for r in receivers:
-                if r == KGC_NAME:
-                    kgc.receive_challenge(message)
-                else:
-                    members[r].observe_challenge(message)
+                observers[r](message)
         elif isinstance(message, Announcement):
             for r in receivers:
                 members[r].receive_announcement(message)
@@ -982,7 +993,8 @@ def verify_transcript(tr: Transcript) -> VerificationReport:
             f"event {bcast_events[0].index}: broadcast nonce {honest.r0} differs "
             f"from ground-truth r0 {gt.r0}"
         )
-    nonces = (gt.r0, *(gt.challenges[n] for n in names))
+    replay_challenges = tuple(map(gt.challenges.__getitem__, names))
+    nonces = (gt.r0, *replay_challenges)
     for i, name in enumerate(names):
         share = compute_share(gt.member_keys[name], nonces, i, variant, ctx, hash_cfg)
         expected_mask = ctx.sub(group_key, share)
@@ -999,7 +1011,6 @@ def verify_transcript(tr: Transcript) -> VerificationReport:
         report.fail(f"event {bcast_events[0].index}: tag does not match recomputation")
     report.note("shares and tag: match recomputation from recorded keys and randomness")
 
-    replay_challenges = {ids[n]: gt.challenges[n] for n in names}
     for name, rec in zip(names, tr.outcomes):
         payload = received.get(name)
         if payload is None:

@@ -15,6 +15,7 @@ from gkdsim.protocol import (
     KgcBroadcast,
     OutcomeStatus,
     PartyIdentity,
+    challenge_vector,
     compute_share,
     kgc_distribute,
     user_process_broadcast,
@@ -175,7 +176,7 @@ def test_criterion_4_tamper_detection():
 
         out = user_process_broadcast(
             PartyIdentity(ids[affected], keys[ids[affected]]),
-            roster, challenges, tampered, variant, ctx,
+            roster, challenge_vector(roster, challenges), tampered, variant, ctx,
         )
         assert out.status is OutcomeStatus.REJECTED, (trial, field, out)
         rejections += 1
@@ -255,15 +256,18 @@ def _exhaust(ctx, variant, key_pairs, challenge_pairs, nonces, group_keys):
                                     group_key=s, nonce=r0)
         members = [PartyIdentity(i, k) for i, k in zip(ids, keys)]
         for me in members:
-            out = user_process_broadcast(me, roster, challenges, bcast, variant, ctx)
+            out = user_process_broadcast(me, roster, challenge_vector(roster, challenges), bcast, variant, ctx)
             assert (out.status, out.key) == (OutcomeStatus.ACCEPTED, s), (keys, chal, r0, s)
-        recovered = insider_recover_key(members[0], roster, challenges, bcast, variant, ctx)
+        recovered = insider_recover_key(members[0], roster, challenge_vector(roster, challenges), bcast,
+                                        variant, ctx)
         assert key == recovered == s, (keys, chal, r0, s)
         for target in range(ctx.modulus):
             if target == s:
                 continue
-            forged_bcast = forge_broadcast(1, target, recovered, bcast, roster, challenges, ctx)
-            out = user_process_broadcast(members[1], roster, challenges, forged_bcast, variant, ctx)
+            forged_bcast = forge_broadcast(1, target, recovered, bcast, roster,
+                                           challenge_vector(roster, challenges), ctx)
+            out = user_process_broadcast(members[1], roster, challenge_vector(roster, challenges),
+                                         forged_bcast, variant, ctx)
             assert (out.status, out.key) == (OutcomeStatus.ACCEPTED, target), (keys, chal, r0, s, target)
             forged += 1
         sessions += 1

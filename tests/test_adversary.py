@@ -17,6 +17,7 @@ from gkdsim.protocol import (
     KgcBroadcast,
     OutcomeStatus,
     PartyIdentity,
+    challenge_vector,
     kgc_distribute,
     user_process_broadcast,
 )
@@ -42,14 +43,15 @@ def honest_bcast(ring35):
 def test_insider_recovers_group_key(ring35, honest_bcast):
     # attacker at index 1: 21 + 24 = 45 = 10 mod 35
     assert insider_recover_key(
-        ATTACKER, ROSTER, CHALLENGES, honest_bcast, Variant.RING, ring35
+        ATTACKER, ROSTER, challenge_vector(ROSTER, CHALLENGES), honest_bcast, Variant.RING, ring35
     ) == 10
 
 
 def test_recovery_requires_membership(ring35, honest_bcast):
     with pytest.raises(NotInRoster):
         insider_recover_key(
-            PartyIdentity(b"Z", 7), ROSTER, CHALLENGES, honest_bcast, Variant.RING, ring35
+            PartyIdentity(b"Z", 7), ROSTER, challenge_vector(ROSTER, CHALLENGES), honest_bcast,
+            Variant.RING, ring35
         )
 
 
@@ -59,11 +61,11 @@ def test_recovery_from_tampered_share_is_wrong_but_detectable(ring35, honest_bca
         (honest_bcast.masked_shares[0], honest_bcast.masked_shares[1] ^ 1),
     )
     recovered = insider_recover_key(
-        ATTACKER, ROSTER, CHALLENGES, tampered, Variant.RING, ring35
+        ATTACKER, ROSTER, challenge_vector(ROSTER, CHALLENGES), tampered, Variant.RING, ring35
     )
     assert recovered != 10
     out = user_process_broadcast(
-        ATTACKER, ROSTER, CHALLENGES, tampered, Variant.RING, ring35
+        ATTACKER, ROSTER, challenge_vector(ROSTER, CHALLENGES), tampered, Variant.RING, ring35
     )
     assert out.status is OutcomeStatus.REJECTED
 
@@ -71,23 +73,25 @@ def test_recovery_from_tampered_share_is_wrong_but_detectable(ring35, honest_bca
 # --- the forgery -------------------------------------------------------------------
 
 def test_forge_fixture(ring35, honest_bcast):
-    forged = forge_broadcast(0, 4, 10, honest_bcast, ROSTER, CHALLENGES, ring35)
+    forged = forge_broadcast(0, 4, 10, honest_bcast, ROSTER, challenge_vector(ROSTER, CHALLENGES), ring35)
     assert forged.masked_shares == (26, 21)  # 32 - 10 + 4
     assert forged.r0 == honest_bcast.r0
     assert forged.auth != honest_bcast.auth
-    out = user_process_broadcast(VICTIM, ROSTER, CHALLENGES, forged, Variant.RING, ring35)
+    out = user_process_broadcast(VICTIM, ROSTER, challenge_vector(ROSTER, CHALLENGES), forged,
+                                 Variant.RING, ring35)
     assert out.status is OutcomeStatus.ACCEPTED
     assert out.key == 4  # 26 + 13 = 39 = 4 mod 35
 
 
 def test_forge_with_true_key_degenerates_to_honest(ring35, honest_bcast):
-    forged = forge_broadcast(0, 10, 10, honest_bcast, ROSTER, CHALLENGES, ring35)
+    forged = forge_broadcast(0, 10, 10, honest_bcast, ROSTER, challenge_vector(ROSTER, CHALLENGES), ring35)
     assert forged == honest_bcast
 
 
 def test_forged_copy_shown_to_non_victim_is_rejected(ring35, honest_bcast):
-    forged = forge_broadcast(0, 4, 10, honest_bcast, ROSTER, CHALLENGES, ring35)
-    out = user_process_broadcast(ATTACKER, ROSTER, CHALLENGES, forged, Variant.RING, ring35)
+    forged = forge_broadcast(0, 4, 10, honest_bcast, ROSTER, challenge_vector(ROSTER, CHALLENGES), ring35)
+    out = user_process_broadcast(ATTACKER, ROSTER, challenge_vector(ROSTER, CHALLENGES), forged,
+                                 Variant.RING, ring35)
     # the non-victim still derives the true key from its untouched share,
     # but the tag was computed over the planted key, so it rejects
     assert out.status is OutcomeStatus.REJECTED
@@ -95,11 +99,11 @@ def test_forged_copy_shown_to_non_victim_is_rejected(ring35, honest_bcast):
 
 def test_forge_rejects_bad_victim_index(ring35, honest_bcast):
     with pytest.raises(IndexOutOfRoster):
-        forge_broadcast(5, 4, 10, honest_bcast, ROSTER, CHALLENGES, ring35)
+        forge_broadcast(5, 4, 10, honest_bcast, ROSTER, challenge_vector(ROSTER, CHALLENGES), ring35)
 
 
 def test_forgery_touches_exactly_two_fields(ring35, honest_bcast):
-    forged = forge_broadcast(0, 4, 10, honest_bcast, ROSTER, CHALLENGES, ring35)
+    forged = forge_broadcast(0, 4, 10, honest_bcast, ROSTER, challenge_vector(ROSTER, CHALLENGES), ring35)
     assert forged.auth != honest_bcast.auth
     assert forged.r0 == honest_bcast.r0
     diffs = [
@@ -118,12 +122,13 @@ def test_forgery_is_variant_independent(field23):
         roster, keys, challenges, SeededRng(2), Variant.FIELD, field23
     )
     attacker = PartyIdentity(b"B", 9)
-    recovered = insider_recover_key(attacker, roster, challenges, bcast, Variant.FIELD, field23)
+    recovered = insider_recover_key(attacker, roster, challenge_vector(roster, challenges), bcast,
+                                    Variant.FIELD, field23)
     assert recovered == s
     target = (s + 7) % 23
-    forged = forge_broadcast(0, target, recovered, bcast, roster, challenges, field23)
+    forged = forge_broadcast(0, target, recovered, bcast, roster, challenge_vector(roster, challenges), field23)
     out = user_process_broadcast(
-        PartyIdentity(b"A", 5), roster, challenges, forged, Variant.FIELD, field23
+        PartyIdentity(b"A", 5), roster, challenge_vector(roster, challenges), forged, Variant.FIELD, field23
     )
     assert out.status is OutcomeStatus.ACCEPTED and out.key == target
 

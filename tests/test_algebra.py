@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
@@ -50,9 +51,18 @@ def safe_primes_with_bits(bits):
     ]
 
 
+# the test's own trial-division primes below 200, independent of algebra's sieve
+ORACLE_PRIMES = tuple(p for p in range(200) if prime_by_trial_division(p))
+ORACLE_PRODUCT = math.prod(ORACLE_PRIMES)
+
+
 def naive_gen_safe_prime(bit_length, rng):
     """The safe-prime search before the combined sieve: every candidate goes
-    straight to the is_prime pair. Same draws, so it must return the same prime."""
+    to the is_prime pair. Same draws, so it must return the same prime.
+
+    Once v >> 1 exceeds every oracle prime, a common factor of v * (v >> 1)
+    with their product is a proper factor of v or of v >> 1, so the gcd only
+    skips candidates the pair would reject, and the search stays exact."""
     if bit_length < 3:
         raise ModulusTooSmall(f"no safe prime has {bit_length} bits")
     nbytes = (bit_length + 7) // 8
@@ -62,6 +72,8 @@ def naive_gen_safe_prime(bit_length, rng):
         v |= (1 << (bit_length - 1)) | 1
         if bit_length >= 4:
             v |= 2
+        if v >> 1 > ORACLE_PRIMES[-1] and math.gcd(v * (v >> 1), ORACLE_PRODUCT) != 1:
+            continue
         if is_prime(v >> 1) and is_prime(v):
             return v
 

@@ -1,6 +1,10 @@
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gkdsim import codec
 from gkdsim.algebra import DomainContext, Variant, domain_new
 from gkdsim.codec import (
     AuthInput,
@@ -191,6 +195,70 @@ def test_build_auth_input_16_byte_fields():
     out = build_auth_input(ai, ctx, 16)
     assert len(out) == 16 * (1 + 256 + 257 + 256)
     assert out == reference_build_auth_input(ai, ctx, 16)
+
+
+# --- the tag body memo ---------------------------------------------------------
+
+class UnhashableTuple(tuple):
+    """A vector that fails loudly when anything hashes it."""
+
+    def __hash__(self):
+        raise TypeError("a tag vector was hashed")
+
+
+def _tag_fixture(t=40, seed=3):
+    ctx = domain_new(2**64 - 59, variant=Variant.FIELD)
+    rnd = random.Random(seed)
+    ids = tuple(f"m{k}".encode() for k in range(t))
+    nonces = tuple(rnd.randrange(ctx.modulus) for _ in range(t + 1))
+    shares = tuple(rnd.randrange(ctx.modulus) for _ in range(t))
+    return ctx, ids, nonces, shares
+
+
+def test_compute_auth_never_hashes_its_vectors():
+    ctx, ids, nonces, shares = _tag_fixture()
+    ai = AuthInput(7, UnhashableTuple(ids), UnhashableTuple(nonces), UnhashableTuple(shares))
+    assert compute_auth(ai, ctx) == hashlib.sha256(reference_build_auth_input(ai, ctx)).digest()
+    codec._auth_body.cache_clear()
+    body = codec._auth_body(ai.member_ids, ai.nonces, ai.masked_shares, ctx, 16)
+    assert codec._auth_body(ids, nonces, shares, ctx, 16) is body  # equal vectors hit
+    assert reference_build_auth_input(ai, ctx).endswith(body)
+
+
+def test_alternating_tag_bodies_are_never_stale():
+    """Honest, forged, honest, an equal copy of honest, forged: every tag input is
+    the reference's, and each switch rebuilds the body; so do a new id width and
+    a new context over the same vectors."""
+    ctx, ids, nonces, shares = _tag_fixture()
+    forged = (*shares[:1], (shares[1] + 1) % ctx.modulus, *shares[2:])
+    honest_ai = AuthInput(5, ids, nonces, shares)
+    forged_ai = AuthInput(9, ids, nonces, forged)
+    copy_ai = AuthInput(5, tuple(list(ids)), tuple(list(nonces)), tuple(list(shares)))
+    codec._auth_body.cache_clear()
+    for ai in (honest_ai, forged_ai, honest_ai, copy_ai, forged_ai):
+        assert build_auth_input(ai, ctx) == reference_build_auth_input(ai, ctx)
+    assert codec._auth_body.cache_info() == (1, 4)
+    wide = domain_new(2**127 - 1, variant=Variant.FIELD)
+    for c, width in ((ctx, 20), (ctx, 20), (wide, 20), (ctx, 16)):
+        assert build_auth_input(forged_ai, c, width) == reference_build_auth_input(forged_ai, c, width)
+    assert codec._auth_body.cache_info() == (2, 7)
+
+
+@pytest.mark.parametrize("bad", [
+    AuthInput(1, (b"A", b"B"), (3, 1, 2), (32, 256)),
+    AuthInput(1, (b"A", b"B" * 17), (3, 1, 2), (32, 21)),
+], ids=["share", "id"])
+def test_failed_tag_body_is_not_memoised(ring35, bad):
+    """An oversized field raises every time, and the body before it stays memoised."""
+    good = AuthInput(1, (b"A", b"B"), (3, 1, 2), (32, 21))
+    expected = reference_build_auth_input(good, ring35)
+    codec._auth_body.cache_clear()
+    assert build_auth_input(good, ring35) == expected
+    for _ in range(2):
+        with pytest.raises((ValueError, IdentifierTooLong)):
+            build_auth_input(bad, ring35)
+    assert build_auth_input(good, ring35) == expected
+    assert codec._auth_body.cache_info() == (1, 3)
 
 
 # --- error paths through compute_auth -----------------------------------------

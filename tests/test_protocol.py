@@ -26,6 +26,7 @@ from gkdsim.protocol import (
     KgcBroadcast,
     OutcomeStatus,
     PartyIdentity,
+    challenge_vector,
     compute_share,
     kgc_distribute,
     user_process_broadcast,
@@ -252,6 +253,46 @@ def test_packed_lanes_follow_alternating_nonce_vectors():
     assert protocol._lanes.cache_info().misses == 6
 
 
+class UnhashableTuple(tuple):
+    """A vector that fails loudly when anything hashes it."""
+
+    def __hash__(self):
+        raise TypeError("a nonce vector was hashed")
+
+
+def test_share_never_hashes_the_nonce_vector():
+    """compute_share and its lanes memo take a vector whose __hash__ raises,
+    on the plain (t = 5) and the packed (t = 40) path."""
+    ctx = _domain(64, Variant.FIELD)
+    m = ctx.modulus
+    rnd = random.Random(9)
+    for t in (5, 40):
+        x, nonces = _unreduced_inputs(rnd, t, m)
+        vector = UnhashableTuple(nonces)
+        for index in (0, t - 1):
+            assert compute_share(x, vector, index, Variant.FIELD, ctx) == _oracle_share(
+                x, nonces, index, Variant.FIELD, ctx
+            ), (t, index)
+    b = math.isqrt(4 * 40)
+    protocol._lanes.cache_clear()
+    lanes = protocol._lanes(vector, b, m)
+    assert protocol._lanes(tuple(nonces), b, m) is lanes  # an equal vector hits
+    protocol._lanes.cache_clear()
+    assert protocol._lanes(tuple(nonces), b, m) == lanes
+
+
+def test_lanes_memo_matches_on_b_and_m():
+    """One nonce vector with another block width, then another modulus: each rebuilds."""
+    ctx = _domain(64, Variant.RING)
+    m = ctx.modulus
+    nonces = _unreduced_inputs(random.Random(10), 40, m)[1]
+    protocol._lanes.cache_clear()
+    for b, mod in ((12, m), (12, m), (13, m), (13, m + 2), (13, m + 2)):
+        fresh = protocol._lanes.__wrapped__(nonces, b, mod)
+        assert protocol._lanes(nonces, b, mod) == fresh, (b, mod)
+    assert protocol._lanes.cache_info() == (2, 3)
+
+
 def test_share_builds_one_power_vector_of_the_block_width(monkeypatch):
     """One power_vector call per share, of width t up to t = 12 and isqrt(4t) above."""
     ctx = _domain(64, Variant.FIELD)
@@ -313,7 +354,7 @@ def test_distribute_draws_uniform_when_not_forced(ring35):
 
 def test_user_accepts_honest_broadcast(ring35, honest_bcast):
     out = user_process_broadcast(
-        PartyIdentity(b"A", 2), ROSTER, CHALLENGES, honest_bcast, Variant.RING, ring35
+        PartyIdentity(b"A", 2), ROSTER, challenge_vector(ROSTER, CHALLENGES), honest_bcast, Variant.RING, ring35
     )
     assert out.status is OutcomeStatus.ACCEPTED
     assert out.key == 10  # 32 + 13 = 45 = 10 mod 35
@@ -326,7 +367,7 @@ def test_user_rejects_flipped_share_bit(ring35, honest_bcast):
         masked_shares=(honest_bcast.masked_shares[0] ^ 1, honest_bcast.masked_shares[1]),
     )
     out = user_process_broadcast(
-        PartyIdentity(b"A", 2), ROSTER, CHALLENGES, tampered, Variant.RING, ring35
+        PartyIdentity(b"A", 2), ROSTER, challenge_vector(ROSTER, CHALLENGES), tampered, Variant.RING, ring35
     )
     assert out.status is OutcomeStatus.REJECTED
     assert out.reason == "tag_mismatch"
@@ -336,22 +377,28 @@ def test_user_rejects_short_share_list(ring35, honest_bcast):
     short = KgcBroadcast(honest_bcast.auth, honest_bcast.r0, honest_bcast.masked_shares[:1])
     with pytest.raises(MalformedBroadcast):
         user_process_broadcast(
-            PartyIdentity(b"A", 2), ROSTER, CHALLENGES, short, Variant.RING, ring35
+            PartyIdentity(b"A", 2), ROSTER, challenge_vector(ROSTER, CHALLENGES), short, Variant.RING, ring35
         )
 
 
 def test_user_requires_membership(ring35, honest_bcast):
     with pytest.raises(NotInRoster):
         user_process_broadcast(
-            PartyIdentity(b"C", 9), ROSTER, CHALLENGES, honest_bcast, Variant.RING, ring35
+            PartyIdentity(b"C", 9), ROSTER, challenge_vector(ROSTER, CHALLENGES), honest_bcast, Variant.RING, ring35
         )
 
 
 def test_user_requires_all_challenges(ring35, honest_bcast):
     with pytest.raises(IncompleteChallenges):
         user_process_broadcast(
-            PartyIdentity(b"A", 2), ROSTER, {b"A": 1}, honest_bcast, Variant.RING, ring35
+            PartyIdentity(b"A", 2), ROSTER, challenge_vector(ROSTER, {b"A": 1}), honest_bcast, Variant.RING, ring35
         )
+
+
+def test_unmask_requires_one_challenge_per_member(ring35, honest_bcast):
+    for vector in ((1,), (1, 2, 3)):
+        with pytest.raises(IncompleteChallenges):
+            protocol.unmask(PartyIdentity(b"A", 2), ROSTER, vector, honest_bcast, Variant.RING, ring35)
 
 
 # --- key agreement property -----------------------------------------------------------
@@ -383,7 +430,7 @@ def test_key_agreement_and_share_equation(seed, t, variant):
             share = naive_share_field(keys[i], nonces, pos, ctx.modulus, ctx.byte_width)
         assert (bcast.masked_shares[pos] + share) % ctx.modulus == s
         out = user_process_broadcast(
-            PartyIdentity(i, keys[i]), roster, challenges, bcast, variant, ctx
+            PartyIdentity(i, keys[i]), roster, challenge_vector(roster, challenges), bcast, variant, ctx
         )
         assert out.status is OutcomeStatus.ACCEPTED and out.key == s
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gkdsim import protocol, simnet
+from gkdsim import codec, protocol, simnet
 from gkdsim.adversary import ChannelAction, Interceptor
 from gkdsim.algebra import SeededRng, Variant, domain_new
 from gkdsim.cli import EXIT_OK, EXIT_VERIFY, main as cli_main
@@ -47,6 +47,24 @@ def test_pipeline_builds_the_share_lanes_once(adversary):
     tr = run_scenario(ScenarioConfig.from_dict(cfg))
     assert verify_transcript(Transcript.from_jsonl(tr.to_jsonl())).ok
     assert protocol._lanes.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("adversary, bodies", [(None, 1), (FORGE, 7)], ids=["honest", "forge"])
+def test_pipeline_builds_the_tag_body_once(adversary, bodies):
+    """The same t = 40 pipeline tags an honest body throughout, so the ids |
+    nonces | shares block is encoded once. A forge run (victim bob, second in
+    the roster) has two bodies, honest H and forged F, and each switch between
+    them in the order the tags are taken rebuilds the last one:
+    run: KGC H (1), insider F (2), alice H (3), bob F (4), carol H (5), then H;
+    verify: recomputed tag H, alice H, bob F (6), carol H (7), then H. So 7."""
+    members = ["alice", "bob", "carol", *(f"m{k}" for k in range(37))]
+    cfg = scenario_dict(variant="field", modulus={"p": 2**64 - 59}, members=members)
+    if adversary:
+        cfg["adversary"] = adversary
+    codec._auth_body.cache_clear()
+    tr = run_scenario(ScenarioConfig.from_dict(cfg))
+    assert verify_transcript(Transcript.from_jsonl(tr.to_jsonl())).ok
+    assert codec._auth_body.cache_info().misses == bodies
 
 
 # --- honest runs -----------------------------------------------------------------
@@ -628,6 +646,52 @@ def test_golden_transcripts_round_trip_byte_for_byte():
     for name in GOLDEN_NAMES:
         text = _golden_path(name).read_text()
         assert Transcript.from_jsonl(text).to_jsonl() == text
+
+
+_AWKWARD_CHARS = st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "é", "\u2028", "\ufeff", "\U0001f600"])
+_AWKWARD_NAMES = st.text(st.one_of(_AWKWARD_CHARS, st.characters()), min_size=1, max_size=8)
+
+
+@given(
+    events=st.lists(
+        st.tuples(
+            st.sampled_from(simnet._STEPS), _AWKWARD_NAMES, st.lists(_AWKWARD_NAMES, max_size=5),
+            st.binary(max_size=12), st.sampled_from(simnet._VERDICTS), st.binary(max_size=12),
+        ),
+        max_size=4,
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_event_lines_match_the_record_dump(events):
+    """Each event line is _dump of its record: sorted keys, \\uXXXX escapes for
+    non-ASCII (astral characters as surrogate pairs), escaped quotes,
+    backslashes and control characters, and delivered_payload on replaced events."""
+    evs = [
+        simnet.TranscriptEvent(i, step, sender, tuple(receivers), payload, verdict,
+                               delivered if verdict == "replaced" else None)
+        for i, (step, sender, receivers, payload, verdict, delivered) in enumerate(events)
+    ]
+    for ev, line in zip(evs, simnet._event_lines(evs), strict=True):
+        rec = {"record": "event", "index": ev.index, "step": ev.step, "sender": ev.sender,
+               "receivers": list(ev.receivers), "payload": ev.payload.hex(), "verdict": ev.verdict}
+        if ev.delivered_payload is not None:
+            rec["delivered_payload"] = ev.delivered_payload.hex()
+        assert line == simnet._dump(rec)
+        assert line.isascii()
+
+
+def test_transcript_with_a_receiver_outside_the_roster_round_trips():
+    """from_jsonl accepts a receiver name that meta.members lacks (verify reports
+    it), so the writer keeps no closed table of names."""
+    lines = run(adversary=FORGE).to_jsonl().splitlines()
+    at = next(i for i, line in enumerate(lines) if '"step":"challenge"' in line)
+    rec = json.loads(lines[at])
+    rec["receivers"].append("zoë \"\\ \U0001f600")
+    lines[at] = simnet._dump(rec)
+    text = "\n".join(lines) + "\n"
+    tr = Transcript.from_jsonl(text)
+    assert tr.to_jsonl() == text
+    assert not verify_transcript(tr).ok
 
 
 _DELETE = object()
