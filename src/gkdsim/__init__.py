@@ -21,6 +21,7 @@ from .algebra import (
 from .codec import (
     AuthInput,
     HashConfig,
+    PublicParams,
     build_auth_input,
     compute_auth,
     decode_element,

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .algebra import DomainContext, SeededRng, Variant, sample_element
-from .codec import DEFAULT_HASH, DEFAULT_ID_WIDTH, AuthInput, HashConfig, compute_auth
+from .algebra import SeededRng, sample_element
+from .codec import AuthInput, PublicParams, compute_auth
 from .errors import AttackerIsVictim, IndexOutOfRoster
 from .protocol import (
     ChallengeMessage,
@@ -73,14 +73,12 @@ def insider_recover_key(
     roster: GroupRoster,
     challenges: tuple[int, ...],
     bcast: KgcBroadcast,
-    variant: Variant,
-    ctx: DomainContext,
-    hash_cfg: HashConfig = DEFAULT_HASH,
+    params: PublicParams,
 ) -> int:
     """Unmask the group key from the attacker's own share, exactly like step 5.
 
     challenges is the roster-ordered vector (r_1, ..., r_t) (challenge_vector)."""
-    return unmask(attacker, roster, challenges, bcast, variant, ctx, hash_cfg)[0]
+    return unmask(attacker, roster, challenges, bcast, params)[0]
 
 
 def forge_broadcast(
@@ -90,9 +88,7 @@ def forge_broadcast(
     honest: KgcBroadcast,
     roster: GroupRoster,
     challenges: tuple[int, ...],
-    ctx: DomainContext,
-    hash_cfg: HashConfig = DEFAULT_HASH,
-    id_width: int = DEFAULT_ID_WIDTH,
+    params: PublicParams,
 ) -> KgcBroadcast:
     """The forgery: shift the victim's share, retag, reuse everything else.
 
@@ -103,11 +99,12 @@ def forge_broadcast(
     """
     if not 0 <= victim_index < roster.size:
         raise IndexOutOfRoster(f"victim index {victim_index} outside roster of {roster.size}")
+    ctx = params.ctx
     nonces = (honest.r0, *challenges)
     target = ctx.reduce(target_key)
     shifted = ctx.add(ctx.sub(honest.masked_shares[victim_index], recovered_key), target)
     shares = (*honest.masked_shares[:victim_index], shifted, *honest.masked_shares[victim_index + 1 :])
-    auth = compute_auth(AuthInput(target, roster.members, nonces, shares), ctx, hash_cfg, id_width)
+    auth = compute_auth(AuthInput(target, roster.members, nonces, shares), params)
     return KgcBroadcast(auth=auth, r0=honest.r0, masked_shares=shares)
 
 
@@ -135,18 +132,13 @@ class InsiderInterceptor(Interceptor):
 
     Passes everything through untouched except the final key broadcast headed
     to the victim, which it replaces with the forgery. Keeps the recovered
-    and planted keys as ground truth for transcripts.
+    and planted keys as ground truth for transcripts. params are the
+    session's public parameters, the same value the KGC and the members hold:
+    the insider needs nothing else to unmask and retag.
     """
 
     def __init__(
-        self,
-        ictx: InsiderContext,
-        roster: GroupRoster,
-        variant: Variant,
-        ctx: DomainContext,
-        hash_cfg: HashConfig = DEFAULT_HASH,
-        id_width: int = DEFAULT_ID_WIDTH,
-        rng: SeededRng | None = None,
+        self, ictx: InsiderContext, roster: GroupRoster, params: PublicParams, rng: SeededRng | None = None
     ):
         if not 0 <= ictx.victim_index < roster.size:
             raise IndexOutOfRoster(
@@ -159,10 +151,7 @@ class InsiderInterceptor(Interceptor):
             raise ValueError("a random target key needs an rng")
         self.ictx = ictx
         self.roster = roster
-        self.variant = variant
-        self.ctx = ctx
-        self.hash_cfg = hash_cfg
-        self.id_width = id_width
+        self.params = params
         self.rng = rng
         self.victim_id = roster.members[ictx.victim_index]
         self.challenges: dict[bytes, int] = {}
@@ -171,38 +160,23 @@ class InsiderInterceptor(Interceptor):
 
     def observe(self, sender: bytes, message: object) -> None:
         if isinstance(message, ChallengeMessage) and message.sender in self.roster.index:
-            self.challenges[message.sender] = self.ctx.reduce(message.value)
+            self.challenges[message.sender] = self.params.ctx.reduce(message.value)
 
     def intercept(self, sender: bytes, receiver: bytes, message: object) -> ChannelAction:
         if not isinstance(message, KgcBroadcast) or receiver != self.victim_id:
             return ChannelAction.deliver()
         challenges = challenge_vector(self.roster, self.challenges)
-        recovered = insider_recover_key(
-            self.ictx.attacker,
-            self.roster,
-            challenges,
-            message,
-            self.variant,
-            self.ctx,
-            self.hash_cfg,
-        )
+        recovered = insider_recover_key(self.ictx.attacker, self.roster, challenges, message, self.params)
+        ctx = self.params.ctx
         target = self.ictx.target_key
         if target is None:
-            target = sample_element(self.rng, self.ctx)
+            target = sample_element(self.rng, ctx)
             while target == recovered:
-                target = sample_element(self.rng, self.ctx)
+                target = sample_element(self.rng, ctx)
         else:
-            target = self.ctx.reduce(target)
+            target = ctx.reduce(target)
         forged = forge_broadcast(
-            self.ictx.victim_index,
-            target,
-            recovered,
-            message,
-            self.roster,
-            challenges,
-            self.ctx,
-            self.hash_cfg,
-            self.id_width,
+            self.ictx.victim_index, target, recovered, message, self.roster, challenges, self.params
         )
         self.recovered_key = recovered
         self.forged_key = target

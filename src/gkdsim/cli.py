@@ -177,7 +177,7 @@ def cmd_run(args) -> int:
     tr.save(out)
 
     if args.verbose:
-        for line in _event_lines(tr):
+        for line in _narrative_lines(tr):
             print(line)
     ok, lines = summarize_run(tr)
     for line in lines:
@@ -203,7 +203,7 @@ def summarize_run(tr: Transcript) -> tuple[bool, list[str]]:
     """Human summary plus the success verdict the exit status is based on."""
     meta, gt = tr.meta, tr.ground_truth
     lines = [
-        f"variant {meta.ctx.variant.value}, modulus {meta.ctx.modulus}, "
+        f"variant {meta.params.ctx.variant.value}, modulus {meta.params.ctx.modulus}, "
         f"{meta.t} members, seed {meta.seed}"
     ]
     for oc in tr.outcomes:
@@ -265,14 +265,14 @@ def cmd_explain(args) -> int:
     tr = Transcript.load(args.path)
     meta = tr.meta
     print(
-        f"scenario: {meta.ctx.variant.value} variant, modulus {meta.ctx.modulus}, "
+        f"scenario: {meta.params.ctx.variant.value} variant, modulus {meta.params.ctx.modulus}, "
         f"members {', '.join(meta.members)}, seed {meta.seed}"
     )
     adv = meta.adversary
     if adv:
         link = f"{KGC_NAME}->{adv.victim}"
         print(f"adversary: {adv.attacker} controls the {link} link ({adv.action})")
-    for line in _event_lines(tr):
+    for line in _narrative_lines(tr):
         print(line)
     print("outcomes:")
     for oc in tr.outcomes:
@@ -296,8 +296,8 @@ def cmd_explain(args) -> int:
     return EXIT_OK
 
 
-def _event_lines(tr: Transcript) -> list[str]:
-    ctx, digest_size, t = tr.meta.ctx, tr.meta.hash_cfg.digest_size, tr.meta.t
+def _narrative_lines(tr: Transcript) -> list[str]:
+    ctx, digest_size, t = tr.meta.params.ctx, tr.meta.params.hash_cfg.digest_size, tr.meta.t
     lines = []
     for ev in tr.events:
         route = f"{ev.sender} -> {','.join(ev.receivers)}"

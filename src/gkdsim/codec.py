@@ -25,8 +25,10 @@ from .errors import IdentifierTooLong
 
 DEFAULT_ID_WIDTH = 16
 
-# Test-only element-hash name: makes the field variant's share offset vanish,
-# reducing it to the ring variant's share formula on identical inputs.
+# Element-hash name whose hash-to-residue map is constantly 0: the field
+# variant's share offset vanishes, so its shares equal the ring variant's share
+# formula on identical inputs. Configs and transcripts may name it; a run over it
+# verifies clean, but the field variant then has no hash offset at all.
 ZERO_HASH = "zero"
 
 
@@ -65,6 +67,17 @@ class HashConfig:
 
 
 DEFAULT_HASH = HashConfig()
+
+
+@dataclass(frozen=True)
+class PublicParams:
+    """The public parameters every party computes shares and tags over: the
+    domain (modulus and variant, read as ctx.variant), the hash and the
+    identifier width."""
+
+    ctx: DomainContext
+    hash_cfg: HashConfig = DEFAULT_HASH
+    id_width: int = DEFAULT_ID_WIDTH
 
 
 @dataclass(frozen=True)
@@ -166,8 +179,10 @@ def _auth_body(
     call: the KGC, every member and the verifier tag one block under their own
     candidate keys, and pass the roster's ids and the broadcast's shares as the
     same tuples, so a hit mostly costs one comparison of the nonce vectors.
-    A field that does not fit raises what encode_identifier/encode_element
-    raise, and nothing is memoised."""
+    compute_auth passes the ctx and id_width of its PublicParams, not the whole
+    value: the body does not depend on the hash, so tags under any hash share
+    one entry. A field that does not fit raises what
+    encode_identifier/encode_element raise, and nothing is memoised."""
     if max(map(len, ids), default=0) > id_width:
         for m in ids:
             encode_identifier(m, id_width)
@@ -180,15 +195,10 @@ def _auth_body(
     return b"".join(map(bytes.rjust, ids, repeat(id_width), repeat(b"\x00"))) + elements
 
 
-def compute_auth(
-    ai: AuthInput,
-    ctx: DomainContext,
-    hash_cfg: HashConfig = DEFAULT_HASH,
-    id_width: int = DEFAULT_ID_WIDTH,
-) -> bytes:
+def compute_auth(ai: AuthInput, params: PublicParams) -> bytes:
     """The broadcast tag: configured hash over the serialized tag input."""
-    h = hashlib.new(hash_cfg.algorithm)
-    h.update(build_auth_input(ai, ctx, id_width))
+    h = hashlib.new(params.hash_cfg.algorithm)
+    h.update(build_auth_input(ai, params.ctx, params.id_width))
     return h.digest()
 
 

@@ -28,6 +28,13 @@ vector: a hit costs one identity test when the caller passes the same tuple
 and one element-by-element comparison when it passes an equal copy. Up to
 t = 12 the one block is a plain inner product.
 
+Every step, both state machines and the insider (adversary) take the public
+parameters as one codec.PublicParams: the domain, the hash and the identifier
+width. The variant is read only as params.ctx.variant, so a party cannot be
+built with a variant its domain contradicts. The primitives below the steps
+(encode_element, hash_to_element, build_auth_input, _lanes) keep their narrow
+arguments, so neither memo's key depends on the params value.
+
 Step 5 (unmask, user_process_broadcast) and the insider (adversary) take the
 public challenge vector (r_1, ..., r_t) in roster order, which each caller
 builds once with challenge_vector, not a mapping they would each re-collect.
@@ -43,12 +50,10 @@ from operator import mul
 from types import MappingProxyType
 from typing import Mapping
 
-from .algebra import DomainContext, SeededRng, Variant, power_vector, sample_element
+from .algebra import SeededRng, Variant, power_vector, sample_element
 from .codec import (
-    DEFAULT_HASH,
-    DEFAULT_ID_WIDTH,
     AuthInput,
-    HashConfig,
+    PublicParams,
     compute_auth,
     encode_element,
     hash_to_element,
@@ -176,20 +181,15 @@ class SessionOutcome:
 # shared formulas
 # ---------------------------------------------------------------------------
 
-def compute_share(
-    secret_key: int,
-    nonces: tuple[int, ...],
-    roster_index: int,
-    variant: Variant,
-    ctx: DomainContext,
-    hash_cfg: HashConfig = DEFAULT_HASH,
-) -> int:
+def compute_share(secret_key: int, nonces: tuple[int, ...], roster_index: int, params: PublicParams) -> int:
     """The masking share for the member at roster_index (0-based):
-    sum_{j=0..t} r_j * x^j mod m, with x the (field variant: hash-offset) key.
+    sum_{j=0..t} r_j * x^j mod m, with x the key, offset by the element hash
+    when params.ctx.variant is the field variant.
 
     nonces is the full (t+1)-tuple (r_0, r_1, ..., r_t), t >= 2, else
     WidthTooSmall. The same function runs on the KGC and on every member,
-    which is what makes unmasking work.
+    which is what makes unmasking work. params.hash_cfg names the element
+    hash; its id_width plays no part in a share.
 
     The value is inner_product(power_vector(x, t), nonces), evaluated from one
     power_vector(x, b): b = t up to t = 12, b = isqrt(4t) above (32 at
@@ -211,15 +211,16 @@ def compute_share(
     t = len(nonces) - 1
     if t < 2:
         raise WidthTooSmall(f"a share needs t >= 2 challenges, got {t}")
+    ctx = params.ctx
     x = ctx.reduce(secret_key)
-    if variant is Variant.FIELD:
+    if ctx.variant is Variant.FIELD:
         own_challenge = ctx.reduce(nonces[roster_index + 1])
         material = (
             encode_element(x, ctx)
             + encode_element(own_challenge, ctx)
             + encode_element(ctx.reduce(nonces[0]), ctx)
         )
-        x = ctx.add(x, hash_to_element(material, ctx, hash_cfg))
+        x = ctx.add(x, hash_to_element(material, ctx, params.hash_cfg))
     b = t if t <= 12 else isqrt(4 * t)
     powers = power_vector(x, b, ctx)
     m = ctx.modulus
@@ -268,9 +269,7 @@ def unmask(
     roster: GroupRoster,
     challenges: tuple[int, ...],
     bcast: KgcBroadcast,
-    variant: Variant,
-    ctx: DomainContext,
-    hash_cfg: HashConfig = DEFAULT_HASH,
+    params: PublicParams,
 ) -> tuple[int, tuple[int, ...]]:
     """Step 5's unmasking: add identity's own share to its masked share.
 
@@ -284,8 +283,8 @@ def unmask(
     if len(challenges) != roster.size:
         raise IncompleteChallenges(f"{len(challenges)} challenges for a roster of {roster.size}")
     nonces = (bcast.r0, *challenges)
-    share = compute_share(identity.secret_key, nonces, index, variant, ctx, hash_cfg)
-    return ctx.add(bcast.masked_shares[index], share), nonces
+    share = compute_share(identity.secret_key, nonces, index, params)
+    return params.ctx.add(bcast.masked_shares[index], share), nonces
 
 
 def kgc_distribute(
@@ -293,10 +292,7 @@ def kgc_distribute(
     registered_keys: Mapping[bytes, int],
     challenges: Mapping[bytes, int],
     rng: SeededRng,
-    variant: Variant,
-    ctx: DomainContext,
-    hash_cfg: HashConfig = DEFAULT_HASH,
-    id_width: int = DEFAULT_ID_WIDTH,
+    params: PublicParams,
     group_key: int | None = None,
     nonce: int | None = None,
 ) -> tuple[KgcBroadcast, int]:
@@ -309,6 +305,7 @@ def kgc_distribute(
     for m in roster.members:
         if m not in registered_keys:
             raise UnknownMember(f"no registered key for {m!r}")
+    ctx = params.ctx
     received = tuple(map(ctx.reduce, challenge_vector(roster, challenges)))
 
     s = sample_element(rng, ctx) if group_key is None else ctx.reduce(group_key)
@@ -316,10 +313,10 @@ def kgc_distribute(
     nonces = (r0, *received)
 
     shares = tuple(
-        ctx.sub(s, compute_share(registered_keys[m], nonces, i, variant, ctx, hash_cfg))
+        ctx.sub(s, compute_share(registered_keys[m], nonces, i, params))
         for i, m in enumerate(roster.members)
     )
-    auth = compute_auth(AuthInput(s, roster.members, nonces, shares), ctx, hash_cfg, id_width)
+    auth = compute_auth(AuthInput(s, roster.members, nonces, shares), params)
     return KgcBroadcast(auth=auth, r0=r0, masked_shares=shares), s
 
 
@@ -328,10 +325,7 @@ def user_process_broadcast(
     roster: GroupRoster,
     challenges: tuple[int, ...],
     bcast: KgcBroadcast,
-    variant: Variant,
-    ctx: DomainContext,
-    hash_cfg: HashConfig = DEFAULT_HASH,
-    id_width: int = DEFAULT_ID_WIDTH,
+    params: PublicParams,
 ) -> SessionOutcome:
     """Step 5: unmask the candidate key and accept iff the recomputed tag matches.
 
@@ -339,9 +333,9 @@ def user_process_broadcast(
     The tag is recomputed over the values as received, so any single-field
     tampering that leaves the tag untouched lands in REJECTED.
     """
-    candidate, nonces = unmask(identity, roster, challenges, bcast, variant, ctx, hash_cfg)
+    candidate, nonces = unmask(identity, roster, challenges, bcast, params)
     ai = AuthInput(candidate, roster.members, nonces, bcast.masked_shares)
-    expected = compute_auth(ai, ctx, hash_cfg, id_width)
+    expected = compute_auth(ai, params)
     if expected != bcast.auth:
         return SessionOutcome.rejected(TAG_MISMATCH)
     return SessionOutcome.accepted(candidate)
@@ -354,17 +348,8 @@ def user_process_broadcast(
 class KeyGenerationCentre:
     """The trusted party: key registry plus per-session challenge collection."""
 
-    def __init__(
-        self,
-        ctx: DomainContext,
-        variant: Variant,
-        hash_cfg: HashConfig = DEFAULT_HASH,
-        id_width: int = DEFAULT_ID_WIDTH,
-    ):
-        self.ctx = ctx
-        self.variant = variant
-        self.hash_cfg = hash_cfg
-        self.id_width = id_width
+    def __init__(self, params: PublicParams):
+        self.params = params
         self._keys: dict[bytes, int] = {}
         self.roster: GroupRoster | None = None
         self._challenges: dict[bytes, int] = {}
@@ -372,7 +357,7 @@ class KeyGenerationCentre:
     def register(self, identity: PartyIdentity) -> None:
         if identity.user_id in self._keys:
             raise DuplicateMember(f"{identity.user_id!r} already registered")
-        self._keys[identity.user_id] = self.ctx.reduce(identity.secret_key)
+        self._keys[identity.user_id] = self.params.ctx.reduce(identity.secret_key)
 
     def announce(self, member_ids: tuple[bytes, ...]) -> Announcement:
         """Step 2: validate the requested roster and echo it in request order."""
@@ -390,21 +375,12 @@ class KeyGenerationCentre:
         if msg.sender not in self.roster.index:
             raise NotInRoster(f"{msg.sender!r} is not in the current roster")
         # no origin authentication: any challenge labeled with a roster id counts
-        self._challenges[msg.sender] = self.ctx.reduce(msg.value)
+        self._challenges[msg.sender] = self.params.ctx.reduce(msg.value)
 
     def distribute(self, rng: SeededRng) -> tuple[KgcBroadcast, int]:
         if self.roster is None:
             raise IncompleteChallenges("no session announced")
-        return kgc_distribute(
-            self.roster,
-            self._keys,
-            self._challenges,
-            rng,
-            self.variant,
-            self.ctx,
-            self.hash_cfg,
-            self.id_width,
-        )
+        return kgc_distribute(self.roster, self._keys, self._challenges, rng, self.params)
 
 
 class GroupMember:
@@ -414,19 +390,9 @@ class GroupMember:
     other member's long-term key from here.
     """
 
-    def __init__(
-        self,
-        identity: PartyIdentity,
-        ctx: DomainContext,
-        variant: Variant,
-        hash_cfg: HashConfig = DEFAULT_HASH,
-        id_width: int = DEFAULT_ID_WIDTH,
-    ):
+    def __init__(self, identity: PartyIdentity, params: PublicParams):
         self.identity = identity
-        self.ctx = ctx
-        self.variant = variant
-        self.hash_cfg = hash_cfg
-        self.id_width = id_width
+        self.params = params
         self.roster: GroupRoster | None = None
         self._index: Mapping[bytes, int] = {}  # the roster's, once announced
         self.observed_challenges: dict[bytes, int] = {}
@@ -444,14 +410,14 @@ class GroupMember:
     def issue_challenge(self, rng: SeededRng) -> ChallengeMessage:
         if self.roster is None:
             raise NotInRoster("no announcement seen")
-        value = sample_element(rng, self.ctx)
+        value = sample_element(rng, self.params.ctx)
         self.observed_challenges[self.identity.user_id] = value
         return ChallengeMessage(sender=self.identity.user_id, value=value)
 
     def observe_challenge(self, msg: ChallengeMessage) -> None:
         """Record a challenge seen on the public channel from a roster member."""
         if msg.sender in self._index:
-            self.observed_challenges[msg.sender] = msg.value % self.ctx.modulus
+            self.observed_challenges[msg.sender] = msg.value % self.params.ctx.modulus
 
     def receive_broadcast(self, bcast: KgcBroadcast) -> None:
         self.pending_broadcast = bcast
@@ -465,8 +431,5 @@ class GroupMember:
             self.roster,
             challenge_vector(self.roster, self.observed_challenges),
             self.pending_broadcast,
-            self.variant,
-            self.ctx,
-            self.hash_cfg,
-            self.id_width,
+            self.params,
         )

@@ -42,6 +42,7 @@ from .codec import (
     DEFAULT_ID_WIDTH,
     AuthInput,
     HashConfig,
+    PublicParams,
     compute_auth,
     encode_element,
     encode_identifier,
@@ -330,11 +331,9 @@ def _residues(value: object, ctx: DomainContext, what: str) -> dict[str, int]:
 class TranscriptMeta:
     """The header record: public parameters, roster and run settings."""
 
-    ctx: DomainContext
-    hash_cfg: HashConfig
+    params: PublicParams
     p: int
     q: int | None
-    id_width: int
     members: tuple[str, ...]
     initiator: str
     seed: int
@@ -346,18 +345,18 @@ class TranscriptMeta:
         return len(self.members)
 
     def to_record(self) -> dict:
-        adv = self.adversary
+        adv, params, ctx = self.adversary, self.params, self.params.ctx
         return {
             "format": TRANSCRIPT_FORMAT,
-            "variant": self.ctx.variant.value,
-            "modulus": self.ctx.modulus,
+            "variant": ctx.variant.value,
+            "modulus": ctx.modulus,
             "p": self.p,
             "q": self.q,
-            "byte_width": self.ctx.byte_width,
-            "digest_size": self.hash_cfg.digest_size,
-            "hash_algorithm": self.hash_cfg.algorithm,
-            "element_hash": self.hash_cfg.element_hash,
-            "id_width": self.id_width,
+            "byte_width": ctx.byte_width,
+            "digest_size": params.hash_cfg.digest_size,
+            "hash_algorithm": params.hash_cfg.algorithm,
+            "element_hash": params.hash_cfg.element_hash,
+            "id_width": params.id_width,
             "members": list(self.members),
             "initiator": self.initiator,
             "seed": self.seed,
@@ -372,8 +371,8 @@ class TranscriptMeta:
         adv = cfg.adversary
         if adv is not None and adv.target_key is not None:  # ground truth records it
             adv = AdversarySpec(adv.attacker, adv.victim, adv.action)
-        return cls(ctx, cfg.hash_cfg, p, q, cfg.id_width, cfg.members, cfg.initiator or cfg.members[0],
-                   cfg.seed, cfg.redact, adv)
+        return cls(PublicParams(ctx, cfg.hash_cfg, cfg.id_width), p, q, cfg.members,
+                   cfg.initiator or cfg.members[0], cfg.seed, cfg.redact, adv)
 
     @classmethod
     def from_record(cls, rec: dict) -> "TranscriptMeta":
@@ -544,9 +543,9 @@ class Transcript:
                 elif kind == "event":
                     events.append(TranscriptEvent.from_record(rec, len(events)))
                 elif kind == "outcome":
-                    outcomes.append(OutcomeRecord.from_record(rec, meta.ctx))
+                    outcomes.append(OutcomeRecord.from_record(rec, meta.params.ctx))
                 else:
-                    ground_truth = GroundTruth.from_record(rec, meta.ctx)
+                    ground_truth = GroundTruth.from_record(rec, meta.params.ctx)
             except MalformedTranscript as e:
                 raise MalformedTranscript(f"line {lineno}: {e}") from None
         if meta is None:
@@ -713,7 +712,8 @@ def run_scenario(cfg: ScenarioConfig) -> Transcript:
     cfg.validate()
     rng = SeededRng(cfg.seed)
     meta = TranscriptMeta.from_config(cfg, *build_domain(cfg.variant, rng, p=cfg.p, q=cfg.q, bits=cfg.bits))
-    ctx = meta.ctx
+    params = meta.params
+    ctx = params.ctx
 
     names = cfg.members
     ids = {name: name.encode() for name in names}
@@ -725,14 +725,14 @@ def run_scenario(cfg: ScenarioConfig) -> Transcript:
         else:
             keys[name] = sample_element(rng, ctx)
 
-    kgc = KeyGenerationCentre(ctx, cfg.variant, cfg.hash_cfg, cfg.id_width)
+    kgc = KeyGenerationCentre(params)
     members: dict[str, GroupMember] = {}
     for name in names:
         identity = PartyIdentity(ids[name], keys[name])
         kgc.register(identity)
-        members[name] = GroupMember(identity, ctx, cfg.variant, cfg.hash_cfg, cfg.id_width)
+        members[name] = GroupMember(identity, params)
 
-    net = _Network(ctx, cfg.id_width)
+    net = _Network(ctx, params.id_width)
     insider = None
     suppressor = None
     if cfg.adversary is not None:
@@ -743,7 +743,7 @@ def run_scenario(cfg: ScenarioConfig) -> Transcript:
                 victim_index=names.index(adv.victim),
                 target_key=adv.target_key,
             )
-            insider = InsiderInterceptor(ictx, roster, cfg.variant, ctx, cfg.hash_cfg, cfg.id_width, rng)
+            insider = InsiderInterceptor(ictx, roster, params, rng)
             net.control_link(KGC_NAME, adv.victim, insider)
         else:
             suppressor = BroadcastSuppressor(ids[adv.victim])
@@ -865,8 +865,8 @@ def verify_transcript(tr: Transcript) -> VerificationReport:
     """
     report = VerificationReport()
     meta = tr.meta
-    ctx, hash_cfg, names, t = meta.ctx, meta.hash_cfg, meta.members, meta.t
-    variant = ctx.variant
+    params, names, t = meta.params, meta.members, meta.t
+    ctx, digest_size = params.ctx, params.hash_cfg.digest_size
     ids = {name: name.encode() for name in names}
     roster = GroupRoster(tuple(ids.values()))
 
@@ -894,7 +894,7 @@ def verify_transcript(tr: Transcript) -> VerificationReport:
     # --- roster echo ---
     if request.sender != meta.initiator or tuple(request.receivers) != (KGC_NAME,):
         report.fail(f"event {request.index}: request endpoints wrong")
-    expected_roster = roster_payload(roster.members, meta.id_width)
+    expected_roster = roster_payload(roster.members, params.id_width)
     if request.payload != expected_roster:
         report.fail(f"event {request.index}: requested roster differs from meta members")
     announced: list[str] = []
@@ -928,7 +928,7 @@ def verify_transcript(tr: Transcript) -> VerificationReport:
 
     # --- broadcast events: each distinct payload handed over is parsed once ---
     honest_payload = bcast_events[0].payload
-    parsed = {honest_payload: parse_broadcast_payload(honest_payload, ctx, hash_cfg.digest_size, t)}
+    parsed = {honest_payload: parse_broadcast_payload(honest_payload, ctx, digest_size, t)}
     received: dict[str, bytes] = {}
     replaced_events = []
     for ev in bcast_events:
@@ -940,7 +940,7 @@ def verify_transcript(tr: Transcript) -> VerificationReport:
             replaced_events.append(ev)
         handed = ev.delivered_payload if ev.verdict == VERDICT_REPLACED else ev.payload
         if ev.verdict != VERDICT_DROPPED and handed not in parsed:
-            parsed[handed] = parse_broadcast_payload(handed, ctx, hash_cfg.digest_size, t)
+            parsed[handed] = parse_broadcast_payload(handed, ctx, digest_size, t)
         for r in ev.receivers:
             if r in received or r not in ids:
                 raise MalformedTranscript(f"event {ev.index}: bad broadcast receiver {r!r}")
@@ -996,17 +996,14 @@ def verify_transcript(tr: Transcript) -> VerificationReport:
     replay_challenges = tuple(map(gt.challenges.__getitem__, names))
     nonces = (gt.r0, *replay_challenges)
     for i, name in enumerate(names):
-        share = compute_share(gt.member_keys[name], nonces, i, variant, ctx, hash_cfg)
+        share = compute_share(gt.member_keys[name], nonces, i, params)
         expected_mask = ctx.sub(group_key, share)
         if expected_mask != honest.masked_shares[i]:
             report.fail(
                 f"event {bcast_events[0].index}: masked share for {name!r} is "
                 f"{honest.masked_shares[i]}, recomputed {expected_mask}"
             )
-    expected_auth = compute_auth(
-        AuthInput(group_key, roster.members, nonces, honest.masked_shares),
-        ctx, hash_cfg, meta.id_width,
-    )
+    expected_auth = compute_auth(AuthInput(group_key, roster.members, nonces, honest.masked_shares), params)
     if expected_auth != honest.auth:
         report.fail(f"event {bcast_events[0].index}: tag does not match recomputation")
     report.note("shares and tag: match recomputation from recorded keys and randomness")
@@ -1017,10 +1014,7 @@ def verify_transcript(tr: Transcript) -> VerificationReport:
             expected = SessionOutcome.timeout()
         else:
             identity = PartyIdentity(ids[name], gt.member_keys[name])
-            expected = user_process_broadcast(
-                identity, roster, replay_challenges,
-                parsed[payload], variant, ctx, hash_cfg, meta.id_width,
-            )
+            expected = user_process_broadcast(identity, roster, replay_challenges, parsed[payload], params)
         if (rec.status, rec.key, rec.reason) != (
             expected.status.value, expected.key, expected.reason,
         ):

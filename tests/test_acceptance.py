@@ -4,12 +4,13 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. Every tolerance and trial count is pinned here, not configurable.
 """
 
+import dataclasses
 import itertools
 import random
 import time
 
 from gkdsim.algebra import SeededRng, Variant, domain_new, sample_element
-from gkdsim.codec import HashConfig, ZERO_HASH
+from gkdsim.codec import HashConfig, PublicParams, ZERO_HASH
 from gkdsim.protocol import (
     GroupRoster,
     KgcBroadcast,
@@ -120,8 +121,8 @@ def test_criterion_3_forgery_algebra_and_footprint():
 
         # independent byte-level diff of honest vs forged broadcast payloads
         meta = tr.meta
-        ctx = domain_new(meta.p, meta.q, variant=meta.ctx.variant)
-        digest_size = meta.hash_cfg.digest_size
+        ctx = domain_new(meta.p, meta.q, variant=meta.params.ctx.variant)
+        digest_size = meta.params.hash_cfg.digest_size
         honest_ev = next(e for e in tr.events if e.step == "broadcast" and e.verdict == "delivered")
         forged_ev = next(e for e in tr.events if e.verdict == "replaced")
         honest = parse_broadcast_payload(honest_ev.payload, ctx, digest_size, meta.t)
@@ -154,7 +155,7 @@ def test_criterion_4_tamper_detection():
         roster = GroupRoster(ids)
         keys = {i: sample_element(rng, ctx) for i in ids}
         challenges = {i: sample_element(rng, ctx) for i in ids}
-        bcast, _ = kgc_distribute(roster, keys, challenges, rng, variant, ctx)
+        bcast, _ = kgc_distribute(roster, keys, challenges, rng, PublicParams(ctx))
 
         field = trial_rng.choice(["auth", "r0", "share"])
         if field == "auth":
@@ -176,7 +177,7 @@ def test_criterion_4_tamper_detection():
 
         out = user_process_broadcast(
             PartyIdentity(ids[affected], keys[ids[affected]]),
-            roster, challenge_vector(roster, challenges), tampered, variant, ctx,
+            roster, challenge_vector(roster, challenges), tampered, PublicParams(ctx),
         )
         assert out.status is OutcomeStatus.REJECTED, (trial, field, out)
         rejections += 1
@@ -194,14 +195,16 @@ def test_criterion_5_share_oracle_equivalence():
             ctx = domain_new(p, q, variant=Variant.RING)
         else:
             ctx = domain_new(m, variant=Variant.FIELD)
+        ring = PublicParams(dataclasses.replace(ctx, variant=Variant.RING))
+        field = PublicParams(dataclasses.replace(ctx, variant=Variant.FIELD))
         for t in (2, 3):
             for x in range(m):
                 for _ in range(2):
                     nonces = tuple(sample_element(rng, ctx) for _ in range(t + 1))
                     index = x % t
-                    assert compute_share(x, nonces, index, Variant.RING, ctx) == \
+                    assert compute_share(x, nonces, index, ring) == \
                         naive_share_ring(x, nonces, m)
-                    assert compute_share(x, nonces, index, Variant.FIELD, ctx) == \
+                    assert compute_share(x, nonces, index, field) == \
                         naive_share_field(x, nonces, index, m, ctx.byte_width)
                     checked += 2
     elapsed = time.monotonic() - start
@@ -213,6 +216,7 @@ def test_criterion_5_share_oracle_equivalence():
 def test_criterion_6_variant_reduction_with_zero_hash():
     ctx = domain_new(23, variant=Variant.FIELD)
     zero_cfg = HashConfig(element_hash=ZERO_HASH)
+    field, ring = PublicParams(ctx, zero_cfg), PublicParams(dataclasses.replace(ctx, variant=Variant.RING))
     rng = SeededRng(88)
     compared = 0
     for t in (2, 3):
@@ -221,8 +225,8 @@ def test_criterion_6_variant_reduction_with_zero_hash():
                 tail = tuple(sample_element(rng, ctx) for _ in range(t))
                 nonces = (r0, *tail)
                 for index in range(t):
-                    lhs = compute_share(x, nonces, index, Variant.FIELD, ctx, zero_cfg)
-                    rhs = compute_share(x, nonces, index, Variant.RING, ctx)
+                    lhs = compute_share(x, nonces, index, field)
+                    rhs = compute_share(x, nonces, index, ring)
                     assert lhs == rhs, (t, x, r0, index)
                     compared += 1
     print(f"\n[criterion 6] PASS: with the share-offset hash zeroed, {compared} "
@@ -241,7 +245,7 @@ def test_criterion_7_determinism_and_replay():
           "all replay-verified clean")
 
 
-def _exhaust(ctx, variant, key_pairs, challenge_pairs, nonces, group_keys):
+def _exhaust(params, key_pairs, challenge_pairs, nonces, group_keys):
     """Every combination of the given inputs at t = 2, the insider at index 0
     and the victim at index 1: every honest member must accept S and the
     insider recover it, and the victim must accept every planted T != S.
@@ -252,22 +256,22 @@ def _exhaust(ctx, variant, key_pairs, challenge_pairs, nonces, group_keys):
     sessions = forged = 0
     for keys, chal, r0, s in itertools.product(key_pairs, challenge_pairs, nonces, group_keys):
         registered, challenges = dict(zip(ids, keys)), dict(zip(ids, chal))
-        bcast, key = kgc_distribute(roster, registered, challenges, rng, variant, ctx,
+        bcast, key = kgc_distribute(roster, registered, challenges, rng, params,
                                     group_key=s, nonce=r0)
         members = [PartyIdentity(i, k) for i, k in zip(ids, keys)]
         for me in members:
-            out = user_process_broadcast(me, roster, challenge_vector(roster, challenges), bcast, variant, ctx)
+            out = user_process_broadcast(me, roster, challenge_vector(roster, challenges), bcast, params)
             assert (out.status, out.key) == (OutcomeStatus.ACCEPTED, s), (keys, chal, r0, s)
         recovered = insider_recover_key(members[0], roster, challenge_vector(roster, challenges), bcast,
-                                        variant, ctx)
+                                        params)
         assert key == recovered == s, (keys, chal, r0, s)
-        for target in range(ctx.modulus):
+        for target in range(params.ctx.modulus):
             if target == s:
                 continue
             forged_bcast = forge_broadcast(1, target, recovered, bcast, roster,
-                                           challenge_vector(roster, challenges), ctx)
+                                           challenge_vector(roster, challenges), params)
             out = user_process_broadcast(members[1], roster, challenge_vector(roster, challenges),
-                                         forged_bcast, variant, ctx)
+                                         forged_bcast, params)
             assert (out.status, out.key) == (OutcomeStatus.ACCEPTED, target), (keys, chal, r0, s, target)
             forged += 1
         sessions += 1
@@ -280,7 +284,7 @@ def test_criterion_8_claims_exhaustive_on_the_smallest_field():
     ctx = domain_new(5, variant=Variant.FIELD)
     residues = range(5)
     pairs = list(itertools.product(residues, repeat=2))
-    sessions, forged = _exhaust(ctx, Variant.FIELD, pairs, pairs, residues, residues)
+    sessions, forged = _exhaust(PublicParams(ctx), pairs, pairs, residues, residues)
     assert (sessions, forged) == (5**6, 62_500)
     print(f"\n[criterion 8] PASS: field p=5, t=2 exhausted: {sessions} honest sessions accepted "
           f"by both members and recovered by the insider, {forged}/{forged} forgeries accepted")
@@ -292,7 +296,7 @@ def test_criterion_9_claims_exhaustive_over_keys_on_the_smallest_ring():
     ctx = domain_new(5, 7, variant=Variant.RING)
     residues = range(35)
     key_pairs = [(12, v) for v in residues]
-    sessions, forged = _exhaust(ctx, Variant.RING, key_pairs, [(3, 29)], [17], residues)
+    sessions, forged = _exhaust(PublicParams(ctx), key_pairs, [(3, 29)], [17], residues)
     assert (sessions, forged) == (35 * 35, 41_650)
     print(f"\n[criterion 9] PASS: ring m=35, t=2, every (S, T, victim key): {sessions} honest "
           f"sessions accepted and recovered, {forged}/{forged} forgeries accepted")

@@ -9,7 +9,8 @@ from gkdsim.adversary import (
     forge_broadcast,
     insider_recover_key,
 )
-from gkdsim.algebra import SeededRng, Variant
+from gkdsim.algebra import SeededRng
+from gkdsim.codec import PublicParams
 from gkdsim.errors import AttackerIsVictim, IndexOutOfRoster, NotInRoster
 from gkdsim.protocol import (
     ChallengeMessage,
@@ -32,7 +33,7 @@ VICTIM = PartyIdentity(b"A", 2)
 @pytest.fixture
 def honest_bcast(ring35):
     bcast, _ = kgc_distribute(
-        ROSTER, KEYS, CHALLENGES, SeededRng(0), Variant.RING, ring35,
+        ROSTER, KEYS, CHALLENGES, SeededRng(0), PublicParams(ring35),
         group_key=10, nonce=3,
     )
     return bcast
@@ -43,7 +44,7 @@ def honest_bcast(ring35):
 def test_insider_recovers_group_key(ring35, honest_bcast):
     # attacker at index 1: 21 + 24 = 45 = 10 mod 35
     assert insider_recover_key(
-        ATTACKER, ROSTER, challenge_vector(ROSTER, CHALLENGES), honest_bcast, Variant.RING, ring35
+        ATTACKER, ROSTER, challenge_vector(ROSTER, CHALLENGES), honest_bcast, PublicParams(ring35)
     ) == 10
 
 
@@ -51,7 +52,7 @@ def test_recovery_requires_membership(ring35, honest_bcast):
     with pytest.raises(NotInRoster):
         insider_recover_key(
             PartyIdentity(b"Z", 7), ROSTER, challenge_vector(ROSTER, CHALLENGES), honest_bcast,
-            Variant.RING, ring35
+            PublicParams(ring35)
         )
 
 
@@ -61,11 +62,11 @@ def test_recovery_from_tampered_share_is_wrong_but_detectable(ring35, honest_bca
         (honest_bcast.masked_shares[0], honest_bcast.masked_shares[1] ^ 1),
     )
     recovered = insider_recover_key(
-        ATTACKER, ROSTER, challenge_vector(ROSTER, CHALLENGES), tampered, Variant.RING, ring35
+        ATTACKER, ROSTER, challenge_vector(ROSTER, CHALLENGES), tampered, PublicParams(ring35)
     )
     assert recovered != 10
     out = user_process_broadcast(
-        ATTACKER, ROSTER, challenge_vector(ROSTER, CHALLENGES), tampered, Variant.RING, ring35
+        ATTACKER, ROSTER, challenge_vector(ROSTER, CHALLENGES), tampered, PublicParams(ring35)
     )
     assert out.status is OutcomeStatus.REJECTED
 
@@ -73,25 +74,28 @@ def test_recovery_from_tampered_share_is_wrong_but_detectable(ring35, honest_bca
 # --- the forgery -------------------------------------------------------------------
 
 def test_forge_fixture(ring35, honest_bcast):
-    forged = forge_broadcast(0, 4, 10, honest_bcast, ROSTER, challenge_vector(ROSTER, CHALLENGES), ring35)
+    forged = forge_broadcast(0, 4, 10, honest_bcast, ROSTER, challenge_vector(ROSTER, CHALLENGES),
+                             PublicParams(ring35))
     assert forged.masked_shares == (26, 21)  # 32 - 10 + 4
     assert forged.r0 == honest_bcast.r0
     assert forged.auth != honest_bcast.auth
     out = user_process_broadcast(VICTIM, ROSTER, challenge_vector(ROSTER, CHALLENGES), forged,
-                                 Variant.RING, ring35)
+                                 PublicParams(ring35))
     assert out.status is OutcomeStatus.ACCEPTED
     assert out.key == 4  # 26 + 13 = 39 = 4 mod 35
 
 
 def test_forge_with_true_key_degenerates_to_honest(ring35, honest_bcast):
-    forged = forge_broadcast(0, 10, 10, honest_bcast, ROSTER, challenge_vector(ROSTER, CHALLENGES), ring35)
+    forged = forge_broadcast(0, 10, 10, honest_bcast, ROSTER, challenge_vector(ROSTER, CHALLENGES),
+                             PublicParams(ring35))
     assert forged == honest_bcast
 
 
 def test_forged_copy_shown_to_non_victim_is_rejected(ring35, honest_bcast):
-    forged = forge_broadcast(0, 4, 10, honest_bcast, ROSTER, challenge_vector(ROSTER, CHALLENGES), ring35)
+    forged = forge_broadcast(0, 4, 10, honest_bcast, ROSTER, challenge_vector(ROSTER, CHALLENGES),
+                             PublicParams(ring35))
     out = user_process_broadcast(ATTACKER, ROSTER, challenge_vector(ROSTER, CHALLENGES), forged,
-                                 Variant.RING, ring35)
+                                 PublicParams(ring35))
     # the non-victim still derives the true key from its untouched share,
     # but the tag was computed over the planted key, so it rejects
     assert out.status is OutcomeStatus.REJECTED
@@ -99,11 +103,13 @@ def test_forged_copy_shown_to_non_victim_is_rejected(ring35, honest_bcast):
 
 def test_forge_rejects_bad_victim_index(ring35, honest_bcast):
     with pytest.raises(IndexOutOfRoster):
-        forge_broadcast(5, 4, 10, honest_bcast, ROSTER, challenge_vector(ROSTER, CHALLENGES), ring35)
+        forge_broadcast(5, 4, 10, honest_bcast, ROSTER, challenge_vector(ROSTER, CHALLENGES),
+                        PublicParams(ring35))
 
 
 def test_forgery_touches_exactly_two_fields(ring35, honest_bcast):
-    forged = forge_broadcast(0, 4, 10, honest_bcast, ROSTER, challenge_vector(ROSTER, CHALLENGES), ring35)
+    forged = forge_broadcast(0, 4, 10, honest_bcast, ROSTER, challenge_vector(ROSTER, CHALLENGES),
+                             PublicParams(ring35))
     assert forged.auth != honest_bcast.auth
     assert forged.r0 == honest_bcast.r0
     diffs = [
@@ -119,16 +125,17 @@ def test_forgery_is_variant_independent(field23):
     challenges = {b"A": 4, b"B": 17}
     roster = GroupRoster((b"A", b"B"))
     bcast, s = kgc_distribute(
-        roster, keys, challenges, SeededRng(2), Variant.FIELD, field23
+        roster, keys, challenges, SeededRng(2), PublicParams(field23)
     )
     attacker = PartyIdentity(b"B", 9)
     recovered = insider_recover_key(attacker, roster, challenge_vector(roster, challenges), bcast,
-                                    Variant.FIELD, field23)
+                                    PublicParams(field23))
     assert recovered == s
     target = (s + 7) % 23
-    forged = forge_broadcast(0, target, recovered, bcast, roster, challenge_vector(roster, challenges), field23)
+    forged = forge_broadcast(0, target, recovered, bcast, roster, challenge_vector(roster, challenges),
+                             PublicParams(field23))
     out = user_process_broadcast(
-        PartyIdentity(b"A", 5), roster, challenge_vector(roster, challenges), forged, Variant.FIELD, field23
+        PartyIdentity(b"A", 5), roster, challenge_vector(roster, challenges), forged, PublicParams(field23)
     )
     assert out.status is OutcomeStatus.ACCEPTED and out.key == target
 
@@ -148,25 +155,25 @@ def test_channel_action_constructors():
 
 def make_interceptor(ring35, target_key=4):
     ictx = InsiderContext(attacker=ATTACKER, victim_index=0, target_key=target_key)
-    return InsiderInterceptor(ictx, ROSTER, Variant.RING, ring35, rng=SeededRng(3))
+    return InsiderInterceptor(ictx, ROSTER, PublicParams(ring35), rng=SeededRng(3))
 
 
 def test_strategy_rejects_attacker_as_victim(ring35):
     ictx = InsiderContext(attacker=ATTACKER, victim_index=1, target_key=4)
     with pytest.raises(AttackerIsVictim):
-        InsiderInterceptor(ictx, ROSTER, Variant.RING, ring35)
+        InsiderInterceptor(ictx, ROSTER, PublicParams(ring35))
 
 
 def test_strategy_rejects_victim_outside_roster(ring35):
     ictx = InsiderContext(attacker=ATTACKER, victim_index=9, target_key=4)
     with pytest.raises(IndexOutOfRoster):
-        InsiderInterceptor(ictx, ROSTER, Variant.RING, ring35)
+        InsiderInterceptor(ictx, ROSTER, PublicParams(ring35))
 
 
 def test_strategy_requires_member_attacker(ring35):
     ictx = InsiderContext(attacker=PartyIdentity(b"Z", 1), victim_index=0, target_key=4)
     with pytest.raises(NotInRoster):
-        InsiderInterceptor(ictx, ROSTER, Variant.RING, ring35)
+        InsiderInterceptor(ictx, ROSTER, PublicParams(ring35))
 
 
 def test_interceptor_passes_everything_but_the_victim_broadcast(ring35, honest_bcast):
@@ -196,7 +203,7 @@ def test_interceptor_draws_random_target_distinct_from_key(ring35, honest_bcast)
 def test_interceptor_needs_rng_for_random_target(ring35):
     ictx = InsiderContext(attacker=ATTACKER, victim_index=0, target_key=None)
     with pytest.raises(ValueError):
-        InsiderInterceptor(ictx, ROSTER, Variant.RING, ring35)
+        InsiderInterceptor(ictx, ROSTER, PublicParams(ring35))
 
 
 def test_suppressor_drops_only_victim_broadcast(ring35, honest_bcast):

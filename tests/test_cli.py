@@ -12,7 +12,7 @@ import pytest
 from gkdsim.algebra import is_prime
 from gkdsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_SCENARIO, EXIT_VERIFY, build_parser, main
 from gkdsim.errors import MalformedTranscript
-from gkdsim.simnet import Transcript
+from gkdsim.simnet import Transcript, parse_broadcast_payload
 from conftest import FORGE, SUPPRESS, scenario_dict
 
 
@@ -253,6 +253,28 @@ def test_run_suppress_requires_bystanders_to_agree(tmp_path, capsys, monkeypatch
     cfg = write_config(tmp_path, adversary=SUPPRESS)
     assert main(["run", str(cfg), "--out", str(tmp_path / "t.jsonl")]) == EXIT_SCENARIO
     assert "suppression FAILED" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("adversary", [None, FORGE], ids=["honest", "forge"])
+def test_zero_element_hash_runs_and_verifies_without_the_field_offset(tmp_path, capsys, adversary):
+    """"element_hash": "zero" is accepted in a config and a transcript: run and
+    verify both exit 0, and every field share is the ring formula's, with no
+    hash offset on the key."""
+    cfg = write_config(tmp_path, variant="field", modulus={"p": 227}, adversary=adversary,
+                       hash={"element_hash": "zero"})
+    out = tmp_path / "t.jsonl"
+    assert main(["run", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert main(["verify", str(out)]) == EXIT_OK
+    assert "transcript verified: no mismatches" in capsys.readouterr().out
+    tr = Transcript.load(out)
+    assert (tr.meta.params.ctx.variant.value, tr.meta.params.hash_cfg.element_hash) == ("field", "zero")
+    gt = tr.ground_truth
+    honest = next(ev for ev in tr.events if ev.step == "broadcast").payload
+    shares = parse_broadcast_payload(honest, tr.meta.params.ctx, 32, tr.meta.t).masked_shares
+    nonces = (gt.r0, *(gt.challenges[name] for name in tr.meta.members))
+    for name, masked in zip(tr.meta.members, shares):
+        x = gt.member_keys[name]
+        assert (masked + sum(r * x**j for j, r in enumerate(nonces))) % 227 == gt.group_key, name
 
 
 # --- verify ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ from gkdsim.algebra import DomainContext, Variant, domain_new
 from gkdsim.codec import (
     AuthInput,
     HashConfig,
+    PublicParams,
     ZERO_HASH,
     build_auth_input,
     compute_auth,
@@ -218,7 +219,7 @@ def _tag_fixture(t=40, seed=3):
 def test_compute_auth_never_hashes_its_vectors():
     ctx, ids, nonces, shares = _tag_fixture()
     ai = AuthInput(7, UnhashableTuple(ids), UnhashableTuple(nonces), UnhashableTuple(shares))
-    assert compute_auth(ai, ctx) == hashlib.sha256(reference_build_auth_input(ai, ctx)).digest()
+    assert compute_auth(ai, PublicParams(ctx)) == hashlib.sha256(reference_build_auth_input(ai, ctx)).digest()
     codec._auth_body.cache_clear()
     body = codec._auth_body(ai.member_ids, ai.nonces, ai.masked_shares, ctx, 16)
     assert codec._auth_body(ids, nonces, shares, ctx, 16) is body  # equal vectors hit
@@ -267,7 +268,7 @@ def test_failed_tag_body_is_not_memoised(ring35, bad):
 @pytest.mark.parametrize("bad", [-1, 256, 2**64])
 def test_compute_auth_rejects_unrepresentable_fields(ring35, field, bad):
     good = AuthInput(10, (b"A", b"B"), (3, 1, 2), (32, 31))
-    before = compute_auth(good, ring35)  # a memoised good block must not mask the error
+    before = compute_auth(good, PublicParams(ring35))  # a memoised good block must not mask the error
     if field == "key":
         ai = AuthInput(bad, good.member_ids, good.nonces, good.masked_shares)
     elif field == "nonce":
@@ -275,40 +276,40 @@ def test_compute_auth_rejects_unrepresentable_fields(ring35, field, bad):
     else:
         ai = AuthInput(good.group_key, good.member_ids, good.nonces, (32, bad))
     with pytest.raises(ValueError):
-        compute_auth(ai, ring35)
-    assert compute_auth(good, ring35) == before
+        compute_auth(ai, PublicParams(ring35))
+    assert compute_auth(good, PublicParams(ring35)) == before
 
 
 def test_compute_auth_rejects_over_long_id(ring35):
     ai = AuthInput(10, (b"A", b"BCD"), (3, 1, 2), (32, 31))
-    compute_auth(ai, ring35, id_width=3)
+    compute_auth(ai, PublicParams(ring35, id_width=3))
     with pytest.raises(IdentifierTooLong):
-        compute_auth(ai, ring35, id_width=2)
+        compute_auth(ai, PublicParams(ring35, id_width=2))
     with pytest.raises(IdentifierTooLong):
-        compute_auth(AuthInput(10, (b"x" * 17, b"B"), (3, 1, 2), (32, 31)), ring35)
+        compute_auth(AuthInput(10, (b"x" * 17, b"B"), (3, 1, 2), (32, 31)), PublicParams(ring35))
 
 
 # --- tag computation -----------------------------------------------------------
 
 def test_compute_auth_deterministic(ring35):
     ai = AuthInput(10, (b"A", b"B"), (3, 1, 2), (32, 31))
-    assert compute_auth(ai, ring35) == compute_auth(ai, ring35)
+    assert compute_auth(ai, PublicParams(ring35)) == compute_auth(ai, PublicParams(ring35))
 
 
 def test_compute_auth_key_sensitivity(ring35):
     a = AuthInput(10, (b"A", b"B"), (3, 1, 2), (32, 31))
     b = AuthInput(11, (b"A", b"B"), (3, 1, 2), (32, 31))
-    assert compute_auth(a, ring35) != compute_auth(b, ring35)
+    assert compute_auth(a, PublicParams(ring35)) != compute_auth(b, PublicParams(ring35))
 
 
 def test_compute_auth_golden(ring35):
     ai = AuthInput(10, (b"\x41", b"\x42"), (3, 1, 2), (32, 31))
-    assert compute_auth(ai, ring35, id_width=1).hex() == GOLDEN_AUTH_DIGEST
+    assert compute_auth(ai, PublicParams(ring35, id_width=1)).hex() == GOLDEN_AUTH_DIGEST
 
 
 def test_digest_length_matches_config(ring35):
     ai = AuthInput(10, (b"A", b"B"), (3, 1, 2), (32, 31))
-    assert len(compute_auth(ai, ring35)) == HashConfig().digest_size == 32
+    assert len(compute_auth(ai, PublicParams(ring35))) == HashConfig().digest_size == 32
 
 
 # --- hash_to_element -----------------------------------------------------------
@@ -333,7 +334,7 @@ def test_zero_element_hash(field23):
     assert hash_to_element(b"anything", field23, cfg) == 0
     # the tag hash is unaffected
     ai = AuthInput(10, (b"A", b"B"), (3, 1, 2), (2, 3))
-    assert compute_auth(ai, field23, cfg) == compute_auth(ai, field23)
+    assert compute_auth(ai, PublicParams(field23, cfg)) == compute_auth(ai, PublicParams(field23))
 
 
 def test_hash_config_rejects_unknown_algorithms():

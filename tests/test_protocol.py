@@ -1,5 +1,7 @@
 import copy
+import dataclasses
 import hashlib
+import inspect
 import math
 import pickle
 import random
@@ -7,9 +9,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gkdsim import protocol
+from gkdsim import adversary, codec, protocol
+from gkdsim.adversary import InsiderContext, InsiderInterceptor
 from gkdsim.algebra import SeededRng, Variant, domain_new, inner_product, power_vector, sample_element
-from gkdsim.codec import AuthInput, HashConfig, ZERO_HASH, compute_auth
+from gkdsim.codec import AuthInput, HashConfig, PublicParams, ZERO_HASH, compute_auth
 from gkdsim.errors import (
     DuplicateMember,
     IncompleteChallenges,
@@ -61,7 +64,7 @@ CHALLENGES = {b"A": 1, b"B": 2}
 @pytest.fixture
 def honest_bcast(ring35):
     bcast, s = kgc_distribute(
-        ROSTER, KEYS, CHALLENGES, SeededRng(0), Variant.RING, ring35,
+        ROSTER, KEYS, CHALLENGES, SeededRng(0), PublicParams(ring35),
         group_key=10, nonce=3,
     )
     assert s == 10
@@ -71,20 +74,21 @@ def honest_bcast(ring35):
 # --- compute_share ----------------------------------------------------------------
 
 def test_share_ring_fixture(ring35):
-    assert compute_share(2, (3, 1, 2), 0, Variant.RING, ring35) == 13
-    assert compute_share(3, (3, 1, 2), 1, Variant.RING, ring35) == 24
+    assert compute_share(2, (3, 1, 2), 0, PublicParams(ring35)) == 13
+    assert compute_share(3, (3, 1, 2), 1, PublicParams(ring35)) == 24
 
 
 def test_share_zero_key_projects_r0(ring35):
-    assert compute_share(0, (3, 1, 2), 0, Variant.RING, ring35) == 3
+    assert compute_share(0, (3, 1, 2), 0, PublicParams(ring35)) == 3
 
 
 def test_share_field_with_zero_hash_reduces_to_ring(field23):
     cfg = HashConfig(element_hash=ZERO_HASH)
+    ring23 = dataclasses.replace(field23, variant=Variant.RING)
     for x in range(23):
         for nonces in ((3, 1, 2), (0, 0, 0), (22, 21, 20), (5, 0, 9)):
-            assert compute_share(x, nonces, 1, Variant.FIELD, field23, cfg) == compute_share(
-                x, nonces, 1, Variant.RING, field23
+            assert compute_share(x, nonces, 1, PublicParams(field23, cfg)) == compute_share(
+                x, nonces, 1, PublicParams(ring23)
             )
 
 
@@ -93,7 +97,7 @@ def test_share_matches_naive_oracle(ring35):
     for x in range(35):
         for t in (2, 3):
             nonces = tuple(sample_element(rng, ring35) for _ in range(t + 1))
-            assert compute_share(x, nonces, 0, Variant.RING, ring35) == naive_share_ring(
+            assert compute_share(x, nonces, 0, PublicParams(ring35)) == naive_share_ring(
                 x, nonces, 35
             )
 
@@ -103,7 +107,7 @@ def test_share_field_matches_independent_oracle(field23):
     for x in range(23):
         for index in (0, 1):
             nonces = tuple(sample_element(rng, field23) for _ in range(3))
-            assert compute_share(x, nonces, index, Variant.FIELD, field23) == naive_share_field(
+            assert compute_share(x, nonces, index, PublicParams(field23)) == naive_share_field(
                 x, nonces, index, 23, field23.byte_width
             )
 
@@ -132,7 +136,7 @@ def test_share_matches_naive_oracle_at_scale(variant, in_range):
             nonces = tuple(r + (k % 5 - 2) * m + (k % 7 == 0) * 2**200 for k, r in enumerate(nonces))
             x += (trial + 1) * m
         index = (trial * 97) % SCALE_T
-        got = compute_share(x, nonces, index, variant, ctx)
+        got = compute_share(x, nonces, index, PublicParams(ctx))
         if variant is Variant.RING:
             assert got == naive_share_ring(x, nonces, m)
         else:
@@ -185,7 +189,8 @@ def test_blocked_share_matches_inner_product(bits, variant):
     for t in BLOCK_TS:
         x, nonces = _unreduced_inputs(rnd, t, ctx.modulus)
         index = rnd.randrange(t)
-        assert compute_share(x, nonces, index, variant, ctx) == _oracle_share(x, nonces, index, variant, ctx), t
+        assert compute_share(x, nonces, index,
+                             PublicParams(ctx)) == _oracle_share(x, nonces, index, variant, ctx), t
 
 
 @settings(max_examples=60, deadline=None)
@@ -200,15 +205,15 @@ def test_blocked_share_property(bits, variant, t, seed):
     rnd = random.Random(seed)
     x, nonces = _unreduced_inputs(rnd, t, ctx.modulus)
     index = rnd.randrange(t)
-    assert compute_share(x, nonces, index, variant, ctx) == _oracle_share(x, nonces, index, variant, ctx)
+    assert compute_share(x, nonces, index, PublicParams(ctx)) == _oracle_share(x, nonces, index, variant, ctx)
 
 
 @pytest.mark.parametrize("nonces", [(4, 5), (4,), ()], ids=["t=1", "t=0", "empty"])
 def test_share_widths_below_two_raise_width_too_small(ring35, field23, nonces):
     with pytest.raises(WidthTooSmall):
-        compute_share(2, nonces, 0, Variant.RING, ring35)
+        compute_share(2, nonces, 0, PublicParams(ring35))
     with pytest.raises(WidthTooSmall):
-        compute_share(2, nonces, 0, Variant.FIELD, field23)
+        compute_share(2, nonces, 0, PublicParams(field23))
 
 
 @pytest.mark.parametrize("bits", sorted(PRIMES_BY_BITS))
@@ -223,10 +228,10 @@ def test_packed_share_at_the_largest_residues(bits, variant, excess):
     zero = HashConfig(element_hash=ZERO_HASH)
     for t in BLOCK_TS:
         nonces = (m - 1 + excess,) * (t + 1)
-        got = compute_share(m - 1, nonces, t - 1, variant, ctx)
+        got = compute_share(m - 1, nonces, t - 1, PublicParams(ctx))
         assert got == _oracle_share(m - 1, nonces, t - 1, variant, ctx), t
         if variant is Variant.FIELD:
-            got = compute_share(m - 1, nonces, t - 1, variant, ctx, zero)
+            got = compute_share(m - 1, nonces, t - 1, PublicParams(ctx, zero))
             assert got == _oracle_share(m - 1, nonces, t - 1, Variant.RING, ctx), t
 
 
@@ -237,7 +242,8 @@ def test_packed_lanes_are_not_shared_across_moduli():
     nonces = tuple(rnd.randrange(large.modulus) for _ in range(41))
     for ctx in (small, large, small, large):
         x = rnd.randrange(ctx.modulus)
-        assert compute_share(x, nonces, 3, Variant.FIELD, ctx) == _oracle_share(x, nonces, 3, Variant.FIELD, ctx)
+        assert compute_share(x, nonces, 3,
+                             PublicParams(ctx)) == _oracle_share(x, nonces, 3, Variant.FIELD, ctx)
 
 
 def test_packed_lanes_follow_alternating_nonce_vectors():
@@ -249,7 +255,8 @@ def test_packed_lanes_follow_alternating_nonce_vectors():
     for k in range(6):
         x = rnd.randrange(ctx.modulus)
         nonces = vectors[k % 2]
-        assert compute_share(x, nonces, 0, Variant.RING, ctx) == _oracle_share(x, nonces, 0, Variant.RING, ctx)
+        assert compute_share(x, nonces, 0,
+                             PublicParams(ctx)) == _oracle_share(x, nonces, 0, Variant.RING, ctx)
     assert protocol._lanes.cache_info().misses == 6
 
 
@@ -270,7 +277,7 @@ def test_share_never_hashes_the_nonce_vector():
         x, nonces = _unreduced_inputs(rnd, t, m)
         vector = UnhashableTuple(nonces)
         for index in (0, t - 1):
-            assert compute_share(x, vector, index, Variant.FIELD, ctx) == _oracle_share(
+            assert compute_share(x, vector, index, PublicParams(ctx)) == _oracle_share(
                 x, nonces, index, Variant.FIELD, ctx
             ), (t, index)
     b = math.isqrt(4 * 40)
@@ -305,9 +312,9 @@ def test_share_builds_one_power_vector_of_the_block_width(monkeypatch):
     monkeypatch.setattr(protocol, "power_vector", spy)
     for t in BLOCK_TS:
         widths.clear()
-        compute_share(3, tuple(range(t + 1)), 0, Variant.FIELD, ctx)
+        compute_share(3, tuple(range(t + 1)), 0, PublicParams(ctx))
         assert widths == [t if t <= 12 else math.isqrt(4 * t)], t
-    compute_share(3, tuple(range(257)), 0, Variant.FIELD, ctx)
+    compute_share(3, tuple(range(257)), 0, PublicParams(ctx))
     assert widths[-1] <= 33
 
 
@@ -320,14 +327,14 @@ def test_distribute_fixture_shares(honest_bcast):
 
 def test_distribute_tag_is_ordinary_compute_auth(ring35, honest_bcast):
     expected = compute_auth(
-        AuthInput(10, ROSTER.members, (3, 1, 2), (32, 21)), ring35
+        AuthInput(10, ROSTER.members, (3, 1, 2), (32, 21)), PublicParams(ring35)
     )
     assert honest_bcast.auth == expected
 
 
 def test_distribute_zero_key_negates_shares(ring35):
     bcast, _ = kgc_distribute(
-        ROSTER, KEYS, CHALLENGES, SeededRng(0), Variant.RING, ring35,
+        ROSTER, KEYS, CHALLENGES, SeededRng(0), PublicParams(ring35),
         group_key=0, nonce=3,
     )
     assert bcast.masked_shares == ((-13) % 35, (-24) % 35)
@@ -335,17 +342,17 @@ def test_distribute_zero_key_negates_shares(ring35):
 
 def test_distribute_requires_all_challenges(ring35):
     with pytest.raises(IncompleteChallenges):
-        kgc_distribute(ROSTER, KEYS, {b"A": 1}, SeededRng(0), Variant.RING, ring35)
+        kgc_distribute(ROSTER, KEYS, {b"A": 1}, SeededRng(0), PublicParams(ring35))
 
 
 def test_distribute_requires_registered_keys(ring35):
     with pytest.raises(UnknownMember):
-        kgc_distribute(ROSTER, {b"A": 2}, CHALLENGES, SeededRng(0), Variant.RING, ring35)
+        kgc_distribute(ROSTER, {b"A": 2}, CHALLENGES, SeededRng(0), PublicParams(ring35))
 
 
 def test_distribute_draws_uniform_when_not_forced(ring35):
-    b1, s1 = kgc_distribute(ROSTER, KEYS, CHALLENGES, SeededRng(1), Variant.RING, ring35)
-    b2, s2 = kgc_distribute(ROSTER, KEYS, CHALLENGES, SeededRng(1), Variant.RING, ring35)
+    b1, s1 = kgc_distribute(ROSTER, KEYS, CHALLENGES, SeededRng(1), PublicParams(ring35))
+    b2, s2 = kgc_distribute(ROSTER, KEYS, CHALLENGES, SeededRng(1), PublicParams(ring35))
     assert (s1, b1.r0) == (s2, b2.r0)  # same seed, same draws
     assert 0 <= s1 < 35 and 0 <= b1.r0 < 35
 
@@ -354,7 +361,8 @@ def test_distribute_draws_uniform_when_not_forced(ring35):
 
 def test_user_accepts_honest_broadcast(ring35, honest_bcast):
     out = user_process_broadcast(
-        PartyIdentity(b"A", 2), ROSTER, challenge_vector(ROSTER, CHALLENGES), honest_bcast, Variant.RING, ring35
+        PartyIdentity(b"A", 2), ROSTER, challenge_vector(ROSTER, CHALLENGES), honest_bcast,
+                      PublicParams(ring35)
     )
     assert out.status is OutcomeStatus.ACCEPTED
     assert out.key == 10  # 32 + 13 = 45 = 10 mod 35
@@ -367,7 +375,7 @@ def test_user_rejects_flipped_share_bit(ring35, honest_bcast):
         masked_shares=(honest_bcast.masked_shares[0] ^ 1, honest_bcast.masked_shares[1]),
     )
     out = user_process_broadcast(
-        PartyIdentity(b"A", 2), ROSTER, challenge_vector(ROSTER, CHALLENGES), tampered, Variant.RING, ring35
+        PartyIdentity(b"A", 2), ROSTER, challenge_vector(ROSTER, CHALLENGES), tampered, PublicParams(ring35)
     )
     assert out.status is OutcomeStatus.REJECTED
     assert out.reason == "tag_mismatch"
@@ -377,28 +385,30 @@ def test_user_rejects_short_share_list(ring35, honest_bcast):
     short = KgcBroadcast(honest_bcast.auth, honest_bcast.r0, honest_bcast.masked_shares[:1])
     with pytest.raises(MalformedBroadcast):
         user_process_broadcast(
-            PartyIdentity(b"A", 2), ROSTER, challenge_vector(ROSTER, CHALLENGES), short, Variant.RING, ring35
+            PartyIdentity(b"A", 2), ROSTER, challenge_vector(ROSTER, CHALLENGES), short, PublicParams(ring35)
         )
 
 
 def test_user_requires_membership(ring35, honest_bcast):
     with pytest.raises(NotInRoster):
         user_process_broadcast(
-            PartyIdentity(b"C", 9), ROSTER, challenge_vector(ROSTER, CHALLENGES), honest_bcast, Variant.RING, ring35
+            PartyIdentity(b"C", 9), ROSTER, challenge_vector(ROSTER, CHALLENGES), honest_bcast,
+                          PublicParams(ring35)
         )
 
 
 def test_user_requires_all_challenges(ring35, honest_bcast):
     with pytest.raises(IncompleteChallenges):
         user_process_broadcast(
-            PartyIdentity(b"A", 2), ROSTER, challenge_vector(ROSTER, {b"A": 1}), honest_bcast, Variant.RING, ring35
+            PartyIdentity(b"A", 2), ROSTER, challenge_vector(ROSTER, {b"A": 1}), honest_bcast,
+                          PublicParams(ring35)
         )
 
 
 def test_unmask_requires_one_challenge_per_member(ring35, honest_bcast):
     for vector in ((1,), (1, 2, 3)):
         with pytest.raises(IncompleteChallenges):
-            protocol.unmask(PartyIdentity(b"A", 2), ROSTER, vector, honest_bcast, Variant.RING, ring35)
+            protocol.unmask(PartyIdentity(b"A", 2), ROSTER, vector, honest_bcast, PublicParams(ring35))
 
 
 # --- key agreement property -----------------------------------------------------------
@@ -420,7 +430,7 @@ def test_key_agreement_and_share_equation(seed, t, variant):
     roster = GroupRoster(ids)
     keys = {i: sample_element(rng, ctx) for i in ids}
     challenges = {i: sample_element(rng, ctx) for i in ids}
-    bcast, s = kgc_distribute(roster, keys, challenges, rng, variant, ctx)
+    bcast, s = kgc_distribute(roster, keys, challenges, rng, PublicParams(ctx))
     nonces = (bcast.r0, *(challenges[i] for i in ids))
     for pos, i in enumerate(ids):
         # share equation against the naive big-integer oracle
@@ -430,23 +440,23 @@ def test_key_agreement_and_share_equation(seed, t, variant):
             share = naive_share_field(keys[i], nonces, pos, ctx.modulus, ctx.byte_width)
         assert (bcast.masked_shares[pos] + share) % ctx.modulus == s
         out = user_process_broadcast(
-            PartyIdentity(i, keys[i]), roster, challenge_vector(roster, challenges), bcast, variant, ctx
+            PartyIdentity(i, keys[i]), roster, challenge_vector(roster, challenges), bcast, PublicParams(ctx)
         )
         assert out.status is OutcomeStatus.ACCEPTED and out.key == s
 
 
 # --- state machines ---------------------------------------------------------------------
 
-def drive_session(ctx, variant, names, seed=0, hash_cfg=None):
+def drive_session(ctx, names, seed=0, hash_cfg=None):
     """Manual driver: returns (kgc, members dict, broadcast, group key)."""
-    hash_cfg = hash_cfg or HashConfig()
+    params = PublicParams(ctx, hash_cfg or HashConfig())
     rng = SeededRng(seed)
-    kgc = KeyGenerationCentre(ctx, variant, hash_cfg)
+    kgc = KeyGenerationCentre(params)
     members = {}
     for name in names:
         identity = PartyIdentity(name, sample_element(rng, ctx))
         kgc.register(identity)
-        members[name] = GroupMember(identity, ctx, variant, hash_cfg)
+        members[name] = GroupMember(identity, params)
     ann = kgc.announce(tuple(names))
     for m in members.values():
         m.receive_announcement(ann)
@@ -470,7 +480,7 @@ def test_state_machines_full_honest_run(variant):
         else domain_new(227, variant=variant)
     )
     names = (b"alice", b"bob", b"carol")
-    _, members, _, s = drive_session(ctx, variant, names, seed=5)
+    _, members, _, s = drive_session(ctx, names, seed=5)
     for m in members.values():
         out = m.finalize()
         assert out.status is OutcomeStatus.ACCEPTED
@@ -478,7 +488,7 @@ def test_state_machines_full_honest_run(variant):
 
 
 def test_announce_rejects_duplicates(ring35):
-    kgc = KeyGenerationCentre(ring35, Variant.RING)
+    kgc = KeyGenerationCentre(PublicParams(ring35))
     kgc.register(PartyIdentity(b"A", 1))
     kgc.register(PartyIdentity(b"B", 2))
     with pytest.raises(DuplicateMember):
@@ -486,7 +496,7 @@ def test_announce_rejects_duplicates(ring35):
 
 
 def test_announce_rejects_unregistered(ring35):
-    kgc = KeyGenerationCentre(ring35, Variant.RING)
+    kgc = KeyGenerationCentre(PublicParams(ring35))
     kgc.register(PartyIdentity(b"A", 1))
     kgc.register(PartyIdentity(b"B", 2))
     with pytest.raises(UnknownMember):
@@ -494,33 +504,33 @@ def test_announce_rejects_unregistered(ring35):
 
 
 def test_announce_echoes_request_order(ring35):
-    kgc = KeyGenerationCentre(ring35, Variant.RING)
+    kgc = KeyGenerationCentre(PublicParams(ring35))
     for n, k in ((b"A", 1), (b"B", 2), (b"C", 3)):
         kgc.register(PartyIdentity(n, k))
     assert kgc.announce((b"C", b"A", b"B")).members == (b"C", b"A", b"B")
 
 
 def test_register_rejects_duplicate_id(ring35):
-    kgc = KeyGenerationCentre(ring35, Variant.RING)
+    kgc = KeyGenerationCentre(PublicParams(ring35))
     kgc.register(PartyIdentity(b"A", 1))
     with pytest.raises(DuplicateMember):
         kgc.register(PartyIdentity(b"A", 9))
 
 
 def test_challenge_requires_announcement(ring35):
-    member = GroupMember(PartyIdentity(b"A", 2), ring35, Variant.RING)
+    member = GroupMember(PartyIdentity(b"A", 2), PublicParams(ring35))
     with pytest.raises(NotInRoster):
         member.issue_challenge(SeededRng(0))
 
 
 def test_announcement_must_name_the_member(ring35):
-    member = GroupMember(PartyIdentity(b"Z", 2), ring35, Variant.RING)
+    member = GroupMember(PartyIdentity(b"Z", 2), PublicParams(ring35))
     with pytest.raises(NotInRoster):
         member.receive_announcement(Announcement((b"A", b"B")))
 
 
 def test_reannouncement_resets_session(ring35):
-    member = GroupMember(PartyIdentity(b"A", 2), ring35, Variant.RING)
+    member = GroupMember(PartyIdentity(b"A", 2), PublicParams(ring35))
     rng = SeededRng(0)
     member.receive_announcement(Announcement((b"A", b"B")))
     first = member.issue_challenge(rng)
@@ -532,7 +542,7 @@ def test_reannouncement_resets_session(ring35):
 
 
 def test_kgc_rejects_challenge_from_non_member(ring35):
-    kgc = KeyGenerationCentre(ring35, Variant.RING)
+    kgc = KeyGenerationCentre(PublicParams(ring35))
     kgc.register(PartyIdentity(b"A", 1))
     kgc.register(PartyIdentity(b"B", 2))
     kgc.announce((b"A", b"B"))
@@ -543,7 +553,7 @@ def test_kgc_rejects_challenge_from_non_member(ring35):
 
 
 def test_finalize_without_broadcast_times_out(ring35):
-    member = GroupMember(PartyIdentity(b"A", 2), ring35, Variant.RING)
+    member = GroupMember(PartyIdentity(b"A", 2), PublicParams(ring35))
     member.receive_announcement(Announcement((b"A", b"B")))
     assert member.finalize().status is OutcomeStatus.TIMEOUT
 
@@ -579,7 +589,7 @@ def test_rosters_over_the_same_ids_are_equal_and_share_one_index():
 
 
 def test_member_ignores_challenges_from_non_members(ring35):
-    member = GroupMember(PartyIdentity(b"A", 2), ring35, Variant.RING)
+    member = GroupMember(PartyIdentity(b"A", 2), PublicParams(ring35))
     from gkdsim.protocol import ChallengeMessage
 
     member.observe_challenge(ChallengeMessage(b"B", 5))  # before any announcement
@@ -594,7 +604,7 @@ def test_member_ignores_challenges_from_non_members(ring35):
 
 def test_member_state_holds_no_other_secrets(ring35):
     names = (b"alice", b"bob", b"carol")
-    _, members, _, _ = drive_session(ring35, Variant.RING, names, seed=9)
+    _, members, _, _ = drive_session(ring35, names, seed=9)
     for name, member in members.items():
         identities = [v for v in vars(member).values() if isinstance(v, PartyIdentity)]
         assert identities == [member.identity]
@@ -604,3 +614,34 @@ def test_member_state_holds_no_other_secrets(ring35):
             if isinstance(value, dict) and attr != "observed_challenges":
                 assert not (set(value) & set(names))
     assert not any(hasattr(m, "_keys") for m in members.values())
+
+
+# --- one public-parameters value ----------------------------------------------------------
+
+PARAMS_TAKERS = (
+    protocol.compute_share, protocol.unmask, protocol.user_process_broadcast, protocol.kgc_distribute,
+    adversary.insider_recover_key, adversary.forge_broadcast, codec.compute_auth,
+    protocol.KeyGenerationCentre, protocol.GroupMember, adversary.InsiderInterceptor,
+)
+
+
+@pytest.mark.parametrize("entry", PARAMS_TAKERS, ids=lambda f: f.__qualname__)
+def test_entry_points_take_one_params_value(entry):
+    """Every step, the tag and the three constructors take the public parameters
+    as one PublicParams: no separate variant, domain, hash or identifier width
+    that could disagree with it."""
+    names = set(inspect.signature(entry).parameters)
+    assert "params" in names
+    assert not names & {"variant", "ctx", "hash_cfg", "id_width"}
+
+
+def test_public_params_holds_exactly_the_domain_hash_and_id_width(ring35):
+    assert [f.name for f in dataclasses.fields(PublicParams)] == ["ctx", "hash_cfg", "id_width"]
+    params = PublicParams(ring35)
+    assert params == PublicParams(ring35, HashConfig(), 16) and hash(params) == hash(PublicParams(ring35))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.id_width = 8
+    insider = InsiderInterceptor(InsiderContext(PartyIdentity(b"B", 3), 0, 4), ROSTER, params)
+    for holder in (KeyGenerationCentre(params), GroupMember(PartyIdentity(b"A", 2), params), insider):
+        assert holder.params is params
+        assert not {"variant", "ctx", "hash_cfg", "id_width"} & set(vars(holder))

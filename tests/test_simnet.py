@@ -99,7 +99,7 @@ def test_initiator_defaults_to_first_member():
 def test_field_variant_with_generated_modulus():
     tr = run(variant="field", modulus={"bits": 32}, members=["a", "b"])
     assert tr.meta.q is None
-    assert tr.meta.ctx.modulus == tr.meta.p
+    assert tr.meta.params.ctx.modulus == tr.meta.p
     assert all(oc.status == "accepted" for oc in tr.outcomes)
 
 
@@ -268,7 +268,7 @@ def test_outcome_failures_none_on_fresh_runs(adversary, redact):
 
 def test_outcome_failures_judge_keys_against_ground_truth_when_present():
     tr = run()
-    wrong = (tr.ground_truth.group_key + 1) % tr.meta.ctx.modulus
+    wrong = (tr.ground_truth.group_key + 1) % tr.meta.params.ctx.modulus
     agreed = dataclasses.replace(
         tr, outcomes=tuple(dataclasses.replace(oc, key=wrong) for oc in tr.outcomes)
     )
@@ -332,7 +332,7 @@ def test_verify_judges_redacted_transcripts_by_the_success_condition(adversary):
     assert "success condition: met" in verify_transcript(tr).checks
     alice_key = tr.outcomes[0].key
     if adversary is None:
-        stray = _with_outcome(tr, "carol", key=(alice_key + 1) % tr.meta.ctx.modulus)
+        stray = _with_outcome(tr, "carol", key=(alice_key + 1) % tr.meta.params.ctx.modulus)
     else:  # the forge victim keeps the honest key, the suppressed one gets it
         stray = _with_outcome(tr, "bob", status="accepted", key=alice_key, reason=None)
     failures = outcome_failures(stray)
@@ -380,7 +380,7 @@ def test_verify_flags_edited_outcome():
     lines = tr.to_jsonl().splitlines()
     idx = next(i for i, l in enumerate(lines) if '"record":"outcome"' in l)
     rec = json.loads(lines[idx])
-    rec["key"] = (rec["key"] + 1) % tr.meta.ctx.modulus
+    rec["key"] = (rec["key"] + 1) % tr.meta.params.ctx.modulus
     lines[idx] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
     report = verify_transcript(Transcript.from_jsonl("\n".join(lines) + "\n"))
     assert not report.ok
@@ -392,7 +392,7 @@ def test_verify_flags_edited_ground_truth():
     lines = tr.to_jsonl().splitlines()
     rec = json.loads(lines[-1])
     assert rec["record"] == "ground_truth"
-    rec["group_key"] = (rec["group_key"] + 1) % tr.meta.ctx.modulus
+    rec["group_key"] = (rec["group_key"] + 1) % tr.meta.params.ctx.modulus
     lines[-1] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
     report = verify_transcript(Transcript.from_jsonl("\n".join(lines) + "\n"))
     assert not report.ok
