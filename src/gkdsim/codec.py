@@ -10,6 +10,11 @@ width, and the tag input is the exact concatenation
 with every field fixed-width. Fixed widths make the concatenation injective;
 a variable-width encoding would hand out second preimages across field
 boundaries for free.
+
+Two one-entry memos (memo_last) sit behind compute_auth: _auth_body keeps the
+last ids | nonces | shares block, and _digest the last tag input and its
+digest. In a session the KGC, the members and the verifier tag equal inputs,
+so an honest run, its serialise, parse and verify hash one input once.
 """
 
 from __future__ import annotations
@@ -196,10 +201,20 @@ def _auth_body(
 
 
 def compute_auth(ai: AuthInput, params: PublicParams) -> bytes:
-    """The broadcast tag: configured hash over the serialized tag input."""
-    h = hashlib.new(params.hash_cfg.algorithm)
-    h.update(build_auth_input(ai, params.ctx, params.id_width))
-    return h.digest()
+    """The broadcast tag: configured hash over the serialized tag input.
+
+    Every call builds its tag input with one build_auth_input call, and
+    hashes it through _digest, which keeps the last (algorithm, input) and its
+    digest: the KGC, every member accepting the honest broadcast and the
+    verifier tag one input, so a session hashes each distinct input once."""
+    return _digest(params.hash_cfg.algorithm, build_auth_input(ai, params.ctx, params.id_width))
+
+
+@memo_last
+def _digest(algorithm: str, data: bytes) -> bytes:
+    """hashlib digest memoised on the last call; a hit compares the input bytes
+    with the last ones. An unknown algorithm raises, and nothing is memoised."""
+    return hashlib.new(algorithm, data).digest()
 
 
 def hash_to_element(data: bytes, ctx: DomainContext, hash_cfg: HashConfig = DEFAULT_HASH) -> int:

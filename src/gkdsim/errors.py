@@ -59,11 +59,11 @@ class MalformedBroadcast(GkdError):
     """Broadcast share count or framing inconsistent with the roster."""
 
 
-# --- adversary layer ---
-
 class IndexOutOfRoster(GkdError):
-    """Victim position does not exist in the roster."""
+    """A roster position (a member's share index, a victim's) is outside [0, t)."""
 
+
+# --- adversary layer ---
 
 class AttackerIsVictim(GkdError):
     """Insider attack requires attacker and victim to be distinct members."""

@@ -62,6 +62,7 @@ from .codec import (
 from .errors import (
     DuplicateMember,
     IncompleteChallenges,
+    IndexOutOfRoster,
     MalformedBroadcast,
     NotInRoster,
     UnknownMember,
@@ -187,9 +188,10 @@ def compute_share(secret_key: int, nonces: tuple[int, ...], roster_index: int, p
     when params.ctx.variant is the field variant.
 
     nonces is the full (t+1)-tuple (r_0, r_1, ..., r_t), t >= 2, else
-    WidthTooSmall. The same function runs on the KGC and on every member,
-    which is what makes unmasking work. params.hash_cfg names the element
-    hash; its id_width plays no part in a share.
+    WidthTooSmall, and roster_index is in [0, t), else IndexOutOfRoster.
+    The same function runs on the KGC and on every member, which is what
+    makes unmasking work. params.hash_cfg names the element hash; its
+    id_width plays no part in a share.
 
     The value is inner_product(power_vector(x, t), nonces), evaluated from one
     power_vector(x, b): b = t up to t = 12, b = isqrt(4t) above (32 at
@@ -211,6 +213,8 @@ def compute_share(secret_key: int, nonces: tuple[int, ...], roster_index: int, p
     t = len(nonces) - 1
     if t < 2:
         raise WidthTooSmall(f"a share needs t >= 2 challenges, got {t}")
+    if not 0 <= roster_index < t:
+        raise IndexOutOfRoster(f"roster index {roster_index} outside roster of {t}")
     ctx = params.ctx
     x = ctx.reduce(secret_key)
     if ctx.variant is Variant.FIELD:
@@ -256,7 +260,14 @@ def _lanes(nonces: tuple[int, ...], b: int, m: int) -> tuple[tuple[int, ...], in
 
 
 def challenge_vector(roster: GroupRoster, challenges: Mapping[bytes, int]) -> tuple[int, ...]:
-    """(r_1, ..., r_t): every member's challenge in roster order."""
+    """(r_1, ..., r_t): every member's challenge in roster order.
+
+    A mapping that holds exactly the roster's ids, inserted in roster order,
+    is read in one pass over its values; in run_scenario that holds for the
+    KGC, every member and the insider, which all collect challenges in the
+    order they are sent. Any other mapping is read by one lookup per id."""
+    if tuple(challenges) == roster.members:
+        return tuple(challenges.values())
     try:
         return tuple(map(challenges.__getitem__, roster.members))
     except KeyError:

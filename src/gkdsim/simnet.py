@@ -94,7 +94,6 @@ _ADVERSARY_FIELDS = frozenset(("attacker", "victim", "action", "recovered_key", 
 _STATUSES = tuple(s.value for s in OutcomeStatus)
 _ACCEPTED = OutcomeStatus.ACCEPTED.value
 _TIMEOUT = OutcomeStatus.TIMEOUT.value
-_STR_TYPE = frozenset((str,))
 _ADVERSARY_KEYS = frozenset(("attacker", "victim", "action", "target_key"))
 
 
@@ -398,6 +397,18 @@ class TranscriptMeta:
         return meta
 
 
+def _is_str_list(value: object) -> bool:
+    """Whether value is a list of str. join types every element in one C-level
+    pass; json.loads makes no str subclasses, which join would also accept."""
+    if type(value) is not list:
+        return False
+    try:
+        "".join(value)
+    except TypeError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class TranscriptEvent:
     index: int
@@ -418,9 +429,7 @@ class TranscriptEvent:
             raise MalformedTranscript(f"event {rec['index']!r} out of order at position {index}")
         if step not in _STEPS or verdict not in _VERDICTS:
             raise MalformedTranscript(f"event {index}: unknown step or verdict")
-        if type(sender) is not str or type(receivers) is not list or not (
-            set(map(type, receivers)) <= _STR_TYPE
-        ):
+        if type(sender) is not str or not _is_str_list(receivers):
             raise MalformedTranscript(f"event {index}: sender and receivers must be names")
         try:
             payload = bytes.fromhex(rec["payload"])

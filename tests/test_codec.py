@@ -262,6 +262,34 @@ def test_failed_tag_body_is_not_memoised(ring35, bad):
     assert codec._auth_body.cache_info() == (1, 3)
 
 
+def test_alternating_tag_inputs_never_get_a_stale_digest():
+    """Honest, forged, honest, an equal copy of honest, then honest under sha512:
+    every tag is hashlib's over the reference input; each new input, and the
+    second algorithm over an input already hashed, is hashed afresh."""
+    ctx, ids, nonces, shares = _tag_fixture()
+    forged = (*shares[:1], (shares[1] + 1) % ctx.modulus, *shares[2:])
+    honest_ai = AuthInput(5, ids, nonces, shares)
+    forged_ai = AuthInput(9, ids, nonces, forged)
+    copy_ai = AuthInput(5, tuple(list(ids)), tuple(list(nonces)), tuple(list(shares)))
+    codec._digest.cache_clear()
+    for ai, name in ((honest_ai, "sha256"), (forged_ai, "sha256"), (honest_ai, "sha256"),
+                     (copy_ai, "sha256"), (honest_ai, "sha512")):
+        expected = hashlib.new(name, reference_build_auth_input(ai, ctx)).digest()
+        assert compute_auth(ai, PublicParams(ctx, HashConfig(name))) == expected
+    assert codec._digest.cache_info() == (1, 4)
+
+
+def test_failed_digest_is_not_memoised():
+    """An unknown hashlib name raises, and the digest before it stays memoised."""
+    data = bytes(range(40))
+    codec._digest.cache_clear()
+    digest = codec._digest("sha256", data)
+    with pytest.raises(ValueError):
+        codec._digest("no-such-hash", data)
+    assert codec._digest("sha256", bytes(data)) is digest
+    assert codec._digest.cache_info() == (1, 2)
+
+
 # --- error paths through compute_auth -----------------------------------------
 
 @pytest.mark.parametrize("field", ["key", "nonce", "share"])

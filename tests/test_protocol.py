@@ -5,6 +5,7 @@ import inspect
 import math
 import pickle
 import random
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from gkdsim.codec import AuthInput, HashConfig, PublicParams, ZERO_HASH, compute
 from gkdsim.errors import (
     DuplicateMember,
     IncompleteChallenges,
+    IndexOutOfRoster,
     MalformedBroadcast,
     NotInRoster,
     UnknownMember,
@@ -216,6 +218,16 @@ def test_share_widths_below_two_raise_width_too_small(ring35, field23, nonces):
         compute_share(2, nonces, 0, PublicParams(field23))
 
 
+@pytest.mark.parametrize("index", [-1, 3, 99])
+def test_share_index_outside_the_roster_raises(ring35, field23, index):
+    """t = 3: an index outside [0, 3) raises in both variants, where the field
+    variant would read r_0 (index -1) or past the nonces (index 3) as the
+    member's own challenge, and the ring variant would ignore it."""
+    for ctx in (ring35, field23):
+        with pytest.raises(IndexOutOfRoster):
+            compute_share(2, (3, 4, 5, 6), index, PublicParams(ctx))
+
+
 @pytest.mark.parametrize("bits", sorted(PRIMES_BY_BITS))
 @pytest.mark.parametrize("variant", [Variant.RING, Variant.FIELD])
 @pytest.mark.parametrize("excess", [0, 2**300], ids=["m-1", "m-1+2^300"])
@@ -403,6 +415,44 @@ def test_user_requires_all_challenges(ring35, honest_bcast):
             PartyIdentity(b"A", 2), ROSTER, challenge_vector(ROSTER, {b"A": 1}), honest_bcast,
                           PublicParams(ring35)
         )
+
+
+def _challenge_vector_oracle(roster, challenges):
+    """One lookup per roster id."""
+    missing = [m for m in roster.members if m not in challenges]
+    if missing:
+        raise IncompleteChallenges(f"missing challenges from {missing!r}")
+    return tuple(challenges[m] for m in roster.members)
+
+
+@given(
+    t=st.integers(min_value=2, max_value=6),
+    data=st.data(),
+    in_order=st.booleans(),
+    missing=st.integers(min_value=0, max_value=2),
+    extra=st.lists(st.sampled_from([b"zed", b"", b"m99"]), max_size=2, unique=True),
+    proxy=st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_challenge_vector_matches_the_per_id_oracle(t, data, in_order, missing, extra, proxy):
+    """In any insertion order, as a dict or a MappingProxyType, with ids missing
+    or extra: the vector, or the IncompleteChallenges message, is the oracle's."""
+    ids = tuple(f"m{k}".encode() for k in range(t))
+    keys = [m for m in ids if m not in data.draw(st.sets(st.sampled_from(ids), max_size=missing))] + extra
+    if not in_order:
+        keys = data.draw(st.permutations(keys))
+    values = data.draw(st.lists(st.integers(min_value=0), min_size=len(keys), max_size=len(keys)))
+    challenges = dict(zip(keys, values))
+    mapping = MappingProxyType(challenges) if proxy else challenges
+    roster = GroupRoster(ids)
+    try:
+        expected = _challenge_vector_oracle(roster, challenges)
+    except IncompleteChallenges as e:
+        with pytest.raises(IncompleteChallenges) as got:
+            challenge_vector(roster, mapping)
+        assert str(got.value) == str(e)
+    else:
+        assert challenge_vector(roster, mapping) == expected
 
 
 def test_unmask_requires_one_challenge_per_member(ring35, honest_bcast):

@@ -6,7 +6,7 @@ import threading
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gkdsim import codec, protocol, simnet
 from gkdsim.adversary import ChannelAction, Interceptor
@@ -65,6 +65,25 @@ def test_pipeline_builds_the_tag_body_once(adversary, bodies):
     tr = run_scenario(ScenarioConfig.from_dict(cfg))
     assert verify_transcript(Transcript.from_jsonl(tr.to_jsonl())).ok
     assert codec._auth_body.cache_info().misses == bodies
+
+
+@pytest.mark.parametrize("adversary, inputs", [(None, 1), (FORGE, 7)], ids=["honest", "forge"])
+def test_pipeline_hashes_each_tag_input_once(adversary, inputs):
+    """The t = 40 pipeline above hashes each distinct tag input key | body once
+    in a row. Honest: the KGC, every member and the verifier tag one input, so
+    one SHA-256. Forge (victim bob): the victim's candidate is the planted key,
+    so the insider's forged input F and bob's are equal, and every other tag is
+    over the honest input H; the inputs alternate as the bodies do:
+    run: KGC H (1), insider F (2), alice H (3), bob F (4), carol H (5), then H;
+    verify: recomputed tag H, alice H, bob F (6), carol H (7), then H. So 7."""
+    members = ["alice", "bob", "carol", *(f"m{k}" for k in range(37))]
+    cfg = scenario_dict(variant="field", modulus={"p": 2**64 - 59}, members=members)
+    if adversary:
+        cfg["adversary"] = adversary
+    codec._digest.cache_clear()
+    tr = run_scenario(ScenarioConfig.from_dict(cfg))
+    assert verify_transcript(Transcript.from_jsonl(tr.to_jsonl())).ok
+    assert codec._digest.cache_info().misses == inputs
 
 
 # --- honest runs -----------------------------------------------------------------
@@ -732,6 +751,32 @@ def test_from_jsonl_rejects_mistyped_fields(line, key, value):
     lines[line] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
     with pytest.raises(MalformedTranscript):
         Transcript.from_jsonl("\n".join(lines) + "\n")
+
+
+_JSON_VALUES = st.recursive(
+    st.one_of(st.text(max_size=4), st.integers(), st.floats(), st.booleans(), st.none()),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+@given(receivers=st.one_of(st.lists(st.text(max_size=4), max_size=6), st.lists(_JSON_VALUES, max_size=6)))
+@example(receivers=[])
+@example(receivers=["kgc", 1])
+@settings(max_examples=200, deadline=None)
+def test_receivers_typing_matches_the_set_of_types_check(receivers):
+    """An event's receivers list is accepted exactly when every element's type
+    is str, as set(map(type, receivers)) <= {str} decides, for the lists
+    json.loads returns; a rejected list keeps its MalformedTranscript message."""
+    receivers = json.loads(json.dumps(receivers))
+    rec = {"index": 0, "step": "request", "sender": "alice", "receivers": receivers,
+           "payload": "", "verdict": "delivered"}
+    if set(map(type, receivers)) <= {str}:
+        assert simnet.TranscriptEvent.from_record(rec, 0).receivers == tuple(receivers)
+    else:
+        with pytest.raises(MalformedTranscript) as e:
+            simnet.TranscriptEvent.from_record(rec, 0)
+        assert str(e.value) == "event 0: sender and receivers must be names"
 
 
 def _field_paths(obj, prefix=()):
