@@ -27,6 +27,8 @@ from .simnet import (
     ACTION_FORGE,
     ACTION_SUPPRESS,
     KGC_NAME,
+    STEP_BROADCAST,
+    STEP_CHALLENGE,
     ScenarioConfig,
     Transcript,
     VERDICT_DROPPED,
@@ -298,25 +300,23 @@ def cmd_explain(args) -> int:
 
 def _narrative_lines(tr: Transcript) -> list[str]:
     ctx, digest_size, t = tr.meta.params.ctx, tr.meta.params.hash_cfg.digest_size, tr.meta.t
+
+    def shown(step: str, payload: bytes) -> str:
+        """What a payload of this step says: a challenge value, a broadcast's fields."""
+        if step == STEP_CHALLENGE:
+            return f": {int.from_bytes(payload, 'big')}"
+        if step == STEP_BROADCAST:
+            bc = parse_broadcast_payload(payload, ctx, digest_size, t)
+            return f": tag {bc.auth.hex()[:12]}.., nonce {bc.r0}, shares {list(bc.masked_shares)}"
+        return ""
+
     lines = []
     for ev in tr.events:
         route = f"{ev.sender} -> {','.join(ev.receivers)}"
-        detail = _STEP_BLURBS.get(ev.step, "")
-        if ev.step == "challenge":
-            detail = f"{detail}: {int.from_bytes(ev.payload, 'big')}"
-        elif ev.step == "broadcast":
-            bc = parse_broadcast_payload(ev.payload, ctx, digest_size, t)
-            detail = (
-                f"{detail}: tag {bc.auth.hex()[:12]}.., nonce {bc.r0}, "
-                f"shares {list(bc.masked_shares)}"
-            )
+        detail = _STEP_BLURBS[ev.step] + shown(ev.step, ev.payload)
         mark = ""
         if ev.verdict == VERDICT_REPLACED:
-            fb = parse_broadcast_payload(ev.delivered_payload, ctx, digest_size, t)
-            mark = (
-                f"  [REPLACED in transit: tag {fb.auth.hex()[:12]}.., "
-                f"shares {list(fb.masked_shares)}]"
-            )
+            mark = f"  [REPLACED in transit{shown(ev.step, ev.delivered_payload)}]"
         elif ev.verdict == VERDICT_DROPPED:
             mark = "  [DROPPED in transit]"
         lines.append(f"  {ev.index:>2}. {ev.step:<9} {route:<28} {detail}{mark}")

@@ -397,6 +397,16 @@ class TranscriptMeta:
         return meta
 
 
+class _Names(dict):
+    """name -> the one str object that stands for it in a parsed transcript:
+    the meta's, KGC_NAME, or the first one looked up. One table per parse,
+    so no name outlives the transcript that holds it."""
+
+    def __missing__(self, name: str) -> str:
+        self[name] = name
+        return name
+
+
 def _is_str_list(value: object) -> bool:
     """Whether value is a list of str. join types every element in one C-level
     pass; json.loads makes no str subclasses, which join would also accept."""
@@ -420,7 +430,8 @@ class TranscriptEvent:
     delivered_payload: bytes | None = None  # only for replaced verdicts
 
     @classmethod
-    def from_record(cls, rec: dict, index: int) -> "TranscriptEvent":
+    def from_record(cls, rec: dict, index: int, names: _Names | None = None) -> "TranscriptEvent":
+        """Given names, the sender and every receiver come back as its objects."""
         replaced = rec.get("verdict") == VERDICT_REPLACED
         _check_fields(rec, _REPLACED_FIELDS if replaced else _EVENT_FIELDS, "event")
         step, sender, verdict = rec["step"], rec["sender"], rec["verdict"]
@@ -436,6 +447,10 @@ class TranscriptEvent:
             delivered = bytes.fromhex(rec["delivered_payload"]) if replaced else None
         except (TypeError, ValueError):
             raise MalformedTranscript(f"event {index}: payloads must be hex strings") from None
+        if names is not None:
+            # a list, as tuple() reuses a freed tuple of the list's length; from a map
+            # it grows a tuple by resizing, and freed small tuples pile up unused
+            sender, receivers = names[sender], [*map(names.__getitem__, receivers)]
         return cls(index, step, sender, tuple(receivers), payload, verdict, delivered)
 
 
@@ -450,13 +465,16 @@ class OutcomeRecord:
         return {k: v for k, v in vars(self).items() if v is not None}
 
     @classmethod
-    def from_record(cls, rec: dict, ctx: DomainContext) -> "OutcomeRecord":
-        """A key exactly when accepted, a residue; a reason exactly when not."""
+    def from_record(cls, rec: dict, ctx: DomainContext, names: _Names | None = None) -> "OutcomeRecord":
+        """A key exactly when accepted, a residue; a reason exactly when not.
+        Given names, the member comes back as its object."""
         accepted = rec.get("status") == _ACCEPTED
         _check_fields(rec, _ACCEPTED_FIELDS if accepted else _UNACCEPTED_FIELDS, "outcome")
         member, status = rec["member"], rec["status"]
         if type(member) is not str or status not in _STATUSES:
             raise MalformedTranscript(f"outcome for {member!r}: bad member or status")
+        if names is not None:
+            member = names[member]
         if accepted:
             return cls(member, status, key=_residue(rec["key"], ctx, f"outcome key of {member!r}"))
         if type(rec["reason"]) is not str:
@@ -519,7 +537,8 @@ class Transcript:
         lines += (_dump({"record": "outcome", **oc.to_record()}) for oc in self.outcomes)
         if self.ground_truth is not None:
             lines.append(_dump({"record": "ground_truth", **self.ground_truth.to_record()}))
-        return "\n".join(lines) + "\n"
+        lines.append("")  # the last newline, without copying the joined text to add it
+        return "\n".join(lines)
 
     def save(self, path: str | Path) -> None:
         write_text(path, self.to_jsonl())
@@ -527,8 +546,14 @@ class Transcript:
     @classmethod
     def from_jsonl(cls, text: str) -> "Transcript":
         """Parse and type-check every record, in the order the format fixes:
-        one meta, the events, the outcomes, then at most one ground_truth."""
-        meta = ground_truth = None
+        one meta, the events, the outcomes, then at most one ground_truth.
+
+        Each name is stored once: every event sender and receiver and every
+        outcome member is the meta's str object for that name, or KGC_NAME,
+        and a name outside the roster is one object however often it appears.
+        A t-member transcript thus holds about t names, not the t^2 strings
+        json.loads makes for the challenges' receivers lists."""
+        meta = ground_truth = names = None
         events: list[TranscriptEvent] = []
         outcomes: list[OutcomeRecord] = []
         last = 0
@@ -549,10 +574,11 @@ class Transcript:
             try:
                 if kind == "meta":
                     meta = TranscriptMeta.from_record(rec)
+                    names = _Names((name, name) for name in (KGC_NAME, *meta.members))
                 elif kind == "event":
-                    events.append(TranscriptEvent.from_record(rec, len(events)))
+                    events.append(TranscriptEvent.from_record(rec, len(events), names))
                 elif kind == "outcome":
-                    outcomes.append(OutcomeRecord.from_record(rec, meta.params.ctx))
+                    outcomes.append(OutcomeRecord.from_record(rec, meta.params.ctx, names))
                 else:
                     ground_truth = GroundTruth.from_record(rec, meta.params.ctx)
             except MalformedTranscript as e:

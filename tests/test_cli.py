@@ -565,6 +565,23 @@ def test_explain_attack_transcript(tmp_path, capsys):
     assert "planted" in stdout
 
 
+def test_explain_renders_a_replaced_challenge_as_a_challenge(tmp_path, capsys):
+    """A replaced event's substitute is shown as its own step shows payloads;
+    verify still reports that a challenge may not be replaced."""
+    lines = GOLDEN.joinpath("honest-ring35.jsonl").read_text().splitlines()
+    rec = json.loads(lines[3])
+    assert rec["step"] == "challenge" and rec["payload"] == "02"
+    rec.update(verdict="replaced", delivered_payload="05")
+    lines[3] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    path = tmp_path / "t.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["explain", str(path)]) == EXIT_OK
+    stdout = capsys.readouterr().out
+    assert "challenge: 2  [REPLACED in transit: 5]" in stdout
+    assert main(["verify", str(path)]) == EXIT_VERIFY
+    assert "MISMATCH: event 2: challenge replaced, expected delivered" in capsys.readouterr().out
+
+
 def test_explain_redacted_transcript(tmp_path, capsys):
     cfg = write_config(tmp_path, redact=True)
     out = tmp_path / "t.jsonl"

@@ -779,6 +779,59 @@ def test_receivers_typing_matches_the_set_of_types_check(receivers):
         assert str(e.value) == "event 0: sender and receivers must be names"
 
 
+def _forge_pipeline_text():
+    members = ["alice", "bob", "carol", *(f"m{k}" for k in range(37))]
+    cfg = scenario_dict(variant="field", modulus={"p": 2**64 - 59}, members=members, adversary=FORGE)
+    return run_scenario(ScenarioConfig.from_dict(cfg)).to_jsonl()
+
+
+@pytest.mark.parametrize("source", [*GOLDEN_NAMES, "t40-forge"])
+def test_parsed_names_are_the_meta_objects(source):
+    """from_jsonl stores each name once: every sender, receiver and outcome
+    member is the meta's str object for that name, or KGC_NAME."""
+    text = _forge_pipeline_text() if source == "t40-forge" else _golden_path(source).read_text()
+    tr = Transcript.from_jsonl(text)
+    canonical = {name: name for name in (simnet.KGC_NAME, *tr.meta.members)}
+    parsed = [ev.sender for ev in tr.events]
+    parsed += [r for ev in tr.events for r in ev.receivers]
+    parsed += [oc.member for oc in tr.outcomes]
+    assert all(name is canonical[name] for name in parsed)
+
+
+@pytest.mark.parametrize("receivers", ["kgcbob", {"kgc": "kgc", "bob": "bob"}], ids=["str", "dict"])
+def test_receivers_of_roster_names_not_in_a_list_are_rejected(receivers):
+    """Receivers must be a list: a str or dict of roster names, which a lookup
+    in the name table alone would take, keeps the typing error message."""
+    lines = _golden_path("honest-ring35.jsonl").read_text().splitlines()
+    rec = json.loads(lines[3])
+    rec["receivers"] = receivers
+    lines[3] = simnet._dump(rec)
+    with pytest.raises(MalformedTranscript) as e:
+        Transcript.from_jsonl("\n".join(lines) + "\n")
+    assert str(e.value) == "line 4: event 2: sender and receivers must be names"
+
+
+def test_a_challenge_to_a_stranger_gets_the_same_report():
+    """A name outside the roster parses, and verify reports the misrouted challenge."""
+    lines = _golden_path("honest-ring35.jsonl").read_text().splitlines()
+    rec = json.loads(lines[3])
+    rec["receivers"] = ["kgc", "mallory"]
+    lines[3] = simnet._dump(rec)
+    tr = Transcript.from_jsonl("\n".join(lines) + "\n")
+    assert tr.events[2].receivers == ("kgc", "mallory")
+    report = verify_transcript(tr)
+    assert report.checks == [
+        "events: complete and ordered",
+        "challenges: one per member, in roster order",
+        "broadcast: framing consistent",
+        "success condition: met",
+        "shares and tag: match recomputation from recorded keys and randomness",
+        "outcomes: match replayed processing",
+    ]
+    assert report.mismatches == ["event 2: challenge not sent to kgc and every other member"]
+    assert report.skipped == []
+
+
 def _field_paths(obj, prefix=()):
     """Every key/index path into a parsed JSON record."""
     items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
