@@ -431,7 +431,8 @@ class TranscriptEvent:
 
     @classmethod
     def from_record(cls, rec: dict, index: int, names: _Names | None = None) -> "TranscriptEvent":
-        """Given names, the sender and every receiver come back as its objects."""
+        """The sender and every receiver come back as names' objects."""
+        names = _Names() if names is None else names
         replaced = rec.get("verdict") == VERDICT_REPLACED
         _check_fields(rec, _REPLACED_FIELDS if replaced else _EVENT_FIELDS, "event")
         step, sender, verdict = rec["step"], rec["sender"], rec["verdict"]
@@ -447,10 +448,9 @@ class TranscriptEvent:
             delivered = bytes.fromhex(rec["delivered_payload"]) if replaced else None
         except (TypeError, ValueError):
             raise MalformedTranscript(f"event {index}: payloads must be hex strings") from None
-        if names is not None:
-            # a list, as tuple() reuses a freed tuple of the list's length; from a map
-            # it grows a tuple by resizing, and freed small tuples pile up unused
-            sender, receivers = names[sender], [*map(names.__getitem__, receivers)]
+        # a list, as tuple() reuses a freed tuple of the list's length; from a map
+        # it grows a tuple by resizing, and freed small tuples pile up unused
+        sender, receivers = names[sender], [*map(names.__getitem__, receivers)]
         return cls(index, step, sender, tuple(receivers), payload, verdict, delivered)
 
 
@@ -465,16 +465,14 @@ class OutcomeRecord:
         return {k: v for k, v in vars(self).items() if v is not None}
 
     @classmethod
-    def from_record(cls, rec: dict, ctx: DomainContext, names: _Names | None = None) -> "OutcomeRecord":
-        """A key exactly when accepted, a residue; a reason exactly when not.
-        Given names, the member comes back as its object."""
+    def from_record(cls, rec: dict, ctx: DomainContext, names: _Names) -> "OutcomeRecord":
+        """A key exactly when accepted, a residue; a reason exactly when not."""
         accepted = rec.get("status") == _ACCEPTED
         _check_fields(rec, _ACCEPTED_FIELDS if accepted else _UNACCEPTED_FIELDS, "outcome")
         member, status = rec["member"], rec["status"]
         if type(member) is not str or status not in _STATUSES:
             raise MalformedTranscript(f"outcome for {member!r}: bad member or status")
-        if names is not None:
-            member = names[member]
+        member = names[member]
         if accepted:
             return cls(member, status, key=_residue(rec["key"], ctx, f"outcome key of {member!r}"))
         if type(rec["reason"]) is not str:
