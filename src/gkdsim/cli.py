@@ -31,11 +31,13 @@ from .simnet import (
     STEP_CHALLENGE,
     ScenarioConfig,
     Transcript,
+    TranscriptEvent,
     VERDICT_DROPPED,
     VERDICT_REPLACED,
     build_domain,
     outcome_failures,
     parse_broadcast_payload,
+    parse_challenge_payload,
     run_scenario,
     verify_transcript,
     write_text,
@@ -264,19 +266,19 @@ _STEP_BLURBS = {
 
 
 def cmd_explain(args) -> int:
+    """Prints only once every line is built: a malformed transcript prints nothing."""
     tr = Transcript.load(args.path)
     meta = tr.meta
-    print(
+    lines = [
         f"scenario: {meta.params.ctx.variant.value} variant, modulus {meta.params.ctx.modulus}, "
         f"members {', '.join(meta.members)}, seed {meta.seed}"
-    )
+    ]
     adv = meta.adversary
     if adv:
         link = f"{KGC_NAME}->{adv.victim}"
-        print(f"adversary: {adv.attacker} controls the {link} link ({adv.action})")
-    for line in _narrative_lines(tr):
-        print(line)
-    print("outcomes:")
+        lines.append(f"adversary: {adv.attacker} controls the {link} link ({adv.action})")
+    lines += _narrative_lines(tr)
+    lines.append("outcomes:")
     for oc in tr.outcomes:
         if oc.status == "accepted":
             note = f"accepted key {oc.key}"
@@ -284,28 +286,29 @@ def cmd_explain(args) -> int:
             note = f"rejected: {oc.reason}"
         else:
             note = "timeout: never received the key broadcast"
-        print(f"  {oc.member}: {note}")
+        lines.append(f"  {oc.member}: {note}")
     gt = tr.ground_truth
     if gt is None:
-        print("ground truth: redacted")
+        lines.append("ground truth: redacted")
     else:
-        print(f"ground truth: group key {gt.group_key}, nonce {gt.r0}")
+        lines.append(f"ground truth: group key {gt.group_key}, nonce {gt.r0}")
         if gt.adversary and gt.adversary.action == ACTION_FORGE:
-            print(
+            lines.append(
                 f"  {gt.adversary.attacker} recovered {gt.adversary.recovered_key} from its own "
                 f"share and planted {gt.adversary.target_key} on {gt.adversary.victim}"
             )
+    print("\n".join(lines))
     return EXIT_OK
 
 
 def _narrative_lines(tr: Transcript) -> list[str]:
     ctx, digest_size, t = tr.meta.params.ctx, tr.meta.params.hash_cfg.digest_size, tr.meta.t
 
-    def shown(step: str, payload: bytes) -> str:
-        """What a payload of this step says: a challenge value, a broadcast's fields."""
-        if step == STEP_CHALLENGE:
-            return f": {int.from_bytes(payload, 'big')}"
-        if step == STEP_BROADCAST:
+    def shown(ev: TranscriptEvent, payload: bytes) -> str:
+        """What a payload of ev's step says: a challenge value, a broadcast's fields."""
+        if ev.step == STEP_CHALLENGE:
+            return f": {parse_challenge_payload(payload, ctx, ev.index)}"
+        if ev.step == STEP_BROADCAST:
             bc = parse_broadcast_payload(payload, ctx, digest_size, t)
             return f": tag {bc.auth.hex()[:12]}.., nonce {bc.r0}, shares {list(bc.masked_shares)}"
         return ""
@@ -313,10 +316,10 @@ def _narrative_lines(tr: Transcript) -> list[str]:
     lines = []
     for ev in tr.events:
         route = f"{ev.sender} -> {','.join(ev.receivers)}"
-        detail = _STEP_BLURBS[ev.step] + shown(ev.step, ev.payload)
+        detail = _STEP_BLURBS[ev.step] + shown(ev, ev.payload)
         mark = ""
         if ev.verdict == VERDICT_REPLACED:
-            mark = f"  [REPLACED in transit{shown(ev.step, ev.delivered_payload)}]"
+            mark = f"  [REPLACED in transit{shown(ev, ev.delivered_payload)}]"
         elif ev.verdict == VERDICT_DROPPED:
             mark = "  [DROPPED in transit]"
         lines.append(f"  {ev.index:>2}. {ev.step:<9} {route:<28} {detail}{mark}")

@@ -11,10 +11,9 @@ with every field fixed-width. Fixed widths make the concatenation injective;
 a variable-width encoding would hand out second preimages across field
 boundaries for free.
 
-Two one-entry memos (memo_last) sit behind compute_auth: _auth_body keeps the
-last ids | nonces | shares block, and _digest the last tag input and its
-digest. In a session the KGC, the members and the verifier tag equal inputs,
-so an honest run, its serialise, parse and verify hash one input once.
+compute_auth is memoised on its last call (memo_last). In a session the KGC,
+the members and the verifier tag equal inputs, so an honest run, its
+serialise, parse and verify encode and hash one input once.
 """
 
 from __future__ import annotations
@@ -95,6 +94,10 @@ class AuthInput:
     masked_shares: tuple[int, ...]
 
     def __post_init__(self):
+        # tuples, so a list the caller mutates later cannot match compute_auth's memo
+        for name in ("member_ids", "nonces", "masked_shares"):
+            if not isinstance(getattr(self, name), tuple):
+                object.__setattr__(self, name, tuple(getattr(self, name)))
         t = len(self.member_ids)
         if len(self.nonces) != t + 1:
             raise ValueError(f"expected {t + 1} nonces, got {len(self.nonces)}")
@@ -170,24 +173,11 @@ def memo_last(fn):
 
 
 def build_auth_input(ai: AuthInput, ctx: DomainContext, id_width: int = DEFAULT_ID_WIDTH) -> bytes:
-    """Concatenate key, ids, nonces and shares, each field fixed-width."""
+    """Concatenate key, ids, nonces and shares, each field fixed-width, encoded
+    in bulk. A field that does not fit raises what encode_identifier or
+    encode_element raises for it."""
     key = encode_element(ai.group_key, ctx)
-    body = _auth_body(tuple(ai.member_ids), tuple(ai.nonces), tuple(ai.masked_shares), ctx, id_width)
-    return key + body
-
-
-@memo_last
-def _auth_body(
-    ids: tuple[bytes, ...], nonces: tuple[int, ...], shares: tuple[int, ...], ctx: DomainContext, id_width: int
-) -> bytes:
-    """The ids | nonces | shares block, encoded in bulk and memoised on the last
-    call: the KGC, every member and the verifier tag one block under their own
-    candidate keys, and pass the roster's ids and the broadcast's shares as the
-    same tuples, so a hit mostly costs one comparison of the nonce vectors.
-    compute_auth passes the ctx and id_width of its PublicParams, not the whole
-    value: the body does not depend on the hash, so tags under any hash share
-    one entry. A field that does not fit raises what
-    encode_identifier/encode_element raise, and nothing is memoised."""
+    ids, nonces, shares = ai.member_ids, ai.nonces, ai.masked_shares
     if max(map(len, ids), default=0) > id_width:
         for m in ids:
             encode_identifier(m, id_width)
@@ -197,24 +187,19 @@ def _auth_body(
         for e in chain(nonces, shares):
             encode_element(e, ctx)
         raise
-    return b"".join(map(bytes.rjust, ids, repeat(id_width), repeat(b"\x00"))) + elements
-
-
-def compute_auth(ai: AuthInput, params: PublicParams) -> bytes:
-    """The broadcast tag: configured hash over the serialized tag input.
-
-    Every call builds its tag input with one build_auth_input call, and
-    hashes it through _digest, which keeps the last (algorithm, input) and its
-    digest: the KGC, every member accepting the honest broadcast and the
-    verifier tag one input, so a session hashes each distinct input once."""
-    return _digest(params.hash_cfg.algorithm, build_auth_input(ai, params.ctx, params.id_width))
+    return key + b"".join(map(bytes.rjust, ids, repeat(id_width), repeat(b"\x00"))) + elements
 
 
 @memo_last
-def _digest(algorithm: str, data: bytes) -> bytes:
-    """hashlib digest memoised on the last call; a hit compares the input bytes
-    with the last ones. An unknown algorithm raises, and nothing is memoised."""
-    return hashlib.new(algorithm, data).digest()
+def compute_auth(ai: AuthInput, params: PublicParams) -> bytes:
+    """The broadcast tag: configured hash over the serialized tag input.
+
+    Memoised on the last (ai, params) by memo_last, so a hit hashes nothing:
+    the KGC, every member accepting the honest broadcast and the verifier tag
+    equal inputs, and a session encodes and hashes each distinct input once.
+    A field that does not fit raises every time, and nothing is memoised."""
+    data = build_auth_input(ai, params.ctx, params.id_width)
+    return hashlib.new(params.hash_cfg.algorithm, data).digest()
 
 
 def hash_to_element(data: bytes, ctx: DomainContext, hash_cfg: HashConfig = DEFAULT_HASH) -> int:

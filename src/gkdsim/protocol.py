@@ -23,7 +23,7 @@ without carrying into the next, so all block sums cost b+1 big-integer
 products. The lanes depend only on the nonces, b and m, and in a session the
 KGC, every member, the insider and the verifier evaluate shares over equal
 nonce vectors, so _lanes keeps the last call's lanes and they are built once
-per session. That memo, like the tag body's in codec, never hashes the
+per session. That memo, like compute_auth's in codec, never hashes the
 vector: a hit costs one identity test when the caller passes the same tuple
 and one element-by-element comparison when it passes an equal copy. Up to
 t = 12 the one block is a plain inner product.
@@ -33,7 +33,10 @@ parameters as one codec.PublicParams: the domain, the hash and the identifier
 width. The variant is read only as params.ctx.variant, so a party cannot be
 built with a variant its domain contradicts. The primitives below the steps
 (encode_element, hash_to_element, build_auth_input, _lanes) keep their narrow
-arguments, so neither memo's key depends on the params value.
+arguments, so the _lanes key does not depend on the params value; the
+compute_auth memo keys on the whole (tag input, params), and a run or a
+verify passes one params object throughout, so that part of a hit is mostly
+one identity test.
 
 Step 5 (unmask, user_process_broadcast) and the insider (adversary) take the
 public challenge vector (r_1, ..., r_t) in roster order, which each caller

@@ -44,6 +44,7 @@ from .codec import (
     HashConfig,
     PublicParams,
     compute_auth,
+    decode_element,
     encode_element,
     encode_identifier,
 )
@@ -111,6 +112,14 @@ def broadcast_payload(bcast: KgcBroadcast, ctx: DomainContext) -> bytes:
         + encode_element(bcast.r0, ctx)
         + b"".join(encode_element(u, ctx) for u in bcast.masked_shares)
     )
+
+
+def parse_challenge_payload(data: bytes, ctx: DomainContext, index: int) -> int:
+    """The challenge value event index carries: exactly one residue wide."""
+    try:
+        return decode_element(data, ctx)
+    except ValueError:
+        raise MalformedTranscript(f"event {index}: challenge payload width") from None
 
 
 def parse_broadcast_payload(data: bytes, ctx: DomainContext, digest_size: int, t: int) -> KgcBroadcast:
@@ -430,9 +439,8 @@ class TranscriptEvent:
     delivered_payload: bytes | None = None  # only for replaced verdicts
 
     @classmethod
-    def from_record(cls, rec: dict, index: int, names: _Names | None = None) -> "TranscriptEvent":
+    def from_record(cls, rec: dict, index: int, names: _Names) -> "TranscriptEvent":
         """The sender and every receiver come back as names' objects."""
-        names = _Names() if names is None else names
         replaced = rec.get("verdict") == VERDICT_REPLACED
         _check_fields(rec, _REPLACED_FIELDS if replaced else _EVENT_FIELDS, "event")
         step, sender, verdict = rec["step"], rec["sender"], rec["verdict"]
@@ -767,7 +775,6 @@ def run_scenario(cfg: ScenarioConfig) -> Transcript:
 
     net = _Network(ctx, params.id_width)
     insider = None
-    suppressor = None
     if cfg.adversary is not None:
         adv = cfg.adversary
         if adv.action == ACTION_FORGE:
@@ -779,8 +786,7 @@ def run_scenario(cfg: ScenarioConfig) -> Transcript:
             insider = InsiderInterceptor(ictx, roster, params, rng)
             net.control_link(KGC_NAME, adv.victim, insider)
         else:
-            suppressor = BroadcastSuppressor(ids[adv.victim])
-            net.control_link(KGC_NAME, adv.victim, suppressor)
+            net.control_link(KGC_NAME, adv.victim, BroadcastSuppressor(ids[adv.victim]))
 
     # the KGC takes only challenges: run_scenario answers the request by calling announce
     observers = {KGC_NAME: kgc.receive_challenge}
@@ -950,9 +956,7 @@ def verify_transcript(tr: Transcript) -> VerificationReport:
             i = names.index(ev.sender)
         if ev.receivers != (KGC_NAME, *names[:i], *names[i + 1 :]):
             report.fail(f"event {ev.index}: challenge not sent to {KGC_NAME} and every other member")
-        if len(ev.payload) != ctx.byte_width:
-            raise MalformedTranscript(f"event {ev.index}: challenge payload width")
-        value = int.from_bytes(ev.payload, "big")
+        value = parse_challenge_payload(ev.payload, ctx, ev.index)
         if not ctx.contains(value):
             report.fail(f"event {ev.index}: challenge value {value} outside [0, m)")
         challenges[ev.sender] = value

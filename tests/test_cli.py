@@ -549,6 +549,31 @@ def test_run_rejects_hostile_configs(tmp_path, capsys, overrides):
     assert "error:" in capsys.readouterr().err
 
 
+# --- the shipped configs ---------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["honest", "attack", "suppress"])
+def test_shipped_configs_run_verify_explain_with_the_readme_outcomes(tmp_path, capsys, name):
+    """Each configs/*.json runs, verifies and explains cleanly, with the outcome
+    the README's CLI section promises for it."""
+    out = tmp_path / "t.jsonl"
+    assert main(["run", str(CONFIGS / f"{name}.json"), "--out", str(out)]) == EXIT_OK
+    assert main(["verify", str(out)]) == EXIT_OK
+    assert main(["explain", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    tr = Transcript.load(out)
+    gt, adv = tr.ground_truth, tr.meta.adversary
+    outcomes = {oc.member: (oc.status, oc.key) for oc in tr.outcomes}
+    if name == "honest":
+        assert adv is None
+    else:
+        status, key = outcomes.pop(adv.victim)
+    assert set(outcomes.values()) == {("accepted", gt.group_key)}
+    if name == "attack":
+        assert (status, key) == ("accepted", gt.adversary.target_key) and key != gt.group_key
+    elif name == "suppress":
+        assert (adv.action, status) == ("suppress", "timeout")
+
+
 # --- explain ---------------------------------------------------------------------
 
 def test_explain_attack_transcript(tmp_path, capsys):
@@ -580,6 +605,26 @@ def test_explain_renders_a_replaced_challenge_as_a_challenge(tmp_path, capsys):
     assert "challenge: 2  [REPLACED in transit: 5]" in stdout
     assert main(["verify", str(path)]) == EXIT_VERIFY
     assert "MISMATCH: event 2: challenge replaced, expected delivered" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("line, damage, message", [
+    (3, lambda payload: payload + "00", "event 2: challenge payload width"),
+    (5, lambda payload: payload[:-2], "broadcast payload of 34 bytes, expected 35"),
+], ids=["challenge-too-wide", "broadcast-too-short"])
+def test_explain_prints_nothing_for_a_damaged_payload(tmp_path, capsys, line, damage, message):
+    """explain decodes payloads as verify does and builds its whole narrative
+    before printing: on a wrong-width payload both exit 3 with verify's message,
+    and explain leaves stdout empty."""
+    lines = GOLDEN.joinpath("honest-ring35.jsonl").read_text().splitlines()
+    rec = json.loads(lines[line])
+    rec["payload"] = damage(rec["payload"])
+    lines[line] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    path = tmp_path / "t.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    for command in ("verify", "explain"):
+        assert main([command, str(path)]) == EXIT_VERIFY
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {message}\n")
 
 
 def test_explain_redacted_transcript(tmp_path, capsys):

@@ -4,7 +4,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gkdsim import codec
 from gkdsim.algebra import DomainContext, Variant, domain_new
 from gkdsim.codec import (
     AuthInput,
@@ -198,7 +197,7 @@ def test_build_auth_input_16_byte_fields():
     assert out == reference_build_auth_input(ai, ctx, 16)
 
 
-# --- the tag body memo ---------------------------------------------------------
+# --- the tag memo --------------------------------------------------------------
 
 class UnhashableTuple(tuple):
     """A vector that fails loudly when anything hashes it."""
@@ -216,33 +215,49 @@ def _tag_fixture(t=40, seed=3):
     return ctx, ids, nonces, shares
 
 
+def _reference_tag(ai, params):
+    data = reference_build_auth_input(ai, params.ctx, params.id_width)
+    return hashlib.new(params.hash_cfg.algorithm, data).digest()
+
+
 def test_compute_auth_never_hashes_its_vectors():
     ctx, ids, nonces, shares = _tag_fixture()
     ai = AuthInput(7, UnhashableTuple(ids), UnhashableTuple(nonces), UnhashableTuple(shares))
-    assert compute_auth(ai, PublicParams(ctx)) == hashlib.sha256(reference_build_auth_input(ai, ctx)).digest()
-    codec._auth_body.cache_clear()
-    body = codec._auth_body(ai.member_ids, ai.nonces, ai.masked_shares, ctx, 16)
-    assert codec._auth_body(ids, nonces, shares, ctx, 16) is body  # equal vectors hit
-    assert reference_build_auth_input(ai, ctx).endswith(body)
+    compute_auth.cache_clear()
+    tag = compute_auth(ai, PublicParams(ctx))
+    assert tag == _reference_tag(ai, PublicParams(ctx))
+    assert compute_auth(AuthInput(7, ids, nonces, shares), PublicParams(ctx)) is tag  # equal vectors hit
+    assert compute_auth.cache_info() == (1, 1)
 
 
 def test_alternating_tag_bodies_are_never_stale():
-    """Honest, forged, honest, an equal copy of honest, forged: every tag input is
-    the reference's, and each switch rebuilds the body; so do a new id width and
-    a new context over the same vectors."""
+    """Honest, forged, honest, an equal copy of honest, forged: every tag is
+    hashlib's over the reference input, and each switch is a miss."""
     ctx, ids, nonces, shares = _tag_fixture()
     forged = (*shares[:1], (shares[1] + 1) % ctx.modulus, *shares[2:])
     honest_ai = AuthInput(5, ids, nonces, shares)
     forged_ai = AuthInput(9, ids, nonces, forged)
     copy_ai = AuthInput(5, tuple(list(ids)), tuple(list(nonces)), tuple(list(shares)))
-    codec._auth_body.cache_clear()
+    params = PublicParams(ctx)
+    compute_auth.cache_clear()
     for ai in (honest_ai, forged_ai, honest_ai, copy_ai, forged_ai):
-        assert build_auth_input(ai, ctx) == reference_build_auth_input(ai, ctx)
-    assert codec._auth_body.cache_info() == (1, 4)
+        assert compute_auth(ai, params) == _reference_tag(ai, params)
+    assert compute_auth.cache_info() == (1, 4)
+
+
+def test_alternating_tag_inputs_never_get_a_stale_digest():
+    """One tag input under sha256, sha512, a new id width and a new context over
+    the same vectors: every tag is hashlib's over the reference input, and each
+    switch of the params is a miss."""
+    ctx, ids, nonces, shares = _tag_fixture()
+    ai = AuthInput(5, ids, nonces, shares)
     wide = domain_new(2**127 - 1, variant=Variant.FIELD)
-    for c, width in ((ctx, 20), (ctx, 20), (wide, 20), (ctx, 16)):
-        assert build_auth_input(forged_ai, c, width) == reference_build_auth_input(forged_ai, c, width)
-    assert codec._auth_body.cache_info() == (2, 7)
+    compute_auth.cache_clear()
+    for params in (PublicParams(ctx), PublicParams(ctx, HashConfig("sha512")),
+                   PublicParams(ctx, HashConfig("sha512")), PublicParams(ctx, id_width=20),
+                   PublicParams(wide, id_width=20), PublicParams(ctx)):
+        assert compute_auth(ai, params) == _reference_tag(ai, params)
+    assert compute_auth.cache_info() == (1, 5)
 
 
 @pytest.mark.parametrize("bad", [
@@ -250,44 +265,30 @@ def test_alternating_tag_bodies_are_never_stale():
     AuthInput(1, (b"A", b"B" * 17), (3, 1, 2), (32, 21)),
 ], ids=["share", "id"])
 def test_failed_tag_body_is_not_memoised(ring35, bad):
-    """An oversized field raises every time, and the body before it stays memoised."""
+    """An oversized field raises every time, and the tag before it stays memoised."""
     good = AuthInput(1, (b"A", b"B"), (3, 1, 2), (32, 21))
-    expected = reference_build_auth_input(good, ring35)
-    codec._auth_body.cache_clear()
-    assert build_auth_input(good, ring35) == expected
+    params = PublicParams(ring35)
+    compute_auth.cache_clear()
+    tag = compute_auth(good, params)
+    assert tag == _reference_tag(good, params)
     for _ in range(2):
         with pytest.raises((ValueError, IdentifierTooLong)):
-            build_auth_input(bad, ring35)
-    assert build_auth_input(good, ring35) == expected
-    assert codec._auth_body.cache_info() == (1, 3)
+            compute_auth(bad, params)
+    assert compute_auth(good, params) is tag
+    assert compute_auth.cache_info() == (1, 3)
 
 
-def test_alternating_tag_inputs_never_get_a_stale_digest():
-    """Honest, forged, honest, an equal copy of honest, then honest under sha512:
-    every tag is hashlib's over the reference input; each new input, and the
-    second algorithm over an input already hashed, is hashed afresh."""
-    ctx, ids, nonces, shares = _tag_fixture()
-    forged = (*shares[:1], (shares[1] + 1) % ctx.modulus, *shares[2:])
-    honest_ai = AuthInput(5, ids, nonces, shares)
-    forged_ai = AuthInput(9, ids, nonces, forged)
-    copy_ai = AuthInput(5, tuple(list(ids)), tuple(list(nonces)), tuple(list(shares)))
-    codec._digest.cache_clear()
-    for ai, name in ((honest_ai, "sha256"), (forged_ai, "sha256"), (honest_ai, "sha256"),
-                     (copy_ai, "sha256"), (honest_ai, "sha512")):
-        expected = hashlib.new(name, reference_build_auth_input(ai, ctx)).digest()
-        assert compute_auth(ai, PublicParams(ctx, HashConfig(name))) == expected
-    assert codec._digest.cache_info() == (1, 4)
-
-
-def test_failed_digest_is_not_memoised():
-    """An unknown hashlib name raises, and the digest before it stays memoised."""
-    data = bytes(range(40))
-    codec._digest.cache_clear()
-    digest = codec._digest("sha256", data)
-    with pytest.raises(ValueError):
-        codec._digest("no-such-hash", data)
-    assert codec._digest("sha256", bytes(data)) is digest
-    assert codec._digest.cache_info() == (1, 2)
+def test_tag_input_lists_mutated_after_tagging_are_not_stale(ring35):
+    """AuthInput stores its vectors as tuples: after a tag over lists, a changed
+    nonce list in a new AuthInput is tagged afresh, not matched to the memo."""
+    ids, nonces, shares = [b"A", b"B"], [3, 1, 2], [32, 21]
+    params = PublicParams(ring35)
+    compute_auth.cache_clear()
+    compute_auth(AuthInput(1, ids, nonces, shares), params)
+    nonces[1] = 4
+    ai = AuthInput(1, ids, nonces, shares)
+    assert compute_auth(ai, params) == _reference_tag(AuthInput(1, (b"A", b"B"), (3, 4, 2), (32, 21)), params)
+    assert compute_auth.cache_info() == (0, 2)
 
 
 # --- error paths through compute_auth -----------------------------------------

@@ -49,41 +49,24 @@ def test_pipeline_builds_the_share_lanes_once(adversary):
     assert protocol._lanes.cache_info().misses == 1
 
 
-@pytest.mark.parametrize("adversary, bodies", [(None, 1), (FORGE, 7)], ids=["honest", "forge"])
-def test_pipeline_builds_the_tag_body_once(adversary, bodies):
-    """The same t = 40 pipeline tags an honest body throughout, so the ids |
-    nonces | shares block is encoded once. A forge run (victim bob, second in
-    the roster) has two bodies, honest H and forged F, and each switch between
-    them in the order the tags are taken rebuilds the last one:
-    run: KGC H (1), insider F (2), alice H (3), bob F (4), carol H (5), then H;
-    verify: recomputed tag H, alice H, bob F (6), carol H (7), then H. So 7."""
-    members = ["alice", "bob", "carol", *(f"m{k}" for k in range(37))]
-    cfg = scenario_dict(variant="field", modulus={"p": 2**64 - 59}, members=members)
-    if adversary:
-        cfg["adversary"] = adversary
-    codec._auth_body.cache_clear()
-    tr = run_scenario(ScenarioConfig.from_dict(cfg))
-    assert verify_transcript(Transcript.from_jsonl(tr.to_jsonl())).ok
-    assert codec._auth_body.cache_info().misses == bodies
-
-
 @pytest.mark.parametrize("adversary, inputs", [(None, 1), (FORGE, 7)], ids=["honest", "forge"])
 def test_pipeline_hashes_each_tag_input_once(adversary, inputs):
-    """The t = 40 pipeline above hashes each distinct tag input key | body once
+    """The t = 40 pipeline above encodes and hashes each distinct tag input once
     in a row. Honest: the KGC, every member and the verifier tag one input, so
-    one SHA-256. Forge (victim bob): the victim's candidate is the planted key,
-    so the insider's forged input F and bob's are equal, and every other tag is
-    over the honest input H; the inputs alternate as the bodies do:
+    one SHA-256. Forge (victim bob, second in the roster): the victim's
+    candidate is the planted key, so the insider's forged input F and bob's are
+    equal, and every other tag is over the honest input H; each switch between
+    them in the order the tags are taken misses compute_auth's memo:
     run: KGC H (1), insider F (2), alice H (3), bob F (4), carol H (5), then H;
     verify: recomputed tag H, alice H, bob F (6), carol H (7), then H. So 7."""
     members = ["alice", "bob", "carol", *(f"m{k}" for k in range(37))]
     cfg = scenario_dict(variant="field", modulus={"p": 2**64 - 59}, members=members)
     if adversary:
         cfg["adversary"] = adversary
-    codec._digest.cache_clear()
+    codec.compute_auth.cache_clear()
     tr = run_scenario(ScenarioConfig.from_dict(cfg))
     assert verify_transcript(Transcript.from_jsonl(tr.to_jsonl())).ok
-    assert codec._digest.cache_info().misses == inputs
+    assert codec.compute_auth.cache_info().misses == inputs
 
 
 # --- honest runs -----------------------------------------------------------------
@@ -772,10 +755,10 @@ def test_receivers_typing_matches_the_set_of_types_check(receivers):
     rec = {"index": 0, "step": "request", "sender": "alice", "receivers": receivers,
            "payload": "", "verdict": "delivered"}
     if set(map(type, receivers)) <= {str}:
-        assert simnet.TranscriptEvent.from_record(rec, 0).receivers == tuple(receivers)
+        assert simnet.TranscriptEvent.from_record(rec, 0, simnet._Names()).receivers == tuple(receivers)
     else:
         with pytest.raises(MalformedTranscript) as e:
-            simnet.TranscriptEvent.from_record(rec, 0)
+            simnet.TranscriptEvent.from_record(rec, 0, simnet._Names())
         assert str(e.value) == "event 0: sender and receivers must be names"
 
 
