@@ -49,6 +49,25 @@ def test_pipeline_builds_the_share_lanes_once(adversary):
     assert protocol._lanes.cache_info().misses == 1
 
 
+@pytest.mark.parametrize("adversary, bodies", [(None, 1), (FORGE, 7)], ids=["honest", "forge"])
+def test_pipeline_builds_the_tag_body_once(adversary, bodies, monkeypatch):
+    """The same t = 40 pipeline encodes the tag input only on a compute_auth
+    miss: an honest run builds the key | ids | nonces | shares bytes once, a
+    forge run (victim bob) once per switch between the honest and the forged
+    input, 7 times as counted below."""
+    members = ["alice", "bob", "carol", *(f"m{k}" for k in range(37))]
+    cfg = scenario_dict(variant="field", modulus={"p": 2**64 - 59}, members=members)
+    if adversary:
+        cfg["adversary"] = adversary
+    built = []
+    build = codec.build_auth_input
+    monkeypatch.setattr(codec, "build_auth_input", lambda *a: built.append(a) or build(*a))
+    codec.compute_auth.cache_clear()
+    tr = run_scenario(ScenarioConfig.from_dict(cfg))
+    assert verify_transcript(Transcript.from_jsonl(tr.to_jsonl())).ok
+    assert len(built) == bodies
+
+
 @pytest.mark.parametrize("adversary, inputs", [(None, 1), (FORGE, 7)], ids=["honest", "forge"])
 def test_pipeline_hashes_each_tag_input_once(adversary, inputs):
     """The t = 40 pipeline above encodes and hashes each distinct tag input once
