@@ -144,6 +144,13 @@ def _payload_for(message: object, ctx: DomainContext, id_width: int) -> bytes:
     raise TypeError(f"no wire form for {type(message).__name__}")
 
 
+def challenge_receivers(members: tuple[str, ...], i: int) -> tuple[str, ...]:
+    """Who the challenge of members[i] goes to: the KGC, then every other member
+    in roster order. run_scenario sends to this list and verify_transcript
+    accepts no other."""
+    return (KGC_NAME,) + members[:i] + members[i + 1 :]
+
+
 # ---------------------------------------------------------------------------
 # scenario configuration
 # ---------------------------------------------------------------------------
@@ -409,7 +416,16 @@ class TranscriptMeta:
 class _Names(dict):
     """name -> the one str object that stands for it in a parsed transcript:
     the meta's, KGC_NAME, or the first one looked up. One table per parse,
-    so no name outlives the transcript that holds it."""
+    so no name outlives the transcript that holds it. Beside it, each member's
+    roster position, which fixes the receivers its challenge implies."""
+
+    __slots__ = ("members", "positions")
+
+    def __init__(self, members: tuple[str, ...] = ()):
+        self[KGC_NAME] = KGC_NAME
+        self.update(zip(members, members))
+        self.members = members
+        self.positions = dict(zip(members, range(len(members))))
 
     def __missing__(self, name: str) -> str:
         self[name] = name
@@ -440,7 +456,9 @@ class TranscriptEvent:
 
     @classmethod
     def from_record(cls, rec: dict, index: int, names: _Names) -> "TranscriptEvent":
-        """The sender and every receiver come back as names' objects."""
+        """The sender and every receiver come back as names' objects. A challenge
+        list equal to the one its sender implies is typed and mapped by that one
+        comparison, as only str equals a str; any other list goes name by name."""
         replaced = rec.get("verdict") == VERDICT_REPLACED
         _check_fields(rec, _REPLACED_FIELDS if replaced else _EVENT_FIELDS, "event")
         step, sender, verdict = rec["step"], rec["sender"], rec["verdict"]
@@ -449,17 +467,22 @@ class TranscriptEvent:
             raise MalformedTranscript(f"event {rec['index']!r} out of order at position {index}")
         if step not in _STEPS or verdict not in _VERDICTS:
             raise MalformedTranscript(f"event {index}: unknown step or verdict")
-        if type(sender) is not str or not _is_str_list(receivers):
+        i = names.positions.get(sender) if step == STEP_CHALLENGE and type(sender) is str else None
+        implied = None if i is None else challenge_receivers(names.members, i)
+        if implied is not None and type(receivers) is list and receivers == [*implied]:
+            sender, receivers = names[sender], implied
+        elif type(sender) is not str or not _is_str_list(receivers):
             raise MalformedTranscript(f"event {index}: sender and receivers must be names")
+        else:
+            # a list, as tuple() reuses a freed tuple of the list's length; from a map
+            # it grows a tuple by resizing, and freed small tuples pile up unused
+            sender, receivers = names[sender], tuple([*map(names.__getitem__, receivers)])
         try:
             payload = bytes.fromhex(rec["payload"])
             delivered = bytes.fromhex(rec["delivered_payload"]) if replaced else None
         except (TypeError, ValueError):
             raise MalformedTranscript(f"event {index}: payloads must be hex strings") from None
-        # a list, as tuple() reuses a freed tuple of the list's length; from a map
-        # it grows a tuple by resizing, and freed small tuples pile up unused
-        sender, receivers = names[sender], [*map(names.__getitem__, receivers)]
-        return cls(index, step, sender, tuple(receivers), payload, verdict, delivered)
+        return cls(index, step, sender, receivers, payload, verdict, delivered)
 
 
 @dataclass(frozen=True)
@@ -580,7 +603,7 @@ class Transcript:
             try:
                 if kind == "meta":
                     meta = TranscriptMeta.from_record(rec)
-                    names = _Names((name, name) for name in (KGC_NAME, *meta.members))
+                    names = _Names(meta.members)
                 elif kind == "event":
                     events.append(TranscriptEvent.from_record(rec, len(events), names))
                 elif kind == "outcome":
@@ -810,12 +833,9 @@ def run_scenario(cfg: ScenarioConfig) -> Transcript:
 
     issued: dict[str, int] = {}
     for i, name in enumerate(names):
-        member = members[name]
-        if member.roster is None:
-            continue  # never announced to (interceptor dropped it): will time out
-        msg = member.issue_challenge(rng)
+        msg = members[name].issue_challenge(rng)
         issued[name] = msg.value
-        net.send(STEP_CHALLENGE, name, (KGC_NAME, *names[:i], *names[i + 1 :]), msg, deliver)
+        net.send(STEP_CHALLENGE, name, challenge_receivers(names, i), msg, deliver)
 
     bcast, group_key = kgc.distribute(rng)
     net.send(STEP_BROADCAST, KGC_NAME, names, bcast, deliver)
@@ -954,7 +974,7 @@ def verify_transcript(tr: Transcript) -> VerificationReport:
         if ev.sender != names[pos]:
             report.fail(f"event {ev.index}: challenge sender {ev.sender!r} out of roster order")
             i = names.index(ev.sender)
-        if ev.receivers != (KGC_NAME, *names[:i], *names[i + 1 :]):
+        if ev.receivers != challenge_receivers(names, i):
             report.fail(f"event {ev.index}: challenge not sent to {KGC_NAME} and every other member")
         value = parse_challenge_payload(ev.payload, ctx, ev.index)
         if not ctx.contains(value):
@@ -1091,7 +1111,12 @@ def verify_transcript(tr: Transcript) -> VerificationReport:
         if forged.r0 != honest.r0:
             report.fail(f"event {ev.index}: forgery altered the KGC nonce")
         diffs = [i for i in range(t) if forged.masked_shares[i] != honest.masked_shares[i]]
-        if diffs != [v] or forged.auth == honest.auth:
+        if adv.target_key == group_key:  # planting the group key shifts no share and no tag
+            if diffs or forged.auth != honest.auth:
+                report.fail(f"event {ev.index}: forgery of the group key differs from the honest broadcast")
+            else:
+                report.note("forgery footprint: the group key was planted, and nothing changed")
+        elif diffs != [v] or forged.auth == honest.auth:
             report.fail(f"event {ev.index}: forgery does not touch exactly the victim share and tag")
         else:
             report.note("forgery footprint: exactly the victim's share and the tag changed")

@@ -574,6 +574,21 @@ def test_shipped_configs_run_verify_explain_with_the_readme_outcomes(tmp_path, c
         assert (adv.action, status) == ("suppress", "timeout")
 
 
+def test_attack_config_planting_the_group_key_runs_and_verifies(tmp_path, capsys):
+    """configs/attack.json with the session's own group key as the target: run
+    reports the planted key accepted, and verify finds the forged broadcast
+    identical to the honest one, as planting the group key must leave it."""
+    cfg = json.loads((CONFIGS / "attack.json").read_text())
+    cfg["adversary"]["target_key"] = 14290  # the group key at seed 11
+    path, out = tmp_path / "cfg.json", tmp_path / "t.jsonl"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path), "--out", str(out)]) == EXIT_OK
+    assert "victim accepted the planted key (identical to the true key)" in capsys.readouterr().out
+    assert main(["verify", str(out)]) == EXIT_OK
+    assert "ok: forgery footprint: the group key was planted, and nothing changed" in capsys.readouterr().out
+    assert Transcript.load(out).ground_truth.group_key == 14290
+
+
 # --- explain ---------------------------------------------------------------------
 
 def test_explain_attack_transcript(tmp_path, capsys):

@@ -21,6 +21,7 @@ from gkdsim.simnet import (
     parse_broadcast_payload,
     roster_payload,
     build_domain,
+    challenge_receivers,
     outcome_failures,
     run_scenario,
     verify_transcript,
@@ -832,6 +833,151 @@ def test_a_challenge_to_a_stranger_gets_the_same_report():
     ]
     assert report.mismatches == ["event 2: challenge not sent to kgc and every other member"]
     assert report.skipped == []
+
+
+_ROSTER = ("ann", "bob", "carol", "dave", "eve")
+_EDITS = ("none", "swap", "drop", "duplicate", "move-kgc", "add-sender", "non-str", "tuple",
+          "list-subclass", "stranger", "other-step")
+
+
+class _ListSubclass(list):
+    pass
+
+
+def _fresh(name):
+    """A str equal to name but not the same object, as json.loads makes it."""
+    return name.encode().decode()
+
+
+@st.composite
+def _challenges_near_the_implied_list(draw):
+    """A challenge record whose receivers are the list its sender implies,
+    with at most one edit: a name swapped, dropped or duplicated, kgc moved,
+    the sender added, a non-str element, a tuple or list subclass, a sender
+    outside the roster, or the same list on another step."""
+    members = _ROSTER[: draw(st.integers(2, len(_ROSTER)))]
+    i = draw(st.integers(0, len(members) - 1))
+    receivers = [_fresh(name) for name in challenge_receivers(members, i)]
+    sender, step = _fresh(members[i]), simnet.STEP_CHALLENGE
+    edit = draw(st.sampled_from(_EDITS))
+    j = draw(st.integers(0, len(receivers) - 1))
+    k = (j + 1) % len(receivers)
+    if edit == "swap":
+        receivers[j], receivers[k] = receivers[k], receivers[j]
+    elif edit == "drop":
+        del receivers[j]
+    elif edit == "duplicate":
+        receivers.insert(j, _fresh(receivers[j]))
+    elif edit == "move-kgc":
+        receivers.insert(k, receivers.pop(0))
+    elif edit == "add-sender":
+        receivers.insert(j, _fresh(sender))
+    elif edit == "non-str":
+        receivers[j] = draw(st.none() | st.booleans() | st.integers() | st.lists(st.text(max_size=3), max_size=2))
+    elif edit == "tuple":
+        receivers = tuple(receivers)
+    elif edit == "list-subclass":
+        receivers = _ListSubclass(receivers)
+    elif edit == "stranger":
+        sender = "zed"
+    elif edit == "other-step":
+        step = draw(st.sampled_from([s for s in simnet._STEPS if s != simnet.STEP_CHALLENGE]))
+    rec = {"index": 0, "step": step, "sender": sender, "receivers": receivers, "payload": "00",
+           "verdict": "delivered"}
+    return members, rec
+
+
+def _per_name_reference(rec, names):
+    """(sender, receivers) looked up in names one name at a time, or the
+    message a record whose sender and receivers are not names gets."""
+    sender, receivers = rec["sender"], rec["receivers"]
+    if type(sender) is not str or type(receivers) is not list or any(type(r) is not str for r in receivers):
+        return "event 0: sender and receivers must be names"
+    return names[sender], tuple(names[r] for r in receivers)
+
+
+@given(drawn=_challenges_near_the_implied_list())
+@example(drawn=(_ROSTER[:3], {"index": 0, "step": "challenge", "sender": "bob", "payload": "00",
+                              "receivers": ["kgc", "ann", "carol"], "verdict": "delivered"}))
+@settings(max_examples=300, deadline=None)
+def test_challenge_receivers_fast_path_matches_the_per_name_reference(drawn):
+    """from_record accepts and rejects exactly what a name-by-name check does,
+    with the same message, the same receivers and the same name objects: the
+    meta's for a roster name, the record's own for any other."""
+    members, rec = drawn
+    members = tuple(map(_fresh, members))
+    expected = _per_name_reference(rec, simnet._Names(members))
+    try:
+        ev = simnet.TranscriptEvent.from_record(rec, 0, simnet._Names(members))
+    except MalformedTranscript as e:
+        assert str(e) == expected
+        return
+    sender, receivers = expected
+    assert (ev.sender, ev.receivers) == (sender, receivers)
+    assert ev.sender is sender and all(a is b for a, b in zip(ev.receivers, receivers, strict=True))
+
+
+def test_forge_pipeline_challenges_go_to_the_implied_receivers():
+    tr = Transcript.from_jsonl(_forge_pipeline_text())
+    members = tr.meta.members
+    assert [ev.receivers for ev in tr.events if ev.step == simnet.STEP_CHALLENGE] == [
+        challenge_receivers(members, i) for i in range(len(members))
+    ]
+
+
+def _set_at(line, path, value):
+    """An edit setting records[line] at path, a sequence of keys, to value."""
+    def edit(records):
+        parent = records[line]
+        for k in path[:-1]:
+            parent = parent[k]
+        parent[path[-1]] = value
+    return edit
+
+
+def _set_byte(line, key, pos, byte):
+    """An edit setting byte pos of records[line]'s hex payload field key."""
+    def edit(records):
+        raw = bytearray.fromhex(records[line][key])
+        raw[pos] = byte
+        records[line][key] = raw.hex()
+    return edit
+
+
+def _source_text(source):
+    if source == "same-key":  # the attack golden's config, planting its group key 4
+        cfg = {**GOLDEN_CONFIG, "adversary": {"attacker": "bob", "victim": "ann", "target_key": 4}}
+        return run_scenario(ScenarioConfig.from_dict(cfg)).to_jsonl()
+    return _golden_path("attack-ring35.jsonl").read_text()
+
+
+# Attack golden lines: 0 meta, 1 + i event i, 8-9 outcomes, 10 ground truth.
+# Event 6 is the forgery; a broadcast payload is a 32-byte tag, r0, then shares.
+@pytest.mark.parametrize("source, edit, message", [
+    ("attack", _set_at(10, ("adversary", "recovered_key"), 5),
+     "attacker's recovered key differs from the KGC's group key"),
+    ("attack", _set_byte(7, "delivered_payload", 32, 30), "event 6: forgery altered the KGC nonce"),
+    ("attack", _set_byte(7, "delivered_payload", 34, 4),
+     "event 6: forgery does not touch exactly the victim share and tag"),
+    ("same-key", _set_byte(7, "delivered_payload", 34, 4),
+     "event 6: forgery of the group key differs from the honest broadcast"),
+    ("attack", _set_at(10, ("adversary", "target_key"), None), "forge scenario lacks a recorded target key"),
+    ("attack", _set_at(10, ("r0",), 30), "event 5: broadcast nonce 31 differs from ground-truth r0 30"),
+    ("attack", _set_at(4, ("payload",), "ff"), "event 3: challenge value 255 outside [0, m)"),
+], ids=["recovered-key", "nonce-altered", "footprint", "same-key-footprint", "no-target-key",
+        "ground-truth-r0", "challenge-range"])
+def test_each_forgery_rule_trips_on_its_own_edit(source, edit, message, tmp_path, capsys):
+    """One edit per verify rule behind claim 2 (and the challenge range): the
+    rule's own message is among the mismatches, and gkdsim verify exits 3."""
+    records = [json.loads(line) for line in _source_text(source).splitlines()]
+    assert records[7]["verdict"] == "replaced"
+    edit(records)
+    text = "".join(simnet._dump(rec) + "\n" for rec in records)
+    assert message in verify_transcript(Transcript.from_jsonl(text)).mismatches
+    path = tmp_path / "t.jsonl"
+    path.write_text(text)
+    assert cli_main(["verify", str(path)]) == EXIT_VERIFY
+    assert f"MISMATCH: {message}\n" in capsys.readouterr().out
 
 
 def _field_paths(obj, prefix=()):
