@@ -123,9 +123,6 @@ class Interceptor:
     def observe(self, sender: bytes, message: object) -> None:
         pass
 
-    def intercept(self, sender: bytes, receiver: bytes, message: object) -> ChannelAction:
-        return ChannelAction.deliver()
-
 
 class InsiderInterceptor(Interceptor):
     """The concrete insider strategy, to be registered on the KGC->victim link.

@@ -38,6 +38,7 @@ from .simnet import (
     outcome_failures,
     parse_broadcast_payload,
     parse_challenge_payload,
+    plants_the_others_key,
     run_scenario,
     verify_transcript,
     write_text,
@@ -216,11 +217,10 @@ def summarize_run(tr: Transcript) -> tuple[bool, list[str]]:
     ok = not outcome_failures(tr)
     lines.append(_VERDICT_LINES[meta.adversary and meta.adversary.action][ok])
     truth = gt and gt.adversary
-    if ok and truth and truth.action == ACTION_FORGE:
-        if truth.target_key == gt.group_key:
-            lines[-1] = "victim accepted the planted key (identical to the true key)"
-        else:
-            lines.append(f"  planted key {truth.target_key}, true group key {gt.group_key}")
+    if ok and plants_the_others_key(tr):
+        lines[-1] = "victim accepted the planted key (identical to the true key)"
+    elif ok and truth and truth.action == ACTION_FORGE:
+        lines.append(f"  planted key {truth.target_key}, true group key {gt.group_key}")
     return ok, lines
 
 

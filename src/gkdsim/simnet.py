@@ -575,7 +575,7 @@ class Transcript:
     @classmethod
     def from_jsonl(cls, text: str) -> "Transcript":
         """Parse and type-check every record, in the order the format fixes:
-        one meta, the events, the outcomes, then at most one ground_truth.
+        one meta, the events, the outcomes, then ground_truth unless redacted.
 
         Each name is stored once: every event sender and receiver and every
         outcome member is the meta's str object for that name, or KGC_NAME,
@@ -614,6 +614,7 @@ class Transcript:
                 raise MalformedTranscript(f"line {lineno}: {e}") from None
         if meta is None:
             raise MalformedTranscript("no meta record")
+        _require((ground_truth is None) == meta.redacted, "ground_truth must be present exactly when not redacted")
         return cls(meta, tuple(events), tuple(outcomes), ground_truth)
 
     @classmethod
@@ -884,11 +885,24 @@ def _require(cond: bool, msg: str) -> None:
         raise MalformedTranscript(msg)
 
 
+def plants_the_others_key(tr: Transcript) -> bool:
+    """Whether tr's one replaced broadcast hands the victim the honest copy's masked
+    share of it. Over the honest nonce, a forgery moves the victim's key only through
+    that share, so one that keeps it plants the key the other members accept."""
+    meta, replaced = tr.meta, [ev for ev in tr.events if ev.verdict == VERDICT_REPLACED]
+    if meta.adversary is None or len(replaced) != 1:
+        return False
+    (ev,), width = replaced, meta.params.ctx.byte_width  # a payload is the tag, r0, then the shares
+    at = meta.params.hash_cfg.digest_size + (1 + meta.members.index(meta.adversary.victim)) * width
+    return ev.payload[at : at + width] == ev.delivered_payload[at : at + width]
+
+
 def outcome_failures(tr: Transcript) -> list[str]:
     """The ways tr's outcomes miss the scenario's success condition: every member
     accepts the group key, except an attacked victim, which accepts the planted key
     (forge) or times out (suppress). Without ground truth the keys are compared with
-    each other. `gkdsim run`'s exit status and verify_transcript both judge by this."""
+    each other, and the planted key is the others' one exactly when the forgery keeps
+    the victim's share. `gkdsim run`'s exit status and verify_transcript both judge by this."""
     adv, gt = tr.meta.adversary, tr.ground_truth
     victim = adv.victim if adv else None
     others = [oc for oc in tr.outcomes if oc.member != victim]
@@ -899,14 +913,13 @@ def outcome_failures(tr: Transcript) -> list[str]:
         failures.append(f"members accepted keys {', '.join(sorted(map(str, keys)))}, expected {want}")
     if adv is None:
         return failures
-    status, key = next(((oc.status, oc.key) for oc in tr.outcomes if oc.member == victim),
-                       ("missing", None))
+    status, key = next(((oc.status, oc.key) for oc in tr.outcomes if oc.member == victim), ("missing", None))
     planted = gt.adversary.target_key if gt is not None and gt.adversary else None
+    if gt is None and len(keys) == 1 and plants_the_others_key(tr):
+        (planted,) = keys
     if adv.action == ACTION_SUPPRESS and status != _TIMEOUT:
         failures.append(f"suppressed victim {victim!r} did not time out: {status}")
-    elif adv.action == ACTION_FORGE and (
-        status != _ACCEPTED or (key in keys if planted is None else key != planted)
-    ):
+    elif adv.action == ACTION_FORGE and (status != _ACCEPTED or (key in keys if planted is None else key != planted)):
         want = "a key no other member accepted" if planted is None else f"the planted key {planted}"
         failures.append(f"victim {victim!r}: {status}/{key}, expected to accept {want}")
     return failures
@@ -918,9 +931,9 @@ def verify_transcript(tr: Transcript) -> VerificationReport:
     Structural damage raises MalformedTranscript; every disagreement between
     a recorded value and its recomputation, and every way the outcomes miss
     the scenario's success condition, lands in the report, naming the event
-    it was found at. Redacted transcripts get the structural and wire-level
-    checks and the success condition, with the accepted keys compared with
-    each other.
+    it was found at. The forgery is judged from the public record, its key
+    shift read from the outcomes; ground truth adds the recomputations that
+    need keys and cross-checks the recorded adversary.
     """
     report = VerificationReport()
     meta = tr.meta
@@ -987,14 +1000,11 @@ def verify_transcript(tr: Transcript) -> VerificationReport:
     honest_payload = bcast_events[0].payload
     parsed = {honest_payload: parse_broadcast_payload(honest_payload, ctx, digest_size, t)}
     received: dict[str, bytes] = {}
-    replaced_events = []
     for ev in bcast_events:
         if ev.sender != KGC_NAME:
             report.fail(f"event {ev.index}: broadcast not from {KGC_NAME}")
         if ev.payload != honest_payload:
             report.fail(f"event {ev.index}: broadcast original differs across events")
-        if ev.verdict == VERDICT_REPLACED:
-            replaced_events.append(ev)
         handed = ev.delivered_payload if ev.verdict == VERDICT_REPLACED else ev.payload
         if ev.verdict != VERDICT_DROPPED and handed not in parsed:
             parsed[handed] = parse_broadcast_payload(handed, ctx, digest_size, t)
@@ -1004,12 +1014,12 @@ def verify_transcript(tr: Transcript) -> VerificationReport:
             if ev.verdict != VERDICT_DROPPED:
                 received[r] = handed
     honest = parsed[honest_payload]
+    replaced_events = [ev for ev in bcast_events if ev.verdict == VERDICT_REPLACED]
     dropped = sum(ev.verdict == VERDICT_DROPPED for ev in bcast_events)
     report.note("broadcast: framing consistent")
 
     # --- outcome records: one per member, timed out exactly when nothing arrived ---
-    members = tuple(oc.member for oc in tr.outcomes)
-    _require(members == names, f"expected {t} outcome records, one per member in order")
+    _require(tuple(oc.member for oc in tr.outcomes) == names, f"expected {t} outcome records, one per member in order")
     for oc in tr.outcomes:
         if (oc.status == _TIMEOUT) == (oc.member in received):
             arrived = "a" if oc.member in received else "no"
@@ -1019,15 +1029,43 @@ def verify_transcript(tr: Transcript) -> VerificationReport:
     if not failures:
         report.note("success condition: met")
 
-    adv_meta = meta.adversary
-    if adv_meta is None:
+    adv = meta.adversary
+    if adv is None:
         if replaced_events or dropped:
             report.fail("interceptor verdicts present without a configured adversary")
-    else:
-        if adv_meta.action == ACTION_FORGE and len(replaced_events) != 1:
-            report.fail(f"forge scenario has {len(replaced_events)} replaced events, expected 1")
-        if adv_meta.action == ACTION_SUPPRESS and dropped != 1:
+    elif adv.action == ACTION_SUPPRESS:
+        if dropped != 1:
             report.fail(f"suppress scenario has {dropped} dropped events, expected 1")
+    elif len(replaced_events) != 1:
+        report.fail(f"forge scenario has {len(replaced_events)} replaced events, expected 1")
+    else:  # the forgery, judged from the public record alone
+        ev = replaced_events[0]
+        forged = parsed[ev.delivered_payload]
+        if ev.receivers != (adv.victim,):
+            report.fail(f"event {ev.index}: forged broadcast not aimed at the victim")
+        if forged.r0 != honest.r0:
+            report.fail(f"event {ev.index}: forgery altered the KGC nonce")
+        if failures:
+            report.skipped.append("forgery algebra and footprint: the outcomes miss the success condition")
+        else:
+            # the key shift: the victim's key minus the one key the others accepted, read at the one before it
+            v = names.index(adv.victim)
+            delta_key = ctx.sub(tr.outcomes[v].key, tr.outcomes[v - 1].key)
+            delta_share = ctx.sub(forged.masked_shares[v], honest.masked_shares[v])
+            if delta_share != delta_key:
+                report.fail(f"event {ev.index}: forged share delta {delta_share} != planted key delta {delta_key}")
+            else:
+                report.note("forgery algebra: share shift equals key shift (mod m)")
+            diffs = [i for i in range(t) if forged.masked_shares[i] != honest.masked_shares[i]]
+            if not delta_key:  # planting the group key shifts no share and no tag
+                if diffs or forged.auth != honest.auth:
+                    report.fail(f"event {ev.index}: forgery of the group key differs from the honest broadcast")
+                else:
+                    report.note("forgery footprint: the group key was planted, and nothing changed")
+            elif diffs != [v] or forged.auth == honest.auth:
+                report.fail(f"event {ev.index}: forgery does not touch exactly the victim share and tag")
+            else:
+                report.note("forgery footprint: exactly the victim's share and the tag changed")
 
     gt = tr.ground_truth
     if gt is None:
@@ -1046,10 +1084,7 @@ def verify_transcript(tr: Transcript) -> VerificationReport:
                 f"ground truth {gt.challenges[ev.sender]}"
             )
     if gt.r0 != honest.r0:
-        report.fail(
-            f"event {bcast_events[0].index}: broadcast nonce {honest.r0} differs "
-            f"from ground-truth r0 {gt.r0}"
-        )
+        report.fail(f"event {bcast_events[0].index}: broadcast nonce {honest.r0} differs from ground-truth r0 {gt.r0}")
     replay_challenges = tuple(map(gt.challenges.__getitem__, names))
     nonces = (gt.r0, *replay_challenges)
     for i, name in enumerate(names):
@@ -1072,52 +1107,20 @@ def verify_transcript(tr: Transcript) -> VerificationReport:
         else:
             identity = PartyIdentity(ids[name], gt.member_keys[name])
             expected = user_process_broadcast(identity, roster, replay_challenges, parsed[payload], params)
-        if (rec.status, rec.key, rec.reason) != (
-            expected.status.value, expected.key, expected.reason,
-        ):
+        if (rec.status, rec.key, rec.reason) != (expected.status.value, expected.key, expected.reason):
             report.fail(
                 f"outcome for {name!r}: recorded {rec.status}/{rec.key}, "
                 f"recomputed {expected.status.value}/{expected.key}"
             )
     report.note("outcomes: match replayed processing")
 
-    adv = gt.adversary
-    if (adv is None) != (adv_meta is None):
+    truth = gt.adversary
+    if (truth is None) != (adv is None):
         report.fail("ground-truth adversary section inconsistent with meta")
-        adv = None
-    elif adv is not None:
-        if AdversarySpec(adv.attacker, adv.victim, adv.action) != adv_meta:
-            report.fail("ground-truth adversary identity differs from meta")
-            adv = None
-        elif adv.action == ACTION_FORGE and adv.target_key is None:
-            report.fail("forge scenario lacks a recorded target key")
-            adv = None
-    if adv is not None and adv.action == ACTION_FORGE and len(replaced_events) == 1:
-        ev = replaced_events[0]
-        if tuple(ev.receivers) != (adv.victim,):
-            report.fail(f"event {ev.index}: forged broadcast not aimed at the victim")
-        forged = parsed[ev.delivered_payload]
-        v = names.index(adv.victim)
-        if adv.recovered_key != group_key:
-            report.fail("attacker's recovered key differs from the KGC's group key")
-        delta_share = ctx.sub(forged.masked_shares[v], honest.masked_shares[v])
-        delta_key = ctx.sub(adv.target_key, group_key)
-        if delta_share != delta_key:
-            report.fail(
-                f"event {ev.index}: forged share delta {delta_share} != planted key delta {delta_key}"
-            )
-        else:
-            report.note("forgery algebra: share shift equals key shift (mod m)")
-        if forged.r0 != honest.r0:
-            report.fail(f"event {ev.index}: forgery altered the KGC nonce")
-        diffs = [i for i in range(t) if forged.masked_shares[i] != honest.masked_shares[i]]
-        if adv.target_key == group_key:  # planting the group key shifts no share and no tag
-            if diffs or forged.auth != honest.auth:
-                report.fail(f"event {ev.index}: forgery of the group key differs from the honest broadcast")
-            else:
-                report.note("forgery footprint: the group key was planted, and nothing changed")
-        elif diffs != [v] or forged.auth == honest.auth:
-            report.fail(f"event {ev.index}: forgery does not touch exactly the victim share and tag")
-        else:
-            report.note("forgery footprint: exactly the victim's share and the tag changed")
+    elif truth and AdversarySpec(truth.attacker, truth.victim, truth.action) != adv:
+        report.fail("ground-truth adversary identity differs from meta")
+    if truth and truth.action == ACTION_FORGE and truth.target_key is None:
+        report.fail("forge scenario lacks a recorded target key")
+    if truth and truth.action == ACTION_FORGE and truth.recovered_key != group_key:
+        report.fail("attacker's recovered key differs from the KGC's group key")
     return report

@@ -574,19 +574,41 @@ def test_shipped_configs_run_verify_explain_with_the_readme_outcomes(tmp_path, c
         assert (adv.action, status) == ("suppress", "timeout")
 
 
-def test_attack_config_planting_the_group_key_runs_and_verifies(tmp_path, capsys):
+@pytest.mark.parametrize("redact", [False, True], ids=["ground-truth", "redacted"])
+def test_attack_config_planting_the_group_key_runs_and_verifies(tmp_path, capsys, redact):
     """configs/attack.json with the session's own group key as the target: run
     reports the planted key accepted, and verify finds the forged broadcast
-    identical to the honest one, as planting the group key must leave it."""
+    identical to the honest one, as planting the group key must leave it. The
+    public record alone shows this: the forged copy keeps the victim's share."""
     cfg = json.loads((CONFIGS / "attack.json").read_text())
     cfg["adversary"]["target_key"] = 14290  # the group key at seed 11
+    cfg["redact"] = redact
     path, out = tmp_path / "cfg.json", tmp_path / "t.jsonl"
     path.write_text(json.dumps(cfg))
     assert main(["run", str(path), "--out", str(out)]) == EXIT_OK
-    assert "victim accepted the planted key (identical to the true key)" in capsys.readouterr().out
+    stdout = capsys.readouterr().out
+    assert "victim accepted the planted key (identical to the true key)" in stdout
+    assert "honest key differs" not in stdout
     assert main(["verify", str(out)]) == EXIT_OK
     assert "ok: forgery footprint: the group key was planted, and nothing changed" in capsys.readouterr().out
-    assert Transcript.load(out).ground_truth.group_key == 14290
+    tr = Transcript.load(out)
+    assert {oc.key for oc in tr.outcomes} == {14290}
+    assert tr.ground_truth is None if redact else tr.ground_truth.group_key == 14290
+
+
+@pytest.mark.parametrize("edit", ["drop-ground-truth", "claim-redacted"])
+def test_verify_requires_ground_truth_exactly_when_not_redacted(tmp_path, capsys, edit):
+    """Ground truth can be neither stripped from nor kept in a transcript
+    without its meta saying so: either way verify exits 3 on parsing it."""
+    lines = GOLDEN.joinpath("attack-ring35.jsonl").read_text().splitlines()
+    if edit == "drop-ground-truth":
+        assert json.loads(lines.pop())["record"] == "ground_truth"
+    else:
+        lines[0] = lines[0].replace('"redacted":false', '"redacted":true')
+    path = tmp_path / "t.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["verify", str(path)]) == EXIT_VERIFY
+    assert capsys.readouterr() == ("", "error: ground_truth must be present exactly when not redacted\n")
 
 
 # --- explain ---------------------------------------------------------------------

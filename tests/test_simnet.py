@@ -1,7 +1,10 @@
+import ast
 import dataclasses
 import errno
+import inspect
 import json
 import os
+import sys
 import threading
 from pathlib import Path
 
@@ -335,6 +338,19 @@ def test_outcome_failures_name_each_miss():
     ]
 
 
+def test_outcome_failures_without_ground_truth_read_a_kept_victim_share_as_the_others_key():
+    """A forgery that hands the victim its honest share plants the key the others
+    accept, so the victim must accept that key: the same-key case, made public."""
+    gk = run().ground_truth.group_key
+    same = run(adversary={**FORGE, "target_key": gk}, redact=True)
+    assert simnet.plants_the_others_key(same) and outcome_failures(same) == []
+    other = (gk + 1) % same.meta.params.ctx.modulus
+    assert outcome_failures(_with_outcome(same, "bob", key=other)) == [
+        f"victim 'bob': accepted/{other}, expected to accept the planted key {gk}"
+    ]
+    assert not simnet.plants_the_others_key(run(adversary=FORGE, redact=True))
+
+
 @pytest.mark.parametrize("adversary", [None, FORGE, SUPPRESS], ids=["honest", "forge", "suppress"])
 def test_verify_reports_the_success_condition(adversary):
     tr = run(adversary=adversary)
@@ -363,6 +379,8 @@ def test_verify_judges_redacted_transcripts_by_the_success_condition(adversary):
     assert [m for m in report.mismatches if m.startswith("success condition: ")] == [
         f"success condition: {line}" for line in failures
     ]
+    if adversary == FORGE:  # no key shift to check the forgery against
+        assert "forgery algebra and footprint: the outcomes miss the success condition" in report.skipped
 
 
 @pytest.mark.parametrize("redact", [False, True], ids=["ground-truth", "redacted"])
@@ -503,6 +521,9 @@ def test_redacted_transcript_skips_recomputation():
     report = verify_transcript(tr)
     assert report.ok
     assert report.skipped and "redacted" in report.skipped[0]
+    # the forgery is judged from the public record all the same
+    assert "forgery algebra: share shift equals key shift (mod m)" in report.checks
+    assert "forgery footprint: exactly the victim's share and the tag changed" in report.checks
 
 
 # --- config validation ---------------------------------------------------------------
@@ -944,16 +965,42 @@ def _set_byte(line, key, pos, byte):
     return edit
 
 
-def _source_text(source):
-    if source == "same-key":  # the attack golden's config, planting its group key 4
+def _swap(a, b, key):
+    """An edit swapping field key between records[a] and records[b]."""
+    def edit(records):
+        records[a][key], records[b][key] = records[b][key], records[a][key]
+    return edit
+
+
+def _source_records(source):
+    """The records a rule-table row edits. A "-redacted" source is its base's
+    public record alone: the ground_truth line dropped and the meta saying so."""
+    base = source.removesuffix("-redacted")
+    if base == "same-key":  # the attack golden's config, planting its group key 4
         cfg = {**GOLDEN_CONFIG, "adversary": {"attacker": "bob", "victim": "ann", "target_key": 4}}
-        return run_scenario(ScenarioConfig.from_dict(cfg)).to_jsonl()
-    return _golden_path("attack-ring35.jsonl").read_text()
+        text = run_scenario(ScenarioConfig.from_dict(cfg)).to_jsonl()
+    elif base == "suppress":
+        text = run_scenario(ScenarioConfig.from_file(CONFIGS / "suppress.json")).to_jsonl()
+    else:
+        text = _golden_path(f"{base}-ring35.jsonl").read_text()
+    records = [json.loads(line) for line in text.splitlines()]
+    if base != source:
+        assert records.pop()["record"] == "ground_truth"
+        records[0]["redacted"] = True
+    return records
+
+
+def _edited_text(source, edit):
+    records = _source_records(source)
+    edit(records)
+    return "".join(simnet._dump(rec) + "\n" for rec in records)
 
 
 # Attack golden lines: 0 meta, 1 + i event i, 8-9 outcomes, 10 ground truth.
 # Event 6 is the forgery; a broadcast payload is a 32-byte tag, r0, then shares.
-@pytest.mark.parametrize("source, edit, message", [
+# Honest golden: events 0-4 on lines 1-5 (event 4 the broadcast), outcomes on 6-7.
+# configs/suppress.json: event 7 on line 8 is the broadcast dropped for bob.
+_RULES = [
     ("attack", _set_at(10, ("adversary", "recovered_key"), 5),
      "attacker's recovered key differs from the KGC's group key"),
     ("attack", _set_byte(7, "delivered_payload", 32, 30), "event 6: forgery altered the KGC nonce"),
@@ -964,20 +1011,90 @@ def _source_text(source):
     ("attack", _set_at(10, ("adversary", "target_key"), None), "forge scenario lacks a recorded target key"),
     ("attack", _set_at(10, ("r0",), 30), "event 5: broadcast nonce 31 differs from ground-truth r0 30"),
     ("attack", _set_at(4, ("payload",), "ff"), "event 3: challenge value 255 outside [0, m)"),
-], ids=["recovered-key", "nonce-altered", "footprint", "same-key-footprint", "no-target-key",
-        "ground-truth-r0", "challenge-range"])
+    ("attack", _set_at(3, ("verdict",), "dropped"), "event 2: announce dropped, expected delivered"),
+    ("attack", _set_at(1, ("sender",), "bob"), "event 0: request endpoints wrong"),
+    ("attack", _set_byte(1, "payload", 0, 1), "event 0: requested roster differs from meta members"),
+    ("honest", _set_at(2, ("sender",), "ann"), "event 1: announce not from kgc"),
+    ("attack", _set_byte(2, "payload", 0, 1), "event 1: announced roster differs from meta members"),
+    ("attack", _set_at(3, ("receivers",), ["bob"]), "announce events do not cover every member exactly once"),
+    ("attack", _swap(4, 5, "sender"), "event 3: challenge sender 'bob' out of roster order"),
+    ("attack", _set_at(4, ("receivers",), ["kgc"]), "event 3: challenge not sent to kgc and every other member"),
+    ("attack", _set_at(6, ("sender",), "bob"), "event 5: broadcast not from kgc"),
+    ("attack", _set_byte(7, "payload", 0, 0), "event 6: broadcast original differs across events"),
+    ("honest", _set_at(5, ("receivers",), ["ann"]), "outcome for 'bob': accepted after no broadcast"),
+    ("honest", _set_at(5, ("verdict",), "dropped"), "interceptor verdicts present without a configured adversary"),
+    ("suppress", _set_at(8, ("verdict",), "delivered"), "suppress scenario has 0 dropped events, expected 1"),
+    ("attack", lambda records: records[6].update(verdict="replaced", delivered_payload=records[6]["payload"]),
+     "forge scenario has 2 replaced events, expected 1"),
+    ("attack", _swap(6, 7, "receivers"), "event 6: forged broadcast not aimed at the victim"),
+    ("attack", _set_byte(7, "delivered_payload", 33, 26), "event 6: forged share delta 6 != planted key delta 5"),
+    ("attack", _set_at(10, ("challenges", "ann"), 3), "event 3: challenge value 2 differs from ground truth 3"),
+    ("attack", _set_at(10, ("member_keys", "ann"), 5), "event 5: masked share for 'ann' is 20, recomputed 28"),
+    ("honest", _set_byte(5, "payload", 0, 0), "event 4: tag does not match recomputation"),
+    ("honest", _set_at(6, ("key",), 5), "outcome for 'ann': recorded accepted/5, recomputed accepted/4"),
+    ("attack", _set_at(10, ("adversary",), None), "ground-truth adversary section inconsistent with meta"),
+    ("attack", _set_at(10, ("adversary", "victim"), "bob"), "ground-truth adversary identity differs from meta"),
+]
+_RULE_IDS = [
+    "recovered-key", "nonce-altered", "footprint", "same-key-footprint", "no-target-key", "ground-truth-r0",
+    "challenge-range", "not-delivered", "request-endpoints", "request-roster", "announce-sender",
+    "announce-roster", "announce-cover", "challenge-order", "challenge-receivers", "broadcast-sender",
+    "broadcast-original", "outcome-status", "verdicts-without-adversary", "suppress-count", "forge-count",
+    "aimed", "algebra", "ground-truth-challenge", "masked-share", "tag", "outcome-replay",
+    "ground-truth-adversary", "ground-truth-identity",
+]
+for _rule in ("nonce-altered", "footprint", "same-key-footprint", "algebra", "aimed"):
+    # a public forgery rule fires again on the public record alone
+    _source, _edit, _message = _RULES[_RULE_IDS.index(_rule)]
+    _RULES.append((f"{_source}-redacted", _edit, _message))
+    _RULE_IDS.append(f"{_rule}-redacted")
+
+
+@pytest.mark.parametrize("source, edit, message", _RULES, ids=_RULE_IDS)
 def test_each_forgery_rule_trips_on_its_own_edit(source, edit, message, tmp_path, capsys):
-    """One edit per verify rule behind claim 2 (and the challenge range): the
-    rule's own message is among the mismatches, and gkdsim verify exits 3."""
-    records = [json.loads(line) for line in _source_text(source).splitlines()]
-    assert records[7]["verdict"] == "replaced"
-    edit(records)
-    text = "".join(simnet._dump(rec) + "\n" for rec in records)
+    """One edit per verify rule, claim 2's and every other report.fail site in
+    verify_transcript: the rule's own message is among the mismatches, and
+    gkdsim verify exits 3."""
+    text = _edited_text(source, edit)
     assert message in verify_transcript(Transcript.from_jsonl(text)).mismatches
     path = tmp_path / "t.jsonl"
     path.write_text(text)
     assert cli_main(["verify", str(path)]) == EXIT_VERIFY
     assert f"MISMATCH: {message}\n" in capsys.readouterr().out
+
+
+def _report_fail_lines(func):
+    """The source line of every report.fail(...) call in func."""
+    tree = ast.parse(inspect.getsource(func))
+    return {
+        func.__code__.co_firstlineno + node.lineno - 1
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "fail"
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "report"
+    }
+
+
+def test_every_report_fail_site_in_verify_runs_in_the_rule_table():
+    """A line tracer scoped to verify_transcript sees every report.fail call site
+    run over the rule table, so deleting or shadowing a rule fails here."""
+    code, ran = verify_transcript.__code__, set()
+    sites = _report_fail_lines(verify_transcript)
+    transcripts = [Transcript.from_jsonl(_edited_text(source, edit)) for source, edit, _ in _RULES]
+
+    def lines(frame, event, arg):
+        if event == "line":
+            ran.add(frame.f_lineno)
+        return lines
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: lines if frame.f_code is code else None)
+    try:
+        for tr in transcripts:
+            verify_transcript(tr)
+    finally:
+        sys.settrace(previous)
+    assert len(sites) == 29  # a deleted rule shows here, a shadowed one below
+    assert sorted(sites - ran) == []
 
 
 def _field_paths(obj, prefix=()):
