@@ -641,7 +641,9 @@ def test_explain_renders_a_replaced_challenge_as_a_challenge(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "challenge: 2  [REPLACED in transit: 5]" in stdout
     assert main(["verify", str(path)]) == EXIT_VERIFY
-    assert "MISMATCH: event 2: challenge replaced, expected delivered" in capsys.readouterr().out
+    stdout = capsys.readouterr().out
+    assert "MISMATCH: event 2: challenge replaced, expected delivered" in stdout
+    assert "skipped: payload, outcome and ground-truth checks: the events differ from the event skeleton" in stdout
 
 
 @pytest.mark.parametrize("line, damage, message", [
@@ -662,6 +664,28 @@ def test_explain_prints_nothing_for_a_damaged_payload(tmp_path, capsys, line, da
         assert main([command, str(path)]) == EXIT_VERIFY
         out, err = capsys.readouterr()
         assert (out, err) == ("", f"error: {message}\n")
+
+
+def _swap_first_outcomes(records):
+    records[8], records[9] = records[9], records[8]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_swap_first_outcomes, "expected 2 outcome records, one per member in order"),
+    (lambda records: records[10].update(member_keys={"ann": 2}), "ground-truth keys do not cover the roster"),
+    (lambda records: records[10].update(challenges={"ann": 2}), "ground-truth challenges do not cover the roster"),
+], ids=["outcome-order", "ground-truth-keys", "ground-truth-challenges"])
+def test_verify_and_explain_reject_the_same_record_sets(tmp_path, capsys, edit, message):
+    """Outcomes out of roster order, and ground truth that misses a member, make
+    the file malformed on loading: verify and explain both exit 3 with the same
+    message and print nothing."""
+    records = [json.loads(line) for line in GOLDEN.joinpath("attack-ring35.jsonl").read_text().splitlines()]
+    edit(records)
+    path = tmp_path / "t.jsonl"
+    path.write_text("".join(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n" for rec in records))
+    for command in ("verify", "explain"):
+        assert main([command, str(path)]) == EXIT_VERIFY
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_explain_redacted_transcript(tmp_path, capsys):

@@ -351,6 +351,23 @@ def test_outcome_failures_without_ground_truth_read_a_kept_victim_share_as_the_o
     assert not simnet.plants_the_others_key(run(adversary=FORGE, redact=True))
 
 
+def test_outcome_failures_read_only_the_victims_broadcast_as_the_forgery():
+    """A replaced event other than the victim's broadcast plants no key: with the
+    forged broadcast made plain again and alice's challenge marked replaced, a
+    victim holding the others' key misses the success condition."""
+    tr = run(adversary=FORGE, redact=True)
+    events = list(tr.events)
+    events[-1] = dataclasses.replace(events[-1], verdict="delivered", delivered_payload=None)
+    events[3] = dataclasses.replace(events[3], verdict="replaced", delivered_payload=events[3].payload)
+    assert events[3].step == "challenge" and events[3].sender == "alice"
+    alice_key = tr.outcomes[0].key
+    doctored = _with_outcome(dataclasses.replace(tr, events=tuple(events)), "bob", key=alice_key)
+    assert not simnet.plants_the_others_key(doctored)
+    assert outcome_failures(doctored) == [
+        f"victim 'bob': accepted/{alice_key}, expected to accept a key no other member accepted"
+    ]
+
+
 @pytest.mark.parametrize("adversary", [None, FORGE, SUPPRESS], ids=["honest", "forge", "suppress"])
 def test_verify_reports_the_success_condition(adversary):
     tr = run(adversary=adversary)
@@ -464,6 +481,8 @@ def test_verify_flags_intercepted_or_misrouted_pre_broadcast_events(index, key, 
 
 
 def test_verify_judges_the_receivers_of_a_reordered_challenge_by_its_sender():
+    """The skeleton fixes a challenge's sender and receivers by its position, so
+    two swapped challenges are two events wrong in both."""
     tr = run_scenario(ScenarioConfig.from_file(CONFIGS / "honest.json"))
     lines = tr.to_jsonl().splitlines()
     alice, bob = json.loads(lines[3]), json.loads(lines[4])  # events 2 and 3
@@ -471,8 +490,8 @@ def test_verify_judges_the_receivers_of_a_reordered_challenge_by_its_sender():
     lines[3], lines[4] = (json.dumps(r, sort_keys=True, separators=(",", ":")) for r in (bob, alice))
     report = verify_transcript(Transcript.from_jsonl("\n".join(lines) + "\n"))
     assert report.mismatches == [
-        "event 2: challenge sender 'bob' out of roster order",
-        "event 3: challenge sender 'alice' out of roster order",
+        "event 2: challenge with the wrong sender and receivers",
+        "event 3: challenge with the wrong sender and receivers",
     ]
 
 
@@ -844,16 +863,9 @@ def test_a_challenge_to_a_stranger_gets_the_same_report():
     tr = Transcript.from_jsonl("\n".join(lines) + "\n")
     assert tr.events[2].receivers == ("kgc", "mallory")
     report = verify_transcript(tr)
-    assert report.checks == [
-        "events: complete and ordered",
-        "challenges: one per member, in roster order",
-        "broadcast: framing consistent",
-        "success condition: met",
-        "shares and tag: match recomputation from recorded keys and randomness",
-        "outcomes: match replayed processing",
-    ]
-    assert report.mismatches == ["event 2: challenge not sent to kgc and every other member"]
-    assert report.skipped == []
+    assert report.checks == []
+    assert report.mismatches == ["event 2: challenge with the wrong receivers"]
+    assert report.skipped == ["payload, outcome and ground-truth checks: the events differ from the event skeleton"]
 
 
 _ROSTER = ("ann", "bob", "carol", "dave", "eve")
@@ -938,6 +950,30 @@ def test_challenge_receivers_fast_path_matches_the_per_name_reference(drawn):
     assert ev.sender is sender and all(a is b for a, b in zip(ev.receivers, receivers, strict=True))
 
 
+def _grid_scenarios(t):
+    """Honest, then forge and suppress with the victim first, in the middle and
+    last, and the attacker just before it and just after it."""
+    members = [f"m{k}" for k in range(t)]
+    yield members, None
+    for v in sorted({0, t // 2, t - 1}):
+        for a in (v - 1, v + 1):
+            if 0 <= a < t:
+                for action in ("forge", "suppress"):
+                    yield members, {"attacker": members[a], "victim": members[v], "action": action}
+
+
+@pytest.mark.parametrize("t", [2, 3, 13])
+@pytest.mark.parametrize("variant, modulus", [("ring", {"p": 167, "q": 179}), ("field", {"p": 227})],
+                         ids=["ring", "field"])
+def test_the_network_writes_the_event_skeleton(variant, modulus, t):
+    for members, adversary in _grid_scenarios(t):
+        cfg = scenario_dict(variant=variant, modulus=modulus, members=members, adversary=adversary)
+        tr = run_scenario(ScenarioConfig.from_dict(cfg))
+        shape = [(ev.step, ev.sender, ev.receivers, ev.verdict) for ev in tr.events]
+        assert shape == simnet.event_skeleton(tr.meta), adversary
+        assert verify_transcript(tr).ok, adversary
+
+
 def test_forge_pipeline_challenges_go_to_the_implied_receivers():
     tr = Transcript.from_jsonl(_forge_pipeline_text())
     members = tr.meta.members
@@ -972,6 +1008,38 @@ def _swap(a, b, key):
     return edit
 
 
+def _swap_events(a, b):
+    """An edit swapping event records[a] and records[b], each keeping its index."""
+    def edit(records):
+        records[a], records[b] = records[b], records[a]
+        records[a]["index"], records[b]["index"] = records[b]["index"], records[a]["index"]
+    return edit
+
+
+def _add_broadcast(line, verdict):
+    """An edit inserting at records[line] one more broadcast of the honest
+    payload, to no one; it is event line - 1, the last."""
+    def edit(records):
+        payload = records[line - 1]["payload"]
+        records.insert(line, {"record": "event", "index": line - 1, "step": "broadcast", "sender": "kgc",
+                              "receivers": [], "payload": payload, "verdict": verdict})
+    return edit
+
+
+def _split_honest_broadcast(records):
+    """Split the honest golden's broadcast, event 4, into one event to ann and one to bob."""
+    records.insert(6, {**records[5], "index": 5, "receivers": ["bob"]})
+    records[5]["receivers"] = ["ann"]
+
+
+def _accept_as(line, other):
+    """An edit making outcome records[line] accept the key of outcome records[other]."""
+    def edit(records):
+        del records[line]["reason"]
+        records[line].update(status="accepted", key=records[other]["key"])
+    return edit
+
+
 def _source_records(source):
     """The records a rule-table row edits. A "-redacted" source is its base's
     public record alone: the ground_truth line dropped and the meta saying so."""
@@ -979,8 +1047,8 @@ def _source_records(source):
     if base == "same-key":  # the attack golden's config, planting its group key 4
         cfg = {**GOLDEN_CONFIG, "adversary": {"attacker": "bob", "victim": "ann", "target_key": 4}}
         text = run_scenario(ScenarioConfig.from_dict(cfg)).to_jsonl()
-    elif base == "suppress":
-        text = run_scenario(ScenarioConfig.from_file(CONFIGS / "suppress.json")).to_jsonl()
+    elif base.endswith(".json"):
+        text = run_scenario(ScenarioConfig.from_file(CONFIGS / base)).to_jsonl()
     else:
         text = _golden_path(f"{base}-ring35.jsonl").read_text()
     records = [json.loads(line) for line in text.splitlines()]
@@ -999,7 +1067,11 @@ def _edited_text(source, edit):
 # Attack golden lines: 0 meta, 1 + i event i, 8-9 outcomes, 10 ground truth.
 # Event 6 is the forgery; a broadcast payload is a 32-byte tag, r0, then shares.
 # Honest golden: events 0-4 on lines 1-5 (event 4 the broadcast), outcomes on 6-7.
-# configs/suppress.json: event 7 on line 8 is the broadcast dropped for bob.
+# Runs of configs/attack.json and configs/suppress.json (members alice, bob, carol;
+# victim bob): events 0-7 on lines 1-8, the announce to bob on line 3, the
+# broadcast to alice and carol on line 7 and to bob on line 8, outcomes on 9-11.
+# A row marked "merged into the skeleton" edits a field event_skeleton fixes: its
+# rule is now the one comparison of the events with the skeleton.
 _RULES = [
     ("attack", _set_at(10, ("adversary", "recovered_key"), 5),
      "attacker's recovered key differs from the KGC's group key"),
@@ -1011,22 +1083,28 @@ _RULES = [
     ("attack", _set_at(10, ("adversary", "target_key"), None), "forge scenario lacks a recorded target key"),
     ("attack", _set_at(10, ("r0",), 30), "event 5: broadcast nonce 31 differs from ground-truth r0 30"),
     ("attack", _set_at(4, ("payload",), "ff"), "event 3: challenge value 255 outside [0, m)"),
-    ("attack", _set_at(3, ("verdict",), "dropped"), "event 2: announce dropped, expected delivered"),
-    ("attack", _set_at(1, ("sender",), "bob"), "event 0: request endpoints wrong"),
+    ("attack", _set_at(3, ("verdict",), "dropped"),  # merged into the skeleton
+     "event 2: announce dropped, expected delivered"),
+    ("attack", _set_at(1, ("sender",), "bob"), "event 0: request with the wrong sender"),  # merged into the skeleton
     ("attack", _set_byte(1, "payload", 0, 1), "event 0: requested roster differs from meta members"),
-    ("honest", _set_at(2, ("sender",), "ann"), "event 1: announce not from kgc"),
+    ("honest", _set_at(2, ("sender",), "ann"), "event 1: announce with the wrong sender"),  # merged into the skeleton
     ("attack", _set_byte(2, "payload", 0, 1), "event 1: announced roster differs from meta members"),
-    ("attack", _set_at(3, ("receivers",), ["bob"]), "announce events do not cover every member exactly once"),
-    ("attack", _swap(4, 5, "sender"), "event 3: challenge sender 'bob' out of roster order"),
-    ("attack", _set_at(4, ("receivers",), ["kgc"]), "event 3: challenge not sent to kgc and every other member"),
-    ("attack", _set_at(6, ("sender",), "bob"), "event 5: broadcast not from kgc"),
+    ("attack", _set_at(3, ("receivers",), ["bob"]),  # merged into the skeleton
+     "event 2: announce with the wrong receivers"),
+    ("attack", _swap(4, 5, "sender"), "event 3: challenge with the wrong sender"),  # merged into the skeleton
+    ("attack", _set_at(4, ("receivers",), ["kgc"]),  # merged into the skeleton
+     "event 3: challenge with the wrong receivers"),
+    ("attack", _set_at(6, ("sender",), "bob"),  # merged into the skeleton
+     "event 5: broadcast with the wrong sender"),
     ("attack", _set_byte(7, "payload", 0, 0), "event 6: broadcast original differs across events"),
-    ("honest", _set_at(5, ("receivers",), ["ann"]), "outcome for 'bob': accepted after no broadcast"),
-    ("honest", _set_at(5, ("verdict",), "dropped"), "interceptor verdicts present without a configured adversary"),
-    ("suppress", _set_at(8, ("verdict",), "delivered"), "suppress scenario has 0 dropped events, expected 1"),
+    ("suppress.json", _accept_as(10, 9), "outcome for 'bob': accepted after no broadcast"),
+    ("honest", _set_at(5, ("verdict",), "dropped"),  # merged into the skeleton
+     "event 4: broadcast dropped, expected delivered"),
+    ("suppress.json", _set_at(8, ("verdict",), "delivered"),  # merged into the skeleton
+     "event 7: broadcast delivered, expected dropped"),
     ("attack", lambda records: records[6].update(verdict="replaced", delivered_payload=records[6]["payload"]),
-     "forge scenario has 2 replaced events, expected 1"),
-    ("attack", _swap(6, 7, "receivers"), "event 6: forged broadcast not aimed at the victim"),
+     "event 5: broadcast replaced, expected delivered"),  # merged into the skeleton
+    ("attack", _swap(6, 7, "receivers"), "event 5: broadcast with the wrong receivers"),  # merged into the skeleton
     ("attack", _set_byte(7, "delivered_payload", 33, 26), "event 6: forged share delta 6 != planted key delta 5"),
     ("attack", _set_at(10, ("challenges", "ann"), 3), "event 3: challenge value 2 differs from ground truth 3"),
     ("attack", _set_at(10, ("member_keys", "ann"), 5), "event 5: masked share for 'ann' is 20, recomputed 28"),
@@ -1042,6 +1120,20 @@ _RULE_IDS = [
     "broadcast-original", "outcome-status", "verdicts-without-adversary", "suppress-count", "forge-count",
     "aimed", "algebra", "ground-truth-challenge", "masked-share", "tag", "outcome-replay",
     "ground-truth-adversary", "ground-truth-identity",
+]
+# Transcripts no run writes, which only the comparison with the skeleton rejects.
+_RULES += [
+    ("attack.json", _add_broadcast(9, "dropped"), "event count 9, expected 8"),
+    ("attack.json", _add_broadcast(9, "delivered"), "event count 9, expected 8"),
+    ("honest", _add_broadcast(6, "delivered"), "event count 6, expected 5"),
+    ("suppress.json", _set_at(8, ("receivers",), ["bob", "bob"]), "event 7: broadcast with the wrong receivers"),
+    ("attack.json", _swap_events(7, 8), "event 6: broadcast replaced, expected delivered; with the wrong receivers"),
+    ("attack.json", _swap_events(2, 3), "event 1: announce with the wrong receivers"),
+    ("honest", _split_honest_broadcast, "event count 6, expected 5"),
+]
+_RULE_IDS += [
+    "extra-dropped-broadcast", "extra-delivered-broadcast", "extra-honest-broadcast", "doubled-receiver",
+    "swapped-broadcasts", "swapped-announces", "split-honest-broadcast",
 ]
 for _rule in ("nonce-altered", "footprint", "same-key-footprint", "algebra", "aimed"):
     # a public forgery rule fires again on the public record alone
@@ -1093,7 +1185,7 @@ def test_every_report_fail_site_in_verify_runs_in_the_rule_table():
             verify_transcript(tr)
     finally:
         sys.settrace(previous)
-    assert len(sites) == 29  # a deleted rule shows here, a shadowed one below
+    assert len(sites) == 18  # a deleted rule shows here, a shadowed one below
     assert sorted(sites - ran) == []
 
 
