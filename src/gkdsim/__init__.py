@@ -1,9 +1,9 @@
 """Group key distribution testbed.
 
 Executable state machines for a KGC-mediated group key distribution scheme
-(ring and field variants), a simulated broadcast network with per-link
-channel control, the insider forgery that defeats the scheme's broadcast
-tag, and deterministic, replay-verifiable transcripts of it all.
+(ring and field variants), a simulated broadcast network with an insider
+on the KGC->victim link, the insider forgery that defeats the scheme's
+broadcast tag, and deterministic, replay-verifiable transcripts of it all.
 """
 
 from .algebra import (
@@ -49,7 +49,6 @@ from .adversary import (
     ChannelAction,
     InsiderContext,
     InsiderInterceptor,
-    Interceptor,
     forge_broadcast,
     insider_recover_key,
 )

@@ -112,20 +112,10 @@ def forge_broadcast(
 # interceptors
 # ---------------------------------------------------------------------------
 
-class Interceptor:
-    """Contract a channel controller implements.
-
-    observe() sees every public message (the adversary watches the broadcast
-    medium); intercept() is consulted only for messages on links the
-    interceptor was registered on, one message at a time.
-    """
-
-    def observe(self, sender: bytes, message: object) -> None:
-        pass
-
-
-class InsiderInterceptor(Interceptor):
-    """The concrete insider strategy, to be registered on the KGC->victim link.
+class InsiderInterceptor:
+    """The insider strategy on the KGC->victim link. observe() sees every public
+    message (the insider watches the broadcast medium); intercept() decides the
+    victim's copy of each KGC message.
 
     Passes everything through untouched except the final key broadcast headed
     to the victim, which it replaces with the forgery. Keeps the recovered
@@ -180,7 +170,7 @@ class InsiderInterceptor(Interceptor):
         return ChannelAction.replace(forged)
 
 
-class BroadcastSuppressor(Interceptor):
+class BroadcastSuppressor:
     """Drop the key broadcast instead of forging: suppression, not impersonation.
 
     The victim then produces no outcome at all (timeout), which is what

@@ -15,6 +15,7 @@ fixed, so a config maps to byte-identical transcript files on every run.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import os
 import stat
@@ -25,9 +26,9 @@ from typing import Iterable, Mapping
 from .adversary import (
     ActionKind,
     BroadcastSuppressor,
+    ChannelAction,
     InsiderContext,
     InsiderInterceptor,
-    Interceptor,
 )
 from .algebra import (
     DomainContext,
@@ -77,6 +78,10 @@ VERDICT_DELIVERED = "delivered"
 VERDICT_DROPPED = "dropped"
 VERDICT_REPLACED = "replaced"
 _VERDICTS = (VERDICT_DELIVERED, VERDICT_DROPPED, VERDICT_REPLACED)
+
+_DELIVER = ChannelAction.deliver()
+_ACTION_VERDICTS = {ActionKind.DELIVER: VERDICT_DELIVERED, ActionKind.DROP: VERDICT_DROPPED,
+                    ActionKind.REPLACE: VERDICT_REPLACED}
 
 ACTION_FORGE = "forge"
 ACTION_SUPPRESS = "suppress"
@@ -146,23 +151,26 @@ def _payload_for(message: object, ctx: DomainContext, id_width: int) -> bytes:
 
 def challenge_receivers(members: tuple[str, ...], i: int) -> tuple[str, ...]:
     """Who the challenge of members[i] goes to: the KGC, then every other member
-    in roster order. run_scenario sends to this list and verify_transcript
-    accepts no other."""
+    in roster order."""
     return (KGC_NAME,) + members[:i] + members[i + 1 :]
 
 
 def event_skeleton(meta: TranscriptMeta) -> list[tuple[str, str, tuple[str, ...], str]]:
     """(step, sender, receivers, verdict) of every event a run of meta records, in
-    order. The insider holds one link, KGC -> victim, so the KGC's announce and
-    broadcast reach the other members in one event and the victim in one of its own:
-    the announce delivered, the broadcast replaced (forge) or dropped (suppress)."""
+    order: run_scenario records each message as its group of entries, from_jsonl
+    types the events that match it, and verify_transcript accepts no other. The
+    insider holds one link, KGC -> victim, so the KGC's announce and broadcast reach
+    the other members in one event and the victim in one of its own: the announce
+    delivered, the broadcast replaced (forge) or dropped (suppress). Every name is
+    the object in meta.members, or KGC_NAME."""
     members, adv = meta.members, meta.adversary
     groups = [(members, VERDICT_DELIVERED)]  # who each KGC event reaches, and the broadcast's verdict
     if adv is not None:
-        groups = [(tuple(name for name in members if name != adv.victim), VERDICT_DELIVERED),
-                  ((adv.victim,), VERDICT_REPLACED if adv.action == ACTION_FORGE else VERDICT_DROPPED)]
+        v = members.index(adv.victim)
+        groups = [(members[:v] + members[v + 1 :], VERDICT_DELIVERED),
+                  (members[v : v + 1], VERDICT_REPLACED if adv.action == ACTION_FORGE else VERDICT_DROPPED)]
     return [
-        (STEP_REQUEST, meta.initiator, (KGC_NAME,), VERDICT_DELIVERED),
+        (STEP_REQUEST, members[members.index(meta.initiator)], (KGC_NAME,), VERDICT_DELIVERED),
         *((STEP_ANNOUNCE, KGC_NAME, to, VERDICT_DELIVERED) for to, _ in groups),
         *((STEP_CHALLENGE, name, challenge_receivers(members, i), VERDICT_DELIVERED) for i, name in enumerate(members)),
         *((STEP_BROADCAST, KGC_NAME, to, verdict) for to, verdict in groups),
@@ -436,37 +444,6 @@ class TranscriptMeta:
         return meta
 
 
-class _Names(dict):
-    """name -> the one str object that stands for it in a parsed transcript:
-    the meta's, KGC_NAME, or the first one looked up. One table per parse,
-    so no name outlives the transcript that holds it. Beside it, each member's
-    roster position, which fixes the receivers its challenge implies."""
-
-    __slots__ = ("members", "positions")
-
-    def __init__(self, members: tuple[str, ...] = ()):
-        self[KGC_NAME] = KGC_NAME
-        self.update(zip(members, members))
-        self.members = members
-        self.positions = dict(zip(members, range(len(members))))
-
-    def __missing__(self, name: str) -> str:
-        self[name] = name
-        return name
-
-
-def _is_str_list(value: object) -> bool:
-    """Whether value is a list of str. join types every element in one C-level
-    pass; json.loads makes no str subclasses, which join would also accept."""
-    if type(value) is not list:
-        return False
-    try:
-        "".join(value)
-    except TypeError:
-        return False
-    return True
-
-
 @dataclass(frozen=True)
 class TranscriptEvent:
     index: int
@@ -478,28 +455,24 @@ class TranscriptEvent:
     delivered_payload: bytes | None = None  # only for replaced verdicts
 
     @classmethod
-    def from_record(cls, rec: dict, index: int, names: _Names) -> "TranscriptEvent":
-        """The sender and every receiver come back as names' objects. A challenge
-        list equal to the one its sender implies is typed and mapped by that one
-        comparison, as only str equals a str; any other list goes name by name."""
+    def from_record(cls, rec: dict, index: int, expected: tuple | None) -> "TranscriptEvent":
+        """A record whose (step, sender, receivers, verdict) equals expected, its
+        event-skeleton entry, takes expected's objects: as only a str equals a str,
+        that one comparison also types them. Any other record is typed field by
+        field and keeps its names as written."""
         replaced = rec.get("verdict") == VERDICT_REPLACED
         _check_fields(rec, _REPLACED_FIELDS if replaced else _EVENT_FIELDS, "event")
-        step, sender, verdict = rec["step"], rec["sender"], rec["verdict"]
-        receivers = rec["receivers"]
+        step, sender, receivers, verdict = shape = rec["step"], rec["sender"], rec["receivers"], rec["verdict"]
         if type(rec["index"]) is not int or rec["index"] != index:
             raise MalformedTranscript(f"event {rec['index']!r} out of order at position {index}")
-        if step not in _STEPS or verdict not in _VERDICTS:
+        if expected and type(receivers) is list and shape == (*expected[:2], [*expected[2]], expected[3]):
+            step, sender, receivers, verdict = expected
+        elif step not in _STEPS or verdict not in _VERDICTS:
             raise MalformedTranscript(f"event {index}: unknown step or verdict")
-        i = names.positions.get(sender) if step == STEP_CHALLENGE and type(sender) is str else None
-        implied = None if i is None else challenge_receivers(names.members, i)
-        if implied is not None and type(receivers) is list and receivers == [*implied]:
-            sender, receivers = names[sender], implied
-        elif type(sender) is not str or not _is_str_list(receivers):
+        elif type(sender) is not str or type(receivers) is not list or not all(type(r) is str for r in receivers):
             raise MalformedTranscript(f"event {index}: sender and receivers must be names")
         else:
-            # a list, as tuple() reuses a freed tuple of the list's length; from a map
-            # it grows a tuple by resizing, and freed small tuples pile up unused
-            sender, receivers = names[sender], tuple([*map(names.__getitem__, receivers)])
+            receivers = tuple(receivers)
         try:
             payload = bytes.fromhex(rec["payload"])
             delivered = bytes.fromhex(rec["delivered_payload"]) if replaced else None
@@ -519,14 +492,15 @@ class OutcomeRecord:
         return {k: v for k, v in vars(self).items() if v is not None}
 
     @classmethod
-    def from_record(cls, rec: dict, ctx: DomainContext, names: _Names) -> "OutcomeRecord":
-        """A key exactly when accepted, a residue; a reason exactly when not."""
+    def from_record(cls, rec: dict, ctx: DomainContext, expected: str | None) -> "OutcomeRecord":
+        """A key exactly when accepted, a residue; a reason exactly when not. A member
+        equal to expected, the roster name at the record's position, becomes it."""
         accepted = rec.get("status") == _ACCEPTED
         _check_fields(rec, _ACCEPTED_FIELDS if accepted else _UNACCEPTED_FIELDS, "outcome")
         member, status = rec["member"], rec["status"]
         if type(member) is not str or status not in _STATUSES:
             raise MalformedTranscript(f"outcome for {member!r}: bad member or status")
-        member = names[member]
+        member = expected if member == expected else member
         if accepted:
             return cls(member, status, key=_residue(rec["key"], ctx, f"outcome key of {member!r}"))
         if type(rec["reason"]) is not str:
@@ -600,12 +574,13 @@ class Transcript:
         """Parse and type-check every record, in the order the format fixes:
         one meta, the events, the outcomes, then ground_truth unless redacted.
 
-        Each name is stored once: every event sender and receiver and every
-        outcome member is the meta's str object for that name, or KGC_NAME,
-        and a name outside the roster is one object however often it appears.
-        A t-member transcript thus holds about t names, not the t^2 strings
-        json.loads makes for the challenges' receivers lists."""
-        meta = ground_truth = names = None
+        An event that matches its entry of the meta's event skeleton takes the
+        entry's names, the meta's str objects or KGC_NAME, as does an outcome
+        member equal to the roster name at its position. A t-member transcript
+        that verify can accept thus holds t names, not the t^2 strings json.loads
+        makes for the challenges' receivers lists; any other event keeps its own."""
+        meta = ground_truth = None
+        skeleton = roster = iter(())  # the meta's event skeleton and members, once it is read
         events: list[TranscriptEvent] = []
         outcomes: list[OutcomeRecord] = []
         last = 0
@@ -626,11 +601,11 @@ class Transcript:
             try:
                 if kind == "meta":
                     meta = TranscriptMeta.from_record(rec)
-                    names = _Names(meta.members)
+                    skeleton, roster = iter(event_skeleton(meta)), iter(meta.members)
                 elif kind == "event":
-                    events.append(TranscriptEvent.from_record(rec, len(events), names))
+                    events.append(TranscriptEvent.from_record(rec, len(events), next(skeleton, None)))
                 elif kind == "outcome":
-                    outcomes.append(OutcomeRecord.from_record(rec, meta.params.ctx, names))
+                    outcomes.append(OutcomeRecord.from_record(rec, meta.params.ctx, next(roster, None)))
                 else:
                     ground_truth = GroundTruth.from_record(rec, meta.params.ctx)
             except MalformedTranscript as e:
@@ -707,52 +682,6 @@ def write_text(path: str | Path, text: str) -> None:
 # the runner
 # ---------------------------------------------------------------------------
 
-class _Network:
-    """Per-link delivery with interceptors; records one event per verdict group."""
-
-    def __init__(self, ctx: DomainContext, id_width: int):
-        self.ctx = ctx
-        self.id_width = id_width
-        self.events: list[TranscriptEvent] = []
-        self.interceptors: dict[str, dict[str, Interceptor]] = {}  # sender -> receiver -> icpt
-        self.observers: dict[int, Interceptor] = {}  # id -> interceptor, each observing once
-
-    def control_link(self, sender: str, receiver: str, interceptor: Interceptor) -> None:
-        self.interceptors.setdefault(sender, {})[receiver] = interceptor
-        self.observers.setdefault(id(interceptor), interceptor)
-
-    def send(self, step: str, sender: str, receivers: tuple[str, ...], message: object, deliver) -> None:
-        """Record and deliver one message; deliver(receivers, message) hands it over."""
-        payload = _payload_for(message, self.ctx, self.id_width)
-        for icpt in self.observers.values():
-            icpt.observe(sender.encode(), message)
-        links = self.interceptors.get(sender, {})
-        controlled = tuple(r for r in receivers if r in links) if links else ()
-        plain = tuple(r for r in receivers if r not in links) if controlled else tuple(receivers)
-        # uncontrolled links first: an insider's own copy lands before it can forge
-        if plain:
-            self._event(step, sender, plain, payload, VERDICT_DELIVERED)
-            deliver(plain, message)
-        for r in controlled:
-            action = links[r].intercept(sender.encode(), r.encode(), message)
-            if action.kind is ActionKind.DELIVER:
-                self._event(step, sender, (r,), payload, VERDICT_DELIVERED)
-                deliver((r,), message)
-            elif action.kind is ActionKind.DROP:
-                self._event(step, sender, (r,), payload, VERDICT_DROPPED)
-            else:
-                if type(action.message) is not type(message):
-                    raise GkdError("replacement must be the same message kind as the original")
-                substitute = _payload_for(action.message, self.ctx, self.id_width)
-                self._event(step, sender, (r,), payload, VERDICT_REPLACED, substitute)
-                deliver((r,), action.message)
-
-    def _event(self, step, sender, receivers, payload, verdict, delivered=None):
-        index = len(self.events)
-        event = TranscriptEvent(index, step, sender, receivers, payload, verdict, delivered)
-        self.events.append(event)
-
-
 def _check_modulus_shape(variant: Variant, p: object, q: object, bits: object) -> None:
     """Raise ConfigError unless p, q and bits have the shape build_domain accepts."""
     if (p is not None or q is not None) == (bits is not None):
@@ -826,29 +755,25 @@ def run_scenario(cfg: ScenarioConfig) -> Transcript:
         kgc.register(identity)
         members[name] = GroupMember(identity, params)
 
-    net = _Network(ctx, params.id_width)
-    insider = None
-    if cfg.adversary is not None:
-        adv = cfg.adversary
-        if adv.action == ACTION_FORGE:
-            ictx = InsiderContext(
-                attacker=PartyIdentity(ids[adv.attacker], keys[adv.attacker]),
-                victim_index=names.index(adv.victim),
-                target_key=adv.target_key,
-            )
-            insider = InsiderInterceptor(ictx, roster, params, rng)
-            net.control_link(KGC_NAME, adv.victim, insider)
-        else:
-            net.control_link(KGC_NAME, adv.victim, BroadcastSuppressor(ids[adv.victim]))
-
-    # the KGC takes only challenges: run_scenario answers the request by calling announce
-    observers = {KGC_NAME: kgc.receive_challenge}
-    observers.update((name, member.observe_challenge) for name, member in members.items())
+    adv, interceptor, insider = cfg.adversary, None, None
+    if adv is not None and adv.action == ACTION_FORGE:
+        ictx = InsiderContext(
+            attacker=PartyIdentity(ids[adv.attacker], keys[adv.attacker]),
+            victim_index=names.index(adv.victim),
+            target_key=adv.target_key,
+        )
+        interceptor = insider = InsiderInterceptor(ictx, roster, params, rng)
+    elif adv is not None:
+        interceptor = BroadcastSuppressor(ids[adv.victim])
+    victim_link = adv and (KGC_NAME, (adv.victim,))
+    entries_by_message = itertools.groupby(event_skeleton(meta), key=lambda entry: entry[:2])
+    events: list[TranscriptEvent] = []
 
     def deliver(receivers: tuple[str, ...], message: object) -> None:
-        if isinstance(message, ChallengeMessage):
-            for r in receivers:
-                observers[r](message)
+        if isinstance(message, ChallengeMessage):  # to the KGC, then the other members
+            kgc.receive_challenge(message)
+            for r in receivers[1:]:
+                members[r].observe_challenge(message)
         elif isinstance(message, Announcement):
             for r in receivers:
                 members[r].receive_announcement(message)
@@ -856,26 +781,43 @@ def run_scenario(cfg: ScenarioConfig) -> Transcript:
             for r in receivers:
                 members[r].receive_broadcast(message)
 
-    net.send(STEP_REQUEST, meta.initiator, (KGC_NAME,), Request(roster.members), deliver)
+    def send(message: object) -> None:
+        """Record message as its next group of skeleton entries, one event per entry,
+        and deliver it to each entry's receivers. The insider sees every message; the
+        interceptor decides the victim's copy of a KGC message, and its verdict."""
+        (step, sender), entries = next(entries_by_message)
+        payload = _payload_for(message, ctx, params.id_width)
+        if insider is not None:
+            insider.observe(sender.encode(), message)
+        for _, _, receivers, _ in entries:
+            action = _DELIVER
+            if (sender, receivers) == victim_link:
+                action = interceptor.intercept(sender.encode(), ids[adv.victim], message)
+            handed = message if action.kind is ActionKind.DELIVER else action.message
+            substitute = _payload_for(handed, ctx, params.id_width) if action.kind is ActionKind.REPLACE else None
+            events.append(TranscriptEvent(len(events), step, sender, receivers, payload,
+                                          _ACTION_VERDICTS[action.kind], substitute))
+            if handed is not None:
+                deliver(receivers, handed)
 
-    ann = kgc.announce(roster.members)
-    net.send(STEP_ANNOUNCE, KGC_NAME, names, ann, deliver)
+    # the KGC takes only challenges: run_scenario answers the request by calling announce
+    send(Request(roster.members))
+    send(kgc.announce(roster.members))
 
     issued: dict[str, int] = {}
-    for i, name in enumerate(names):
+    for name in names:
         msg = members[name].issue_challenge(rng)
         issued[name] = msg.value
-        net.send(STEP_CHALLENGE, name, challenge_receivers(names, i), msg, deliver)
+        send(msg)
 
     bcast, group_key = kgc.distribute(rng)
-    net.send(STEP_BROADCAST, KGC_NAME, names, bcast, deliver)
+    send(bcast)
 
     outcomes = []
     for name in names:
         oc = members[name].finalize()
         outcomes.append(OutcomeRecord(name, oc.status.value, oc.key, oc.reason))
 
-    adv = cfg.adversary
     ground_truth = None
     if not cfg.redact:
         adv_truth = adv and AdversaryTruth(
@@ -883,7 +825,7 @@ def run_scenario(cfg: ScenarioConfig) -> Transcript:
             insider.recovered_key if insider else None, insider.forged_key if insider else None,
         )
         ground_truth = GroundTruth(group_key, bcast.r0, dict(keys), issued, adv_truth)
-    return Transcript(meta, tuple(net.events), tuple(outcomes), ground_truth)
+    return Transcript(meta, tuple(events), tuple(outcomes), ground_truth)
 
 
 # ---------------------------------------------------------------------------
@@ -939,7 +881,8 @@ def outcome_failures(tr: Transcript) -> list[str]:
         failures.append(f"members accepted keys {', '.join(sorted(map(str, keys)))}, expected {want}")
     if adv is None:
         return failures
-    status, key = next(((oc.status, oc.key) for oc in tr.outcomes if oc.member == victim), ("missing", None))
+    victim_oc = tr.outcomes[tr.meta.members.index(victim)]  # one outcome per member, in roster order
+    status, key = victim_oc.status, victim_oc.key
     planted = gt.adversary.target_key if gt is not None and gt.adversary else None
     if gt is None and len(keys) == 1 and plants_the_others_key(tr):
         (planted,) = keys

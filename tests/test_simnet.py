@@ -11,12 +11,11 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gkdsim import codec, protocol, simnet
-from gkdsim.adversary import ChannelAction, Interceptor
+from gkdsim import adversary as adversary_module, codec, protocol, simnet
+from gkdsim.adversary import ChannelAction
 from gkdsim.algebra import SeededRng, Variant, domain_new
 from gkdsim.cli import EXIT_OK, EXIT_VERIFY, main as cli_main
-from gkdsim.errors import ConfigError, GkdError, MalformedTranscript
-from gkdsim.protocol import ChallengeMessage
+from gkdsim.errors import ConfigError, MalformedTranscript
 from gkdsim.simnet import (
     MAX_BITS,
     ScenarioConfig,
@@ -332,10 +331,10 @@ def test_outcome_failures_name_each_miss():
     assert outcome_failures(got_through) == ["suppressed victim 'bob' did not time out: accepted"]
     rejected = _with_outcome(run(), "carol", status="rejected", key=None, reason="tag_mismatch")
     assert outcome_failures(rejected) == ["'carol' did not accept: rejected"]
-    no_victim = dataclasses.replace(forge, outcomes=forge.outcomes[:1])
-    assert outcome_failures(no_victim) == [
-        "victim 'bob': missing/None, expected to accept the planted key " + str(planted)
-    ]
+    # a transcript without the victim's outcome never reaches outcome_failures: the loader refuses it
+    no_victim = [line for line in forge.to_jsonl().splitlines() if '"member":"bob"' not in line]
+    with pytest.raises(MalformedTranscript, match="expected 3 outcome records, one per member in order"):
+        Transcript.from_jsonl("\n".join(no_victim) + "\n")
 
 
 def test_outcome_failures_without_ground_truth_read_a_kept_victim_share_as_the_others_key():
@@ -495,7 +494,7 @@ def test_verify_judges_the_receivers_of_a_reordered_challenge_by_its_sender():
     ]
 
 
-def test_malformed_transcripts_raise():
+def test_malformed_transcripts_raise(tmp_path):
     tr = run()
     text = tr.to_jsonl()
     with pytest.raises(MalformedTranscript):
@@ -505,10 +504,15 @@ def test_malformed_transcripts_raise():
     with pytest.raises(MalformedTranscript):
         # drop the meta line entirely
         Transcript.from_jsonl("\n".join(text.splitlines()[1:]) + "\n")
-    # structurally parseable but missing a challenge event
-    lines = [l for l in text.splitlines() if '"step":"challenge"' not in l or '"sender":"bob"' not in l]
-    with pytest.raises(MalformedTranscript):
-        verify_transcript(Transcript.from_jsonl("\n".join(lines) + "\n"))
+    # parseable, as the events after it are renumbered, but missing bob's challenge
+    records = [json.loads(l) for l in text.splitlines() if '"step":"challenge"' not in l or '"sender":"bob"' not in l]
+    for i, rec in enumerate(rec for rec in records if rec["record"] == "event"):
+        rec["index"] = i
+    path = tmp_path / "short.jsonl"
+    path.write_text("\n".join(map(simnet._dump, records)) + "\n")
+    report = verify_transcript(Transcript.load(path))
+    assert report.mismatches == [f"event count {len(tr.events) - 1}, expected {len(tr.events)}"]
+    assert cli_main(["verify", str(path)]) == EXIT_VERIFY
 
 
 def test_verify_flags_stripped_adversary_truth():
@@ -810,16 +814,18 @@ _JSON_VALUES = st.recursive(
 def test_receivers_typing_matches_the_set_of_types_check(receivers):
     """An event's receivers list is accepted exactly when every element's type
     is str, as set(map(type, receivers)) <= {str} decides, for the lists
-    json.loads returns; a rejected list keeps its MalformedTranscript message."""
+    json.loads returns, whether or not the record matches its skeleton entry
+    (["kgc"] here); a rejected list keeps its MalformedTranscript message."""
     receivers = json.loads(json.dumps(receivers))
     rec = {"index": 0, "step": "request", "sender": "alice", "receivers": receivers,
            "payload": "", "verdict": "delivered"}
-    if set(map(type, receivers)) <= {str}:
-        assert simnet.TranscriptEvent.from_record(rec, 0, simnet._Names()).receivers == tuple(receivers)
-    else:
-        with pytest.raises(MalformedTranscript) as e:
-            simnet.TranscriptEvent.from_record(rec, 0, simnet._Names())
-        assert str(e.value) == "event 0: sender and receivers must be names"
+    for expected in (None, ("request", "alice", ("kgc",), "delivered")):
+        if set(map(type, receivers)) <= {str}:
+            assert simnet.TranscriptEvent.from_record(rec, 0, expected).receivers == tuple(receivers)
+        else:
+            with pytest.raises(MalformedTranscript) as e:
+                simnet.TranscriptEvent.from_record(rec, 0, expected)
+            assert str(e.value) == "event 0: sender and receivers must be names"
 
 
 def _forge_pipeline_text():
@@ -843,8 +849,8 @@ def test_parsed_names_are_the_meta_objects(source):
 
 @pytest.mark.parametrize("receivers", ["kgcbob", {"kgc": "kgc", "bob": "bob"}], ids=["str", "dict"])
 def test_receivers_of_roster_names_not_in_a_list_are_rejected(receivers):
-    """Receivers must be a list: a str or dict of roster names, which a lookup
-    in the name table alone would take, keeps the typing error message."""
+    """Receivers must be a list: a str or dict of roster names, off the event
+    skeleton, keeps the typing error message."""
     lines = _golden_path("honest-ring35.jsonl").read_text().splitlines()
     rec = json.loads(lines[3])
     rec["receivers"] = receivers
@@ -920,13 +926,17 @@ def _challenges_near_the_implied_list(draw):
     return members, rec
 
 
-def _per_name_reference(rec, names):
-    """(sender, receivers) looked up in names one name at a time, or the
-    message a record whose sender and receivers are not names gets."""
+def _per_name_reference(rec, entry):
+    """(sender, receivers) after a name-by-name check: the skeleton entry's objects
+    if the record's names equal the entry's, else the record's own, or the message
+    a record whose sender and receivers are not names gets."""
     sender, receivers = rec["sender"], rec["receivers"]
     if type(sender) is not str or type(receivers) is not list or any(type(r) is not str for r in receivers):
         return "event 0: sender and receivers must be names"
-    return names[sender], tuple(names[r] for r in receivers)
+    if rec["step"] == entry[0] and sender == entry[1] and len(receivers) == len(entry[2]) and all(
+            a == b for a, b in zip(receivers, entry[2])):
+        return entry[1], entry[2]
+    return sender, tuple(receivers)
 
 
 @given(drawn=_challenges_near_the_implied_list())
@@ -936,12 +946,14 @@ def _per_name_reference(rec, names):
 def test_challenge_receivers_fast_path_matches_the_per_name_reference(drawn):
     """from_record accepts and rejects exactly what a name-by-name check does,
     with the same message, the same receivers and the same name objects: the
-    meta's for a roster name, the record's own for any other."""
+    skeleton entry's for a record that matches it, the record's own for any other."""
     members, rec = drawn
     members = tuple(map(_fresh, members))
-    expected = _per_name_reference(rec, simnet._Names(members))
+    i = members.index(rec["sender"]) if rec["sender"] in members else 0
+    entry = (simnet.STEP_CHALLENGE, members[i], challenge_receivers(members, i), simnet.VERDICT_DELIVERED)
+    expected = _per_name_reference(rec, entry)
     try:
-        ev = simnet.TranscriptEvent.from_record(rec, 0, simnet._Names(members))
+        ev = simnet.TranscriptEvent.from_record(rec, 0, entry)
     except MalformedTranscript as e:
         assert str(e) == expected
         return
@@ -972,6 +984,20 @@ def test_the_network_writes_the_event_skeleton(variant, modulus, t):
         shape = [(ev.step, ev.sender, ev.receivers, ev.verdict) for ev in tr.events]
         assert shape == simnet.event_skeleton(tr.meta), adversary
         assert verify_transcript(tr).ok, adversary
+
+
+@pytest.mark.parametrize("adversary, cls, verdict", [(FORGE, "InsiderInterceptor", "replaced"),
+                                                     (SUPPRESS, "BroadcastSuppressor", "dropped")],
+                         ids=["forge", "suppress"])
+def test_the_run_records_the_interceptors_verdict(monkeypatch, adversary, cls, verdict):
+    """An interceptor that delivers the victim's broadcast gets it recorded as
+    delivered, not as the skeleton's verdict, and verify reports the event."""
+    monkeypatch.setattr(getattr(adversary_module, cls), "intercept",
+                        lambda self, sender, receiver, message: ChannelAction.deliver())
+    tr = run(adversary=adversary)
+    assert (tr.events[-1].receivers, tr.events[-1].verdict) == (("bob",), "delivered")
+    report = verify_transcript(tr)
+    assert report.mismatches == [f"event {len(tr.events) - 1}: broadcast delivered, expected {verdict}"]
 
 
 def test_forge_pipeline_challenges_go_to_the_implied_receivers():
@@ -1280,25 +1306,6 @@ def test_roster_payload_exact_bytes():
 def test_parse_broadcast_payload_length_check(ring35):
     with pytest.raises(MalformedTranscript):
         parse_broadcast_payload(b"\x00" * 10, ring35, 32, 2)
-
-
-# --- interceptor contract at the network layer ------------------------------------------
-
-def test_replacement_must_be_same_message_kind():
-    from gkdsim.protocol import KgcBroadcast
-    from gkdsim.simnet import _Network
-
-    class KindBreaker(Interceptor):
-        def intercept(self, sender, receiver, message):
-            return ChannelAction.replace(ChallengeMessage(b"bob", 1))
-
-    net = _Network(domain_new(5, 7, variant=Variant.RING), 16)
-    net.control_link("kgc", "bob", KindBreaker())
-    with pytest.raises(GkdError):
-        net.send(
-            "broadcast", "kgc", ("bob",),
-            KgcBroadcast(b"\x00" * 32, 1, (2, 3)), lambda r, m: None,
-        )
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32))
