@@ -114,14 +114,14 @@ def forge_broadcast(
 
 class InsiderInterceptor:
     """The insider strategy on the KGC->victim link. observe() sees every public
-    message (the insider watches the broadcast medium); intercept() decides the
-    victim's copy of each KGC message.
+    message (the insider watches the broadcast medium); intercept() is offered
+    only the victim's copy of each KGC message, and decides it.
 
-    Passes everything through untouched except the final key broadcast headed
-    to the victim, which it replaces with the forgery. Keeps the recovered
-    and planted keys as ground truth for transcripts. params are the
-    session's public parameters, the same value the KGC and the members hold:
-    the insider needs nothing else to unmask and retag.
+    Passes everything through untouched except the final key broadcast, which
+    it replaces with the forgery. Keeps the recovered and planted keys as
+    ground truth for transcripts. params are the session's public parameters,
+    the same value the KGC and the members hold: the insider needs nothing
+    else to unmask and retag.
     """
 
     def __init__(
@@ -140,7 +140,6 @@ class InsiderInterceptor:
         self.roster = roster
         self.params = params
         self.rng = rng
-        self.victim_id = roster.members[ictx.victim_index]
         self.challenges: dict[bytes, int] = {}
         self.recovered_key: int | None = None
         self.forged_key: int | None = None
@@ -149,8 +148,8 @@ class InsiderInterceptor:
         if isinstance(message, ChallengeMessage) and message.sender in self.roster.index:
             self.challenges[message.sender] = self.params.ctx.reduce(message.value)
 
-    def intercept(self, sender: bytes, receiver: bytes, message: object) -> ChannelAction:
-        if not isinstance(message, KgcBroadcast) or receiver != self.victim_id:
+    def intercept(self, message: object) -> ChannelAction:
+        if not isinstance(message, KgcBroadcast):
             return ChannelAction.deliver()
         challenges = challenge_vector(self.roster, self.challenges)
         recovered = insider_recover_key(self.ictx.attacker, self.roster, challenges, message, self.params)
@@ -174,15 +173,11 @@ class BroadcastSuppressor:
     """Drop the key broadcast instead of forging: suppression, not impersonation.
 
     The victim then produces no outcome at all (timeout), which is what
-    distinguishes simple denial of service from the forgery above.
+    distinguishes simple denial of service from the forgery above. Like the
+    insider's, intercept() is offered only the victim's copy of a KGC message.
     """
 
-    def __init__(self, victim_id: bytes):
-        self.victim_id = victim_id
-        self.dropped = 0
-
-    def intercept(self, sender: bytes, receiver: bytes, message: object) -> ChannelAction:
-        if isinstance(message, KgcBroadcast) and receiver == self.victim_id:
-            self.dropped += 1
+    def intercept(self, message: object) -> ChannelAction:
+        if isinstance(message, KgcBroadcast):
             return ChannelAction.drop()
         return ChannelAction.deliver()

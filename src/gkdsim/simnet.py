@@ -21,7 +21,7 @@ import os
 import stat
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .adversary import (
     ActionKind,
@@ -578,13 +578,22 @@ class Transcript:
         entry's names, the meta's str objects or KGC_NAME, as does an outcome
         member equal to the roster name at its position. A t-member transcript
         that verify can accept thus holds t names, not the t^2 strings json.loads
-        makes for the challenges' receivers lists; any other event keeps its own."""
+        makes for the challenges' receivers lists; any other event keeps its own.
+        An event line that is its entry's frame with hex digits in the hole becomes the
+        entry and the payload without json.loads, as decoding would type it."""
         meta = ground_truth = None
-        skeleton = roster = iter(())  # the meta's event skeleton and members, once it is read
+        frames = roster = iter(())  # the meta's event frames and members, once it is read
+        entry, head, tail = _NO_FRAME  # the next event's skeleton entry and frame
         events: list[TranscriptEvent] = []
         outcomes: list[OutcomeRecord] = []
         last = 0
         for lineno, line in enumerate(text.splitlines(), start=1):
+            payload = _framed_payload(line, head, tail) if head and last <= 1 else None
+            if payload is not None:
+                events.append(TranscriptEvent(len(events), *entry[:3], payload, entry[3]))
+                entry, head, tail = next(frames, _NO_FRAME)
+                last = 1
+                continue
             if not line.strip():
                 continue
             try:
@@ -601,9 +610,11 @@ class Transcript:
             try:
                 if kind == "meta":
                     meta = TranscriptMeta.from_record(rec)
-                    skeleton, roster = iter(event_skeleton(meta)), iter(meta.members)
+                    frames, roster = _event_frames(meta), iter(meta.members)
+                    entry, head, tail = next(frames, _NO_FRAME)
                 elif kind == "event":
-                    events.append(TranscriptEvent.from_record(rec, len(events), next(skeleton, None)))
+                    events.append(TranscriptEvent.from_record(rec, len(events), entry))
+                    entry, head, tail = next(frames, _NO_FRAME)
                 elif kind == "outcome":
                     outcomes.append(OutcomeRecord.from_record(rec, meta.params.ctx, next(roster, None)))
                 else:
@@ -655,6 +666,45 @@ def _event_lines(events: Iterable[TranscriptEvent]) -> Iterable[str]:
         yield (f'{head}"index":{ev.index},"payload":"{ev.payload.hex()}",'
                f'"receivers":[{",".join(map(q, ev.receivers))}],"record":"event",'
                f'"sender":{q(ev.sender)},"step":{q(ev.step)},"verdict":{q(ev.verdict)}}}')
+
+
+_NO_FRAME = (None, None, None)
+
+
+def _event_frames(meta: TranscriptMeta) -> Iterator[tuple]:
+    """(entry, head, tail) for each entry of meta's event skeleton: the line
+    _event_lines writes for an event equal to the entry, split at the payload's hex.
+    Each frame is built when its line comes up, so a reader holds one at a time. A
+    replaced entry's line has a second hole, its delivered_payload: no frame."""
+    members, q = meta.members, _Quoted().__getitem__
+    roster = ",".join(["", *map(q, members)])  # a comma before each quoted name
+    ends = itertools.accumulate((len(q(name)) + 1 for name in members), initial=0)
+    spans = dict(zip(members, itertools.pairwise(ends)))  # where each member's comma and name are in roster
+    for k, entry in enumerate(event_skeleton(meta)):
+        step, sender, receivers, verdict = entry
+        if verdict == VERDICT_REPLACED:
+            yield entry, None, None
+            continue
+        if step == STEP_CHALLENGE:  # the KGC, then the roster with the sender cut out
+            start, end = spans[sender]
+            text = q(KGC_NAME) + roster[:start] + roster[end:]
+        else:
+            text = ",".join(map(q, receivers))
+        head = f'{{"index":{k},"payload":"'
+        tail = f'","receivers":[{text}],"record":"event","sender":{q(sender)},"step":{q(step)},"verdict":{q(verdict)}}}'
+        yield entry, head, tail
+
+
+def _framed_payload(line: str, head: str, tail: str) -> bytes | None:
+    """The payload of a line that is head, hex digits and tail, as json.loads and
+    TranscriptEvent.from_record read it; None for any other line. Only letters and
+    digits may fill the hole: fromhex skips whitespace that JSON refuses in a string."""
+    framed = line.startswith(head) and line.endswith(tail)
+    hole = line[len(head) : len(line) - len(tail)] if framed else ""  # "" also where head and tail overlap
+    try:
+        return bytes.fromhex(hole) if hole.isalnum() else None
+    except ValueError:
+        return None
 
 
 def write_text(path: str | Path, text: str) -> None:
@@ -764,7 +814,7 @@ def run_scenario(cfg: ScenarioConfig) -> Transcript:
         )
         interceptor = insider = InsiderInterceptor(ictx, roster, params, rng)
     elif adv is not None:
-        interceptor = BroadcastSuppressor(ids[adv.victim])
+        interceptor = BroadcastSuppressor()
     victim_link = adv and (KGC_NAME, (adv.victim,))
     entries_by_message = itertools.groupby(event_skeleton(meta), key=lambda entry: entry[:2])
     events: list[TranscriptEvent] = []
@@ -792,7 +842,7 @@ def run_scenario(cfg: ScenarioConfig) -> Transcript:
         for _, _, receivers, _ in entries:
             action = _DELIVER
             if (sender, receivers) == victim_link:
-                action = interceptor.intercept(sender.encode(), ids[adv.victim], message)
+                action = interceptor.intercept(message)
             handed = message if action.kind is ActionKind.DELIVER else action.message
             substitute = _payload_for(handed, ctx, params.id_width) if action.kind is ActionKind.REPLACE else None
             events.append(TranscriptEvent(len(events), step, sender, receivers, payload,

@@ -179,13 +179,11 @@ def test_strategy_requires_member_attacker(ring35):
 def test_interceptor_passes_everything_but_the_victim_broadcast(ring35, honest_bcast):
     icpt = make_interceptor(ring35)
     challenge = ChallengeMessage(b"A", 1)
-    assert icpt.intercept(b"kgc", b"A", challenge).kind is ActionKind.DELIVER
+    assert icpt.intercept(challenge).kind is ActionKind.DELIVER
     icpt.observe(b"A", ChallengeMessage(b"A", 1))
     icpt.observe(b"B", ChallengeMessage(b"B", 2))
-    # broadcast to the attacker itself: delivered untouched
-    assert icpt.intercept(b"kgc", b"B", honest_bcast).kind is ActionKind.DELIVER
     # broadcast to the victim: replaced with the forgery
-    action = icpt.intercept(b"kgc", b"A", honest_bcast)
+    action = icpt.intercept(honest_bcast)
     assert action.kind is ActionKind.REPLACE
     assert action.message.masked_shares == (26, 21)
     assert icpt.recovered_key == 10 and icpt.forged_key == 4
@@ -195,7 +193,7 @@ def test_interceptor_draws_random_target_distinct_from_key(ring35, honest_bcast)
     icpt = make_interceptor(ring35, target_key=None)
     icpt.observe(b"A", ChallengeMessage(b"A", 1))
     icpt.observe(b"B", ChallengeMessage(b"B", 2))
-    action = icpt.intercept(b"kgc", b"A", honest_bcast)
+    action = icpt.intercept(honest_bcast)
     assert action.kind is ActionKind.REPLACE
     assert icpt.forged_key != icpt.recovered_key == 10
 
@@ -207,8 +205,6 @@ def test_interceptor_needs_rng_for_random_target(ring35):
 
 
 def test_suppressor_drops_only_victim_broadcast(ring35, honest_bcast):
-    sup = BroadcastSuppressor(b"A")
-    assert sup.intercept(b"kgc", b"B", honest_bcast).kind is ActionKind.DELIVER
-    assert sup.intercept(b"kgc", b"A", honest_bcast).kind is ActionKind.DROP
-    assert sup.intercept(b"kgc", b"A", ChallengeMessage(b"B", 2)).kind is ActionKind.DELIVER
-    assert sup.dropped == 1
+    sup = BroadcastSuppressor()
+    assert sup.intercept(honest_bcast).kind is ActionKind.DROP
+    assert sup.intercept(ChallengeMessage(b"B", 2)).kind is ActionKind.DELIVER

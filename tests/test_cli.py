@@ -800,8 +800,9 @@ def test_run_and_gen_params_write_to_stdout(tmp_path):
 
 
 def test_verify_parses_each_transcript_line_once(tmp_path, capsys, monkeypatch):
-    out = tmp_path / "t.jsonl"
-    main(["run", str(write_config(tmp_path)), "--out", str(out)])
+    """verify decodes no line twice, and json.loads sees, in file order, exactly
+    the meta, outcome and ground-truth lines and the one event line with no frame:
+    the victim's replaced broadcast, whose delivered_payload is a second hole."""
     parsed = []
     loads = json.loads
 
@@ -809,6 +810,13 @@ def test_verify_parses_each_transcript_line_once(tmp_path, capsys, monkeypatch):
         parsed.append(s)
         return loads(s, *args, **kwargs)
 
-    monkeypatch.setattr(json, "loads", counting_loads)
-    assert main(["verify", str(out)]) == EXIT_OK
-    assert parsed == out.read_text().splitlines()
+    for adversary in (None, FORGE):
+        out = tmp_path / "t.jsonl"
+        main(["run", str(write_config(tmp_path, adversary=adversary)), "--out", str(out)])
+        lines = out.read_text().splitlines()
+        parsed.clear()
+        with monkeypatch.context() as m:
+            m.setattr(json, "loads", counting_loads)
+            assert main(["verify", str(out)]) == EXIT_OK
+        assert parsed == [line for line in lines if '"record":"event"' not in line or '"verdict":"replaced"' in line]
+        assert len(parsed) == 1 + 3 + 1 + (adversary is not None), adversary  # meta, outcomes, ground truth

@@ -1,9 +1,11 @@
 import ast
 import dataclasses
 import errno
+import functools
 import inspect
 import json
 import os
+import re
 import sys
 import threading
 from pathlib import Path
@@ -986,6 +988,164 @@ def test_the_network_writes_the_event_skeleton(variant, modulus, t):
         assert verify_transcript(tr).ok, adversary
 
 
+def _record_dump(tr):
+    """tr written the slow way: one _dump per record, with the fields of each."""
+    records = [{"record": "meta", **tr.meta.to_record()}]
+    for ev in tr.events:
+        records.append({"record": "event", "index": ev.index, "step": ev.step, "sender": ev.sender,
+                        "receivers": list(ev.receivers), "payload": ev.payload.hex(), "verdict": ev.verdict})
+        if ev.delivered_payload is not None:
+            records[-1]["delivered_payload"] = ev.delivered_payload.hex()
+    records += ({"record": "outcome", **oc.to_record()} for oc in tr.outcomes)
+    records.append({"record": "ground_truth", **tr.ground_truth.to_record()})
+    return "".join(simnet._dump(rec) + "\n" for rec in records)
+
+
+def _off_frame(lines):
+    """The lines from_jsonl must json-decode: all but the event lines, and the replaced event."""
+    return [line for line in lines if '"record":"event"' not in line or '"verdict":"replaced"' in line]
+
+
+@pytest.mark.parametrize("t", [2, 3, 13])
+@pytest.mark.parametrize("variant, modulus", [("ring", {"p": 167, "q": 179}), ("field", {"p": 227})],
+                         ids=["ring", "field"])
+def test_written_event_lines_are_read_against_their_frames(variant, modulus, t, monkeypatch):
+    """to_jsonl writes every record byte for byte as _dump does, and from_jsonl
+    json-decodes no event line but the replaced broadcast, yet gives back the run's events."""
+    decoded, loads = [], json.loads
+    monkeypatch.setattr(json, "loads", lambda s, *args, **kwargs: decoded.append(s) or loads(s, *args, **kwargs))
+    for members, adversary in _grid_scenarios(t):
+        cfg = scenario_dict(variant=variant, modulus=modulus, members=members, adversary=adversary)
+        tr = run_scenario(ScenarioConfig.from_dict(cfg))
+        text = tr.to_jsonl()
+        assert text == _record_dump(tr), adversary
+        decoded.clear()
+        assert Transcript.from_jsonl(text).events == tr.events, adversary
+        assert decoded == _off_frame(text.splitlines()), adversary
+
+
+def test_an_event_line_after_an_outcome_is_out_of_order():
+    """A line that matches the next event's frame is still refused after an
+    outcome record, as json.loads and the record order refuse it."""
+    lines = run().to_jsonl().splitlines()  # events on lines 2-7, outcomes on 8-10
+    lines.insert(7, lines.pop(6))  # the broadcast after alice's outcome
+    with pytest.raises(MalformedTranscript, match=r"^line 8: event record out of order$"):
+        Transcript.from_jsonl("\n".join(lines) + "\n")
+
+
+@functools.lru_cache(maxsize=None)
+def _grid_lines(t, scenario):
+    """The lines of a run of _grid_scenarios(t)[scenario]: 1 is a forge."""
+    members, adversary = list(_grid_scenarios(t))[scenario]
+    cfg = scenario_dict(members=members, adversary=adversary)
+    return tuple(run_scenario(ScenarioConfig.from_dict(cfg)).to_jsonl().splitlines())
+
+
+_LINE_EDITS = ("none", "upper", "space", "tab", "odd", "escape", "quote", "escaped-token", "whitespace",
+               "index+1", "index-1", "verdict", "extra-field", "duplicate-key", "delivered-added",
+               "delivered-deleted")
+
+
+def _edit_line(line, edit, at):
+    """line with one edit; at picks where, or which value."""
+    start = line.index('"payload":"') + len('"payload":"')
+    end = line.index('"', start)
+    j = start + at % (end - start + 1)  # a place in the payload's hex, or just after it
+    if edit == "upper":
+        return line[:start] + line[start:end].upper() + line[end:]
+    if edit in ("space", "tab", "quote"):
+        return line[:j] + {"space": " ", "tab": "\t", "quote": '"'}[edit] + line[j:]
+    if edit == "odd":
+        return line[: end - 1] + line[end:]
+    if edit == "escape":
+        j = min(j, end - 1)
+        return line[:j] + f"\\u{ord(line[j]):04x}" + line[j + 1 :]
+    if edit == "escaped-token":  # the first letter of a key, name, step or verdict, as \u00XX
+        places = [m.start() for m in re.finditer(r'(?<=")[a-z_]', line) if not start <= m.start() < end]
+        j = places[at % len(places)]
+        return line[:j] + f"\\u{ord(line[j]):04x}" + line[j + 1 :]
+    if edit == "whitespace":
+        places = [m.end() for m in re.finditer(r'[{}\[\]:,]', line) if not start <= m.start() < end]
+        j = places[at % len(places)]
+        return line[:j] + " \t"[at % 2] + line[j:]
+    if edit in ("index+1", "index-1"):
+        return re.sub(r'"index":(\d+)', lambda m: f'"index":{int(m[1]) + int(edit[-2:])}', line, count=1)
+    if edit == "verdict":
+        other = [v for v in simnet._VERDICTS if f'"verdict":"{v}"' not in line][at % 2]
+        return re.sub(r'"verdict":"\w+"', f'"verdict":"{other}"', line)
+    if edit == "extra-field":
+        return line[:-1] + ',"extra":0}'
+    if edit == "duplicate-key":  # a pair again, with its own value or another, first or last
+        pairs = re.findall(r'"(?:index|payload|record|sender|step|verdict)":(?:"[^"]*"|\d+)', line)
+        pair = pairs[at % len(pairs)]
+        if at % 3 == 1 and not pair.startswith('"record"'):  # the line stays an event record
+            pair = pair.split(":")[0] + (':"00"' if pair.endswith('"') else ":0")
+        return "{" + pair + "," + line[1:] if at % 2 else line[:-1] + "," + pair + "}"
+    if edit == "delivered-added":
+        return '{"delivered_payload":"00",' + line[1:]
+    if edit == "delivered-deleted":
+        return re.sub(r'"delivered_payload":"\w*",', "", line)
+    return line
+
+
+def _json_reference(lines):
+    """What json.loads and TranscriptEvent.from_record make of each event line of a
+    transcript whose other lines are as written: (meta, events), or the message of
+    the first line they refuse."""
+    meta_record = json.loads(lines[0])
+    del meta_record["record"]
+    meta = simnet.TranscriptMeta.from_record(meta_record)
+    skeleton, events = simnet.event_skeleton(meta), []
+    for lineno, line in enumerate(lines[1 : 1 + len(skeleton)], start=2):
+        try:
+            rec = json.loads(line)
+        except ValueError as e:
+            return f"line {lineno}: not valid JSON: {e}"
+        assert rec.pop("record") == "event"
+        try:
+            events.append(simnet.TranscriptEvent.from_record(rec, len(events), skeleton[len(events)]))
+        except MalformedTranscript as e:
+            return f"line {lineno}: {e}"
+    return meta, events
+
+
+def _meta_names(meta, ev):
+    """Which of ev's names are the meta's objects or KGC_NAME, not strings of their own."""
+    pool = (*meta.members, simnet.KGC_NAME)
+    return [any(name is obj for obj in pool) for name in (ev.sender, *ev.receivers)]
+
+
+@given(t=st.sampled_from((2, 3, 13)), scenario=st.integers(0, 8), edit=st.sampled_from(_LINE_EDITS),
+       event=st.integers(0, 40), at=st.integers(0, 60))
+@example(t=3, scenario=1, edit="delivered-deleted", event=0, at=0)
+@example(t=13, scenario=0, edit="tab", event=5, at=3)
+@example(t=2, scenario=0, edit="escape", event=2, at=0)
+@settings(max_examples=400, deadline=None)
+def test_framed_event_lines_parse_as_json_and_from_record_read_them(t, scenario, edit, event, at):
+    """from_jsonl reads a gkdsim-written transcript with one event line edited as a
+    reference that json.loads every line and types it with from_record does: the
+    same events with the same name objects, or the same MalformedTranscript message.
+    Honest, forge and suppress runs; a delivered_payload is deleted from a forge's
+    replaced broadcast, the one event line with two holes."""
+    scenario %= len(list(_grid_scenarios(t)))
+    if edit == "delivered-deleted":
+        scenario = 1
+    lines = list(_grid_lines(t, scenario))
+    events = [n for n, line in enumerate(lines) if '"record":"event"' in line]
+    n = events[-1] if edit == "delivered-deleted" else events[event % len(events)]
+    lines[n] = _edit_line(lines[n], edit, at)
+    expected = _json_reference(lines)
+    try:
+        tr = Transcript.from_jsonl("\n".join(lines) + "\n")
+    except MalformedTranscript as e:
+        assert str(e) == expected
+        return
+    assert not isinstance(expected, str), expected
+    meta, events = expected
+    assert tr.events == tuple(events)
+    assert [_meta_names(tr.meta, ev) for ev in tr.events] == [_meta_names(meta, ev) for ev in events]
+
+
 @pytest.mark.parametrize("adversary, cls, verdict", [(FORGE, "InsiderInterceptor", "replaced"),
                                                      (SUPPRESS, "BroadcastSuppressor", "dropped")],
                          ids=["forge", "suppress"])
@@ -993,7 +1153,7 @@ def test_the_run_records_the_interceptors_verdict(monkeypatch, adversary, cls, v
     """An interceptor that delivers the victim's broadcast gets it recorded as
     delivered, not as the skeleton's verdict, and verify reports the event."""
     monkeypatch.setattr(getattr(adversary_module, cls), "intercept",
-                        lambda self, sender, receiver, message: ChannelAction.deliver())
+                        lambda self, message: ChannelAction.deliver())
     tr = run(adversary=adversary)
     assert (tr.events[-1].receivers, tr.events[-1].verdict) == (("bob",), "delivered")
     report = verify_transcript(tr)
