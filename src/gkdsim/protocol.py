@@ -25,8 +25,11 @@ KGC, every member, the insider and the verifier evaluate shares over equal
 nonce vectors, so _lanes keeps the last call's lanes and they are built once
 per session. That memo, like compute_auth's in codec, never hashes the
 vector: a hit costs one identity test when the caller passes the same tuple
-and one element-by-element comparison when it passes an equal copy. Up to
-t = 12 the one block is a plain inner product.
+and one element-by-element comparison when it passes an equal copy. A hit
+keeps the caller's copy, so the next caller, whose tuple holds the same int
+objects (verify's replay builds each member's nonces from one challenge
+vector), is matched pointer by pointer. Up to t = 12 the one block is a plain
+inner product.
 
 Every step, both state machines and the insider (adversary) take the public
 parameters as one codec.PublicParams: the domain, the hash and the identifier

@@ -149,20 +149,49 @@ def _payload_for(message: object, ctx: DomainContext, id_width: int) -> bytes:
     raise TypeError(f"no wire form for {type(message).__name__}")
 
 
-def challenge_receivers(members: tuple[str, ...], i: int) -> tuple[str, ...]:
+class ChallengeReceivers:
     """Who the challenge of members[i] goes to: the KGC, then every other member
-    in roster order."""
-    return (KGC_NAME,) + members[:i] + members[i + 1 :]
+    in roster order. It is held as the roster and the position, O(1) to build and
+    to keep where the tuple of names is t references. It iterates over and has
+    the len of that tuple, and is equal to it, in either operand order, with its
+    hash. members is a roster, t distinct names, so two values over the same
+    members object are equal exactly when their positions are: one int comparison."""
+
+    __slots__ = ("members", "i")
+
+    def __init__(self, members: tuple[str, ...], i: int):
+        self.members, self.i = members, i
+
+    def __iter__(self) -> Iterator[str]:
+        members, i = self.members, self.i
+        return itertools.chain((KGC_NAME,), members[:i], members[i + 1 :])
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is ChallengeReceivers and other.members is self.members:
+            return self.i == other.i
+        if isinstance(other, (tuple, ChallengeReceivers)):
+            return len(other) == len(self) and tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
-def event_skeleton(meta: TranscriptMeta) -> list[tuple[str, str, tuple[str, ...], str]]:
+def event_skeleton(meta: TranscriptMeta) -> list[tuple[str, str, tuple[str, ...] | ChallengeReceivers, str]]:
     """(step, sender, receivers, verdict) of every event a run of meta records, in
     order: run_scenario records each message as its group of entries, from_jsonl
     types the events that match it, and verify_transcript accepts no other. The
     insider holds one link, KGC -> victim, so the KGC's announce and broadcast reach
     the other members in one event and the victim in one of its own: the announce
-    delivered, the broadcast replaced (forge) or dropped (suppress). Every name is
-    the object in meta.members, or KGC_NAME."""
+    delivered, the broadcast replaced (forge) or dropped (suppress). A challenge's
+    receivers are a ChallengeReceivers over meta.members, so the list is O(t) to
+    build and compare. Every name is the object in meta.members, or KGC_NAME."""
     members, adv = meta.members, meta.adversary
     groups = [(members, VERDICT_DELIVERED)]  # who each KGC event reaches, and the broadcast's verdict
     if adv is not None:
@@ -172,7 +201,7 @@ def event_skeleton(meta: TranscriptMeta) -> list[tuple[str, str, tuple[str, ...]
     return [
         (STEP_REQUEST, members[members.index(meta.initiator)], (KGC_NAME,), VERDICT_DELIVERED),
         *((STEP_ANNOUNCE, KGC_NAME, to, VERDICT_DELIVERED) for to, _ in groups),
-        *((STEP_CHALLENGE, name, challenge_receivers(members, i), VERDICT_DELIVERED) for i, name in enumerate(members)),
+        *((STEP_CHALLENGE, name, ChallengeReceivers(members, i), VERDICT_DELIVERED) for i, name in enumerate(members)),
         *((STEP_BROADCAST, KGC_NAME, to, verdict) for to, verdict in groups),
     ]
 
@@ -558,9 +587,10 @@ class Transcript:
     ground_truth: GroundTruth | None = None
 
     def to_jsonl(self) -> str:
+        quoted = _Quoted()
         lines = [_dump({"record": "meta", **self.meta.to_record()})]
-        lines += _event_lines(self.events)
-        lines += (_dump({"record": "outcome", **oc.to_record()}) for oc in self.outcomes)
+        lines += _event_lines(self.events, quoted)
+        lines += (_outcome_line(oc, quoted) for oc in self.outcomes)
         if self.ground_truth is not None:
             lines.append(_dump({"record": "ground_truth", **self.ground_truth.to_record()}))
         lines.append("")  # the last newline, without copying the joined text to add it
@@ -580,10 +610,14 @@ class Transcript:
         that verify can accept thus holds t names, not the t^2 strings json.loads
         makes for the challenges' receivers lists; any other event keeps its own.
         An event line that is its entry's frame with hex digits in the hole becomes the
-        entry and the payload without json.loads, as decoding would type it."""
+        entry and the payload without json.loads, as decoding would type it; so does an
+        outcome line that is the one _dump writes for the next roster name, with its
+        key or reason in the hole. Only the meta, the ground truth and lines off their
+        frames are JSON-decoded."""
         meta = ground_truth = None
         frames = roster = iter(())  # the meta's event frames and members, once it is read
         entry, head, tail = _NO_FRAME  # the next event's skeleton entry and frame
+        member = None  # the roster name at the next outcome's position
         events: list[TranscriptEvent] = []
         outcomes: list[OutcomeRecord] = []
         last = 0
@@ -593,6 +627,12 @@ class Transcript:
                 events.append(TranscriptEvent(len(events), *entry[:3], payload, entry[3]))
                 entry, head, tail = next(frames, _NO_FRAME)
                 last = 1
+                continue
+            outcome = _framed_outcome(line, member, quoted, meta.params.ctx) if member and last <= 2 else None
+            if outcome is not None:
+                outcomes.append(outcome)
+                member = next(roster, None)
+                last = 2
                 continue
             if not line.strip():
                 continue
@@ -610,13 +650,16 @@ class Transcript:
             try:
                 if kind == "meta":
                     meta = TranscriptMeta.from_record(rec)
-                    frames, roster = _event_frames(meta), iter(meta.members)
+                    quoted = _Quoted()
+                    frames, roster = _event_frames(meta, quoted), iter(meta.members)
                     entry, head, tail = next(frames, _NO_FRAME)
+                    member = next(roster)
                 elif kind == "event":
                     events.append(TranscriptEvent.from_record(rec, len(events), entry))
                     entry, head, tail = next(frames, _NO_FRAME)
                 elif kind == "outcome":
-                    outcomes.append(OutcomeRecord.from_record(rec, meta.params.ctx, next(roster, None)))
+                    outcomes.append(OutcomeRecord.from_record(rec, meta.params.ctx, member))
+                    member = next(roster, None)
                 else:
                     ground_truth = GroundTruth.from_record(rec, meta.params.ctx)
             except MalformedTranscript as e:
@@ -649,49 +692,55 @@ def _dump(obj: object) -> str:
 
 
 class _Quoted(dict):
-    """name -> its JSON string, encoded by _dump on first use."""
+    """name -> its JSON string, encoded by _dump on first use; and the JSON text of a
+    receivers list, a ChallengeReceivers' cut from its roster's text, not joined."""
+
+    _roster = None  # (members, a comma before each quoted name, where each comma is)
 
     def __missing__(self, name: str) -> str:
         self[name] = quoted = _dump(name)
         return quoted
 
+    def receivers(self, receivers: Iterable[str]) -> str:
+        if type(receivers) is not ChallengeReceivers:
+            return ",".join(map(self.__getitem__, receivers))
+        members, i = receivers.members, receivers.i  # the KGC, then the roster with members[i] cut out
+        if self._roster is None or self._roster[0] is not members:
+            commas = list(itertools.accumulate((len(self[name]) + 1 for name in members), initial=0))
+            self._roster = members, ",".join(["", *map(self.__getitem__, members)]), commas
+        _, text, commas = self._roster
+        return self[KGC_NAME] + text[: commas[i]] + text[commas[i + 1] :]
 
-def _event_lines(events: Iterable[TranscriptEvent]) -> Iterable[str]:
+
+def _event_lines(events: Iterable[TranscriptEvent], quoted: _Quoted) -> Iterable[str]:
     """Each event as _dump writes {"record": "event", **fields}: keys sorted, hex
     payloads, delivered_payload only on replaced events, and every name, step
     and verdict JSON-encoded once per transcript, not once per appearance."""
-    q = _Quoted().__getitem__
+    q = quoted.__getitem__
     for ev in events:
         head = "{" if ev.delivered_payload is None else f'{{"delivered_payload":"{ev.delivered_payload.hex()}",'
         yield (f'{head}"index":{ev.index},"payload":"{ev.payload.hex()}",'
-               f'"receivers":[{",".join(map(q, ev.receivers))}],"record":"event",'
+               f'"receivers":[{quoted.receivers(ev.receivers)}],"record":"event",'
                f'"sender":{q(ev.sender)},"step":{q(ev.step)},"verdict":{q(ev.verdict)}}}')
 
 
 _NO_FRAME = (None, None, None)
 
 
-def _event_frames(meta: TranscriptMeta) -> Iterator[tuple]:
+def _event_frames(meta: TranscriptMeta, quoted: _Quoted) -> Iterator[tuple]:
     """(entry, head, tail) for each entry of meta's event skeleton: the line
     _event_lines writes for an event equal to the entry, split at the payload's hex.
     Each frame is built when its line comes up, so a reader holds one at a time. A
     replaced entry's line has a second hole, its delivered_payload: no frame."""
-    members, q = meta.members, _Quoted().__getitem__
-    roster = ",".join(["", *map(q, members)])  # a comma before each quoted name
-    ends = itertools.accumulate((len(q(name)) + 1 for name in members), initial=0)
-    spans = dict(zip(members, itertools.pairwise(ends)))  # where each member's comma and name are in roster
+    q = quoted.__getitem__
     for k, entry in enumerate(event_skeleton(meta)):
         step, sender, receivers, verdict = entry
         if verdict == VERDICT_REPLACED:
             yield entry, None, None
             continue
-        if step == STEP_CHALLENGE:  # the KGC, then the roster with the sender cut out
-            start, end = spans[sender]
-            text = q(KGC_NAME) + roster[:start] + roster[end:]
-        else:
-            text = ",".join(map(q, receivers))
         head = f'{{"index":{k},"payload":"'
-        tail = f'","receivers":[{text}],"record":"event","sender":{q(sender)},"step":{q(step)},"verdict":{q(verdict)}}}'
+        tail = (f'","receivers":[{quoted.receivers(receivers)}],"record":"event",'
+                f'"sender":{q(sender)},"step":{q(step)},"verdict":{q(verdict)}}}')
         yield entry, head, tail
 
 
@@ -705,6 +754,36 @@ def _framed_payload(line: str, head: str, tail: str) -> bytes | None:
         return bytes.fromhex(hole) if hole.isalnum() else None
     except ValueError:
         return None
+
+
+def _outcome_line(oc: OutcomeRecord, quoted: _Quoted) -> str:
+    """oc as _dump writes {"record": "outcome", **oc.to_record()}: keys sorted, the key
+    an int, and no field that is None."""
+    key = "" if oc.key is None else f'"key":{oc.key},'
+    reason = "" if oc.reason is None else f'"reason":{quoted[oc.reason]},'
+    return f'{{{key}"member":{quoted[oc.member]},{reason}"record":"outcome","status":{quoted[oc.status]}}}'
+
+
+_UNACCEPTED_TAILS = {f',"record":"outcome","status":"{s}"}}': s for s in _STATUSES if s != _ACCEPTED}
+
+
+def _framed_outcome(line: str, member: str, quoted: _Quoted, ctx: DomainContext) -> OutcomeRecord | None:
+    """The outcome of member whose _outcome_line is line, with an accepted key that is
+    a residue or a reason not accepted, as json.loads and OutcomeRecord.from_record read
+    it; None for any other line. The key or the reason is the frame's hole: it is read
+    from the line, and the line must be the one written for it, so a key off its
+    canonical digits or a reason with an escape is left to the JSON path."""
+    if line.startswith('{"key":'):
+        try:
+            oc = OutcomeRecord(member, _ACCEPTED, key=int(line[7 : line.find(",")]))
+        except ValueError:  # not digits, or thousands of them, which json.loads refuses too
+            return None
+        ok = ctx.contains(oc.key)
+    else:
+        reason, _, rest = line.partition(',"reason":"')[2].partition('"')
+        oc = OutcomeRecord(member, _UNACCEPTED_TAILS.get(rest), reason=reason)
+        ok = oc.status is not None
+    return oc if ok and line == _outcome_line(oc, quoted) else None
 
 
 def write_text(path: str | Path, text: str) -> None:
@@ -822,7 +901,7 @@ def run_scenario(cfg: ScenarioConfig) -> Transcript:
     def deliver(receivers: tuple[str, ...], message: object) -> None:
         if isinstance(message, ChallengeMessage):  # to the KGC, then the other members
             kgc.receive_challenge(message)
-            for r in receivers[1:]:
+            for r in itertools.islice(receivers, 1, None):
                 members[r].observe_challenge(message)
         elif isinstance(message, Announcement):
             for r in receivers:

@@ -801,8 +801,9 @@ def test_run_and_gen_params_write_to_stdout(tmp_path):
 
 def test_verify_parses_each_transcript_line_once(tmp_path, capsys, monkeypatch):
     """verify decodes no line twice, and json.loads sees, in file order, exactly
-    the meta, outcome and ground-truth lines and the one event line with no frame:
-    the victim's replaced broadcast, whose delivered_payload is a second hole."""
+    the meta and ground-truth lines and the one line off its frame: the victim's
+    replaced broadcast, whose delivered_payload is a second hole. Every other
+    event and every outcome line is read against its frame."""
     parsed = []
     loads = json.loads
 
@@ -818,5 +819,6 @@ def test_verify_parses_each_transcript_line_once(tmp_path, capsys, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(json, "loads", counting_loads)
             assert main(["verify", str(out)]) == EXIT_OK
-        assert parsed == [line for line in lines if '"record":"event"' not in line or '"verdict":"replaced"' in line]
-        assert len(parsed) == 1 + 3 + 1 + (adversary is not None), adversary  # meta, outcomes, ground truth
+        assert parsed == [line for line in lines if '"record":"meta"' in line or '"record":"ground_truth"' in line
+                          or '"verdict":"replaced"' in line]
+        assert len(parsed) == 1 + 1 + (adversary is not None), adversary  # meta, ground truth, replaced broadcast

@@ -16,6 +16,7 @@ from gkdsim.codec import (
     encode_element,
     encode_identifier,
     hash_to_element,
+    memo_last,
 )
 from gkdsim.errors import IdentifierTooLong
 
@@ -258,6 +259,37 @@ def test_alternating_tag_inputs_never_get_a_stale_digest():
                    PublicParams(wide, id_width=20), PublicParams(ctx)):
         assert compute_auth(ai, params) == _reference_tag(ai, params)
     assert compute_auth.cache_info() == (1, 5)
+
+
+class _CountedEq:
+    """A value whose == counts its calls, in a shared list."""
+
+    def __init__(self, value, calls):
+        self.value, self.calls = value, calls
+
+    def __eq__(self, other):
+        self.calls.append(1)
+        return self.value == other.value
+
+    __hash__ = None
+
+
+def test_memo_hit_keeps_the_callers_arguments():
+    """A hit on an equal copy stores the copy, so calling again with that same
+    copy is a hit decided by identity, with no == at all; the counts and the
+    result are those of any hit."""
+    calls = []
+    memo = memo_last(lambda x: x.value * 2)
+    stored, copy = _CountedEq(21, calls), _CountedEq(21, calls)
+    assert memo(stored) == 42
+    assert memo(copy) == 42
+    assert len(calls) == 1  # the copy against the stored argument
+    calls.clear()
+    assert memo(copy) == 42
+    assert calls == []
+    assert memo.cache_info() == (2, 1)
+    assert memo(_CountedEq(22, calls)) == 44  # a different value still misses
+    assert memo.cache_info() == (2, 2)
 
 
 @pytest.mark.parametrize("bad", [

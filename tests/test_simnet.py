@@ -8,6 +8,7 @@ import os
 import re
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -25,7 +26,6 @@ from gkdsim.simnet import (
     parse_broadcast_payload,
     roster_payload,
     build_domain,
-    challenge_receivers,
     outcome_failures,
     run_scenario,
     verify_transcript,
@@ -34,6 +34,12 @@ from conftest import FORGE, SUPPRESS, scenario_dict
 
 
 CONFIGS = Path(__file__).parent.parent / "configs"
+
+
+def challenge_receivers(members, i):
+    """The tuple oracle for simnet.ChallengeReceivers: who the challenge of
+    members[i] goes to, the KGC, then every other member in roster order."""
+    return (simnet.KGC_NAME,) + tuple(members[:i]) + tuple(members[i + 1 :])
 
 
 def run(**overrides):
@@ -739,12 +745,24 @@ def test_event_lines_match_the_record_dump(events):
                                delivered if verdict == "replaced" else None)
         for i, (step, sender, receivers, payload, verdict, delivered) in enumerate(events)
     ]
-    for ev, line in zip(evs, simnet._event_lines(evs), strict=True):
+    for ev, line in zip(evs, simnet._event_lines(evs, simnet._Quoted()), strict=True):
         rec = {"record": "event", "index": ev.index, "step": ev.step, "sender": ev.sender,
                "receivers": list(ev.receivers), "payload": ev.payload.hex(), "verdict": ev.verdict}
         if ev.delivered_payload is not None:
             rec["delivered_payload"] = ev.delivered_payload.hex()
         assert line == simnet._dump(rec)
+        assert line.isascii()
+
+
+@given(outcomes=st.lists(st.tuples(_AWKWARD_NAMES, st.sampled_from(simnet._STATUSES),
+                                   st.none() | st.integers(0, 2**80), st.none() | _AWKWARD_NAMES), max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_outcome_lines_match_the_record_dump(outcomes):
+    """Each outcome line is _dump of its record, whichever of key and reason it has."""
+    quoted = simnet._Quoted()
+    for oc in (simnet.OutcomeRecord(*fields) for fields in outcomes):
+        line = simnet._outcome_line(oc, quoted)
+        assert line == simnet._dump({"record": "outcome", **oc.to_record()})
         assert line.isascii()
 
 
@@ -1002,8 +1020,10 @@ def _record_dump(tr):
 
 
 def _off_frame(lines):
-    """The lines from_jsonl must json-decode: all but the event lines, and the replaced event."""
-    return [line for line in lines if '"record":"event"' not in line or '"verdict":"replaced"' in line]
+    """The lines from_jsonl must json-decode: the meta, the ground truth and the
+    replaced event, the one event line with two holes."""
+    return [line for line in lines if '"record":"meta"' in line or '"record":"ground_truth"' in line
+            or '"verdict":"replaced"' in line]
 
 
 @pytest.mark.parametrize("t", [2, 3, 13])
@@ -1011,7 +1031,8 @@ def _off_frame(lines):
                          ids=["ring", "field"])
 def test_written_event_lines_are_read_against_their_frames(variant, modulus, t, monkeypatch):
     """to_jsonl writes every record byte for byte as _dump does, and from_jsonl
-    json-decodes no event line but the replaced broadcast, yet gives back the run's events."""
+    json-decodes no event or outcome line but the replaced broadcast, yet gives
+    back the run's events and outcomes."""
     decoded, loads = [], json.loads
     monkeypatch.setattr(json, "loads", lambda s, *args, **kwargs: decoded.append(s) or loads(s, *args, **kwargs))
     for members, adversary in _grid_scenarios(t):
@@ -1020,7 +1041,8 @@ def test_written_event_lines_are_read_against_their_frames(variant, modulus, t, 
         text = tr.to_jsonl()
         assert text == _record_dump(tr), adversary
         decoded.clear()
-        assert Transcript.from_jsonl(text).events == tr.events, adversary
+        parsed = Transcript.from_jsonl(text)
+        assert (parsed.events, parsed.outcomes) == (tr.events, tr.outcomes), adversary
         assert decoded == _off_frame(text.splitlines()), adversary
 
 
@@ -1089,30 +1111,53 @@ def _edit_line(line, edit, at):
 
 
 def _json_reference(lines):
-    """What json.loads and TranscriptEvent.from_record make of each event line of a
-    transcript whose other lines are as written: (meta, events), or the message of
-    the first line they refuse."""
+    """What json.loads, TranscriptEvent.from_record and OutcomeRecord.from_record make
+    of the event and outcome lines of a transcript whose other lines are as written:
+    (meta, events, outcomes), or the message of the first line, or the roster check,
+    they refuse."""
     meta_record = json.loads(lines[0])
     del meta_record["record"]
     meta = simnet.TranscriptMeta.from_record(meta_record)
-    skeleton, events = simnet.event_skeleton(meta), []
-    for lineno, line in enumerate(lines[1 : 1 + len(skeleton)], start=2):
+    skeleton, events, outcomes = simnet.event_skeleton(meta), [], []
+    for lineno, line in enumerate(lines[1 : 1 + len(skeleton) + meta.t], start=2):
         try:
             rec = json.loads(line)
         except ValueError as e:
             return f"line {lineno}: not valid JSON: {e}"
-        assert rec.pop("record") == "event"
+        assert rec.pop("record") == ("event" if len(events) < len(skeleton) else "outcome")
         try:
-            events.append(simnet.TranscriptEvent.from_record(rec, len(events), skeleton[len(events)]))
+            if len(events) < len(skeleton):
+                events.append(simnet.TranscriptEvent.from_record(rec, len(events), skeleton[len(events)]))
+            else:
+                outcomes.append(simnet.OutcomeRecord.from_record(rec, meta.params.ctx, meta.members[len(outcomes)]))
         except MalformedTranscript as e:
             return f"line {lineno}: {e}"
-    return meta, events
+    if tuple(oc.member for oc in outcomes) != meta.members:
+        return f"expected {meta.t} outcome records, one per member in order"
+    return meta, events, outcomes
 
 
 def _meta_names(meta, ev):
     """Which of ev's names are the meta's objects or KGC_NAME, not strings of their own."""
     pool = (*meta.members, simnet.KGC_NAME)
     return [any(name is obj for obj in pool) for name in (ev.sender, *ev.receivers)]
+
+
+def _read_as_the_reference(lines):
+    """from_jsonl reads lines as _json_reference does: the same events and outcomes,
+    with the same name objects, or the same MalformedTranscript message."""
+    expected = _json_reference(lines)
+    try:
+        tr = Transcript.from_jsonl("\n".join(lines) + "\n")
+    except MalformedTranscript as e:
+        assert str(e) == expected
+        return
+    assert not isinstance(expected, str), expected
+    meta, events, outcomes = expected
+    assert (tr.events, tr.outcomes) == (tuple(events), tuple(outcomes))
+    assert [_meta_names(tr.meta, ev) for ev in tr.events] == [_meta_names(meta, ev) for ev in events]
+    assert [oc.member is name for oc, name in zip(tr.outcomes, tr.meta.members)] == [
+        oc.member is name for oc, name in zip(outcomes, meta.members)]
 
 
 @given(t=st.sampled_from((2, 3, 13)), scenario=st.integers(0, 8), edit=st.sampled_from(_LINE_EDITS),
@@ -1134,16 +1179,77 @@ def test_framed_event_lines_parse_as_json_and_from_record_read_them(t, scenario,
     events = [n for n, line in enumerate(lines) if '"record":"event"' in line]
     n = events[-1] if edit == "delivered-deleted" else events[event % len(events)]
     lines[n] = _edit_line(lines[n], edit, at)
-    expected = _json_reference(lines)
-    try:
-        tr = Transcript.from_jsonl("\n".join(lines) + "\n")
-    except MalformedTranscript as e:
-        assert str(e) == expected
-        return
-    assert not isinstance(expected, str), expected
-    meta, events = expected
-    assert tr.events == tuple(events)
-    assert [_meta_names(tr.meta, ev) for ev in tr.events] == [_meta_names(meta, ev) for ev in events]
+    _read_as_the_reference(lines)
+
+
+_OUTCOME_EDITS = ("none", "digits", "arabic-digits", "pad", "negative", "float", "exponent", "quoted", "huge", "empty-string",
+                  "insert", "status", "member", "escaped-token", "whitespace", "extra-field", "duplicate-key",
+                  "delete-key")
+_INSERTS = ('\\"', "\t", "\x7f", "é", "\\\\", " ", "\\u0041", '"', "0")
+
+
+def _edit_outcome_line(line, edit, at, members):
+    """line, an outcome record, with one edit to its hole (the key's digits or the
+    reason's quoted text) or around it; at picks where, or which value."""
+    start, end = re.search(r'"(?:key|reason)":("[^"]*"|\d+)', line).span(1)
+    hole = line[start:end]
+    holes = {"digits": "9" * (at % 7 + 1),  # below and above the modulus, 29893
+             "pad": "0" + hole, "negative": "-" + hole, "float": hole + ".0", "exponent": hole + "e0",
+             "quoted": f'"{hole}"', "huge": "1" * 4400, "empty-string": '""',
+             "arabic-digits": re.sub(r"[0-9]", lambda d: chr(0x660 + int(d[0])), hole)}  # int() reads them
+    if edit in holes:
+        return line[:start] + holes[edit] + line[end:]
+    if edit == "insert":  # a quote, escape, control, DEL, non-ASCII or plain character in or at the hole
+        j = start + at % (end - start + 1)
+        return line[:j] + _INSERTS[at % len(_INSERTS)] + line[j:]
+    if edit == "status":
+        other = [s for s in simnet._STATUSES if f'"status":"{s}"' not in line][at % 2]
+        return re.sub(r'"status":"\w+"', f'"status":"{other}"', line)
+    if edit == "member":  # another member, a stranger, or the name with a space
+        name = re.search(r'"member":"([^"]*)"', line)[1]
+        other = [members[at % len(members)], "zed", name + " "][at % 3]
+        return line.replace(f'"member":"{name}"', f'"member":"{other}"')
+    if edit == "escaped-token":  # the first letter of a key, name, reason or status, as \u00XX
+        places = [m.start() for m in re.finditer(r'(?<=")[a-z_]', line)]
+        j = places[at % len(places)]
+        return line[:j] + f"\\u{ord(line[j]):04x}" + line[j + 1 :]
+    if edit == "whitespace":
+        places = [m.end() for m in re.finditer(r"[{}:,]", line)]
+        j = places[at % len(places)]
+        return line[:j] + " \t"[at % 2] + line[j:]
+    if edit == "extra-field":
+        return line[:-1] + ',"extra":0}'
+    pairs = re.findall(r'"(?:key|member|reason|status)":(?:"[^"]*"|\d+)', line)
+    pair = pairs[at % len(pairs)]
+    if edit == "duplicate-key":  # a pair again, first or last
+        return "{" + pair + "," + line[1:] if at % 2 else line[:-1] + "," + pair + "}"
+    if edit == "delete-key":
+        return line.replace(pair + ",", "", 1) if pair + "," in line else line.replace("," + pair, "", 1)
+    return line
+
+
+@given(t=st.sampled_from((2, 3, 13)), scenario=st.integers(0, 8), edit=st.sampled_from(_OUTCOME_EDITS),
+       outcome=st.integers(0, 12), at=st.integers(0, 60))
+@example(t=3, scenario=2, edit="insert", outcome=0, at=1)  # the suppressed victim's reason, with a tab
+@example(t=3, scenario=2, edit="insert", outcome=0, at=2)  # ... with DEL
+@example(t=3, scenario=2, edit="insert", outcome=0, at=4)  # ... with an escaped backslash
+@example(t=3, scenario=2, edit="insert", outcome=0, at=6)  # ... with a \u escape
+@example(t=2, scenario=0, edit="digits", outcome=0, at=4)  # 99999, above the modulus
+@example(t=2, scenario=0, edit="huge", outcome=1, at=0)
+@example(t=2, scenario=0, edit="arabic-digits", outcome=0, at=0)
+@settings(max_examples=400, deadline=None)
+def test_framed_outcome_lines_parse_as_json_and_from_record_read_them(t, scenario, edit, outcome, at):
+    """from_jsonl reads a gkdsim-written transcript with one outcome line edited as
+    the same reference does: the same outcomes with the same member objects, or the
+    same MalformedTranscript message. Accepted lines hold a key in the hole, and a
+    suppressed victim's a reason; a status edit moves a line between them."""
+    scenario %= len(list(_grid_scenarios(t)))
+    lines = list(_grid_lines(t, scenario))
+    outcomes = [n for n, line in enumerate(lines) if '"record":"outcome"' in line]
+    n = outcomes[outcome % len(outcomes)]
+    members = list(_grid_scenarios(t))[scenario][0]
+    lines[n] = _edit_outcome_line(lines[n], edit, at, members)
+    _read_as_the_reference(lines)
 
 
 @pytest.mark.parametrize("adversary, cls, verdict", [(FORGE, "InsiderInterceptor", "replaced"),
@@ -1166,6 +1272,70 @@ def test_forge_pipeline_challenges_go_to_the_implied_receivers():
     assert [ev.receivers for ev in tr.events if ev.step == simnet.STEP_CHALLENGE] == [
         challenge_receivers(members, i) for i in range(len(members))
     ]
+
+
+@given(t=st.integers(2, 64), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_challenge_receivers_value_is_the_tuple(t, data):
+    """Every ChallengeReceivers(members, i) stands for challenge_receivers(members, i):
+    == and != in both orders, iteration, len, hash and the join explain prints. It
+    differs from every tuple one name or one length off, and from the value of any
+    other position; over an equal copy of the roster it compares name by name."""
+    members = tuple(f"m{k}" for k in range(t))
+    copy = tuple(map(_fresh, members))
+    others = [simnet.ChallengeReceivers(members, j) for j in range(t)]
+    stranger = data.draw(st.sampled_from(["kgc", "zed", *members]))
+    for i in range(t):
+        value, oracle = simnet.ChallengeReceivers(members, i), challenge_receivers(members, i)
+        assert value == oracle and oracle == value and not value != oracle and not oracle != value
+        assert tuple(value) == oracle and list(value) == list(oracle) and len(value) == len(oracle)
+        assert hash(value) == hash(oracle)
+        assert ",".join(value) == ",".join(oracle)
+        assert all(a is b for a, b in zip(value, oracle, strict=True))  # the roster's own str objects
+        assert value == simnet.ChallengeReceivers(copy, i) and value != simnet.ChallengeReceivers(copy, (i + 1) % t)
+        assert [value == other for other in others] == [j == i for j in range(t)]
+        j = data.draw(st.integers(0, t - 1))
+        near = [oracle[:j] + (stranger,) + oracle[j + 1 :], oracle[:j] + oracle[j + 1 :],
+                oracle + (stranger,), oracle[:j] + (stranger,) + oracle[j:]]
+        for wrong in near:
+            if wrong != oracle:
+                assert value != wrong and wrong != value and not value == wrong and not wrong == value
+        assert value != list(oracle) and list(oracle) != value  # a tuple is not equal to a list
+
+
+def _traced_memory(t):
+    """(bytes a parsed transcript holds, bytes event_skeleton holds, verify's traced
+    peak above what it starts with) for a t-member field forge over a 64-bit prime.
+    A parse and verify of the same text first warm the module's caches and memos."""
+    members = ["alice", "bob", "carol", *(f"m{k}" for k in range(t - 3))]
+    cfg = scenario_dict(variant="field", modulus={"p": 2**64 - 59}, members=members, adversary=FORGE)
+    text = run_scenario(ScenarioConfig.from_dict(cfg)).to_jsonl()
+    assert verify_transcript(Transcript.from_jsonl(text)).ok
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tr = Transcript.from_jsonl(text)
+        parsed = tracemalloc.get_traced_memory()[0] - start
+        start = tracemalloc.get_traced_memory()[0]
+        skeleton = simnet.event_skeleton(tr.meta)
+        skeleton_bytes = tracemalloc.get_traced_memory()[0] - start
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        assert verify_transcript(tr).ok
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert len(skeleton) == len(tr.events)
+    return parsed, skeleton_bytes, peak
+
+
+def test_parse_skeleton_and_verify_memory_grow_as_t():
+    """Doubling t from 128 to 256 at most multiplies by 2.5 the memory a parsed
+    transcript holds, event_skeleton's and verify's traced peak: each is O(t),
+    where t challenges of t receiver names each would read about 4x."""
+    small, large = _traced_memory(128), _traced_memory(256)
+    for what, a, b in zip(("parsed transcript", "event_skeleton", "verify peak"), small, large, strict=True):
+        assert b <= 2.5 * a, (what, a, b)
 
 
 def _set_at(line, path, value):
