@@ -42,8 +42,9 @@ verify passes one params object throughout, so that part of a hit is mostly
 one identity test.
 
 Step 5 (unmask, user_process_broadcast) and the insider (adversary) take the
-public challenge vector (r_1, ..., r_t) in roster order, which each caller
-builds once with challenge_vector, not a mapping they would each re-collect.
+public challenge vector (r_1, ..., r_t) in roster order. A GroupMember logs
+each challenge at its sender's roster position, so its vector is its log; the
+KGC and the insider collect a mapping and read it with challenge_vector.
 """
 
 from __future__ import annotations
@@ -270,8 +271,8 @@ def challenge_vector(roster: GroupRoster, challenges: Mapping[bytes, int]) -> tu
 
     A mapping that holds exactly the roster's ids, inserted in roster order,
     is read in one pass over its values; in run_scenario that holds for the
-    KGC, every member and the insider, which all collect challenges in the
-    order they are sent. Any other mapping is read by one lookup per id."""
+    KGC and the insider, which collect challenges in the order they are sent.
+    Any other mapping is read by one lookup per id."""
     if tuple(challenges) == roster.members:
         return tuple(challenges.values())
     try:
@@ -404,16 +405,23 @@ class GroupMember:
     """One user's view of a session.
 
     Holds only its own identity; there is deliberately no way to reach any
-    other member's long-term key from here.
+    other member's long-term key from here. The challenges seen this session
+    are a log by roster position, None where none has arrived yet.
     """
 
     def __init__(self, identity: PartyIdentity, params: PublicParams):
         self.identity = identity
         self.params = params
+        self._modulus = params.ctx.modulus
         self.roster: GroupRoster | None = None
         self._index: Mapping[bytes, int] = {}  # the roster's, once announced
-        self.observed_challenges: dict[bytes, int] = {}
+        self._log: list[int | None] = []
         self.pending_broadcast: KgcBroadcast | None = None
+
+    @property
+    def observed_challenges(self) -> dict[bytes, int]:
+        """sender -> challenge of every logged challenge, in roster order."""
+        return {m: v for m, v in zip(self.roster.members, self._log) if v is not None} if self.roster else {}
 
     def receive_announcement(self, ann: Announcement) -> None:
         """Adopt the announced roster; resets all per-session state (freshness)."""
@@ -421,20 +429,22 @@ class GroupMember:
         roster.index_of(self.identity.user_id)
         self.roster = roster
         self._index = roster.index
-        self.observed_challenges = {}
+        self._log = [None] * roster.size
         self.pending_broadcast = None
 
     def issue_challenge(self, rng: SeededRng) -> ChallengeMessage:
         if self.roster is None:
             raise NotInRoster("no announcement seen")
         value = sample_element(rng, self.params.ctx)
-        self.observed_challenges[self.identity.user_id] = value
+        self._log[self._index[self.identity.user_id]] = value
         return ChallengeMessage(sender=self.identity.user_id, value=value)
 
     def observe_challenge(self, msg: ChallengeMessage) -> None:
         """Record a challenge seen on the public channel from a roster member."""
-        if msg.sender in self._index:
-            self.observed_challenges[msg.sender] = msg.value % self.params.ctx.modulus
+        try:
+            self._log[self._index[msg.sender]] = msg.value % self._modulus
+        except KeyError:  # not a roster member
+            pass
 
     def receive_broadcast(self, bcast: KgcBroadcast) -> None:
         self.pending_broadcast = bcast
@@ -443,10 +453,6 @@ class GroupMember:
         """Process whatever arrived; TIMEOUT when the broadcast never did."""
         if self.roster is None or self.pending_broadcast is None:
             return SessionOutcome.timeout()
-        return user_process_broadcast(
-            self.identity,
-            self.roster,
-            challenge_vector(self.roster, self.observed_challenges),
-            self.pending_broadcast,
-            self.params,
-        )
+        log = self._log
+        challenges = challenge_vector(self.roster, self.observed_challenges) if None in log else tuple(log)
+        return user_process_broadcast(self.identity, self.roster, challenges, self.pending_broadcast, self.params)

@@ -152,7 +152,8 @@ def _payload_for(message: object, ctx: DomainContext, id_width: int) -> bytes:
 class ChallengeReceivers:
     """Who the challenge of members[i] goes to: the KGC, then every other member
     in roster order. It is held as the roster and the position, O(1) to build and
-    to keep where the tuple of names is t references. It iterates over and has
+    to keep where the tuple of names is t references; run_scenario delivers by the
+    position, to its roster-ordered observers but the i-th. It iterates over and has
     the len of that tuple, and is equal to it, in either operand order, with its
     hash. members is a roster, t distinct names, so two values over the same
     members object are equal exactly when their positions are: one int comparison."""
@@ -898,11 +899,16 @@ def run_scenario(cfg: ScenarioConfig) -> Transcript:
     entries_by_message = itertools.groupby(event_skeleton(meta), key=lambda entry: entry[:2])
     events: list[TranscriptEvent] = []
 
-    def deliver(receivers: tuple[str, ...], message: object) -> None:
+    observers = [members[name].observe_challenge for name in names]  # bound after any tracer is installed
+
+    def deliver(receivers: tuple[str, ...] | ChallengeReceivers, message: object) -> None:
         if isinstance(message, ChallengeMessage):  # to the KGC, then the other members
             kgc.receive_challenge(message)
-            for r in itertools.islice(receivers, 1, None):
-                members[r].observe_challenge(message)
+            i = receivers.i
+            for observe in observers[:i]:
+                observe(message)
+            for observe in observers[i + 1 :]:
+                observe(message)
         elif isinstance(message, Announcement):
             for r in receivers:
                 members[r].receive_announcement(message)

@@ -650,6 +650,97 @@ def test_member_ignores_challenges_from_non_members(ring35):
     assert member.observed_challenges == {b"B": 5}  # 40 mod 35
 
 
+class _DictMember:
+    """GroupMember's challenge bookkeeping as a sender -> value dict in arrival
+    order, the reference for its roster-indexed log: the same announcement,
+    broadcast and finalize, reading the vector with challenge_vector."""
+
+    def __init__(self, identity, params):
+        self.identity, self.params = identity, params
+        self.roster, self.observed_challenges, self.pending_broadcast = None, {}, None
+
+    def receive_announcement(self, ann):
+        roster = GroupRoster(ann.members)
+        roster.index_of(self.identity.user_id)
+        self.roster, self.observed_challenges, self.pending_broadcast = roster, {}, None
+
+    def issue_challenge(self, rng):
+        if self.roster is None:
+            raise NotInRoster("no announcement seen")
+        value = sample_element(rng, self.params.ctx)
+        self.observed_challenges[self.identity.user_id] = value
+        return protocol.ChallengeMessage(self.identity.user_id, value)
+
+    def observe_challenge(self, msg):
+        if self.roster is not None and msg.sender in self.roster.index:
+            self.observed_challenges[msg.sender] = msg.value % self.params.ctx.modulus
+
+    def receive_broadcast(self, bcast):
+        self.pending_broadcast = bcast
+
+    def finalize(self):
+        if self.roster is None or self.pending_broadcast is None:
+            return protocol.SessionOutcome.timeout()
+        challenges = challenge_vector(self.roster, self.observed_challenges)
+        return user_process_broadcast(self.identity, self.roster, challenges, self.pending_broadcast, self.params)
+
+
+def _outcome(call):
+    """call()'s result, or the type and message of what it raised."""
+    try:
+        return call()
+    except Exception as e:  # noqa: BLE001 - compared, not hidden
+        return type(e), str(e)
+
+
+_IDS = (b"A", b"B", b"C", b"D", b"E")
+_OPS = st.one_of(
+    st.tuples(st.just("announce"), st.lists(st.sampled_from(_IDS), min_size=2, max_size=5, unique=True)),
+    st.tuples(st.just("issue")),
+    st.tuples(st.just("observe"), st.sampled_from(_IDS + (b"Z", b"")), st.integers(0, 3 * 35)),
+    st.tuples(st.just("broadcast"), st.booleans(), st.integers(0, 2**16)),
+    st.tuples(st.just("finalize")),
+)
+
+
+@given(field=st.booleans(), ops=st.lists(_OPS, max_size=30))
+@settings(max_examples=300, deadline=None)
+def test_challenge_log_matches_the_dict_reference(field, ops):
+    """Observes before any announcement, from non-members, repeated (the last
+    wins) and at or above m, announcements over other rosters, broadcasts over
+    complete and incomplete challenges: after every step the member's
+    observed_challenges equal the reference's, and every step returns the same
+    value or raises the same exception type and message."""
+    ctx = domain_new(23, variant=Variant.FIELD) if field else domain_new(5, 7, variant=Variant.RING)
+    params = PublicParams(ctx)
+    keys = {m: k + 2 for k, m in enumerate(_IDS)}
+    identity = PartyIdentity(b"A", keys[b"A"])
+    member, reference = GroupMember(identity, params), _DictMember(identity, params)
+    rngs = {member: SeededRng(1), reference: SeededRng(1)}
+    for op, *args in ops:
+        if op == "announce":
+            steps = {p: (lambda p=p: p.receive_announcement(Announcement(tuple(args[0])))) for p in rngs}
+        elif op == "issue":
+            steps = {p: (lambda p=p: p.issue_challenge(rngs[p])) for p in rngs}
+        elif op == "observe":
+            msg = protocol.ChallengeMessage(*args)
+            steps = {p: (lambda p=p: p.observe_challenge(msg)) for p in rngs}
+        elif op == "broadcast":
+            honest, seed = args
+            roster = reference.roster or GroupRoster(_IDS[:2])
+            if honest:  # over what the reference saw, a fresh draw where it saw nothing
+                draw = SeededRng(seed)
+                seen = {m: reference.observed_challenges.get(m, sample_element(draw, ctx)) for m in roster.members}
+                bcast, _ = kgc_distribute(roster, keys, seen, draw, params)
+            else:
+                bcast = KgcBroadcast(bytes(32), seed % 35, tuple(range(seed % 4)))
+            steps = {p: (lambda p=p: p.receive_broadcast(bcast)) for p in rngs}
+        else:
+            steps = {p: p.finalize for p in rngs}
+        assert _outcome(steps[member]) == _outcome(steps[reference]), op
+        assert member.observed_challenges == reference.observed_challenges, op
+
+
 # --- key secrecy shape check --------------------------------------------------------
 
 def test_member_state_holds_no_other_secrets(ring35):

@@ -1006,6 +1006,51 @@ def test_the_network_writes_the_event_skeleton(variant, modulus, t):
         assert verify_transcript(tr).ok, adversary
 
 
+@pytest.mark.parametrize("t", [2, 3, 13, 40])
+def test_challenges_fan_out_to_the_skeleton_receivers_in_roster_order(t, monkeypatch):
+    """Every challenge reaches observe_challenge of each of its skeleton receivers
+    but the KGC, in roster order, challenge by challenge: t(t - 1) calls, honest,
+    forge and suppress, with the attacker and the victim at either end."""
+    seen = []
+    observe = protocol.GroupMember.observe_challenge
+
+    def spy(member, msg):
+        seen.append((member.identity.user_id.decode(), msg.sender.decode(), msg.value))
+        observe(member, msg)
+
+    monkeypatch.setattr(protocol.GroupMember, "observe_challenge", spy)
+    members = [f"m{k}" for k in range(t)]
+    ends = [(members[0], members[-1]), (members[-1], members[0])]
+    adversaries = [None, *({"attacker": a, "victim": v, "action": action}
+                           for a, v in ends for action in ("forge", "suppress"))]
+    for adversary in adversaries:
+        cfg = scenario_dict(variant="field", modulus={"p": 2**64 - 59}, members=members, adversary=adversary)
+        seen.clear()
+        tr = run_scenario(ScenarioConfig.from_dict(cfg))
+        issued = tr.ground_truth.challenges
+        expected = [(r, sender, issued[sender])
+                    for step, sender, receivers, _ in simnet.event_skeleton(tr.meta) if step == simnet.STEP_CHALLENGE
+                    for r in tuple(receivers)[1:]]
+        assert seen == expected and len(seen) == t * (t - 1), adversary
+
+
+def test_run_memory_at_t_256():
+    """One t = 256 field forge run over a 64-bit prime peaks at most 1.5 MB
+    traced: each member logs the challenges in a list by roster position
+    (sender -> value dicts read 2.8 MB). A first run warms the memos."""
+    members = ["alice", "bob", "carol", *(f"m{k}" for k in range(253))]
+    cfg = ScenarioConfig.from_dict(
+        scenario_dict(variant="field", modulus={"p": 2**64 - 59}, members=members, adversary=FORGE))
+    run_scenario(cfg)
+    tracemalloc.start()
+    try:
+        run_scenario(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6, peak
+
+
 def _record_dump(tr):
     """tr written the slow way: one _dump per record, with the fields of each."""
     records = [{"record": "meta", **tr.meta.to_record()}]
