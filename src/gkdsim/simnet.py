@@ -104,7 +104,7 @@ _ADVERSARY_KEYS = frozenset(("attacker", "victim", "action", "target_key"))
 
 
 # ---------------------------------------------------------------------------
-# wire payloads (hex-encoded in transcript events; see docs/transcript-format.md)
+# wire payloads (hex-encoded in transcript events; see docs/wire-format.md)
 # ---------------------------------------------------------------------------
 
 def roster_payload(member_ids: Iterable[bytes], id_width: int) -> bytes:
@@ -590,7 +590,7 @@ class Transcript:
     def to_jsonl(self) -> str:
         quoted = _Quoted()
         lines = [_dump({"record": "meta", **self.meta.to_record()})]
-        lines += _event_lines(self.events, quoted)
+        lines += (_event_line(ev, quoted) for ev in self.events)
         lines += (_outcome_line(oc, quoted) for oc in self.outcomes)
         if self.ground_truth is not None:
             lines.append(_dump({"record": "ground_truth", **self.ground_truth.to_record()}))
@@ -610,23 +610,23 @@ class Transcript:
         member equal to the roster name at its position. A t-member transcript
         that verify can accept thus holds t names, not the t^2 strings json.loads
         makes for the challenges' receivers lists; any other event keeps its own.
-        An event line that is its entry's frame with hex digits in the hole becomes the
-        entry and the payload without json.loads, as decoding would type it; so does an
-        outcome line that is the one _dump writes for the next roster name, with its
-        key or reason in the hole. Only the meta, the ground truth and lines off their
-        frames are JSON-decoded."""
+        Event and outcome lines are read by writing them: the next entry's event, or
+        the next roster name's outcome, is built from the values in the line and taken
+        if _event_line or _outcome_line writes that line back, as json.loads and
+        from_record would read it. Only the meta, the ground truth and lines that no
+        record writes back are JSON-decoded."""
         meta = ground_truth = None
-        frames = roster = iter(())  # the meta's event frames and members, once it is read
-        entry, head, tail = _NO_FRAME  # the next event's skeleton entry and frame
+        skeleton, roster = [], iter(())  # the meta's event skeleton and members, once it is read
         member = None  # the roster name at the next outcome's position
         events: list[TranscriptEvent] = []
         outcomes: list[OutcomeRecord] = []
         last = 0
         for lineno, line in enumerate(text.splitlines(), start=1):
-            payload = _framed_payload(line, head, tail) if head and last <= 1 else None
-            if payload is not None:
-                events.append(TranscriptEvent(len(events), *entry[:3], payload, entry[3]))
-                entry, head, tail = next(frames, _NO_FRAME)
+            k = len(events)
+            entry = skeleton[k] if k < len(skeleton) else None  # the next event's skeleton entry
+            event = _written_event(line, k, entry, quoted) if entry and last <= 1 else None
+            if event is not None:
+                events.append(event)
                 last = 1
                 continue
             outcome = _framed_outcome(line, member, quoted, meta.params.ctx) if member and last <= 2 else None
@@ -652,12 +652,10 @@ class Transcript:
                 if kind == "meta":
                     meta = TranscriptMeta.from_record(rec)
                     quoted = _Quoted()
-                    frames, roster = _event_frames(meta, quoted), iter(meta.members)
-                    entry, head, tail = next(frames, _NO_FRAME)
+                    skeleton, roster = event_skeleton(meta), iter(meta.members)
                     member = next(roster)
                 elif kind == "event":
                     events.append(TranscriptEvent.from_record(rec, len(events), entry))
-                    entry, head, tail = next(frames, _NO_FRAME)
                 elif kind == "outcome":
                     outcomes.append(OutcomeRecord.from_record(rec, meta.params.ctx, member))
                     member = next(roster, None)
@@ -713,48 +711,34 @@ class _Quoted(dict):
         return self[KGC_NAME] + text[: commas[i]] + text[commas[i + 1] :]
 
 
-def _event_lines(events: Iterable[TranscriptEvent], quoted: _Quoted) -> Iterable[str]:
-    """Each event as _dump writes {"record": "event", **fields}: keys sorted, hex
-    payloads, delivered_payload only on replaced events, and every name, step
-    and verdict JSON-encoded once per transcript, not once per appearance."""
-    q = quoted.__getitem__
-    for ev in events:
-        head = "{" if ev.delivered_payload is None else f'{{"delivered_payload":"{ev.delivered_payload.hex()}",'
-        yield (f'{head}"index":{ev.index},"payload":"{ev.payload.hex()}",'
-               f'"receivers":[{quoted.receivers(ev.receivers)}],"record":"event",'
-               f'"sender":{q(ev.sender)},"step":{q(ev.step)},"verdict":{q(ev.verdict)}}}')
+def _event_line(ev: TranscriptEvent, quoted: _Quoted) -> str:
+    """ev as _dump writes {"record": "event", **fields}: keys sorted, hex payloads,
+    delivered_payload only on a replaced event, and every name, step and verdict
+    JSON-encoded once per transcript, not once per appearance."""
+    head = "{" if ev.delivered_payload is None else f'{{"delivered_payload":"{ev.delivered_payload.hex()}",'
+    return (f'{head}"index":{ev.index},"payload":"{ev.payload.hex()}",'
+            f'"receivers":[{quoted.receivers(ev.receivers)}],"record":"event",'
+            f'"sender":{quoted[ev.sender]},"step":{quoted[ev.step]},"verdict":{quoted[ev.verdict]}}}')
 
 
-_NO_FRAME = (None, None, None)
+def _hex_after(line: str, key: str) -> bytes:
+    """The bytes of the hex text between key and the next quote; ValueError if it is not hex."""
+    start = line.find(key) + len(key)
+    return bytes.fromhex(line[start : line.find('"', start)])
 
 
-def _event_frames(meta: TranscriptMeta, quoted: _Quoted) -> Iterator[tuple]:
-    """(entry, head, tail) for each entry of meta's event skeleton: the line
-    _event_lines writes for an event equal to the entry, split at the payload's hex.
-    Each frame is built when its line comes up, so a reader holds one at a time. A
-    replaced entry's line has a second hole, its delivered_payload: no frame."""
-    q = quoted.__getitem__
-    for k, entry in enumerate(event_skeleton(meta)):
-        step, sender, receivers, verdict = entry
-        if verdict == VERDICT_REPLACED:
-            yield entry, None, None
-            continue
-        head = f'{{"index":{k},"payload":"'
-        tail = (f'","receivers":[{quoted.receivers(receivers)}],"record":"event",'
-                f'"sender":{q(sender)},"step":{q(step)},"verdict":{q(verdict)}}}')
-        yield entry, head, tail
-
-
-def _framed_payload(line: str, head: str, tail: str) -> bytes | None:
-    """The payload of a line that is head, hex digits and tail, as json.loads and
-    TranscriptEvent.from_record read it; None for any other line. Only letters and
-    digits may fill the hole: fromhex skips whitespace that JSON refuses in a string."""
-    framed = line.startswith(head) and line.endswith(tail)
-    hole = line[len(head) : len(line) - len(tail)] if framed else ""  # "" also where head and tail overlap
+def _written_event(line: str, index: int, entry: tuple, quoted: _Quoted) -> TranscriptEvent | None:
+    """The event at index with entry's names and the payloads read from line, if
+    _event_line writes line for it, as json.loads and TranscriptEvent.from_record read
+    it; None for any other line. The writer's lowercase hex without whitespace is
+    what the equality accepts, so an edit anywhere in the line is left to the JSON path."""
     try:
-        return bytes.fromhex(hole) if hole.isalnum() else None
+        payload = _hex_after(line, '"payload":"')
+        delivered = _hex_after(line, '"delivered_payload":"') if entry[3] == VERDICT_REPLACED else None
     except ValueError:
         return None
+    ev = TranscriptEvent(index, *entry[:3], payload, entry[3], delivered)
+    return ev if _event_line(ev, quoted) == line else None
 
 
 def _outcome_line(oc: OutcomeRecord, quoted: _Quoted) -> str:

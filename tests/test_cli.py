@@ -1,5 +1,8 @@
 import argparse
+import contextlib
+import functools
 import hashlib
+import io
 import json
 import os
 import re
@@ -8,11 +11,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gkdsim import simnet
 from gkdsim.algebra import is_prime
 from gkdsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_SCENARIO, EXIT_VERIFY, build_parser, main
 from gkdsim.errors import MalformedTranscript
-from gkdsim.simnet import Transcript, parse_broadcast_payload
+from gkdsim.simnet import ScenarioConfig, Transcript, parse_broadcast_payload, run_scenario
 from conftest import FORGE, SUPPRESS, scenario_dict
 
 
@@ -538,6 +543,117 @@ def test_hostile_transcripts_exit_3(tmp_path, capsys, command, edit):
     assert "error:" in capsys.readouterr().err
 
 
+_DEEP = "\x00deep"  # a list nested 5000 deep, spliced in as text: json.dumps would recurse
+_HOSTILE_VALUES = ("", "zz", "0g", [], {}, None, True, False, 1.5, -1, 0, 2**64, 10**400, [[]], [None],
+                   {"a": 1}, _DEEP)
+_SPLICES = (b"\xff", b"\x00", b"\n", b"\r", b"{", b"}", b'"', b"\\", b",", b" ", b"\xc3", "\u00e9\u2028".encode())
+_HOSTILE_EDITS = ("swap", "delete-key", "duplicate", "drop", "reorder", "splice", "cut")
+
+
+def _json_slots(value):
+    """(container, key) of every value inside a decoded record, outer before inner."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, inner in items:
+        yield value, key
+        yield from _json_slots(inner)
+
+
+def _hostile_edit(lines, edit):
+    """lines, a transcript's byte lines, with one structural edit: kind, then a, b
+    and c, which pick the line or byte, the place or length, and the value."""
+    kind, a, b, c = edit
+    if kind in ("splice", "cut"):
+        data = b"\n".join(lines)
+        at = a % (len(data) + 1)
+        end = at + (b % 40 + 1 if kind == "cut" else 0)
+        return (data[:at] + (_SPLICES[c % len(_SPLICES)] if kind == "splice" else b"") + data[end:]).split(b"\n")
+    if not lines:
+        return lines
+    n = a % len(lines)
+    if kind == "duplicate":
+        return [*lines[: n + 1], *lines[n:]]
+    if kind == "drop":
+        return [*lines[:n], *lines[n + 1 :]]
+    if kind == "reorder":
+        rest = [*lines[:n], *lines[n + 1 :]]
+        return [*rest[: b % (len(rest) + 1)], lines[n], *rest[b % (len(rest) + 1) :]]
+    try:
+        rec = json.loads(lines[n])
+    except (ValueError, RecursionError):
+        return lines
+    slots = [(obj, key) for obj, key in _json_slots(rec) if kind == "swap" or isinstance(obj, dict)]
+    if not slots:
+        return lines
+    obj, key = slots[b % len(slots)]
+    if kind == "swap":
+        obj[key] = _HOSTILE_VALUES[c % len(_HOSTILE_VALUES)]
+    else:
+        del obj[key]
+    text = json.dumps(rec, sort_keys=True, separators=(",", ":")).replace('"\\u0000deep"', "[" * 5000 + "]" * 5000)
+    return [*lines[:n], text.encode(), *lines[n + 1 :]]
+
+
+@functools.lru_cache(maxsize=None)
+def _hostile_bases():
+    """The byte lines of both goldens and of small honest, forge and suppress runs,
+    each redacted and not."""
+    texts = [(GOLDEN / f"{name}.jsonl").read_text() for name in ("honest-ring35", "attack-ring35")]
+    for adversary in (None, FORGE, SUPPRESS):
+        for redact in (False, True):
+            cfg = ScenarioConfig.from_dict(scenario_dict(adversary=adversary, redact=redact))
+            texts.append(run_scenario(cfg).to_jsonl())
+    return tuple(text.encode().split(b"\n") for text in texts)
+
+
+def _ends_in_a_documented_exit(path, base, edits):
+    """verify and explain of base with edits made each return 0, 2, 3 or 4 and raise
+    nothing, and a non-zero exit leaves a message on stderr."""
+    lines = list(_hostile_bases()[base])
+    for edit in edits:
+        lines = _hostile_edit(lines, edit)
+    path.write_bytes(b"\n".join(lines))
+    for command in ("verify", "explain"):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, str(path)])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_VERIFY, EXIT_SCENARIO), (command, code)
+        assert code == EXIT_OK or err.getvalue().strip(), (command, code)
+
+
+_HOSTILE_EDIT = st.tuples(st.sampled_from(_HOSTILE_EDITS), st.integers(0, 2**16), st.integers(0, 2**16),
+                          st.integers(0, 63))
+
+
+@given(base=st.integers(0, 7), edits=st.lists(_HOSTILE_EDIT, min_size=1, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_hostile_transcripts_end_in_a_documented_exit(tmp_path_factory, base, edits):
+    """A value swapped for a hostile one at any JSON path, a key deleted, a record
+    duplicated, dropped or moved, or bytes spliced in or cut out: verify and explain
+    end in an exit code and a message, never a traceback."""
+    _ends_in_a_documented_exit(tmp_path_factory.getbasetemp() / "hostile.jsonl", base, edits)
+
+
+_FIXED_HOSTILE = [(1, [("swap", 1, 3, 2)]), (0, [("drop", 3, 0, 0)]), (5, [("splice", 40, 0, 1)]),
+                  (0, [("delete-key", -2, 0, 0)])]  # the last deletes the ground truth's first key
+
+
+def test_the_hostile_transcript_property_sees_an_escaping_exception(tmp_path, monkeypatch):
+    """The property holds on a fixed list of edits, and fails on it once
+    GroundTruth.from_record reads its fields before checking them."""
+    for base, edits in _FIXED_HOSTILE:
+        _ends_in_a_documented_exit(tmp_path / "t.jsonl", base, edits)
+    original = simnet.GroundTruth.from_record.__func__
+
+    def unchecked(cls, rec, ctx):
+        [rec[key] for key in simnet._TRUTH_FIELDS]  # a missing field lets a KeyError out
+        return original(cls, rec, ctx)
+
+    monkeypatch.setattr(simnet.GroundTruth, "from_record", classmethod(unchecked))
+    with pytest.raises(KeyError):
+        for base, edits in _FIXED_HOSTILE:
+            _ends_in_a_documented_exit(tmp_path / "t.jsonl", base, edits)
+
+
 @pytest.mark.parametrize(
     "overrides",
     [{"members": ["a", []]}, {"seed": True}, {"redact": "no"}, {"modulus": {"bits": 513}},
@@ -801,9 +917,8 @@ def test_run_and_gen_params_write_to_stdout(tmp_path):
 
 def test_verify_parses_each_transcript_line_once(tmp_path, capsys, monkeypatch):
     """verify decodes no line twice, and json.loads sees, in file order, exactly
-    the meta and ground-truth lines and the one line off its frame: the victim's
-    replaced broadcast, whose delivered_payload is a second hole. Every other
-    event and every outcome line is read against its frame."""
+    the meta and ground-truth lines. Every event line, the victim's replaced
+    broadcast too, and every outcome line is read by writing it back."""
     parsed = []
     loads = json.loads
 
@@ -819,6 +934,5 @@ def test_verify_parses_each_transcript_line_once(tmp_path, capsys, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(json, "loads", counting_loads)
             assert main(["verify", str(out)]) == EXIT_OK
-        assert parsed == [line for line in lines if '"record":"meta"' in line or '"record":"ground_truth"' in line
-                          or '"verdict":"replaced"' in line]
-        assert len(parsed) == 1 + 1 + (adversary is not None), adversary  # meta, ground truth, replaced broadcast
+        assert parsed == [line for line in lines if '"record":"meta"' in line or '"record":"ground_truth"' in line]
+        assert len(parsed) == 2, adversary  # meta, ground truth

@@ -745,7 +745,8 @@ def test_event_lines_match_the_record_dump(events):
                                delivered if verdict == "replaced" else None)
         for i, (step, sender, receivers, payload, verdict, delivered) in enumerate(events)
     ]
-    for ev, line in zip(evs, simnet._event_lines(evs, simnet._Quoted()), strict=True):
+    quoted = simnet._Quoted()
+    for ev, line in ((ev, simnet._event_line(ev, quoted)) for ev in evs):
         rec = {"record": "event", "index": ev.index, "step": ev.step, "sender": ev.sender,
                "receivers": list(ev.receivers), "payload": ev.payload.hex(), "verdict": ev.verdict}
         if ev.delivered_payload is not None:
@@ -1065,10 +1066,8 @@ def _record_dump(tr):
 
 
 def _off_frame(lines):
-    """The lines from_jsonl must json-decode: the meta, the ground truth and the
-    replaced event, the one event line with two holes."""
-    return [line for line in lines if '"record":"meta"' in line or '"record":"ground_truth"' in line
-            or '"verdict":"replaced"' in line]
+    """The lines from_jsonl must json-decode: the meta and the ground truth."""
+    return [line for line in lines if '"record":"meta"' in line or '"record":"ground_truth"' in line]
 
 
 @pytest.mark.parametrize("t", [2, 3, 13])
@@ -1076,8 +1075,8 @@ def _off_frame(lines):
                          ids=["ring", "field"])
 def test_written_event_lines_are_read_against_their_frames(variant, modulus, t, monkeypatch):
     """to_jsonl writes every record byte for byte as _dump does, and from_jsonl
-    json-decodes no event or outcome line but the replaced broadcast, yet gives
-    back the run's events and outcomes."""
+    json-decodes no event or outcome line, yet gives back the run's events and
+    outcomes."""
     decoded, loads = [], json.loads
     monkeypatch.setattr(json, "loads", lambda s, *args, **kwargs: decoded.append(s) or loads(s, *args, **kwargs))
     for members, adversary in _grid_scenarios(t):
@@ -1108,14 +1107,19 @@ def _grid_lines(t, scenario):
     return tuple(run_scenario(ScenarioConfig.from_dict(cfg)).to_jsonl().splitlines())
 
 
-_LINE_EDITS = ("none", "upper", "space", "tab", "odd", "escape", "quote", "escaped-token", "whitespace",
-               "index+1", "index-1", "verdict", "extra-field", "duplicate-key", "delivered-added",
-               "delivered-deleted")
+_HEX_EDITS = ("upper", "space", "tab", "odd", "escape", "quote")
+_LINE_EDITS = ("none", *_HEX_EDITS, "escaped-token", "whitespace", "index+1", "index-1", "verdict",
+               "extra-field", "duplicate-key", "delivered-added", "delivered-deleted",
+               *(f"delivered-{edit}" for edit in _HEX_EDITS))
 
 
 def _edit_line(line, edit, at):
-    """line with one edit; at picks where, or which value."""
-    start = line.index('"payload":"') + len('"payload":"')
+    """line with one edit; at picks where, or which value. A delivered-<hex edit>
+    makes the hex edit inside delivered_payload, not payload."""
+    key = '"payload":"'
+    if edit.startswith("delivered-") and edit[len("delivered-") :] in _HEX_EDITS:
+        key, edit = '"delivered_payload":"', edit[len("delivered-") :]
+    start = line.index(key) + len(key)
     end = line.index('"', start)
     j = start + at % (end - start + 1)  # a place in the payload's hex, or just after it
     if edit == "upper":
@@ -1210,19 +1214,26 @@ def _read_as_the_reference(lines):
 @example(t=3, scenario=1, edit="delivered-deleted", event=0, at=0)
 @example(t=13, scenario=0, edit="tab", event=5, at=3)
 @example(t=2, scenario=0, edit="escape", event=2, at=0)
+@example(t=3, scenario=1, edit="delivered-upper", event=0, at=0)
+@example(t=3, scenario=1, edit="delivered-space", event=0, at=2)
+@example(t=13, scenario=1, edit="delivered-tab", event=0, at=5)
+@example(t=3, scenario=1, edit="delivered-odd", event=0, at=0)
+@example(t=2, scenario=1, edit="delivered-quote", event=0, at=3)
+@example(t=3, scenario=1, edit="delivered-escape", event=0, at=1)
 @settings(max_examples=400, deadline=None)
 def test_framed_event_lines_parse_as_json_and_from_record_read_them(t, scenario, edit, event, at):
     """from_jsonl reads a gkdsim-written transcript with one event line edited as a
     reference that json.loads every line and types it with from_record does: the
     same events with the same name objects, or the same MalformedTranscript message.
-    Honest, forge and suppress runs; a delivered_payload is deleted from a forge's
-    replaced broadcast, the one event line with two holes."""
+    Honest, forge and suppress runs; the delivered_payload of a forge's replaced
+    broadcast, the last event, is deleted or edited as the payload's hex is."""
     scenario %= len(list(_grid_scenarios(t)))
-    if edit == "delivered-deleted":
+    to_delivered = edit.startswith("delivered-") and edit != "delivered-added"
+    if to_delivered:
         scenario = 1
     lines = list(_grid_lines(t, scenario))
     events = [n for n, line in enumerate(lines) if '"record":"event"' in line]
-    n = events[-1] if edit == "delivered-deleted" else events[event % len(events)]
+    n = events[-1] if to_delivered else events[event % len(events)]
     lines[n] = _edit_line(lines[n], edit, at)
     _read_as_the_reference(lines)
 
