@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import math
 import struct
 from dataclasses import dataclass
 from enum import Enum
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import (
     CompositeWhenPrimeRequired,
@@ -44,16 +45,16 @@ class Variant(Enum):
 # ---------------------------------------------------------------------------
 
 _counter_block = struct.Struct(">32sQ").pack  # key || counter, hashed into 32 stream bytes
-_READ_AHEAD = 512  # bytes a draws refill leaves unread: 64 draws of a 64-bit prime search
 
 
 class SeededRng:
     """Deterministic byte stream: SHA-256 in counter mode over the seed.
 
     Chosen over random.Random so the byte stream is stable across Python
-    versions; every draw in a scenario flows from one of these. take_bytes
-    and draws read one buffer, in any interleaving; bytes are consumed only
-    when returned or yielded, so reading ahead never changes the stream.
+    versions; every draw in a scenario flows from one of these. peek reads
+    ahead without consuming, skip consumes, and take_bytes is peek then skip,
+    so a reader that looks at more bytes than it uses leaves the stream where
+    taking just the used ones would.
     """
 
     def __init__(self, seed: int):
@@ -74,31 +75,24 @@ class SeededRng:
             self._counter += 1
         self._buffer, self._offset = buf, 0
 
-    def take_bytes(self, n: int) -> bytes:
+    def peek(self, n: int) -> bytes:
+        """The next n bytes of the stream, left unread."""
         end = self._offset + n
         if end > len(self._buffer):
             self._refill(n)
             end = n
-        out = self._buffer[self._offset : end]
-        self._offset = end
-        return out
+        return self._buffer[self._offset : end]
 
-    def draws(self, n: int) -> Iterator[int]:
-        """Successive n-byte big-endian ints, without end. Each is consumed
-        when yielded, so a caller that stops leaves the stream where n-byte
-        take_bytes calls would."""
-        from_bytes = int.from_bytes
-        while True:
-            buf, off = self._buffer, self._offset
-            count = (len(buf) - off) // n
-            if count == 0:
-                self._refill(max(n, _READ_AHEAD))
-                continue
-            for end in range(off + n, off + count * n + 1, n):
-                self._offset = end
-                yield from_bytes(buf[end - n : end], "big")
-                if self._offset != end or self._buffer is not buf:
-                    break  # another reader moved the stream
+    def skip(self, n: int) -> None:
+        """Consume the next n bytes of the stream."""
+        if self._offset + n > len(self._buffer):
+            self._refill(n)
+        self._offset += n
+
+    def take_bytes(self, n: int) -> bytes:
+        out = self.peek(n)
+        self._offset += n  # skip(n), whose refill check the peek has made
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -115,10 +109,14 @@ def _sieve(limit: int) -> tuple[int, ...]:
 
 
 _SMALL_PRIMES = _sieve(1000)
+_SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
 
-# Miller-Rabin with the twelve prime bases 2..37 is exact below this bound,
-# the least strong pseudoprime to all of them, 399165290221 * 798330580441
-# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+# Miller-Rabin is exact below 2^64 with J. Sinclair's seven bases, skipping one
+# that n divides (past the gcd, n is then the prime 407521 or 299210837), and
+# below _MR_EXACT_BOUND with the twelve prime bases 2..37: the least strong
+# pseudoprime to all of them is 399165290221 * 798330580441 (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+_MR_BASES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_EXACT_BOUND = 318_665_857_834_031_151_167_461
 _MR_EXTRA_ROUNDS = 40
@@ -140,25 +138,24 @@ def _mr_witness(n: int, a: int, d: int, r: int) -> bool:
 def is_prime(n: int) -> bool:
     """Primality test: exact below ~3.2e23, Miller-Rabin beyond.
 
-    Above the exact bound, 40 extra bases are derived from n itself by
-    hashing, so the verdict is deterministic without being attacker-choosable
-    in any way that matters for a testbed. The last verdicts are cached, so
-    domain_new re-checking a prime a search just proved needs no Miller-Rabin
-    run on (p-1)/2, only is_safe_prime's one exponentiation.
+    One gcd finds any prime factor below 1000. Seven bases decide below 2^64,
+    twelve below the exact bound; beyond it 40 extra bases are derived from n
+    itself by hashing, so the verdict is deterministic without being
+    attacker-choosable in any way that matters for a testbed. The last
+    verdicts are cached, so domain_new re-checking a prime a search just
+    proved needs no Miller-Rabin run on (p-1)/2, only is_safe_prime's one
+    exponentiation.
     """
-    if n < 2:
+    if n <= _SMALL_PRIMES[-1]:
+        return n in _SMALL_PRIMES
+    if math.gcd(n, _SMALL_PRODUCT) != 1:
         return False
-    for p in _SMALL_PRIMES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
     d, r = n - 1, 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES:
-        if _mr_witness(n, a, d, r):
+    for a in _MR_BASES_64 if n < 1 << 64 else _MR_BASES:
+        if a % n and _mr_witness(n, a, d, r):
             return False
     if n < _MR_EXACT_BOUND:
         return True
@@ -177,8 +174,9 @@ def is_safe_prime(n: int) -> bool:
     Once q = (n-1)/2 is proven prime, one exponentiation proves n: by
     Pocklington's theorem with a = 2, if 3 does not divide n and
     2^(n-1) = 1 mod n, then n is prime, since q > sqrt(n) - 1 for every n >= 5.
+    That test comes first, so a composite n costs no Miller-Rabin run on q.
     """
-    return n > 4 and is_prime((n - 1) // 2) and n % 3 != 0 and pow(2, n - 1, n) == 1
+    return n > 4 and n % 3 != 0 and pow(2, n - 1, n) == 1 and is_prime((n - 1) // 2)
 
 
 # Wiener's combined sieve: an odd prime r divides v or (v-1)/2 exactly when
@@ -192,15 +190,14 @@ _SIEVE_TOP = _SMALL_PRIMES[-1]
 
 
 def _sieve_rejects(v: int) -> bool:
-    """True when v or (v-1)/2 is proven composite by the combined sieve or a
-    base-2 Fermat test. Only decides once (v-1)/2 exceeds every sieve prime,
+    """True when v or (v-1)/2 is proven composite by the combined sieve, or (v-1)/2
+    by a base-2 Fermat test. Only decides once (v-1)/2 exceeds every sieve prime,
     so that a sieve prime dividing it is a proper factor."""
     h = v >> 1
     if h <= _SIEVE_TOP:
         return False
     vh = v * h
-    return (math.gcd(vh, _SIEVE_NARROW) != 1 or math.gcd(vh, _SIEVE_WIDE) != 1
-            or pow(2, h - 1, h) != 1 or pow(2, v - 1, v) != 1)
+    return math.gcd(vh, _SIEVE_NARROW) != 1 or math.gcd(vh, _SIEVE_WIDE) != 1 or pow(2, h - 1, h) != 1
 
 
 def _residue_screen(primes: tuple[int, ...]) -> bytes:
@@ -221,6 +218,9 @@ _PRESCREEN_MOD = math.prod(_PRESCREEN_PRIMES)
 _PRESCREEN = _residue_screen(_PRESCREEN_PRIMES)
 _PRESCREEN_MIN_BITS = 12  # v >> 1 >= 2**10 > _SIEVE_TOP
 _DISTINCT_ATTEMPTS = 256  # safe-prime draws gen_distinct_safe_primes makes for a second prime
+_READ_AHEAD = 512  # a search block: the fewest fields that fill this, at most one per bit
+_INT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}  # field widths struct decodes to ints itself
+_BIG_ENDIAN = itertools.repeat("big")  # int.from_bytes' byte order, for map: 3.10 has no default
 
 
 def gen_safe_prime(bit_length: int, rng: SeededRng) -> int:
@@ -228,14 +228,14 @@ def gen_safe_prime(bit_length: int, rng: SeededRng) -> int:
 
     Deterministic for a fixed rng state. Safe primes above 5 are 3 mod 4,
     so for bit_length >= 4 the two low bits are forced, halving the search.
-    Candidates come from rng.draws, so the stream stops just past the prime.
-    The residue pre-screen (from 12 bits), Wiener's combined sieve (M. Wiener,
-    "Safe Prime Generation with a Combined Sieve", IACR ePrint 2003/186) and
-    base-2 Fermat tests on v and (v-1)/2 only ever reject composites, and a
-    survivor still needs is_safe_prime, which proves v prime once is_prime
-    passes (v-1)/2, so the prime returned and the bytes drawn are those of
-    testing every candidate with the is_prime pair. The cached verdict on
-    (v-1)/2 leaves one exponentiation to the domain_new check that follows.
+    Candidates are peeked a block at a time, decoded with one struct unpack,
+    and skipped up to the prime. The residue pre-screen (from 12 bits),
+    Wiener's combined sieve (M. Wiener, "Safe Prime Generation with a Combined
+    Sieve", IACR ePrint 2003/186) and base-2 Fermat tests only ever reject
+    composites, and a survivor still needs is_safe_prime, which proves v prime
+    once is_prime passes (v-1)/2, so the prime returned and the bytes consumed
+    are those of testing every candidate with the is_prime pair. The cached
+    verdict on (v-1)/2 leaves one exponentiation to the domain_new check.
     """
     if bit_length < 3:
         raise ModulusTooSmall(f"no safe prime has {bit_length} bits")
@@ -243,12 +243,18 @@ def gen_safe_prime(bit_length: int, rng: SeededRng) -> int:
     forced = (1 << (bit_length - 1)) | (3 if bit_length >= 4 else 1)
     # below 12 bits the sieve does not decide, so b"\0"[v % 1] passes all
     screen, mod = (_PRESCREEN, _PRESCREEN_MOD) if bit_length >= _PRESCREEN_MIN_BITS else (b"\0", 1)
-    for v in rng.draws((bit_length + 7) // 8):
-        v = (v & mask) | forced
-        if screen[v % mod]:
-            continue
-        if not _sieve_rejects(v) and is_safe_prime(v):
-            return v
+    n = (bit_length + 7) // 8
+    k, code = min(bit_length, -(-_READ_AHEAD // n)), _INT_CODES.get(n)  # k fields a block
+    unpack = struct.Struct(f">{k}{code}" if code else ">" + f"{n}s" * k).unpack
+    while True:
+        fields = unpack(rng.peek(k * n))
+        fields = fields if code else map(int.from_bytes, fields, _BIG_ENDIAN)
+        survivors = [(i, v) for i, x in enumerate(fields, 1) if not screen[(v := (x & mask) | forced) % mod]]
+        for i, v in survivors:
+            if not _sieve_rejects(v) and is_safe_prime(v):
+                rng.skip(i * n)
+                return v
+        rng.skip(k * n)
 
 
 def gen_distinct_safe_primes(bit_length: int, rng: SeededRng) -> tuple[int, int]:

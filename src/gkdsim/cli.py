@@ -145,17 +145,20 @@ def _is_parameter_file(text: str) -> bool:
 
 
 def _verify_parameters(text: str) -> int:
-    """Prove the recorded primes, then require the file to hold just the record
-    gen-params writes for them and the recorded seed: one bit length for both
-    primes, every field typed."""
+    """Prove the recorded primes, then require the file past any blank lines to be
+    the bytes gen-params writes for them and the recorded seed, which must draw
+    them: one bit length for both primes, every field typed, no key twice."""
+    line = text[text.rfind("\n", 0, len(text) - len(text.lstrip())) + 1 :]  # past the blank lines
     try:
         record = json.loads(text)
         seed = record.get("seed")
         ctx, p, q = build_domain(Variant(record.get("variant")), None, p=record.get("p"), q=record.get("q"))
         if type(seed) is not int or seed < 0 or (q is not None and q.bit_length() != p.bit_length()) or (
-            json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n" != _parameters_line(ctx, p, q, seed)
+            line != _parameters_line(ctx, p, q, seed)
         ):
             raise ValueError("not the file gen-params writes for its primes and seed")
+        if build_domain(ctx.variant, SeededRng(seed), bits=p.bit_length())[1:] != (p, q):
+            raise ValueError(f"seed {seed} does not draw these primes")
     except ValueError as e:
         print(f"parameter file invalid: {e}", file=sys.stderr)
         return EXIT_VERIFY

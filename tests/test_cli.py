@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gkdsim import simnet
+from gkdsim import cli, simnet
 from gkdsim.algebra import is_prime
 from gkdsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_SCENARIO, EXIT_VERIFY, build_parser, main
 from gkdsim.errors import MalformedTranscript
@@ -456,19 +456,29 @@ def test_verify_rejects_parameter_file_with_oversized_prime(tmp_path, capsys):
     assert "at most 512 bits" in capsys.readouterr().err
 
 
+def _changed(**changes):
+    return lambda text: json.dumps({**json.loads(text), **changes})
+
+
 @pytest.mark.parametrize(
-    "changes",
-    [{"note": "x"}, {"seed": "abc"}, {"seed": -4}, {"seed": True}, {"bits": True},
-     {"p": 5, "q": 11, "modulus": 55}],
-    ids=["unknown-key", "seed-string", "seed-negative", "seed-true", "bits-true", "q-of-4-bits"],
+    "edit",
+    [_changed(note="x"), _changed(seed="abc"), _changed(seed=-4), _changed(seed=True), _changed(bits=True),
+     _changed(p=5, q=11, modulus=55),
+     lambda text: text.replace("{", '{"seed":9,', 1),  # json.loads keeps the last "seed"
+     lambda text: json.dumps(json.loads(text), sort_keys=True) + "\n",
+     lambda text: " " + text,
+     lambda text: text.replace('"seed":4', '"seed":0')],  # seed 0 draws q = 5 first
+    ids=["unknown-key", "seed-string", "seed-negative", "seed-true", "bits-true", "q-of-4-bits",
+         "duplicate-key", "default-separators", "leading-space", "seed-of-other-primes"],
 )
-def test_verify_accepts_only_the_parameter_file_gen_params_writes(tmp_path, capsys, changes):
+def test_verify_accepts_only_the_parameter_file_gen_params_writes(tmp_path, capsys, edit):
     params = tmp_path / "params.json"
     main(["gen-params", "--bits", "3", "--variant", "ring", "--seed", "4", "--out", str(params)])
     assert main(["verify", str(params)]) == EXIT_OK
-    rec = json.loads(params.read_text())
+    text = params.read_text()
+    rec = json.loads(text)
     assert rec["bits"] == 3 and rec["seed"] == 4
-    params.write_text(json.dumps({**rec, **changes}))
+    params.write_text(edit(text))
     assert main(["verify", str(params)]) == EXIT_VERIFY
     assert "parameter file invalid" in capsys.readouterr().err
 
@@ -652,6 +662,122 @@ def test_the_hostile_transcript_property_sees_an_escaping_exception(tmp_path, mo
     with pytest.raises(KeyError):
         for base, edits in _FIXED_HOSTILE:
             _ends_in_a_documented_exit(tmp_path / "t.jsonl", base, edits)
+
+
+_PARAMETER_EDITS = ("swap", "delete-key", "duplicate-key", "splice", "cut")
+
+
+@functools.lru_cache(maxsize=None)
+def _parameter_bases(tmp):
+    """The bytes of gen-params files, field and ring, 3 to 16 bits."""
+    bases = []
+    for variant, bits, seed in (("field", 5, 0), ("field", 16, 3), ("ring", 3, 4), ("ring", 16, 1)):
+        path = tmp / f"{variant}-{bits}.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["gen-params", "--bits", str(bits), "--variant", variant, "--seed", str(seed),
+                         "--out", str(path)]) == EXIT_OK
+        bases.append(path.read_bytes())
+    return tuple(bases)
+
+
+def _parameter_edit(data, edit):
+    """data, a parameter file, with one structural edit: kind, then a and b,
+    which pick the key or byte and the value or length."""
+    kind, a, b = edit
+    if kind in ("splice", "cut"):
+        at = a % (len(data) + 1)
+        end = at + (b % 40 + 1 if kind == "cut" else 0)
+        return data[:at] + (_SPLICES[b % len(_SPLICES)] if kind == "splice" else b"") + data[end:]
+    try:
+        rec = json.loads(data)
+    except (ValueError, RecursionError):
+        return data
+    if not isinstance(rec, dict) or not rec:
+        return data
+    key = sorted(rec)[a % len(rec)]
+    value = _HOSTILE_VALUES[b % len(_HOSTILE_VALUES)]
+    if kind == "duplicate-key":  # a first copy, with a hostile value or its own, which json.loads overrides
+        first = json.dumps({key: rec[key] if b % 2 else value}, separators=(",", ":"))[1:-1]
+        text = "{" + first + "," + json.dumps(rec, sort_keys=True, separators=(",", ":"))[1:] + "\n"
+    else:
+        if kind == "swap":
+            rec[key] = value
+        else:
+            del rec[key]
+        text = json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
+    return text.replace('"\\u0000deep"', "[" * 5000 + "]" * 5000).encode()
+
+
+def _written_by_gen_params(path, text):
+    """Whether text is the file gen-params writes for the variant, bits and seed in it."""
+    rec = json.loads(text)
+    argv = ["gen-params", "--bits", str(rec["bits"]), "--variant", rec["variant"], "--seed", str(rec["seed"])]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*argv, "--out", str(path)]) == EXIT_OK
+    return path.read_bytes() == text
+
+
+def _as_verify_reads(data):
+    """data as verify compares it: decoded, with CR and CRLF read as LF (read_text
+    does that), and past any leading blank lines (transcripts may have them too)."""
+    try:
+        text = data.decode().replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError:
+        return None
+    blank = len(text) - len(text.lstrip())
+    return text[text.rfind("\n", 0, blank) + 1 :].encode()
+
+
+def _parameter_file_ends_in_a_documented_exit(path, base, edits):
+    """verify of a parameter file with edits made returns 0, 2, 3 or 4 and raises
+    nothing, and leaves a message on stderr on a non-zero exit. It returns 0 when
+    the file reads as the unedited one, and otherwise only on a file gen-params
+    writes: some edits give one, such as a new seed for a 5-bit prime, since
+    every seed draws 23."""
+    original = _parameter_bases(path.parent)[base]
+    data = original
+    for edit in edits:
+        data = _parameter_edit(data, edit)
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", str(path)])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_VERIFY, EXIT_SCENARIO), code
+    assert code == EXIT_OK or err.getvalue().strip(), code
+    text = _as_verify_reads(data)
+    if text == original:
+        assert code == EXIT_OK
+    elif code == EXIT_OK:
+        assert _written_by_gen_params(path.with_name("regenerated.json"), text), data
+
+
+_PARAMETER_EDIT = st.tuples(st.sampled_from(_PARAMETER_EDITS), st.integers(0, 2**16), st.integers(0, 63))
+
+
+@given(base=st.integers(0, 3), edits=st.lists(_PARAMETER_EDIT, min_size=1, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_hostile_parameter_files_end_in_a_documented_exit(tmp_path_factory, base, edits):
+    """A value swapped for a hostile one, a key deleted or duplicated, or bytes
+    spliced in or cut out: verify exits 0 only on the file gen-params wrote, and
+    otherwise with a code and a message, never a traceback."""
+    _parameter_file_ends_in_a_documented_exit(tmp_path_factory.getbasetemp() / "params.json", base, edits)
+
+
+# a duplicate "seed" key with a hostile first value, then a space spliced after "{"
+_FIXED_PARAMETER_EDITS = [(2, [("duplicate-key", 6, 0)]), (1, [("splice", 1, 9)])]
+
+
+def test_the_hostile_parameter_property_sees_a_reserialising_check(tmp_path, monkeypatch):
+    """The property holds on a fixed list of edits, and fails on it once
+    _verify_parameters compares the re-serialised record, not the file."""
+    for base, edits in _FIXED_PARAMETER_EDITS:
+        _parameter_file_ends_in_a_documented_exit(tmp_path / "params.json", base, edits)
+    original = cli._verify_parameters
+    monkeypatch.setattr(cli, "_verify_parameters", lambda text: original(
+        json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"))
+    for base, edits in _FIXED_PARAMETER_EDITS:
+        with pytest.raises(AssertionError):
+            _parameter_file_ends_in_a_documented_exit(tmp_path / "params.json", base, edits)
 
 
 @pytest.mark.parametrize(
