@@ -39,6 +39,7 @@ from .simnet import (
     parse_broadcast_payload,
     parse_challenge_payload,
     plants_the_others_key,
+    read_text,
     run_scenario,
     verify_transcript,
     write_text,
@@ -232,10 +233,7 @@ def summarize_run(tr: Transcript) -> tuple[bool, list[str]]:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    try:
-        text = args.path.read_text()
-    except (OSError, UnicodeDecodeError) as e:
-        raise MalformedTranscript(f"cannot read {args.path}: {e}") from None
+    text = read_text(args.path)
     try:
         tr = Transcript.from_jsonl(text)
     except MalformedTranscript:

@@ -18,8 +18,10 @@ import functools
 import itertools
 import json
 import os
+import re
 import stat
 from dataclasses import dataclass, field
+from json.decoder import scanstring
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -72,12 +74,10 @@ STEP_REQUEST = "request"
 STEP_ANNOUNCE = "announce"
 STEP_CHALLENGE = "challenge"
 STEP_BROADCAST = "broadcast"
-_STEPS = (STEP_REQUEST, STEP_ANNOUNCE, STEP_CHALLENGE, STEP_BROADCAST)
 
 VERDICT_DELIVERED = "delivered"
 VERDICT_DROPPED = "dropped"
 VERDICT_REPLACED = "replaced"
-_VERDICTS = (VERDICT_DELIVERED, VERDICT_DROPPED, VERDICT_REPLACED)
 
 _DELIVER = ChannelAction.deliver()
 _ACTION_VERDICTS = {ActionKind.DELIVER: VERDICT_DELIVERED, ActionKind.DROP: VERDICT_DROPPED,
@@ -89,12 +89,6 @@ ACTION_SUPPRESS = "suppress"
 MAX_BITS = 512  # bits per prime, drawn or explicit; a 512-bit ring pair took 1.4 s (8-seed median, 2 vCPUs)
 MAX_ID_WIDTH = 255
 
-_RECORD_ORDER = ("meta", "event", "outcome", "ground_truth")
-_EVENT_FIELDS = frozenset(("index", "step", "sender", "receivers", "payload", "verdict"))
-_REPLACED_FIELDS = _EVENT_FIELDS | {"delivered_payload"}
-_ACCEPTED_FIELDS = frozenset(("member", "status", "key"))
-_UNACCEPTED_FIELDS = frozenset(("member", "status", "reason"))
-_DERIVED_FIELDS = ("format", "modulus", "byte_width", "digest_size", "t")
 _TRUTH_FIELDS = frozenset(("group_key", "r0", "member_keys", "challenges", "adversary"))
 _ADVERSARY_FIELDS = frozenset(("attacker", "victim", "action", "recovered_key", "target_key"))
 _STATUSES = tuple(s.value for s in OutcomeStatus)
@@ -452,8 +446,9 @@ class TranscriptMeta:
 
     @classmethod
     def from_record(cls, rec: dict) -> "TranscriptMeta":
-        """Check the fields a meta is built from as a config's, proving p and q with build_domain,
-        then require rec to hold exactly what that meta writes: the key set and derived ints."""
+        """The meta of rec's fields, checked as a config's are, with p and q proven by
+        build_domain. The derived fields and the key set are checked by from_jsonl,
+        which requires the line to be the _dump of the meta's record."""
         try:
             cfg = ScenarioConfig(
                 _variant(rec.get("variant")), _names(rec.get("members")), rec.get("p"), rec.get("q"),
@@ -466,11 +461,6 @@ class TranscriptMeta:
             meta = cls.from_config(cfg, *build_domain(cfg.variant, None, p=cfg.p, q=cfg.q))
         except ConfigError as e:
             raise MalformedTranscript(f"meta: {e}") from None
-        expected = meta.to_record()
-        if rec != expected or not all(type(rec[k]) is int for k in _DERIVED_FIELDS):
-            wrong = sorted(k for k in expected.keys() | rec.keys()
-                           if _dump(rec.get(k)) != _dump(expected.get(k)))
-            raise MalformedTranscript(f"meta: fields {wrong} missing, unknown or wrong")
         return meta
 
 
@@ -484,32 +474,6 @@ class TranscriptEvent:
     verdict: str
     delivered_payload: bytes | None = None  # only for replaced verdicts
 
-    @classmethod
-    def from_record(cls, rec: dict, index: int, expected: tuple | None) -> "TranscriptEvent":
-        """A record whose (step, sender, receivers, verdict) equals expected, its
-        event-skeleton entry, takes expected's objects: as only a str equals a str,
-        that one comparison also types them. Any other record is typed field by
-        field and keeps its names as written."""
-        replaced = rec.get("verdict") == VERDICT_REPLACED
-        _check_fields(rec, _REPLACED_FIELDS if replaced else _EVENT_FIELDS, "event")
-        step, sender, receivers, verdict = shape = rec["step"], rec["sender"], rec["receivers"], rec["verdict"]
-        if type(rec["index"]) is not int or rec["index"] != index:
-            raise MalformedTranscript(f"event {rec['index']!r} out of order at position {index}")
-        if expected and type(receivers) is list and shape == (*expected[:2], [*expected[2]], expected[3]):
-            step, sender, receivers, verdict = expected
-        elif step not in _STEPS or verdict not in _VERDICTS:
-            raise MalformedTranscript(f"event {index}: unknown step or verdict")
-        elif type(sender) is not str or type(receivers) is not list or not all(type(r) is str for r in receivers):
-            raise MalformedTranscript(f"event {index}: sender and receivers must be names")
-        else:
-            receivers = tuple(receivers)
-        try:
-            payload = bytes.fromhex(rec["payload"])
-            delivered = bytes.fromhex(rec["delivered_payload"]) if replaced else None
-        except (TypeError, ValueError):
-            raise MalformedTranscript(f"event {index}: payloads must be hex strings") from None
-        return cls(index, step, sender, receivers, payload, verdict, delivered)
-
 
 @dataclass(frozen=True)
 class OutcomeRecord:
@@ -520,22 +484,6 @@ class OutcomeRecord:
 
     def to_record(self) -> dict:
         return {k: v for k, v in vars(self).items() if v is not None}
-
-    @classmethod
-    def from_record(cls, rec: dict, ctx: DomainContext, expected: str | None) -> "OutcomeRecord":
-        """A key exactly when accepted, a residue; a reason exactly when not. A member
-        equal to expected, the roster name at the record's position, becomes it."""
-        accepted = rec.get("status") == _ACCEPTED
-        _check_fields(rec, _ACCEPTED_FIELDS if accepted else _UNACCEPTED_FIELDS, "outcome")
-        member, status = rec["member"], rec["status"]
-        if type(member) is not str or status not in _STATUSES:
-            raise MalformedTranscript(f"outcome for {member!r}: bad member or status")
-        member = expected if member == expected else member
-        if accepted:
-            return cls(member, status, key=_residue(rec["key"], ctx, f"outcome key of {member!r}"))
-        if type(rec["reason"]) is not str:
-            raise MalformedTranscript(f"outcome for {member!r}: reason must be a string")
-        return cls(member, status, reason=rec["reason"])
 
 
 @dataclass(frozen=True)
@@ -602,92 +550,89 @@ class Transcript:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Transcript":
-        """Parse and type-check every record, in the order the format fixes:
-        one meta, the events, the outcomes, then ground_truth unless redacted.
+        """The transcript whose to_jsonl is text past its leading whitespace-only lines;
+        MalformedTranscript for any other text. It reads the lines front to back in the
+        order the writer writes them: the meta, one event per entry of the meta's event
+        skeleton, one outcome per roster member, the ground truth exactly when the meta
+        is not redacted, then nothing. The meta and the ground truth are JSON-decoded
+        for their values, and each line must be _dump of the record built from them.
+        Event and outcome lines are read by writing them: the entry's event, or the
+        member's outcome, is built from the payloads, key or reason in the line and
+        kept only if _event_line or _outcome_line writes that line back. So every name
+        is the meta's str object or KGC_NAME. Any other line raises, naming its number
+        and the record the writer puts there. The text is walked by offset, one line
+        cut at a time, so it is never held twice."""
+        pos = text.rfind("\n", 0, _BLANK.match(text).end()) + 1  # past the leading blank lines
+        lineno = text.count("\n", 0, pos)
 
-        An event that matches its entry of the meta's event skeleton takes the
-        entry's names, the meta's str objects or KGC_NAME, as does an outcome
-        member equal to the roster name at its position. A t-member transcript
-        that verify can accept thus holds t names, not the t^2 strings json.loads
-        makes for the challenges' receivers lists; any other event keeps its own.
-        Event and outcome lines are read by writing them: the next entry's event, or
-        the next roster name's outcome, is built from the values in the line and taken
-        if _event_line or _outcome_line writes that line back, as json.loads and
-        from_record would read it. Only the meta, the ground truth and lines that no
-        record writes back are JSON-decoded."""
-        meta = ground_truth = None
-        skeleton, roster = [], iter(())  # the meta's event skeleton and members, once it is read
-        member = None  # the roster name at the next outcome's position
-        events: list[TranscriptEvent] = []
-        outcomes: list[OutcomeRecord] = []
-        last = 0
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            k = len(events)
-            entry = skeleton[k] if k < len(skeleton) else None  # the next event's skeleton entry
-            event = _written_event(line, k, entry, quoted) if entry and last <= 1 else None
-            if event is not None:
-                events.append(event)
-                last = 1
-                continue
-            outcome = _framed_outcome(line, member, quoted, meta.params.ctx) if member and last <= 2 else None
-            if outcome is not None:
-                outcomes.append(outcome)
-                member = next(roster, None)
-                last = 2
-                continue
-            if not line.strip():
-                continue
+        def line() -> str:
+            """The next line, without its newline; "", which no record is, past the last."""
+            nonlocal pos, lineno
+            end, lineno = text.find("\n", pos), lineno + 1
+            if end < 0:
+                return ""
+            start, pos = pos, end + 1
+            return text[start:end]
+
+        def fail(what: str):
+            raise MalformedTranscript(f"line {lineno}: expected {what}")
+
+        def decoded(kind: str, build):
+            """The record build makes of the next line's values, if the line is its _dump.
+            The line is compared in the text: it is not held while the record is encoded."""
+            start = pos
             try:
-                rec = json.loads(line)
-            except (ValueError, RecursionError) as e:
-                raise MalformedTranscript(f"line {lineno}: not valid JSON: {e}") from None
-            kind = rec.pop("record", None) if isinstance(rec, dict) else None
-            if kind not in _RECORD_ORDER:
-                raise MalformedTranscript(f"line {lineno}: unknown record type {kind!r}")
-            rank = _RECORD_ORDER.index(kind)
-            if (kind == "meta") != (meta is None) or rank < last or ground_truth is not None:
-                raise MalformedTranscript(f"line {lineno}: {kind} record out of order")
-            last = rank
-            try:
-                if kind == "meta":
-                    meta = TranscriptMeta.from_record(rec)
-                    quoted = _Quoted()
-                    skeleton, roster = event_skeleton(meta), iter(meta.members)
-                    member = next(roster)
-                elif kind == "event":
-                    events.append(TranscriptEvent.from_record(rec, len(events), entry))
-                elif kind == "outcome":
-                    outcomes.append(OutcomeRecord.from_record(rec, meta.params.ctx, member))
-                    member = next(roster, None)
-                else:
-                    ground_truth = GroundTruth.from_record(rec, meta.params.ctx)
+                record = build(_fields(line(), kind))
             except MalformedTranscript as e:
                 raise MalformedTranscript(f"line {lineno}: {e}") from None
-        if meta is None:
-            raise MalformedTranscript("no meta record")
-        _require((ground_truth is None) == meta.redacted, "ground_truth must be present exactly when not redacted")
-        _require(tuple(oc.member for oc in outcomes) == meta.members,
-                 f"expected {meta.t} outcome records, one per member in order")
-        if ground_truth is not None:
+            written = _dump({"record": kind, **record.to_record()})
+            if pos - start != len(written) + 1 or not text.startswith(written, start):
+                fail(f"the {kind} record as gkdsim writes it")
+            return record
+
+        meta = decoded("meta", TranscriptMeta.from_record)
+        ctx, quoted = meta.params.ctx, _Quoted()
+        events = tuple([_written_event(line(), k, entry, quoted)
+                        or fail(f"event {k}, the {entry[0]} from {entry[1]!r}, as gkdsim writes it")
+                        for k, entry in enumerate(event_skeleton(meta))])
+        outcomes = tuple([_framed_outcome(line(), member, quoted, ctx)
+                          or fail(f"the outcome of {member!r} as gkdsim writes it") for member in meta.members])
+        del quoted  # t names' JSON texts: not held while the ground truth is checked
+        ground_truth = None
+        if not meta.redacted:
+            ground_truth = decoded("ground_truth", lambda rec: GroundTruth.from_record(rec, ctx))
             _require(ground_truth.member_keys.keys() == set(meta.members), "ground-truth keys do not cover the roster")
             _require(ground_truth.challenges.keys() == set(meta.members),
                      "ground-truth challenges do not cover the roster")
-        return cls(meta, tuple(events), tuple(outcomes), ground_truth)
+        if pos < len(text):
+            lineno += 1
+            fail("the end of the transcript" + (", as the meta is redacted" if meta.redacted else ""))
+        return cls(meta, events, outcomes, ground_truth)
 
     @classmethod
     def load(cls, path: str | Path) -> "Transcript":
-        try:
-            text = Path(path).read_text()
-        except (OSError, UnicodeDecodeError) as e:
-            raise MalformedTranscript(f"cannot read transcript: {e}") from None
-        return cls.from_jsonl(text)
+        return cls.from_jsonl(read_text(path))
 
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))  # json.dumps builds one per call
+_BLANK = re.compile(r"\s*")  # a text's leading whitespace, found without the copy str.lstrip makes
 
 
 def _dump(obj: object) -> str:
     return _ENCODER.encode(obj)
+
+
+def _fields(line: str, kind: str) -> dict:
+    """The fields of the kind record that line holds, JSON-decoded."""
+    if not line:
+        raise MalformedTranscript(f"expected the {kind} record as gkdsim writes it")
+    try:
+        rec = json.loads(line)
+    except (ValueError, RecursionError) as e:
+        raise MalformedTranscript(f"not valid JSON: {e}") from None
+    if not isinstance(rec, dict) or rec.pop("record", None) != kind:
+        raise MalformedTranscript(f"not a {kind} record")
+    return rec
 
 
 class _Quoted(dict):
@@ -729,9 +674,8 @@ def _hex_after(line: str, key: str) -> bytes:
 
 def _written_event(line: str, index: int, entry: tuple, quoted: _Quoted) -> TranscriptEvent | None:
     """The event at index with entry's names and the payloads read from line, if
-    _event_line writes line for it, as json.loads and TranscriptEvent.from_record read
-    it; None for any other line. The writer's lowercase hex without whitespace is
-    what the equality accepts, so an edit anywhere in the line is left to the JSON path."""
+    _event_line writes line for it; None for any other line, such as one with
+    uppercase hex, whitespace or another verdict."""
     try:
         payload = _hex_after(line, '"payload":"')
         delivered = _hex_after(line, '"delivered_payload":"') if entry[3] == VERDICT_REPLACED else None
@@ -754,21 +698,33 @@ _UNACCEPTED_TAILS = {f',"record":"outcome","status":"{s}"}}': s for s in _STATUS
 
 def _framed_outcome(line: str, member: str, quoted: _Quoted, ctx: DomainContext) -> OutcomeRecord | None:
     """The outcome of member whose _outcome_line is line, with an accepted key that is
-    a residue or a reason not accepted, as json.loads and OutcomeRecord.from_record read
-    it; None for any other line. The key or the reason is the frame's hole: it is read
-    from the line, and the line must be the one written for it, so a key off its
-    canonical digits or a reason with an escape is left to the JSON path."""
+    a residue or a reason not accepted; None for any other line. The key or the reason
+    is the frame's hole: it is read from the line, the reason as the JSON string it
+    is, and the line must be the one written for it, so a key off its canonical
+    digits or a reason escaped otherwise than _dump escapes it is refused."""
     if line.startswith('{"key":'):
         try:
             oc = OutcomeRecord(member, _ACCEPTED, key=int(line[7 : line.find(",")]))
-        except ValueError:  # not digits, or thousands of them, which json.loads refuses too
+        except ValueError:  # not digits, or thousands of them
             return None
         ok = ctx.contains(oc.key)
     else:
-        reason, _, rest = line.partition(',"reason":"')[2].partition('"')
-        oc = OutcomeRecord(member, _UNACCEPTED_TAILS.get(rest), reason=reason)
+        try:
+            reason, end = scanstring(line, line.find(',"reason":"') + 11)
+        except ValueError:
+            return None
+        oc = OutcomeRecord(member, _UNACCEPTED_TAILS.get(line[end:]), reason=reason)
         ok = oc.status is not None
     return oc if ok and line == _outcome_line(oc, quoted) else None
+
+
+def read_text(path: str | Path) -> str:
+    """The text of path: its bytes as strict UTF-8, with no newline translated, so
+    a file with CR or CRLF line ends is not read as the one write_text left."""
+    try:
+        return Path(path).read_bytes().decode()
+    except (OSError, UnicodeDecodeError) as e:
+        raise MalformedTranscript(f"cannot read {path}: {e}") from None
 
 
 def write_text(path: str | Path, text: str) -> None:

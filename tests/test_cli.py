@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import functools
 import hashlib
 import io
@@ -394,6 +395,54 @@ def test_verify_edge_files(tmp_path, capsys):
     assert main(["verify", str(binary)]) == EXIT_VERIFY
 
 
+def _redumped(n, dump):
+    """A rewrite of a text's line n as dump of its record."""
+    def rewrite(text):
+        lines = text.split("\n")
+        lines[n] = dump(json.loads(lines[n]))
+        return "\n".join(lines)
+    return rewrite
+
+
+_REWRITES = {  # name -> (the golden text written otherwise with the same records, the line it fails at)
+    "default-separators": (lambda text: "".join(json.dumps(json.loads(line)) + "\n" for line in text.splitlines()), 1),
+    "crlf": (lambda text: text.replace("\n", "\r\n"), 1),
+    "cr": (lambda text: text.replace("\n", "\r"), 1),
+    "spaced-meta": (_redumped(0, lambda rec: json.dumps(rec, sort_keys=True, separators=(", ", ":"))), 1),
+    "reversed-event-keys": (_redumped(1, lambda rec: json.dumps(dict(reversed(rec.items())), separators=(",", ":"))), 2),
+}
+
+
+@pytest.mark.parametrize("rewrite", _REWRITES)
+@pytest.mark.parametrize("golden", ["honest-ring35", "attack-ring35"])
+def test_verify_and_explain_refuse_the_records_written_otherwise(tmp_path, capsys, golden, rewrite):
+    """The golden's own records with other separators, line ends or key order are
+    not the file gkdsim writes: verify and explain exit 3 naming the first line
+    that differs, and print nothing."""
+    text = (GOLDEN / f"{golden}.jsonl").read_text()
+    edit, lineno = _REWRITES[rewrite]
+    edited = edit(text)
+    assert [json.loads(line) for line in re.split("\r?\n|\r", edited.strip())] == [
+        json.loads(line) for line in text.splitlines()]
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(edited.encode())
+    for command in ("verify", "explain"):
+        assert main([command, str(path)]) == EXIT_VERIFY
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: line {lineno}: expected "), err
+
+
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+def test_verify_refuses_a_parameter_file_with_other_line_ends(tmp_path, capsys, newline):
+    params = tmp_path / "params.json"
+    main(["gen-params", "--bits", "16", "--variant", "ring", "--seed", "1", "--out", str(params)])
+    assert main(["verify", str(params)]) == EXIT_OK
+    params.write_bytes(params.read_bytes().replace(b"\n", newline))
+    capsys.readouterr()
+    assert main(["verify", str(params)]) == EXIT_VERIFY
+    assert "parameter file invalid" in capsys.readouterr().err
+
+
 def test_verify_type_mangled_inputs(tmp_path, capsys):
     params = tmp_path / "params.json"
     params.write_text(json.dumps({
@@ -718,10 +767,11 @@ def _written_by_gen_params(path, text):
 
 
 def _as_verify_reads(data):
-    """data as verify compares it: decoded, with CR and CRLF read as LF (read_text
-    does that), and past any leading blank lines (transcripts may have them too)."""
+    """data as verify compares it: decoded as strict UTF-8 with no newline
+    translated, so CR and CRLF stay, and past any leading blank lines
+    (transcripts may have them too)."""
     try:
-        text = data.decode().replace("\r\n", "\n").replace("\r", "\n")
+        text = data.decode()
     except UnicodeDecodeError:
         return None
     blank = len(text) - len(text.lstrip())
@@ -838,8 +888,11 @@ def test_attack_config_planting_the_group_key_runs_and_verifies(tmp_path, capsys
     assert tr.ground_truth is None if redact else tr.ground_truth.group_key == 14290
 
 
-@pytest.mark.parametrize("edit", ["drop-ground-truth", "claim-redacted"])
-def test_verify_requires_ground_truth_exactly_when_not_redacted(tmp_path, capsys, edit):
+@pytest.mark.parametrize("edit, message", [
+    ("drop-ground-truth", "line 11: expected the ground_truth record as gkdsim writes it"),
+    ("claim-redacted", "line 11: expected the end of the transcript, as the meta is redacted"),
+], ids=["drop-ground-truth", "claim-redacted"])
+def test_verify_requires_ground_truth_exactly_when_not_redacted(tmp_path, capsys, edit, message):
     """Ground truth can be neither stripped from nor kept in a transcript
     without its meta saying so: either way verify exits 3 on parsing it."""
     lines = GOLDEN.joinpath("attack-ring35.jsonl").read_text().splitlines()
@@ -850,7 +903,7 @@ def test_verify_requires_ground_truth_exactly_when_not_redacted(tmp_path, capsys
     path = tmp_path / "t.jsonl"
     path.write_text("\n".join(lines) + "\n")
     assert main(["verify", str(path)]) == EXIT_VERIFY
-    assert capsys.readouterr() == ("", "error: ground_truth must be present exactly when not redacted\n")
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 # --- explain ---------------------------------------------------------------------
@@ -871,21 +924,23 @@ def test_explain_attack_transcript(tmp_path, capsys):
 
 def test_explain_renders_a_replaced_challenge_as_a_challenge(tmp_path, capsys):
     """A replaced event's substitute is shown as its own step shows payloads;
-    verify still reports that a challenge may not be replaced."""
-    lines = GOLDEN.joinpath("honest-ring35.jsonl").read_text().splitlines()
-    rec = json.loads(lines[3])
-    assert rec["step"] == "challenge" and rec["payload"] == "02"
-    rec.update(verdict="replaced", delivered_payload="05")
-    lines[3] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    verify still reports that a challenge may not be replaced. Both judge such a
+    transcript in memory: its file is refused on loading."""
+    tr = Transcript.load(GOLDEN / "honest-ring35.jsonl")
+    ev = tr.events[2]
+    assert ev.step == "challenge" and ev.payload == b"\x02"
+    replaced = dataclasses.replace(ev, verdict="replaced", delivered_payload=b"\x05")
+    tr = dataclasses.replace(tr, events=(*tr.events[:2], replaced, *tr.events[3:]))
+    assert "challenge: 2  [REPLACED in transit: 5]" in "\n".join(cli._narrative_lines(tr))
+    report = simnet.verify_transcript(tr)
+    assert "event 2: challenge replaced, expected delivered" in report.mismatches
+    assert "payload, outcome and ground-truth checks: the events differ from the event skeleton" in report.skipped
     path = tmp_path / "t.jsonl"
-    path.write_text("\n".join(lines) + "\n")
-    assert main(["explain", str(path)]) == EXIT_OK
-    stdout = capsys.readouterr().out
-    assert "challenge: 2  [REPLACED in transit: 5]" in stdout
-    assert main(["verify", str(path)]) == EXIT_VERIFY
-    stdout = capsys.readouterr().out
-    assert "MISMATCH: event 2: challenge replaced, expected delivered" in stdout
-    assert "skipped: payload, outcome and ground-truth checks: the events differ from the event skeleton" in stdout
+    path.write_text(tr.to_jsonl())
+    for command in ("explain", "verify"):
+        assert main([command, str(path)]) == EXIT_VERIFY
+        assert capsys.readouterr() == (
+            "", "error: line 4: expected event 2, the challenge from 'ann', as gkdsim writes it\n")
 
 
 @pytest.mark.parametrize("line, damage, message", [
@@ -913,7 +968,7 @@ def _swap_first_outcomes(records):
 
 
 @pytest.mark.parametrize("edit, message", [
-    (_swap_first_outcomes, "expected 2 outcome records, one per member in order"),
+    (_swap_first_outcomes, "line 9: expected the outcome of 'ann' as gkdsim writes it"),
     (lambda records: records[10].update(member_keys={"ann": 2}), "ground-truth keys do not cover the roster"),
     (lambda records: records[10].update(challenges={"ann": 2}), "ground-truth challenges do not cover the roster"),
 ], ids=["outcome-order", "ground-truth-keys", "ground-truth-challenges"])

@@ -46,6 +46,62 @@ def run(**overrides):
     return run_scenario(ScenarioConfig.from_dict(scenario_dict(**overrides)))
 
 
+# --- the oracle: JSON-decoded event and outcome records, typed field by field -------
+# from_jsonl reads event and outcome lines only by writing them. It accepts a line
+# exactly when these readers accept its decoded record as the one the writer puts
+# there and the writer gives back that line; they also build in memory, for verify,
+# transcripts that from_jsonl refuses.
+
+_STEPS = (simnet.STEP_REQUEST, simnet.STEP_ANNOUNCE, simnet.STEP_CHALLENGE, simnet.STEP_BROADCAST)
+_VERDICTS = (simnet.VERDICT_DELIVERED, simnet.VERDICT_DROPPED, simnet.VERDICT_REPLACED)
+_EVENT_FIELDS = frozenset(("index", "step", "sender", "receivers", "payload", "verdict"))
+_REPLACED_FIELDS = _EVENT_FIELDS | {"delivered_payload"}
+_ACCEPTED_FIELDS = frozenset(("member", "status", "key"))
+_UNACCEPTED_FIELDS = frozenset(("member", "status", "reason"))
+
+
+def event_from_record(rec, index, expected):
+    """A record whose (step, sender, receivers, verdict) equals expected, its
+    event-skeleton entry, takes expected's objects: as only a str equals a str,
+    that one comparison also types them. Any other record is typed field by
+    field and keeps its names as written."""
+    replaced = rec.get("verdict") == simnet.VERDICT_REPLACED
+    simnet._check_fields(rec, _REPLACED_FIELDS if replaced else _EVENT_FIELDS, "event")
+    step, sender, receivers, verdict = shape = rec["step"], rec["sender"], rec["receivers"], rec["verdict"]
+    if type(rec["index"]) is not int or rec["index"] != index:
+        raise MalformedTranscript(f"event {rec['index']!r} out of order at position {index}")
+    if expected and type(receivers) is list and shape == (*expected[:2], [*expected[2]], expected[3]):
+        step, sender, receivers, verdict = expected
+    elif step not in _STEPS or verdict not in _VERDICTS:
+        raise MalformedTranscript(f"event {index}: unknown step or verdict")
+    elif type(sender) is not str or type(receivers) is not list or not all(type(r) is str for r in receivers):
+        raise MalformedTranscript(f"event {index}: sender and receivers must be names")
+    else:
+        receivers = tuple(receivers)
+    try:
+        payload = bytes.fromhex(rec["payload"])
+        delivered = bytes.fromhex(rec["delivered_payload"]) if replaced else None
+    except (TypeError, ValueError):
+        raise MalformedTranscript(f"event {index}: payloads must be hex strings") from None
+    return simnet.TranscriptEvent(index, step, sender, receivers, payload, verdict, delivered)
+
+
+def outcome_from_record(rec, ctx, expected):
+    """A key exactly when accepted, a residue; a reason exactly when not. A member
+    equal to expected, the roster name at the record's position, becomes it."""
+    accepted = rec.get("status") == "accepted"
+    simnet._check_fields(rec, _ACCEPTED_FIELDS if accepted else _UNACCEPTED_FIELDS, "outcome")
+    member, status = rec["member"], rec["status"]
+    if type(member) is not str or status not in simnet._STATUSES:
+        raise MalformedTranscript(f"outcome for {member!r}: bad member or status")
+    member = expected if member == expected else member
+    if accepted:
+        return simnet.OutcomeRecord(member, status, key=simnet._residue(rec["key"], ctx, f"outcome key of {member!r}"))
+    if type(rec["reason"]) is not str:
+        raise MalformedTranscript(f"outcome for {member!r}: reason must be a string")
+    return simnet.OutcomeRecord(member, status, reason=rec["reason"])
+
+
 @pytest.mark.parametrize("adversary", [None, FORGE], ids=["honest", "forge"])
 def test_pipeline_builds_the_share_lanes_once(adversary):
     """run, serialise, parse and verify at t = 40 evaluate every share over one
@@ -292,6 +348,11 @@ def _with_outcome(tr: Transcript, member: str, **changes) -> Transcript:
     return dataclasses.replace(tr, outcomes=outcomes)
 
 
+def _with_event(tr: Transcript, index: int, **changes) -> Transcript:
+    events = tuple(dataclasses.replace(ev, **changes) if ev.index == index else ev for ev in tr.events)
+    return dataclasses.replace(tr, events=events)
+
+
 @pytest.mark.parametrize("redact", [False, True], ids=["ground-truth", "redacted"])
 @pytest.mark.parametrize("adversary", [None, FORGE, SUPPRESS], ids=["honest", "forge", "suppress"])
 def test_outcome_failures_none_on_fresh_runs(adversary, redact):
@@ -341,7 +402,7 @@ def test_outcome_failures_name_each_miss():
     assert outcome_failures(rejected) == ["'carol' did not accept: rejected"]
     # a transcript without the victim's outcome never reaches outcome_failures: the loader refuses it
     no_victim = [line for line in forge.to_jsonl().splitlines() if '"member":"bob"' not in line]
-    with pytest.raises(MalformedTranscript, match="expected 3 outcome records, one per member in order"):
+    with pytest.raises(MalformedTranscript, match=r"^line 11: expected the outcome of 'bob' as gkdsim writes it$"):
         Transcript.from_jsonl("\n".join(no_victim) + "\n")
 
 
@@ -476,14 +537,15 @@ def test_verify_flags_edited_ground_truth():
 )
 def test_verify_flags_intercepted_or_misrouted_pre_broadcast_events(index, key, value):
     """Only a broadcast may be dropped or replaced, and member i's challenge goes
-    to the KGC and every other member, in roster order."""
+    to the KGC and every other member, in roster order. The loader refuses such an
+    event in a file; verify reports it in a transcript built in memory."""
     tr = run_scenario(ScenarioConfig.from_file(CONFIGS / "honest.json"))
-    lines = tr.to_jsonl().splitlines()
-    rec = json.loads(lines[1 + index])  # meta is line 0
-    assert rec["record"] == "event" and rec["index"] == index and rec[key] != value
-    rec[key] = value
-    lines[1 + index] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
-    report = verify_transcript(Transcript.from_jsonl("\n".join(lines) + "\n"))
+    value = tuple(value) if key == "receivers" else value
+    assert getattr(tr.events[index], key) != value
+    edited = _with_event(tr, index, **{key: value})
+    with pytest.raises(MalformedTranscript, match=rf"^line {index + 2}: expected event {index}, "):
+        Transcript.from_jsonl(edited.to_jsonl())
+    report = verify_transcript(edited)
     assert any(m.startswith(f"event {index}: ") for m in report.mismatches), report.mismatches
 
 
@@ -491,11 +553,12 @@ def test_verify_judges_the_receivers_of_a_reordered_challenge_by_its_sender():
     """The skeleton fixes a challenge's sender and receivers by its position, so
     two swapped challenges are two events wrong in both."""
     tr = run_scenario(ScenarioConfig.from_file(CONFIGS / "honest.json"))
-    lines = tr.to_jsonl().splitlines()
-    alice, bob = json.loads(lines[3]), json.loads(lines[4])  # events 2 and 3
-    alice["index"], bob["index"] = 3, 2
-    lines[3], lines[4] = (json.dumps(r, sort_keys=True, separators=(",", ":")) for r in (bob, alice))
-    report = verify_transcript(Transcript.from_jsonl("\n".join(lines) + "\n"))
+    alice, bob = tr.events[2:4]
+    events = (*tr.events[:2], dataclasses.replace(bob, index=2), dataclasses.replace(alice, index=3), *tr.events[4:])
+    swapped = dataclasses.replace(tr, events=events)
+    with pytest.raises(MalformedTranscript, match=r"^line 4: expected event 2, the challenge from 'alice', "):
+        Transcript.from_jsonl(swapped.to_jsonl())
+    report = verify_transcript(swapped)
     assert report.mismatches == [
         "event 2: challenge with the wrong sender and receivers",
         "event 3: challenge with the wrong sender and receivers",
@@ -512,13 +575,15 @@ def test_malformed_transcripts_raise(tmp_path):
     with pytest.raises(MalformedTranscript):
         # drop the meta line entirely
         Transcript.from_jsonl("\n".join(text.splitlines()[1:]) + "\n")
-    # parseable, as the events after it are renumbered, but missing bob's challenge
-    records = [json.loads(l) for l in text.splitlines() if '"step":"challenge"' not in l or '"sender":"bob"' not in l]
-    for i, rec in enumerate(rec for rec in records if rec["record"] == "event"):
-        rec["index"] = i
+    # missing bob's challenge, with the events after it renumbered: refused on loading,
+    # and in memory reported by the event count
+    events = [ev for ev in tr.events if (ev.step, ev.sender) != ("challenge", "bob")]
+    short = dataclasses.replace(tr, events=tuple(dataclasses.replace(ev, index=i) for i, ev in enumerate(events)))
     path = tmp_path / "short.jsonl"
-    path.write_text("\n".join(map(simnet._dump, records)) + "\n")
-    report = verify_transcript(Transcript.load(path))
+    path.write_text(short.to_jsonl())
+    with pytest.raises(MalformedTranscript, match=r"^line 5: expected event 3, the challenge from 'bob', "):
+        Transcript.load(path)
+    report = verify_transcript(short)
     assert report.mismatches == [f"event count {len(tr.events) - 1}, expected {len(tr.events)}"]
     assert cli_main(["verify", str(path)]) == EXIT_VERIFY
 
@@ -722,6 +787,31 @@ def test_golden_transcripts_round_trip_byte_for_byte():
         assert Transcript.from_jsonl(text).to_jsonl() == text
 
 
+_SPLICES = ("", " ", "\t", "\r", "\n", "\r\n", "0", "a", "A", '"', "\\", ",", ":", "}", "\\u0061", "é", "\u2028")
+
+
+@given(source=st.sampled_from((*GOLDEN_NAMES, "suppress-redacted")), blank=st.sampled_from(("", "\n", " \t\n\n")),
+       at=st.integers(0, 2**16), cut=st.integers(0, 3), splice=st.sampled_from(_SPLICES))
+@settings(max_examples=300, deadline=None)
+def test_from_jsonl_accepts_only_the_text_it_writes(source, blank, at, cut, splice):
+    """A written transcript after whitespace-only lines, with characters cut out or
+    spliced in anywhere, loads exactly when it is the text to_jsonl writes for the
+    transcript it loads as, past those lines; any other text raises MalformedTranscript."""
+    if source == "suppress-redacted":
+        text = run(adversary=SUPPRESS, redact=True).to_jsonl()
+    else:
+        text = _golden_path(source).read_text()
+    at %= len(text) + 1
+    edited = blank + text[:at] + splice + text[at + cut :]
+    try:
+        tr = Transcript.from_jsonl(edited)
+    except MalformedTranscript:
+        return
+    lines = edited.split("\n")
+    first = next(i for i, line in enumerate(lines) if line.strip())
+    assert tr.to_jsonl() == "\n".join(lines[first:])
+
+
 _AWKWARD_CHARS = st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "é", "\u2028", "\ufeff", "\U0001f600"])
 _AWKWARD_NAMES = st.text(st.one_of(_AWKWARD_CHARS, st.characters()), min_size=1, max_size=8)
 
@@ -729,8 +819,8 @@ _AWKWARD_NAMES = st.text(st.one_of(_AWKWARD_CHARS, st.characters()), min_size=1,
 @given(
     events=st.lists(
         st.tuples(
-            st.sampled_from(simnet._STEPS), _AWKWARD_NAMES, st.lists(_AWKWARD_NAMES, max_size=5),
-            st.binary(max_size=12), st.sampled_from(simnet._VERDICTS), st.binary(max_size=12),
+            st.sampled_from(_STEPS), _AWKWARD_NAMES, st.lists(_AWKWARD_NAMES, max_size=5),
+            st.binary(max_size=12), st.sampled_from(_VERDICTS), st.binary(max_size=12),
         ),
         max_size=4,
     )
@@ -768,17 +858,17 @@ def test_outcome_lines_match_the_record_dump(outcomes):
 
 
 def test_transcript_with_a_receiver_outside_the_roster_round_trips():
-    """from_jsonl accepts a receiver name that meta.members lacks (verify reports
-    it), so the writer keeps no closed table of names."""
-    lines = run(adversary=FORGE).to_jsonl().splitlines()
-    at = next(i for i, line in enumerate(lines) if '"step":"challenge"' in line)
-    rec = json.loads(lines[at])
-    rec["receivers"].append("zoë \"\\ \U0001f600")
-    lines[at] = simnet._dump(rec)
-    text = "\n".join(lines) + "\n"
-    tr = Transcript.from_jsonl(text)
-    assert tr.to_jsonl() == text
-    assert not verify_transcript(tr).ok
+    """The writer gives a receiver name that meta.members lacks its _dump, so it
+    keeps no closed table of names; the loader refuses the event, and verify
+    reports it in memory."""
+    tr = run(adversary=FORGE)
+    at = next(ev.index for ev in tr.events if ev.step == simnet.STEP_CHALLENGE)
+    stray = _with_event(tr, at, receivers=(*tr.events[at].receivers, "zoë \"\\ \U0001f600"))
+    text = stray.to_jsonl()
+    assert text == _record_dump(stray)
+    with pytest.raises(MalformedTranscript, match=rf"^line {at + 2}: expected event {at}, "):
+        Transcript.from_jsonl(text)
+    assert not verify_transcript(stray).ok
 
 
 _DELETE = object()
@@ -833,19 +923,19 @@ _JSON_VALUES = st.recursive(
 @example(receivers=["kgc", 1])
 @settings(max_examples=200, deadline=None)
 def test_receivers_typing_matches_the_set_of_types_check(receivers):
-    """An event's receivers list is accepted exactly when every element's type
-    is str, as set(map(type, receivers)) <= {str} decides, for the lists
-    json.loads returns, whether or not the record matches its skeleton entry
-    (["kgc"] here); a rejected list keeps its MalformedTranscript message."""
+    """The oracle, event_from_record, accepts an event's receivers list exactly
+    when every element's type is str, as set(map(type, receivers)) <= {str}
+    decides, for the lists json.loads returns, whether or not the record matches
+    its skeleton entry (["kgc"] here); a rejected list keeps its message."""
     receivers = json.loads(json.dumps(receivers))
     rec = {"index": 0, "step": "request", "sender": "alice", "receivers": receivers,
            "payload": "", "verdict": "delivered"}
     for expected in (None, ("request", "alice", ("kgc",), "delivered")):
         if set(map(type, receivers)) <= {str}:
-            assert simnet.TranscriptEvent.from_record(rec, 0, expected).receivers == tuple(receivers)
+            assert event_from_record(rec, 0, expected).receivers == tuple(receivers)
         else:
             with pytest.raises(MalformedTranscript) as e:
-                simnet.TranscriptEvent.from_record(rec, 0, expected)
+                event_from_record(rec, 0, expected)
             assert str(e.value) == "event 0: sender and receivers must be names"
 
 
@@ -870,25 +960,23 @@ def test_parsed_names_are_the_meta_objects(source):
 
 @pytest.mark.parametrize("receivers", ["kgcbob", {"kgc": "kgc", "bob": "bob"}], ids=["str", "dict"])
 def test_receivers_of_roster_names_not_in_a_list_are_rejected(receivers):
-    """Receivers must be a list: a str or dict of roster names, off the event
-    skeleton, keeps the typing error message."""
+    """Receivers must be a list: a str or dict of roster names is refused as the
+    line of the event skeleton's entry."""
     lines = _golden_path("honest-ring35.jsonl").read_text().splitlines()
     rec = json.loads(lines[3])
     rec["receivers"] = receivers
     lines[3] = simnet._dump(rec)
     with pytest.raises(MalformedTranscript) as e:
         Transcript.from_jsonl("\n".join(lines) + "\n")
-    assert str(e.value) == "line 4: event 2: sender and receivers must be names"
+    assert str(e.value) == "line 4: expected event 2, the challenge from 'ann', as gkdsim writes it"
 
 
 def test_a_challenge_to_a_stranger_gets_the_same_report():
-    """A name outside the roster parses, and verify reports the misrouted challenge."""
-    lines = _golden_path("honest-ring35.jsonl").read_text().splitlines()
-    rec = json.loads(lines[3])
-    rec["receivers"] = ["kgc", "mallory"]
-    lines[3] = simnet._dump(rec)
-    tr = Transcript.from_jsonl("\n".join(lines) + "\n")
-    assert tr.events[2].receivers == ("kgc", "mallory")
+    """A name outside the roster is refused on loading, and verify reports the
+    misrouted challenge in a transcript built in memory."""
+    tr = _with_event(Transcript.load(_golden_path("honest-ring35.jsonl")), 2, receivers=("kgc", "mallory"))
+    with pytest.raises(MalformedTranscript, match=r"^line 4: expected event 2, the challenge from 'ann', "):
+        Transcript.from_jsonl(tr.to_jsonl())
     report = verify_transcript(tr)
     assert report.checks == []
     assert report.mismatches == ["event 2: challenge with the wrong receivers"]
@@ -941,7 +1029,7 @@ def _challenges_near_the_implied_list(draw):
     elif edit == "stranger":
         sender = "zed"
     elif edit == "other-step":
-        step = draw(st.sampled_from([s for s in simnet._STEPS if s != simnet.STEP_CHALLENGE]))
+        step = draw(st.sampled_from([s for s in _STEPS if s != simnet.STEP_CHALLENGE]))
     rec = {"index": 0, "step": step, "sender": sender, "receivers": receivers, "payload": "00",
            "verdict": "delivered"}
     return members, rec
@@ -965,16 +1053,17 @@ def _per_name_reference(rec, entry):
                               "receivers": ["kgc", "ann", "carol"], "verdict": "delivered"}))
 @settings(max_examples=300, deadline=None)
 def test_challenge_receivers_fast_path_matches_the_per_name_reference(drawn):
-    """from_record accepts and rejects exactly what a name-by-name check does,
-    with the same message, the same receivers and the same name objects: the
-    skeleton entry's for a record that matches it, the record's own for any other."""
+    """The oracle, event_from_record, accepts and rejects exactly what a
+    name-by-name check does, with the same message, the same receivers and the same
+    name objects: the skeleton entry's for a record that matches it, the record's
+    own for any other."""
     members, rec = drawn
     members = tuple(map(_fresh, members))
     i = members.index(rec["sender"]) if rec["sender"] in members else 0
     entry = (simnet.STEP_CHALLENGE, members[i], challenge_receivers(members, i), simnet.VERDICT_DELIVERED)
     expected = _per_name_reference(rec, entry)
     try:
-        ev = simnet.TranscriptEvent.from_record(rec, 0, entry)
+        ev = event_from_record(rec, 0, entry)
     except MalformedTranscript as e:
         assert str(e) == expected
         return
@@ -1091,11 +1180,11 @@ def test_written_event_lines_are_read_against_their_frames(variant, modulus, t, 
 
 
 def test_an_event_line_after_an_outcome_is_out_of_order():
-    """A line that matches the next event's frame is still refused after an
-    outcome record, as json.loads and the record order refuse it."""
+    """The broadcast line after an outcome is refused where the writer puts the
+    broadcast: the outcome is on its line."""
     lines = run().to_jsonl().splitlines()  # events on lines 2-7, outcomes on 8-10
     lines.insert(7, lines.pop(6))  # the broadcast after alice's outcome
-    with pytest.raises(MalformedTranscript, match=r"^line 8: event record out of order$"):
+    with pytest.raises(MalformedTranscript, match=r"^line 7: expected event 5, the broadcast from 'kgc', "):
         Transcript.from_jsonl("\n".join(lines) + "\n")
 
 
@@ -1142,7 +1231,7 @@ def _edit_line(line, edit, at):
     if edit in ("index+1", "index-1"):
         return re.sub(r'"index":(\d+)', lambda m: f'"index":{int(m[1]) + int(edit[-2:])}', line, count=1)
     if edit == "verdict":
-        other = [v for v in simnet._VERDICTS if f'"verdict":"{v}"' not in line][at % 2]
+        other = [v for v in _VERDICTS if f'"verdict":"{v}"' not in line][at % 2]
         return re.sub(r'"verdict":"\w+"', f'"verdict":"{other}"', line)
     if edit == "extra-field":
         return line[:-1] + ',"extra":0}'
@@ -1159,31 +1248,32 @@ def _edit_line(line, edit, at):
     return line
 
 
-def _json_reference(lines):
-    """What json.loads, TranscriptEvent.from_record and OutcomeRecord.from_record make
-    of the event and outcome lines of a transcript whose other lines are as written:
-    (meta, events, outcomes), or the message of the first line, or the roster check,
-    they refuse."""
+def _oracle_reads(lines, n):
+    """The event or outcome the oracle makes of lines[n], the line of a written
+    transcript's event or outcome, JSON-decoded: if it is the record the writer puts
+    there, the skeleton entry's event or the roster member's outcome, and the writer
+    gives back the line. None otherwise."""
     meta_record = json.loads(lines[0])
     del meta_record["record"]
     meta = simnet.TranscriptMeta.from_record(meta_record)
-    skeleton, events, outcomes = simnet.event_skeleton(meta), [], []
-    for lineno, line in enumerate(lines[1 : 1 + len(skeleton) + meta.t], start=2):
-        try:
-            rec = json.loads(line)
-        except ValueError as e:
-            return f"line {lineno}: not valid JSON: {e}"
-        assert rec.pop("record") == ("event" if len(events) < len(skeleton) else "outcome")
-        try:
-            if len(events) < len(skeleton):
-                events.append(simnet.TranscriptEvent.from_record(rec, len(events), skeleton[len(events)]))
-            else:
-                outcomes.append(simnet.OutcomeRecord.from_record(rec, meta.params.ctx, meta.members[len(outcomes)]))
-        except MalformedTranscript as e:
-            return f"line {lineno}: {e}"
-    if tuple(oc.member for oc in outcomes) != meta.members:
-        return f"expected {meta.t} outcome records, one per member in order"
-    return meta, events, outcomes
+    skeleton, k = simnet.event_skeleton(meta), n - 1
+    try:
+        rec = json.loads(lines[n])
+    except ValueError:
+        return None
+    assert rec.pop("record") == ("event" if k < len(skeleton) else "outcome")
+    try:
+        if k < len(skeleton):
+            read = event_from_record(rec, k, skeleton[k])
+            ok = (read.step, read.sender, read.receivers, read.verdict) == skeleton[k]
+            written = simnet._event_line(read, simnet._Quoted())
+        else:
+            read = outcome_from_record(rec, meta.params.ctx, meta.members[k - len(skeleton)])
+            ok = read.member == meta.members[k - len(skeleton)]
+            written = simnet._outcome_line(read, simnet._Quoted())
+    except MalformedTranscript:
+        return None
+    return read if ok and written == lines[n] else None
 
 
 def _meta_names(meta, ev):
@@ -1192,21 +1282,21 @@ def _meta_names(meta, ev):
     return [any(name is obj for obj in pool) for name in (ev.sender, *ev.receivers)]
 
 
-def _read_as_the_reference(lines):
-    """from_jsonl reads lines as _json_reference does: the same events and outcomes,
-    with the same name objects, or the same MalformedTranscript message."""
-    expected = _json_reference(lines)
-    try:
-        tr = Transcript.from_jsonl("\n".join(lines) + "\n")
-    except MalformedTranscript as e:
-        assert str(e) == expected
+def _read_as_the_oracle(lines, n):
+    """from_jsonl reads lines, a written transcript with line n edited, exactly when
+    the oracle reads line n as the record the writer puts there and the writer gives
+    the line back. Then it holds the oracle's event or outcome, with the meta's name
+    objects, and writes the text back. Otherwise it raises, naming line n + 1."""
+    expected, text = _oracle_reads(lines, n), "\n".join(lines) + "\n"
+    if expected is None:
+        with pytest.raises(MalformedTranscript, match=rf"^line {n + 1}: expected "):
+            Transcript.from_jsonl(text)
         return
-    assert not isinstance(expected, str), expected
-    meta, events, outcomes = expected
-    assert (tr.events, tr.outcomes) == (tuple(events), tuple(outcomes))
-    assert [_meta_names(tr.meta, ev) for ev in tr.events] == [_meta_names(meta, ev) for ev in events]
-    assert [oc.member is name for oc, name in zip(tr.outcomes, tr.meta.members)] == [
-        oc.member is name for oc, name in zip(outcomes, meta.members)]
+    tr = Transcript.from_jsonl(text)
+    assert tr.to_jsonl() == text
+    assert (*tr.events, *tr.outcomes)[n - 1] == expected
+    assert all(all(_meta_names(tr.meta, ev)) for ev in tr.events)
+    assert all(oc.member is name for oc, name in zip(tr.outcomes, tr.meta.members, strict=True))
 
 
 @given(t=st.sampled_from((2, 3, 13)), scenario=st.integers(0, 8), edit=st.sampled_from(_LINE_EDITS),
@@ -1222,9 +1312,9 @@ def _read_as_the_reference(lines):
 @example(t=3, scenario=1, edit="delivered-escape", event=0, at=1)
 @settings(max_examples=400, deadline=None)
 def test_framed_event_lines_parse_as_json_and_from_record_read_them(t, scenario, edit, event, at):
-    """from_jsonl reads a gkdsim-written transcript with one event line edited as a
-    reference that json.loads every line and types it with from_record does: the
-    same events with the same name objects, or the same MalformedTranscript message.
+    """from_jsonl accepts a gkdsim-written transcript with one event line edited
+    exactly when json.loads and event_from_record read the line as the skeleton
+    entry's event and _event_line gives the line back, and then reads that event.
     Honest, forge and suppress runs; the delivered_payload of a forge's replaced
     broadcast, the last event, is deleted or edited as the payload's hex is."""
     scenario %= len(list(_grid_scenarios(t)))
@@ -1235,7 +1325,7 @@ def test_framed_event_lines_parse_as_json_and_from_record_read_them(t, scenario,
     events = [n for n, line in enumerate(lines) if '"record":"event"' in line]
     n = events[-1] if to_delivered else events[event % len(events)]
     lines[n] = _edit_line(lines[n], edit, at)
-    _read_as_the_reference(lines)
+    _read_as_the_oracle(lines, n)
 
 
 _OUTCOME_EDITS = ("none", "digits", "arabic-digits", "pad", "negative", "float", "exponent", "quoted", "huge", "empty-string",
@@ -1295,17 +1385,18 @@ def _edit_outcome_line(line, edit, at, members):
 @example(t=2, scenario=0, edit="arabic-digits", outcome=0, at=0)
 @settings(max_examples=400, deadline=None)
 def test_framed_outcome_lines_parse_as_json_and_from_record_read_them(t, scenario, edit, outcome, at):
-    """from_jsonl reads a gkdsim-written transcript with one outcome line edited as
-    the same reference does: the same outcomes with the same member objects, or the
-    same MalformedTranscript message. Accepted lines hold a key in the hole, and a
-    suppressed victim's a reason; a status edit moves a line between them."""
+    """from_jsonl accepts a gkdsim-written transcript with one outcome line edited
+    exactly when json.loads and outcome_from_record read the line as the roster
+    member's outcome and _outcome_line gives the line back, and then reads that
+    outcome. Accepted lines hold a key in the hole, and a suppressed victim's a
+    reason; a status edit moves a line between them."""
     scenario %= len(list(_grid_scenarios(t)))
     lines = list(_grid_lines(t, scenario))
     outcomes = [n for n, line in enumerate(lines) if '"record":"outcome"' in line]
     n = outcomes[outcome % len(outcomes)]
     members = list(_grid_scenarios(t))[scenario][0]
     lines[n] = _edit_outcome_line(lines[n], edit, at, members)
-    _read_as_the_reference(lines)
+    _read_as_the_oracle(lines, n)
 
 
 @pytest.mark.parametrize("adversary, cls, verdict", [(FORGE, "InsiderInterceptor", "replaced"),
@@ -1383,6 +1474,25 @@ def _traced_memory(t):
         tracemalloc.stop()
     assert len(skeleton) == len(tr.events)
     return parsed, skeleton_bytes, peak
+
+
+def test_parse_does_not_hold_the_text_twice():
+    """from_jsonl of a t = 200 field forge over a 64-bit safe prime peaks at most a
+    quarter of the text's length above what the parsed transcript keeps: it cuts one
+    line at a time, where a list of all the lines was a second copy (1.19x)."""
+    members = ["alice", "bob", "carol", *(f"m{k}" for k in range(197))]
+    cfg = scenario_dict(variant="field", modulus={"p": 14452609745013686879}, members=members, adversary=FORGE)
+    text = run_scenario(ScenarioConfig.from_dict(cfg)).to_jsonl()
+    Transcript.from_jsonl(text)  # warms the domain memo
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tr = Transcript.from_jsonl(text)
+        kept, peak = (size - start for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert len(tr.events) == 1 + 2 + 200 + 2  # the request, two announces, the challenges, two broadcasts
+    assert peak - kept <= 0.25 * len(text), (peak, kept, len(text))
 
 
 def test_parse_skeleton_and_verify_memory_grow_as_t():
@@ -1470,10 +1580,26 @@ def _source_records(source):
     return records
 
 
-def _edited_text(source, edit):
+def _edited_records(source, edit):
     records = _source_records(source)
     edit(records)
-    return "".join(simnet._dump(rec) + "\n" for rec in records)
+    return records
+
+
+def _typed(records):
+    """The transcript of decoded records, each typed by its oracle: in memory,
+    verify judges what from_jsonl refuses, such as events off the skeleton."""
+    fields = [{k: v for k, v in rec.items() if k != "record"} for rec in records]
+    by_kind = {kind: [f for rec, f in zip(records, fields) if rec["record"] == kind]
+               for kind in ("event", "outcome", "ground_truth")}
+    meta = simnet.TranscriptMeta.from_record(fields[0])
+    skeleton, members, ctx = simnet.event_skeleton(meta), meta.members, meta.params.ctx
+    events = tuple(event_from_record(rec, i, skeleton[i] if i < len(skeleton) else None)
+                   for i, rec in enumerate(by_kind["event"]))
+    outcomes = tuple(outcome_from_record(rec, ctx, members[i] if i < len(members) else None)
+                     for i, rec in enumerate(by_kind["outcome"]))
+    truth = [simnet.GroundTruth.from_record(rec, ctx) for rec in by_kind["ground_truth"]]
+    return Transcript(meta, events, outcomes, *truth)
 
 
 # Attack golden lines: 0 meta, 1 + i event i, 8-9 outcomes, 10 ground truth.
@@ -1558,13 +1684,22 @@ for _rule in ("nonce-altered", "footprint", "same-key-footprint", "algebra", "ai
 def test_each_forgery_rule_trips_on_its_own_edit(source, edit, message, tmp_path, capsys):
     """One edit per verify rule, claim 2's and every other report.fail site in
     verify_transcript: the rule's own message is among the mismatches, and
-    gkdsim verify exits 3."""
-    text = _edited_text(source, edit)
-    assert message in verify_transcript(Transcript.from_jsonl(text)).mismatches
+    gkdsim verify exits 3. An edit of what the event skeleton fixes is refused
+    as the file loads, and verify reports it in the transcript built in memory."""
+    records = _edited_records(source, edit)
+    tr, text = _typed(records), "".join(simnet._dump(rec) + "\n" for rec in records)
+    assert message in verify_transcript(tr).mismatches
     path = tmp_path / "t.jsonl"
     path.write_text(text)
     assert cli_main(["verify", str(path)]) == EXIT_VERIFY
-    assert f"MISMATCH: {message}\n" in capsys.readouterr().out
+    out, err = capsys.readouterr()
+    if [(ev.step, ev.sender, ev.receivers, ev.verdict) for ev in tr.events] == simnet.event_skeleton(tr.meta):
+        assert Transcript.from_jsonl(text) == tr
+        assert f"MISMATCH: {message}\n" in out
+    else:
+        with pytest.raises(MalformedTranscript):
+            Transcript.from_jsonl(text)
+        assert (out, err.startswith("error: line ")) == ("", True)
 
 
 def _report_fail_lines(func):
@@ -1583,7 +1718,7 @@ def test_every_report_fail_site_in_verify_runs_in_the_rule_table():
     run over the rule table, so deleting or shadowing a rule fails here."""
     code, ran = verify_transcript.__code__, set()
     sites = _report_fail_lines(verify_transcript)
-    transcripts = [Transcript.from_jsonl(_edited_text(source, edit)) for source, edit, _ in _RULES]
+    transcripts = [_typed(_edited_records(source, edit)) for source, edit, _ in _RULES]
 
     def lines(frame, event, arg):
         if event == "line":
