@@ -140,18 +140,18 @@ class InsiderInterceptor:
         self.roster = roster
         self.params = params
         self.rng = rng
-        self.challenges: dict[bytes, int] = {}
+        self._log: list[int | None] = [None] * roster.size  # challenges by roster position
         self.recovered_key: int | None = None
         self.forged_key: int | None = None
 
     def observe(self, sender: bytes, message: object) -> None:
         if isinstance(message, ChallengeMessage) and message.sender in self.roster.index:
-            self.challenges[message.sender] = self.params.ctx.reduce(message.value)
+            self._log[self.roster.index[message.sender]] = self.params.ctx.reduce(message.value)
 
     def intercept(self, message: object) -> ChannelAction:
         if not isinstance(message, KgcBroadcast):
             return ChannelAction.deliver()
-        challenges = challenge_vector(self.roster, self.challenges)
+        challenges = challenge_vector(self.roster, self._log)
         recovered = insider_recover_key(self.ictx.attacker, self.roster, challenges, message, self.params)
         ctx = self.params.ctx
         target = self.ictx.target_key

@@ -41,10 +41,11 @@ compute_auth memo keys on the whole (tag input, params), and a run or a
 verify passes one params object throughout, so that part of a hit is mostly
 one identity test.
 
-Step 5 (unmask, user_process_broadcast) and the insider (adversary) take the
-public challenge vector (r_1, ..., r_t) in roster order. A GroupMember logs
-each challenge at its sender's roster position, so its vector is its log; the
-KGC and the insider collect a mapping and read it with challenge_vector.
+Steps 4 and 5 (kgc_distribute, unmask, user_process_broadcast) and the
+insider (adversary) take the public challenge vector (r_1, ..., r_t) in roster
+order. The KGC, every GroupMember and the insider each log a challenge at its
+sender's roster position, None until it arrives, so a complete log is the
+vector; challenge_vector reads it, or names the senders still missing.
 """
 
 from __future__ import annotations
@@ -266,20 +267,14 @@ def _lanes(nonces: tuple[int, ...], b: int, m: int) -> tuple[tuple[int, ...], in
     return tuple(lanes), w
 
 
-def challenge_vector(roster: GroupRoster, challenges: Mapping[bytes, int]) -> tuple[int, ...]:
-    """(r_1, ..., r_t): every member's challenge in roster order.
-
-    A mapping that holds exactly the roster's ids, inserted in roster order,
-    is read in one pass over its values; in run_scenario that holds for the
-    KGC and the insider, which collect challenges in the order they are sent.
-    Any other mapping is read by one lookup per id."""
-    if tuple(challenges) == roster.members:
-        return tuple(challenges.values())
-    try:
-        return tuple(map(challenges.__getitem__, roster.members))
-    except KeyError:
-        missing = [m for m in roster.members if m not in challenges]
-        raise IncompleteChallenges(f"missing challenges from {missing!r}") from None
+def challenge_vector(roster: GroupRoster, log: list[int | None]) -> tuple[int, ...]:
+    """(r_1, ..., r_t) from a challenge log by roster position, None where no
+    challenge has arrived: IncompleteChallenges names those senders in roster
+    order."""
+    if None in log:
+        missing = [m for m, v in zip(roster.members, log) if v is None]
+        raise IncompleteChallenges(f"missing challenges from {missing!r}")
+    return tuple(log)
 
 
 def unmask(
@@ -308,7 +303,7 @@ def unmask(
 def kgc_distribute(
     roster: GroupRoster,
     registered_keys: Mapping[bytes, int],
-    challenges: Mapping[bytes, int],
+    challenges: tuple[int, ...],
     rng: SeededRng,
     params: PublicParams,
     group_key: int | None = None,
@@ -316,6 +311,7 @@ def kgc_distribute(
 ) -> tuple[KgcBroadcast, int]:
     """Steps 4a-4d: draw key and nonce, mask per member, tag, broadcast.
 
+    challenges is the roster-ordered vector (r_1, ..., r_t), as for unmask.
     Returns (broadcast, group_key). The group key is returned only so tests
     and the insider (who can derive it anyway) have ground truth; it is never
     part of the wire message. group_key/nonce may be forced for fixtures.
@@ -323,8 +319,10 @@ def kgc_distribute(
     for m in roster.members:
         if m not in registered_keys:
             raise UnknownMember(f"no registered key for {m!r}")
+    if len(challenges) != roster.size:
+        raise IncompleteChallenges(f"{len(challenges)} challenges for a roster of {roster.size}")
     ctx = params.ctx
-    received = tuple(map(ctx.reduce, challenge_vector(roster, challenges)))
+    received = tuple(map(ctx.reduce, challenges))
 
     s = sample_element(rng, ctx) if group_key is None else ctx.reduce(group_key)
     r0 = sample_element(rng, ctx) if nonce is None else ctx.reduce(nonce)
@@ -364,13 +362,13 @@ def user_process_broadcast(
 # ---------------------------------------------------------------------------
 
 class KeyGenerationCentre:
-    """The trusted party: key registry plus per-session challenge collection."""
+    """The trusted party: key registry plus the session's challenge log by roster position."""
 
     def __init__(self, params: PublicParams):
         self.params = params
         self._keys: dict[bytes, int] = {}
         self.roster: GroupRoster | None = None
-        self._challenges: dict[bytes, int] = {}
+        self._log: list[int | None] = []
 
     def register(self, identity: PartyIdentity) -> None:
         if identity.user_id in self._keys:
@@ -384,7 +382,7 @@ class KeyGenerationCentre:
             if m not in self._keys:
                 raise UnknownMember(f"{m!r} is not registered")
         self.roster = roster
-        self._challenges = {}
+        self._log = [None] * roster.size
         return Announcement(members=roster.members)
 
     def receive_challenge(self, msg: ChallengeMessage) -> None:
@@ -393,12 +391,12 @@ class KeyGenerationCentre:
         if msg.sender not in self.roster.index:
             raise NotInRoster(f"{msg.sender!r} is not in the current roster")
         # no origin authentication: any challenge labeled with a roster id counts
-        self._challenges[msg.sender] = self.params.ctx.reduce(msg.value)
+        self._log[self.roster.index[msg.sender]] = self.params.ctx.reduce(msg.value)
 
     def distribute(self, rng: SeededRng) -> tuple[KgcBroadcast, int]:
         if self.roster is None:
             raise IncompleteChallenges("no session announced")
-        return kgc_distribute(self.roster, self._keys, self._challenges, rng, self.params)
+        return kgc_distribute(self.roster, self._keys, challenge_vector(self.roster, self._log), rng, self.params)
 
 
 class GroupMember:
@@ -417,11 +415,6 @@ class GroupMember:
         self._index: Mapping[bytes, int] = {}  # the roster's, once announced
         self._log: list[int | None] = []
         self.pending_broadcast: KgcBroadcast | None = None
-
-    @property
-    def observed_challenges(self) -> dict[bytes, int]:
-        """sender -> challenge of every logged challenge, in roster order."""
-        return {m: v for m, v in zip(self.roster.members, self._log) if v is not None} if self.roster else {}
 
     def receive_announcement(self, ann: Announcement) -> None:
         """Adopt the announced roster; resets all per-session state (freshness)."""
@@ -453,6 +446,5 @@ class GroupMember:
         """Process whatever arrived; TIMEOUT when the broadcast never did."""
         if self.roster is None or self.pending_broadcast is None:
             return SessionOutcome.timeout()
-        log = self._log
-        challenges = challenge_vector(self.roster, self.observed_challenges) if None in log else tuple(log)
+        challenges = challenge_vector(self.roster, self._log)
         return user_process_broadcast(self.identity, self.roster, challenges, self.pending_broadcast, self.params)

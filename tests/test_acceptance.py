@@ -16,7 +16,6 @@ from gkdsim.protocol import (
     KgcBroadcast,
     OutcomeStatus,
     PartyIdentity,
-    challenge_vector,
     compute_share,
     kgc_distribute,
     user_process_broadcast,
@@ -154,7 +153,7 @@ def test_criterion_4_tamper_detection():
         ids = tuple(f"u{j}".encode() for j in range(t))
         roster = GroupRoster(ids)
         keys = {i: sample_element(rng, ctx) for i in ids}
-        challenges = {i: sample_element(rng, ctx) for i in ids}
+        challenges = tuple(sample_element(rng, ctx) for _ in ids)
         bcast, _ = kgc_distribute(roster, keys, challenges, rng, PublicParams(ctx))
 
         field = trial_rng.choice(["auth", "r0", "share"])
@@ -177,7 +176,7 @@ def test_criterion_4_tamper_detection():
 
         out = user_process_broadcast(
             PartyIdentity(ids[affected], keys[ids[affected]]),
-            roster, challenge_vector(roster, challenges), tampered, PublicParams(ctx),
+            roster, challenges, tampered, PublicParams(ctx),
         )
         assert out.status is OutcomeStatus.REJECTED, (trial, field, out)
         rejections += 1
@@ -255,23 +254,20 @@ def _exhaust(params, key_pairs, challenge_pairs, nonces, group_keys):
     rng = SeededRng(0)  # never drawn from: group key and nonce are forced
     sessions = forged = 0
     for keys, chal, r0, s in itertools.product(key_pairs, challenge_pairs, nonces, group_keys):
-        registered, challenges = dict(zip(ids, keys)), dict(zip(ids, chal))
-        bcast, key = kgc_distribute(roster, registered, challenges, rng, params,
+        registered = dict(zip(ids, keys))
+        bcast, key = kgc_distribute(roster, registered, chal, rng, params,
                                     group_key=s, nonce=r0)
         members = [PartyIdentity(i, k) for i, k in zip(ids, keys)]
         for me in members:
-            out = user_process_broadcast(me, roster, challenge_vector(roster, challenges), bcast, params)
+            out = user_process_broadcast(me, roster, chal, bcast, params)
             assert (out.status, out.key) == (OutcomeStatus.ACCEPTED, s), (keys, chal, r0, s)
-        recovered = insider_recover_key(members[0], roster, challenge_vector(roster, challenges), bcast,
-                                        params)
+        recovered = insider_recover_key(members[0], roster, chal, bcast, params)
         assert key == recovered == s, (keys, chal, r0, s)
         for target in range(params.ctx.modulus):
             if target == s:
                 continue
-            forged_bcast = forge_broadcast(1, target, recovered, bcast, roster,
-                                           challenge_vector(roster, challenges), params)
-            out = user_process_broadcast(members[1], roster, challenge_vector(roster, challenges),
-                                         forged_bcast, params)
+            forged_bcast = forge_broadcast(1, target, recovered, bcast, roster, chal, params)
+            out = user_process_broadcast(members[1], roster, chal, forged_bcast, params)
             assert (out.status, out.key) == (OutcomeStatus.ACCEPTED, target), (keys, chal, r0, s, target)
             forged += 1
         sessions += 1

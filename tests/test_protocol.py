@@ -5,7 +5,6 @@ import inspect
 import math
 import pickle
 import random
-from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -60,7 +59,7 @@ def naive_share_field(x, nonces, index, m, byte_width):
 
 ROSTER = GroupRoster((b"A", b"B"))
 KEYS = {b"A": 2, b"B": 3}
-CHALLENGES = {b"A": 1, b"B": 2}
+CHALLENGES = (1, 2)  # (r_1, r_2) in roster order
 
 
 @pytest.fixture
@@ -354,7 +353,19 @@ def test_distribute_zero_key_negates_shares(ring35):
 
 def test_distribute_requires_all_challenges(ring35):
     with pytest.raises(IncompleteChallenges):
-        kgc_distribute(ROSTER, KEYS, {b"A": 1}, SeededRng(0), PublicParams(ring35))
+        kgc_distribute(ROSTER, KEYS, (1,), SeededRng(0), PublicParams(ring35))
+
+
+@pytest.mark.parametrize("t", [2, 3, 5])
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_distribute_requires_one_challenge_per_member(ring35, t, extra):
+    """t - 1 or t + 1 challenges are refused by count, as unmask refuses them,
+    before any share is computed over the wrong width."""
+    roster = GroupRoster(tuple(f"m{k}".encode() for k in range(t)))
+    keys = {m: k + 2 for k, m in enumerate(roster.members)}
+    with pytest.raises(IncompleteChallenges) as got:
+        kgc_distribute(roster, keys, tuple(range(1, t + extra + 1)), SeededRng(0), PublicParams(ring35))
+    assert str(got.value) == f"{t + extra} challenges for a roster of {t}"
 
 
 def test_distribute_requires_registered_keys(ring35):
@@ -373,8 +384,7 @@ def test_distribute_draws_uniform_when_not_forced(ring35):
 
 def test_user_accepts_honest_broadcast(ring35, honest_bcast):
     out = user_process_broadcast(
-        PartyIdentity(b"A", 2), ROSTER, challenge_vector(ROSTER, CHALLENGES), honest_bcast,
-                      PublicParams(ring35)
+        PartyIdentity(b"A", 2), ROSTER, CHALLENGES, honest_bcast, PublicParams(ring35)
     )
     assert out.status is OutcomeStatus.ACCEPTED
     assert out.key == 10  # 32 + 13 = 45 = 10 mod 35
@@ -387,7 +397,7 @@ def test_user_rejects_flipped_share_bit(ring35, honest_bcast):
         masked_shares=(honest_bcast.masked_shares[0] ^ 1, honest_bcast.masked_shares[1]),
     )
     out = user_process_broadcast(
-        PartyIdentity(b"A", 2), ROSTER, challenge_vector(ROSTER, CHALLENGES), tampered, PublicParams(ring35)
+        PartyIdentity(b"A", 2), ROSTER, CHALLENGES, tampered, PublicParams(ring35)
     )
     assert out.status is OutcomeStatus.REJECTED
     assert out.reason == "tag_mismatch"
@@ -397,62 +407,60 @@ def test_user_rejects_short_share_list(ring35, honest_bcast):
     short = KgcBroadcast(honest_bcast.auth, honest_bcast.r0, honest_bcast.masked_shares[:1])
     with pytest.raises(MalformedBroadcast):
         user_process_broadcast(
-            PartyIdentity(b"A", 2), ROSTER, challenge_vector(ROSTER, CHALLENGES), short, PublicParams(ring35)
+            PartyIdentity(b"A", 2), ROSTER, CHALLENGES, short, PublicParams(ring35)
         )
 
 
 def test_user_requires_membership(ring35, honest_bcast):
     with pytest.raises(NotInRoster):
         user_process_broadcast(
-            PartyIdentity(b"C", 9), ROSTER, challenge_vector(ROSTER, CHALLENGES), honest_bcast,
-                          PublicParams(ring35)
+            PartyIdentity(b"C", 9), ROSTER, CHALLENGES, honest_bcast, PublicParams(ring35)
         )
 
 
 def test_user_requires_all_challenges(ring35, honest_bcast):
     with pytest.raises(IncompleteChallenges):
         user_process_broadcast(
-            PartyIdentity(b"A", 2), ROSTER, challenge_vector(ROSTER, {b"A": 1}), honest_bcast,
-                          PublicParams(ring35)
+            PartyIdentity(b"A", 2), ROSTER, challenge_vector(ROSTER, [1, None]), honest_bcast, PublicParams(ring35)
         )
 
 
 def _challenge_vector_oracle(roster, challenges):
-    """One lookup per roster id."""
+    """One lookup per roster id in a sender -> challenge mapping."""
     missing = [m for m in roster.members if m not in challenges]
     if missing:
         raise IncompleteChallenges(f"missing challenges from {missing!r}")
     return tuple(challenges[m] for m in roster.members)
 
 
+def _logged(party):
+    """sender -> challenge of every challenge in party's log by roster position."""
+    return {m: v for m, v in zip(party.roster.members, party._log) if v is not None} if party.roster else {}
+
+
 @given(
     t=st.integers(min_value=2, max_value=6),
     data=st.data(),
-    in_order=st.booleans(),
-    missing=st.integers(min_value=0, max_value=2),
     extra=st.lists(st.sampled_from([b"zed", b"", b"m99"]), max_size=2, unique=True),
-    proxy=st.booleans(),
 )
 @settings(max_examples=100, deadline=None)
-def test_challenge_vector_matches_the_per_id_oracle(t, data, in_order, missing, extra, proxy):
-    """In any insertion order, as a dict or a MappingProxyType, with ids missing
-    or extra: the vector, or the IncompleteChallenges message, is the oracle's."""
+def test_challenge_vector_matches_the_per_id_oracle(t, data, extra):
+    """A log by roster position with None holes anywhere gives the vector, or
+    the IncompleteChallenges message, that the oracle gives over the
+    equivalent mapping, in any insertion order and with extra ids."""
     ids = tuple(f"m{k}".encode() for k in range(t))
-    keys = [m for m in ids if m not in data.draw(st.sets(st.sampled_from(ids), max_size=missing))] + extra
-    if not in_order:
-        keys = data.draw(st.permutations(keys))
-    values = data.draw(st.lists(st.integers(min_value=0), min_size=len(keys), max_size=len(keys)))
-    challenges = dict(zip(keys, values))
-    mapping = MappingProxyType(challenges) if proxy else challenges
+    log = data.draw(st.lists(st.none() | st.integers(min_value=0), min_size=t, max_size=t))
+    heard = [(m, v) for m, v in zip(ids, log) if v is not None] + [(x, 0) for x in extra]
+    challenges = dict(data.draw(st.permutations(heard)))
     roster = GroupRoster(ids)
     try:
         expected = _challenge_vector_oracle(roster, challenges)
     except IncompleteChallenges as e:
         with pytest.raises(IncompleteChallenges) as got:
-            challenge_vector(roster, mapping)
+            challenge_vector(roster, log)
         assert str(got.value) == str(e)
     else:
-        assert challenge_vector(roster, mapping) == expected
+        assert challenge_vector(roster, log) == expected
 
 
 def test_unmask_requires_one_challenge_per_member(ring35, honest_bcast):
@@ -479,9 +487,9 @@ def test_key_agreement_and_share_equation(seed, t, variant):
     ids = tuple(f"u{i}".encode() for i in range(t))
     roster = GroupRoster(ids)
     keys = {i: sample_element(rng, ctx) for i in ids}
-    challenges = {i: sample_element(rng, ctx) for i in ids}
+    challenges = tuple(sample_element(rng, ctx) for _ in ids)
     bcast, s = kgc_distribute(roster, keys, challenges, rng, PublicParams(ctx))
-    nonces = (bcast.r0, *(challenges[i] for i in ids))
+    nonces = (bcast.r0, *challenges)
     for pos, i in enumerate(ids):
         # share equation against the naive big-integer oracle
         if variant is Variant.RING:
@@ -490,7 +498,7 @@ def test_key_agreement_and_share_equation(seed, t, variant):
             share = naive_share_field(keys[i], nonces, pos, ctx.modulus, ctx.byte_width)
         assert (bcast.masked_shares[pos] + share) % ctx.modulus == s
         out = user_process_broadcast(
-            PartyIdentity(i, keys[i]), roster, challenge_vector(roster, challenges), bcast, PublicParams(ctx)
+            PartyIdentity(i, keys[i]), roster, challenges, bcast, PublicParams(ctx)
         )
         assert out.status is OutcomeStatus.ACCEPTED and out.key == s
 
@@ -585,7 +593,7 @@ def test_reannouncement_resets_session(ring35):
     member.receive_announcement(Announcement((b"A", b"B")))
     first = member.issue_challenge(rng)
     member.receive_announcement(Announcement((b"A", b"B")))
-    assert member.observed_challenges == {}
+    assert _logged(member) == {}
     assert member.pending_broadcast is None
     second = member.issue_challenge(rng)
     assert second.value != first.value  # fresh draw from an advanced stream
@@ -606,6 +614,30 @@ def test_finalize_without_broadcast_times_out(ring35):
     member = GroupMember(PartyIdentity(b"A", 2), PublicParams(ring35))
     member.receive_announcement(Announcement((b"A", b"B")))
     assert member.finalize().status is OutcomeStatus.TIMEOUT
+
+
+def test_every_party_names_its_missing_challenges_in_roster_order(ring35):
+    """The KGC, a member and the insider each log by roster position; with
+    challenges missing, each refuses with the same message naming them."""
+    params, ids = PublicParams(ring35), (b"A", b"B", b"C", b"D")
+    _, _, bcast, _ = drive_session(ring35, ids)
+    kgc = KeyGenerationCentre(params)
+    for k, m in enumerate(ids):
+        kgc.register(PartyIdentity(m, k + 2))
+    member = GroupMember(PartyIdentity(b"B", 3), params)
+    member.receive_announcement(kgc.announce(ids))
+    insider = InsiderInterceptor(InsiderContext(PartyIdentity(b"B", 3), 0, 4), GroupRoster(ids), params)
+    msg = member.issue_challenge(SeededRng(0))
+    kgc.receive_challenge(msg)
+    insider.observe(b"B", msg)
+    member.receive_broadcast(bcast)
+    for refuse in (lambda: kgc.distribute(SeededRng(0)), member.finalize, lambda: insider.intercept(bcast)):
+        with pytest.raises(IncompleteChallenges) as got:
+            refuse()
+        assert str(got.value) == "missing challenges from [b'A', b'C', b'D']"
+    with pytest.raises(NotInRoster) as got:
+        kgc.receive_challenge(protocol.ChallengeMessage(b"Z", 5))
+    assert str(got.value) == "b'Z' is not in the current roster"
 
 
 def test_roster_needs_two_members():
@@ -643,17 +675,17 @@ def test_member_ignores_challenges_from_non_members(ring35):
     from gkdsim.protocol import ChallengeMessage
 
     member.observe_challenge(ChallengeMessage(b"B", 5))  # before any announcement
-    assert member.observed_challenges == {}
+    assert _logged(member) == {}
     member.receive_announcement(Announcement((b"A", b"B")))
     member.observe_challenge(ChallengeMessage(b"C", 5))
     member.observe_challenge(ChallengeMessage(b"B", 40))
-    assert member.observed_challenges == {b"B": 5}  # 40 mod 35
+    assert _logged(member) == {b"B": 5}  # 40 mod 35
 
 
 class _DictMember:
     """GroupMember's challenge bookkeeping as a sender -> value dict in arrival
     order, the reference for its roster-indexed log: the same announcement,
-    broadcast and finalize, reading the vector with challenge_vector."""
+    broadcast and finalize, reading the vector with the per-id oracle."""
 
     def __init__(self, identity, params):
         self.identity, self.params = identity, params
@@ -681,7 +713,7 @@ class _DictMember:
     def finalize(self):
         if self.roster is None or self.pending_broadcast is None:
             return protocol.SessionOutcome.timeout()
-        challenges = challenge_vector(self.roster, self.observed_challenges)
+        challenges = _challenge_vector_oracle(self.roster, self.observed_challenges)
         return user_process_broadcast(self.identity, self.roster, challenges, self.pending_broadcast, self.params)
 
 
@@ -709,7 +741,7 @@ def test_challenge_log_matches_the_dict_reference(field, ops):
     """Observes before any announcement, from non-members, repeated (the last
     wins) and at or above m, announcements over other rosters, broadcasts over
     complete and incomplete challenges: after every step the member's
-    observed_challenges equal the reference's, and every step returns the same
+    logged challenges equal the reference's, and every step returns the same
     value or raises the same exception type and message."""
     ctx = domain_new(23, variant=Variant.FIELD) if field else domain_new(5, 7, variant=Variant.RING)
     params = PublicParams(ctx)
@@ -730,7 +762,7 @@ def test_challenge_log_matches_the_dict_reference(field, ops):
             roster = reference.roster or GroupRoster(_IDS[:2])
             if honest:  # over what the reference saw, a fresh draw where it saw nothing
                 draw = SeededRng(seed)
-                seen = {m: reference.observed_challenges.get(m, sample_element(draw, ctx)) for m in roster.members}
+                seen = tuple(reference.observed_challenges.get(m, sample_element(draw, ctx)) for m in roster.members)
                 bcast, _ = kgc_distribute(roster, keys, seen, draw, params)
             else:
                 bcast = KgcBroadcast(bytes(32), seed % 35, tuple(range(seed % 4)))
@@ -738,7 +770,7 @@ def test_challenge_log_matches_the_dict_reference(field, ops):
         else:
             steps = {p: p.finalize for p in rngs}
         assert _outcome(steps[member]) == _outcome(steps[reference]), op
-        assert member.observed_challenges == reference.observed_challenges, op
+        assert _logged(member) == reference.observed_challenges, op
 
 
 # --- key secrecy shape check --------------------------------------------------------
@@ -749,10 +781,10 @@ def test_member_state_holds_no_other_secrets(ring35):
     for name, member in members.items():
         identities = [v for v in vars(member).values() if isinstance(v, PartyIdentity)]
         assert identities == [member.identity]
-        # nothing on a member is keyed by other members' identities except the
-        # public challenge log, which holds only wire-visible values
-        for attr, value in vars(member).items():
-            if isinstance(value, dict) and attr != "observed_challenges":
+        # nothing on a member is keyed by other members' identities: the
+        # public challenge log is a list by roster position
+        for value in vars(member).values():
+            if isinstance(value, dict):
                 assert not (set(value) & set(names))
     assert not any(hasattr(m, "_keys") for m in members.values())
 
