@@ -47,7 +47,6 @@ from .protocol import (
 from .adversary import (
     BroadcastSuppressor,
     ChannelAction,
-    InsiderContext,
     InsiderInterceptor,
     forge_broadcast,
     insider_recover_key,

@@ -18,14 +18,7 @@ from enum import Enum
 from .algebra import SeededRng, sample_element
 from .codec import AuthInput, PublicParams, compute_auth
 from .errors import AttackerIsVictim, IndexOutOfRoster
-from .protocol import (
-    ChallengeMessage,
-    GroupRoster,
-    KgcBroadcast,
-    PartyIdentity,
-    challenge_vector,
-    unmask,
-)
+from .protocol import GroupMember, GroupRoster, KgcBroadcast, PartyIdentity, unmask
 
 
 class ActionKind(Enum):
@@ -54,18 +47,6 @@ class ChannelAction:
         if message is None:
             raise ValueError("replacement message required")
         return cls(ActionKind.REPLACE, message=message)
-
-
-@dataclass(frozen=True)
-class InsiderContext:
-    """Attack parameters: who attacks, who is fooled, what key gets planted.
-
-    target_key None means "pick one at attack time, different from the real key".
-    """
-
-    attacker: PartyIdentity
-    victim_index: int
-    target_key: int | None = None
 
 
 def insider_recover_key(
@@ -113,48 +94,48 @@ def forge_broadcast(
 # ---------------------------------------------------------------------------
 
 class InsiderInterceptor:
-    """The insider strategy on the KGC->victim link. observe() sees every public
-    message (the insider watches the broadcast medium); intercept() is offered
-    only the victim's copy of each KGC message, and decides it.
+    """The insider strategy on the KGC->victim link, played by the attacker's own
+    GroupMember: intercept() is offered only the victim's copy of each KGC message,
+    and decides it from what that member holds, its identity, the public
+    parameters and the challenge vector it has seen.
 
     Passes everything through untouched except the final key broadcast, which
-    it replaces with the forgery. Keeps the recovered and planted keys as
-    ground truth for transcripts. params are the session's public parameters,
-    the same value the KGC and the members hold: the insider needs nothing
-    else to unmask and retag.
+    it replaces with the forgery. target_key None means "pick one at attack time,
+    different from the real key", drawn from rng. Keeps the recovered and planted
+    keys as ground truth for transcripts.
     """
 
     def __init__(
-        self, ictx: InsiderContext, roster: GroupRoster, params: PublicParams, rng: SeededRng | None = None
+        self, attacker: GroupMember, roster: GroupRoster, victim_index: int,
+        target_key: int | None = None, rng: SeededRng | None = None,
     ):
-        if not 0 <= ictx.victim_index < roster.size:
+        if not 0 <= victim_index < roster.size:
             raise IndexOutOfRoster(
-                f"victim index {ictx.victim_index} outside roster of {roster.size}"
+                f"victim index {victim_index} outside roster of {roster.size}"
             )
-        if roster.members[ictx.victim_index] == ictx.attacker.user_id:
+        if roster.members[victim_index] == attacker.identity.user_id:
             raise AttackerIsVictim("attacker and victim must be distinct members")
-        roster.index_of(ictx.attacker.user_id)
-        if ictx.target_key is None and rng is None:
+        roster.index_of(attacker.identity.user_id)
+        if target_key is None and rng is None:
             raise ValueError("a random target key needs an rng")
-        self.ictx = ictx
+        self.attacker = attacker
         self.roster = roster
-        self.params = params
+        self.victim_index = victim_index
+        self.target_key = target_key
         self.rng = rng
-        self._log: list[int | None] = [None] * roster.size  # challenges by roster position
         self.recovered_key: int | None = None
         self.forged_key: int | None = None
 
     def observe(self, sender: bytes, message: object) -> None:
-        if isinstance(message, ChallengeMessage) and message.sender in self.roster.index:
-            self._log[self.roster.index[message.sender]] = self.params.ctx.reduce(message.value)
+        """Does nothing: the insider reads its member. Kept while perfbench/tracing.py names it."""
 
     def intercept(self, message: object) -> ChannelAction:
         if not isinstance(message, KgcBroadcast):
             return ChannelAction.deliver()
-        challenges = challenge_vector(self.roster, self._log)
-        recovered = insider_recover_key(self.ictx.attacker, self.roster, challenges, message, self.params)
-        ctx = self.params.ctx
-        target = self.ictx.target_key
+        challenges, params = self.attacker.challenges(), self.attacker.params
+        recovered = insider_recover_key(self.attacker.identity, self.roster, challenges, message, params)
+        ctx = params.ctx
+        target = self.target_key
         if target is None:
             target = sample_element(self.rng, ctx)
             while target == recovered:
@@ -162,7 +143,7 @@ class InsiderInterceptor:
         else:
             target = ctx.reduce(target)
         forged = forge_broadcast(
-            self.ictx.victim_index, target, recovered, message, self.roster, challenges, self.params
+            self.victim_index, target, recovered, message, self.roster, challenges, params
         )
         self.recovered_key = recovered
         self.forged_key = target

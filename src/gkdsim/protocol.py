@@ -31,21 +31,22 @@ objects (verify's replay builds each member's nonces from one challenge
 vector), is matched pointer by pointer. Up to t = 12 the one block is a plain
 inner product.
 
-Every step, both state machines and the insider (adversary) take the public
-parameters as one codec.PublicParams: the domain, the hash and the identifier
-width. The variant is read only as params.ctx.variant, so a party cannot be
-built with a variant its domain contradicts. The primitives below the steps
-(encode_element, hash_to_element, build_auth_input, _lanes) keep their narrow
-arguments, so the _lanes key does not depend on the params value; the
-compute_auth memo keys on the whole (tag input, params), and a run or a
-verify passes one params object throughout, so that part of a hit is mostly
-one identity test.
+Every step and both state machines take the public parameters as one
+codec.PublicParams: the domain, the hash and the identifier width; the insider
+(adversary) reads its member's. The variant is read only as
+params.ctx.variant, so a party cannot be built with a variant its domain
+contradicts. The primitives below the steps (encode_element, hash_to_element,
+build_auth_input, _lanes) keep their narrow arguments, so the _lanes key does
+not depend on the params value; the compute_auth memo keys on the whole (tag
+input, params), and a run or a verify passes one params object throughout, so
+that part of a hit is mostly one identity test.
 
 Steps 4 and 5 (kgc_distribute, unmask, user_process_broadcast) and the
 insider (adversary) take the public challenge vector (r_1, ..., r_t) in roster
-order. The KGC, every GroupMember and the insider each log a challenge at its
-sender's roster position, None until it arrives, so a complete log is the
-vector; challenge_vector reads it, or names the senders still missing.
+order. The KGC and every GroupMember each log a challenge at its sender's
+roster position, None until it arrives, so a complete log is the vector;
+challenge_vector reads it, or names the senders still missing. The insider
+keeps none: it reads its own member's (GroupMember.challenges).
 """
 
 from __future__ import annotations
@@ -442,9 +443,13 @@ class GroupMember:
     def receive_broadcast(self, bcast: KgcBroadcast) -> None:
         self.pending_broadcast = bcast
 
+    def challenges(self) -> tuple[int, ...]:
+        """(r_1, ..., r_t) as this member has seen them, or IncompleteChallenges (challenge_vector)."""
+        return challenge_vector(self.roster, self._log)
+
     def finalize(self) -> SessionOutcome:
         """Process whatever arrived; TIMEOUT when the broadcast never did."""
         if self.roster is None or self.pending_broadcast is None:
             return SessionOutcome.timeout()
-        challenges = challenge_vector(self.roster, self._log)
+        challenges = self.challenges()
         return user_process_broadcast(self.identity, self.roster, challenges, self.pending_broadcast, self.params)

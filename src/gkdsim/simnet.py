@@ -29,7 +29,6 @@ from .adversary import (
     ActionKind,
     BroadcastSuppressor,
     ChannelAction,
-    InsiderContext,
     InsiderInterceptor,
 )
 from .algebra import (
@@ -827,12 +826,9 @@ def run_scenario(cfg: ScenarioConfig) -> Transcript:
 
     adv, interceptor, insider = cfg.adversary, None, None
     if adv is not None and adv.action == ACTION_FORGE:
-        ictx = InsiderContext(
-            attacker=PartyIdentity(ids[adv.attacker], keys[adv.attacker]),
-            victim_index=names.index(adv.victim),
-            target_key=adv.target_key,
+        interceptor = insider = InsiderInterceptor(
+            members[adv.attacker], roster, names.index(adv.victim), adv.target_key, rng
         )
-        interceptor = insider = InsiderInterceptor(ictx, roster, params, rng)
     elif adv is not None:
         interceptor = BroadcastSuppressor()
     victim_link = adv and (KGC_NAME, (adv.victim,))
@@ -858,12 +854,10 @@ def run_scenario(cfg: ScenarioConfig) -> Transcript:
 
     def send(message: object) -> None:
         """Record message as its next group of skeleton entries, one event per entry,
-        and deliver it to each entry's receivers. The insider sees every message; the
-        interceptor decides the victim's copy of a KGC message, and its verdict."""
+        and deliver it to each entry's receivers. The interceptor decides the victim's
+        copy of a KGC message, and its verdict."""
         (step, sender), entries = next(entries_by_message)
         payload = _payload_for(message, ctx, params.id_width)
-        if insider is not None:
-            insider.observe(sender.encode(), message)
         for _, _, receivers, _ in entries:
             action = _DELIVER
             if (sender, receivers) == victim_link:
@@ -935,9 +929,10 @@ def plants_the_others_key(tr: Transcript) -> bool:
     victim = meta.adversary and meta.adversary.victim
     if (ev.step, ev.receivers, ev.verdict) != (STEP_BROADCAST, (victim,), VERDICT_REPLACED):
         return False
-    width = meta.params.ctx.byte_width  # a payload is the tag, r0, then the shares
-    at = meta.params.hash_cfg.digest_size + (1 + meta.members.index(victim)) * width
-    return ev.payload[at : at + width] == ev.delivered_payload[at : at + width]
+    params, v = meta.params, meta.members.index(victim)
+    honest, forged = (parse_broadcast_payload(p, params.ctx, params.hash_cfg.digest_size, meta.t)
+                      for p in (ev.payload, ev.delivered_payload))
+    return honest.masked_shares[v] == forged.masked_shares[v]
 
 
 def outcome_failures(tr: Transcript) -> list[str]:

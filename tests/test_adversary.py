@@ -1,14 +1,15 @@
+import dataclasses
 import inspect
+from typing import Mapping
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gkdsim import adversary, protocol
+from gkdsim import adversary, protocol, simnet
 from gkdsim.adversary import (
     ActionKind,
     BroadcastSuppressor,
     ChannelAction,
-    InsiderContext,
     InsiderInterceptor,
     forge_broadcast,
     insider_recover_key,
@@ -17,15 +18,27 @@ from gkdsim.algebra import SeededRng
 from gkdsim.codec import PublicParams
 from gkdsim.errors import AttackerIsVictim, IndexOutOfRoster, NotInRoster
 from gkdsim.protocol import (
+    Announcement,
     ChallengeMessage,
+    GroupMember,
     GroupRoster,
     KgcBroadcast,
+    TAG_MISMATCH,
     OutcomeStatus,
     PartyIdentity,
+    SessionOutcome,
     kgc_distribute,
     user_process_broadcast,
 )
-from gkdsim.simnet import ScenarioConfig, outcome_failures, run_scenario
+from gkdsim.simnet import (
+    STEP_CHALLENGE,
+    ScenarioConfig,
+    broadcast_payload,
+    outcome_failures,
+    parse_broadcast_payload,
+    parse_challenge_payload,
+    run_scenario,
+)
 
 ROSTER = GroupRoster((b"A", b"B"))
 KEYS = {b"A": 2, b"B": 3}
@@ -148,34 +161,38 @@ def test_channel_action_constructors():
 # --- interceptor strategy --------------------------------------------------------------
 
 def make_interceptor(ring35, target_key=4):
-    ictx = InsiderContext(attacker=ATTACKER, victim_index=0, target_key=target_key)
-    return InsiderInterceptor(ictx, ROSTER, PublicParams(ring35), rng=SeededRng(3))
+    """The insider over the attacker's member, announced the roster (A, B)."""
+    attacker = GroupMember(ATTACKER, PublicParams(ring35))
+    attacker.receive_announcement(Announcement(ROSTER.members))
+    return InsiderInterceptor(attacker, ROSTER, 0, target_key, rng=SeededRng(3))
+
+
+def deliver_challenges(icpt):
+    """Hand the insider's member the public challenges (r_1, r_2) = CHALLENGES."""
+    for sender, value in zip(ROSTER.members, CHALLENGES):
+        icpt.attacker.observe_challenge(ChallengeMessage(sender, value))
 
 
 def test_strategy_rejects_attacker_as_victim(ring35):
-    ictx = InsiderContext(attacker=ATTACKER, victim_index=1, target_key=4)
     with pytest.raises(AttackerIsVictim):
-        InsiderInterceptor(ictx, ROSTER, PublicParams(ring35))
+        InsiderInterceptor(GroupMember(ATTACKER, PublicParams(ring35)), ROSTER, 1, 4)
 
 
 def test_strategy_rejects_victim_outside_roster(ring35):
-    ictx = InsiderContext(attacker=ATTACKER, victim_index=9, target_key=4)
     with pytest.raises(IndexOutOfRoster):
-        InsiderInterceptor(ictx, ROSTER, PublicParams(ring35))
+        InsiderInterceptor(GroupMember(ATTACKER, PublicParams(ring35)), ROSTER, 9, 4)
 
 
 def test_strategy_requires_member_attacker(ring35):
-    ictx = InsiderContext(attacker=PartyIdentity(b"Z", 1), victim_index=0, target_key=4)
     with pytest.raises(NotInRoster):
-        InsiderInterceptor(ictx, ROSTER, PublicParams(ring35))
+        InsiderInterceptor(GroupMember(PartyIdentity(b"Z", 1), PublicParams(ring35)), ROSTER, 0, 4)
 
 
 def test_interceptor_passes_everything_but_the_victim_broadcast(ring35, honest_bcast):
     icpt = make_interceptor(ring35)
     challenge = ChallengeMessage(b"A", 1)
     assert icpt.intercept(challenge).kind is ActionKind.DELIVER
-    icpt.observe(b"A", ChallengeMessage(b"A", 1))
-    icpt.observe(b"B", ChallengeMessage(b"B", 2))
+    deliver_challenges(icpt)
     # broadcast to the victim: replaced with the forgery
     action = icpt.intercept(honest_bcast)
     assert action.kind is ActionKind.REPLACE
@@ -185,17 +202,15 @@ def test_interceptor_passes_everything_but_the_victim_broadcast(ring35, honest_b
 
 def test_interceptor_draws_random_target_distinct_from_key(ring35, honest_bcast):
     icpt = make_interceptor(ring35, target_key=None)
-    icpt.observe(b"A", ChallengeMessage(b"A", 1))
-    icpt.observe(b"B", ChallengeMessage(b"B", 2))
+    deliver_challenges(icpt)
     action = icpt.intercept(honest_bcast)
     assert action.kind is ActionKind.REPLACE
     assert icpt.forged_key != icpt.recovered_key == 10
 
 
 def test_interceptor_needs_rng_for_random_target(ring35):
-    ictx = InsiderContext(attacker=ATTACKER, victim_index=0, target_key=None)
     with pytest.raises(ValueError):
-        InsiderInterceptor(ictx, ROSTER, PublicParams(ring35))
+        InsiderInterceptor(GroupMember(ATTACKER, PublicParams(ring35)), ROSTER, 0, None)
 
 
 def test_suppressor_drops_only_victim_broadcast(ring35, honest_bcast):
@@ -205,6 +220,12 @@ def test_suppressor_drops_only_victim_broadcast(ring35, honest_bcast):
 
 
 # --- one public challenge vector ------------------------------------------------------
+
+def _small_config(t, ring, seed):
+    """A seeded session over m0..m(t-1): ring 167 * 179 or field 227."""
+    return {"variant": "ring" if ring else "field", "modulus": {"p": 167, "q": 179} if ring else {"p": 227},
+            "members": [f"m{k}" for k in range(t)], "seed": seed}
+
 
 _SPIED = ((protocol, "kgc_distribute"), (protocol, "user_process_broadcast"), (adversary, "insider_recover_key"))
 
@@ -221,9 +242,8 @@ def test_every_party_reads_one_vector_and_the_forgery_lands(t, ring, action, dat
     """In a run, the KGC, every member that gets a broadcast and the insider
     each pass the ground truth's challenges, in roster order, to their step;
     a forged victim accepts the planted key and no outcome misses."""
-    members = [f"m{k}" for k in range(t)]
-    cfg = {"variant": "ring" if ring else "field", "modulus": {"p": 167, "q": 179} if ring else {"p": 227},
-           "members": members, "seed": seed}
+    cfg = _small_config(t, ring, seed)
+    members = cfg["members"]
     if action:
         attacker, victim = data.draw(st.permutations(members))[:2]
         cfg["adversary"] = {"attacker": attacker, "victim": victim, "action": action}
@@ -250,3 +270,88 @@ def test_every_party_reads_one_vector_and_the_forgery_lands(t, ring, action, dat
     if action == "forge":
         victim_outcome = tr.outcomes[members.index(victim)]
         assert (victim_outcome.status, victim_outcome.key) == ("accepted", gt.adversary.target_key)
+
+
+# --- the insider is the attacker's own member -----------------------------------------------
+
+@given(
+    t=st.integers(min_value=2, max_value=8),
+    ring=st.booleans(),
+    data=st.data(),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_claim_2_from_the_public_record(t, ring, data, seed):
+    """Claim 2 needs only the public record and the attacker's own key: the
+    attacker's member, replayed from an honest transcript's events, forges the
+    victim's copy byte for byte as a forge run of the same config does, and the
+    victim accepts the planted key. A forgery that keeps the honest tag is
+    rejected."""
+    cfg = _small_config(t, ring, seed)
+    attacker, victim = data.draw(st.permutations(cfg["members"]))[:2]
+    tr = run_scenario(ScenarioConfig.from_dict(cfg))
+    meta, gt = tr.meta, tr.ground_truth
+    params, ctx = meta.params, meta.params.ctx
+    target = data.draw(st.integers(min_value=0, max_value=ctx.modulus - 1))
+
+    roster = GroupRoster(tuple(name.encode() for name in meta.members))
+    member = GroupMember(PartyIdentity(attacker.encode(), gt.member_keys[attacker]), params)
+    member.receive_announcement(Announcement(roster.members))
+    for ev in tr.events:
+        if ev.step == STEP_CHALLENGE:
+            value = parse_challenge_payload(ev.payload, ctx, ev.index)
+            member.observe_challenge(ChallengeMessage(ev.sender.encode(), value))
+    honest = parse_broadcast_payload(tr.events[-1].payload, ctx, params.hash_cfg.digest_size, t)
+    insider = InsiderInterceptor(member, roster, meta.members.index(victim), target)
+    forged = insider.intercept(honest).message
+
+    adversary = {"attacker": attacker, "victim": victim, "target_key": target}
+    forge_run = run_scenario(ScenarioConfig.from_dict({**cfg, "adversary": adversary}))
+    assert broadcast_payload(forged, ctx) == forge_run.events[-1].delivered_payload
+    victim_identity = PartyIdentity(victim.encode(), gt.member_keys[victim])
+    challenges = member.challenges()
+    outcome = user_process_broadcast(victim_identity, roster, challenges, forged, params)
+    assert outcome == SessionOutcome.accepted(target)
+    if target != gt.group_key:  # planting the group key changes nothing, the tag included
+        kept_tag = dataclasses.replace(forged, auth=honest.auth)
+        outcome = user_process_broadcast(victim_identity, roster, challenges, kept_tag, params)
+        assert outcome == SessionOutcome.rejected(TAG_MISMATCH)
+
+
+def _reachable(root):
+    """Every object reachable from root's attributes through gkdsim objects' attributes
+    and containers."""
+    seen, todo = {}, list(vars(root).values())
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen[id(obj)] = obj
+        if isinstance(obj, Mapping):
+            todo += [*obj.keys(), *obj.values()]
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            todo += obj
+        elif type(obj).__module__.startswith("gkdsim.") and hasattr(obj, "__dict__"):
+            todo += vars(obj).values()
+    return seen.values()
+
+
+def test_the_insider_holds_only_its_members_view():
+    """In a forge session, the only long-term key the insider reaches is its
+    member's, and it keeps no challenge log of its own."""
+    made = []
+
+    class Recorded(InsiderInterceptor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    cfg = {**_small_config(5, True, 11), "adversary": {"attacker": "m3", "victim": "m1"}}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simnet, "InsiderInterceptor", Recorded)
+        tr = run_scenario(ScenarioConfig.from_dict(cfg))
+    (insider,) = made
+    assert insider.attacker.identity == PartyIdentity(b"m3", tr.ground_truth.member_keys["m3"])
+    assert [o for o in _reachable(insider) if isinstance(o, PartyIdentity)] == [insider.attacker.identity]
+    assert not [v for v in vars(insider).values() if isinstance(v, (list, dict))]
+    assert insider.forged_key == tr.outcomes[1].key == tr.ground_truth.adversary.target_key

@@ -19,3 +19,5 @@ def test_library_api_example_runs_one_honest_session():
     exec(compile(blocks[0], str(README), "exec"), namespace)
     assert len(namespace["members"]) == 3
     assert 0 <= namespace["group_key"] < 167 * 179
+    assert namespace["insider"].recovered_key == namespace["group_key"]
+    assert namespace["planted"].key == namespace["insider"].forged_key == 1234

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gkdsim import adversary, codec, protocol
-from gkdsim.adversary import InsiderContext, InsiderInterceptor
+from gkdsim.adversary import InsiderInterceptor
 from gkdsim.algebra import SeededRng, Variant, domain_new, inner_product, power_vector, sample_element
 from gkdsim.codec import AuthInput, HashConfig, PublicParams, ZERO_HASH, compute_auth
 from gkdsim.errors import (
@@ -617,8 +617,9 @@ def test_finalize_without_broadcast_times_out(ring35):
 
 
 def test_every_party_names_its_missing_challenges_in_roster_order(ring35):
-    """The KGC, a member and the insider each log by roster position; with
-    challenges missing, each refuses with the same message naming them."""
+    """The KGC and a member each log by roster position, and the insider reads
+    its member's log; with challenges missing, each refuses with the same
+    message naming them."""
     params, ids = PublicParams(ring35), (b"A", b"B", b"C", b"D")
     _, _, bcast, _ = drive_session(ring35, ids)
     kgc = KeyGenerationCentre(params)
@@ -626,10 +627,9 @@ def test_every_party_names_its_missing_challenges_in_roster_order(ring35):
         kgc.register(PartyIdentity(m, k + 2))
     member = GroupMember(PartyIdentity(b"B", 3), params)
     member.receive_announcement(kgc.announce(ids))
-    insider = InsiderInterceptor(InsiderContext(PartyIdentity(b"B", 3), 0, 4), GroupRoster(ids), params)
+    insider = InsiderInterceptor(member, GroupRoster(ids), 0, 4)
     msg = member.issue_challenge(SeededRng(0))
     kgc.receive_challenge(msg)
-    insider.observe(b"B", msg)
     member.receive_broadcast(bcast)
     for refuse in (lambda: kgc.distribute(SeededRng(0)), member.finalize, lambda: insider.intercept(bcast)):
         with pytest.raises(IncompleteChallenges) as got:
@@ -794,13 +794,13 @@ def test_member_state_holds_no_other_secrets(ring35):
 PARAMS_TAKERS = (
     protocol.compute_share, protocol.unmask, protocol.user_process_broadcast, protocol.kgc_distribute,
     adversary.insider_recover_key, adversary.forge_broadcast, codec.compute_auth,
-    protocol.KeyGenerationCentre, protocol.GroupMember, adversary.InsiderInterceptor,
+    protocol.KeyGenerationCentre, protocol.GroupMember,
 )
 
 
 @pytest.mark.parametrize("entry", PARAMS_TAKERS, ids=lambda f: f.__qualname__)
 def test_entry_points_take_one_params_value(entry):
-    """Every step, the tag and the three constructors take the public parameters
+    """Every step, the tag and the two party constructors take the public parameters
     as one PublicParams: no separate variant, domain, hash or identifier width
     that could disagree with it."""
     names = set(inspect.signature(entry).parameters)
@@ -814,7 +814,17 @@ def test_public_params_holds_exactly_the_domain_hash_and_id_width(ring35):
     assert params == PublicParams(ring35, HashConfig(), 16) and hash(params) == hash(PublicParams(ring35))
     with pytest.raises(dataclasses.FrozenInstanceError):
         params.id_width = 8
-    insider = InsiderInterceptor(InsiderContext(PartyIdentity(b"B", 3), 0, 4), ROSTER, params)
-    for holder in (KeyGenerationCentre(params), GroupMember(PartyIdentity(b"A", 2), params), insider):
+    for holder in (KeyGenerationCentre(params), GroupMember(PartyIdentity(b"A", 2), params)):
         assert holder.params is params
         assert not {"variant", "ctx", "hash_cfg", "id_width"} & set(vars(holder))
+
+
+def test_insider_takes_no_params_and_reads_its_members(ring35):
+    """The insider is the attacker's own member: its constructor takes no public
+    parameters, and it holds none apart from the member's."""
+    assert not set(inspect.signature(InsiderInterceptor).parameters) & {
+        "params", "ctx", "hash_cfg", "variant", "id_width"}
+    params = PublicParams(ring35)
+    insider = InsiderInterceptor(GroupMember(PartyIdentity(b"B", 3), params), ROSTER, 0, 4)
+    assert insider.attacker.params is params
+    assert not {"params", "variant", "ctx", "hash_cfg", "id_width"} & set(vars(insider))
