@@ -8,6 +8,9 @@ substituted values. The tag binds the broadcast to nothing but its own
 contents, so the victim verifies and accepts. Everything else on the wire is
 reused byte for byte, and no key other than the attacker's own is needed,
 which is why the identical strategy works in both variants.
+
+In a run an interceptor decides one message: the victim's copy of the key
+broadcast. The event skeleton delivers everything else on the link.
 """
 
 from __future__ import annotations
@@ -95,12 +98,12 @@ def forge_broadcast(
 
 class InsiderInterceptor:
     """The insider strategy on the KGC->victim link, played by the attacker's own
-    GroupMember: intercept() is offered only the victim's copy of each KGC message,
-    and decides it from what that member holds, its identity, the public
-    parameters and the challenge vector it has seen.
+    GroupMember: intercept() is offered only the victim's copy of the key
+    broadcast, and replaces it with the forgery, built from what that member
+    holds, its identity, the public parameters and the challenge vector it has
+    seen.
 
-    Passes everything through untouched except the final key broadcast, which
-    it replaces with the forgery. target_key None means "pick one at attack time,
+    target_key None means "pick one at attack time,
     different from the real key", drawn from rng. Keeps the recovered and planted
     keys as ground truth for transcripts.
     """
@@ -129,9 +132,7 @@ class InsiderInterceptor:
     def observe(self, sender: bytes, message: object) -> None:
         """Does nothing: the insider reads its member. Kept while perfbench/tracing.py names it."""
 
-    def intercept(self, message: object) -> ChannelAction:
-        if not isinstance(message, KgcBroadcast):
-            return ChannelAction.deliver()
+    def intercept(self, message: KgcBroadcast) -> ChannelAction:
         challenges, params = self.attacker.challenges(), self.attacker.params
         recovered = insider_recover_key(self.attacker.identity, self.roster, challenges, message, params)
         ctx = params.ctx
@@ -155,10 +156,8 @@ class BroadcastSuppressor:
 
     The victim then produces no outcome at all (timeout), which is what
     distinguishes simple denial of service from the forgery above. Like the
-    insider's, intercept() is offered only the victim's copy of a KGC message.
+    insider's, intercept() is offered only the victim's copy of the broadcast.
     """
 
-    def intercept(self, message: object) -> ChannelAction:
-        if isinstance(message, KgcBroadcast):
-            return ChannelAction.drop()
-        return ChannelAction.deliver()
+    def intercept(self, message: KgcBroadcast) -> ChannelAction:
+        return ChannelAction.drop()

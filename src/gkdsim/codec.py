@@ -26,7 +26,7 @@ import hashlib
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache, wraps
-from itertools import chain, repeat
+from itertools import repeat
 
 from .algebra import DomainContext
 from .errors import IdentifierTooLong
@@ -181,22 +181,31 @@ def memo_last(fn):
     return memo
 
 
-def build_auth_input(ai: AuthInput, ctx: DomainContext, id_width: int = DEFAULT_ID_WIDTH) -> bytes:
-    """Concatenate key, ids, nonces and shares, each field fixed-width, encoded
-    in bulk. A field that does not fit raises what encode_identifier or
-    encode_element raises for it."""
-    key = encode_element(ai.group_key, ctx)
-    ids, nonces, shares = ai.member_ids, ai.nonces, ai.masked_shares
-    if max(map(len, ids), default=0) > id_width:
-        for m in ids:
-            encode_identifier(m, id_width)
+def encode_elements(values: tuple[int, ...], ctx: DomainContext) -> bytes:
+    """encode_element of each value, concatenated, in bulk; a value that does not fit
+    raises what encode_element raises for the first such one, found by reading values again."""
     try:
-        elements = b"".join(map(int.to_bytes, chain(nonces, shares), repeat(ctx.byte_width), repeat("big")))
+        return b"".join(map(int.to_bytes, values, repeat(ctx.byte_width), repeat("big")))
     except OverflowError:
-        for e in chain(nonces, shares):
+        for e in values:
             encode_element(e, ctx)
         raise
-    return key + b"".join(map(bytes.rjust, ids, repeat(id_width), repeat(b"\x00"))) + elements
+
+
+def encode_identifiers(user_ids: tuple[bytes, ...], id_width: int = DEFAULT_ID_WIDTH) -> bytes:
+    """encode_identifier of each id, concatenated, in bulk; an id that does not fit
+    raises what encode_identifier raises for the first such one."""
+    if max(map(len, user_ids), default=0) > id_width:
+        for m in user_ids:
+            encode_identifier(m, id_width)
+    return b"".join(map(bytes.rjust, user_ids, repeat(id_width), repeat(b"\x00")))
+
+
+def build_auth_input(ai: AuthInput, ctx: DomainContext, id_width: int = DEFAULT_ID_WIDTH) -> bytes:
+    """Concatenate key, ids, nonces and shares, each field fixed-width. A field
+    that does not fit raises what encode_identifier or encode_element raises for it."""
+    return (encode_element(ai.group_key, ctx) + encode_identifiers(ai.member_ids, id_width)
+            + encode_elements(ai.nonces + ai.masked_shares, ctx))
 
 
 @memo_last

@@ -444,7 +444,10 @@ class GroupMember:
         self.pending_broadcast = bcast
 
     def challenges(self) -> tuple[int, ...]:
-        """(r_1, ..., r_t) as this member has seen them, or IncompleteChallenges (challenge_vector)."""
+        """(r_1, ..., r_t) as this member has seen them: NotInRoster before an
+        announcement, IncompleteChallenges while one is missing (challenge_vector)."""
+        if self.roster is None:
+            raise NotInRoster("no announcement seen")
         return challenge_vector(self.roster, self._log)
 
     def finalize(self) -> SessionOutcome:

@@ -28,7 +28,6 @@ from typing import Iterable, Iterator, Mapping
 from .adversary import (
     ActionKind,
     BroadcastSuppressor,
-    ChannelAction,
     InsiderInterceptor,
 )
 from .algebra import (
@@ -48,12 +47,11 @@ from .codec import (
     compute_auth,
     decode_element,
     encode_element,
-    encode_identifier,
+    encode_elements,
+    encode_identifiers,
 )
 from .errors import ConfigError, GkdError, MalformedTranscript
 from .protocol import (
-    Announcement,
-    ChallengeMessage,
     GroupMember,
     GroupRoster,
     KeyGenerationCentre,
@@ -78,7 +76,6 @@ VERDICT_DELIVERED = "delivered"
 VERDICT_DROPPED = "dropped"
 VERDICT_REPLACED = "replaced"
 
-_DELIVER = ChannelAction.deliver()
 _ACTION_VERDICTS = {ActionKind.DELIVER: VERDICT_DELIVERED, ActionKind.DROP: VERDICT_DROPPED,
                     ActionKind.REPLACE: VERDICT_REPLACED}
 
@@ -88,8 +85,6 @@ ACTION_SUPPRESS = "suppress"
 MAX_BITS = 512  # bits per prime, drawn or explicit; a 512-bit ring pair took 1.4 s (8-seed median, 2 vCPUs)
 MAX_ID_WIDTH = 255
 
-_TRUTH_FIELDS = frozenset(("group_key", "r0", "member_keys", "challenges", "adversary"))
-_ADVERSARY_FIELDS = frozenset(("attacker", "victim", "action", "recovered_key", "target_key"))
 _STATUSES = tuple(s.value for s in OutcomeStatus)
 _ACCEPTED = OutcomeStatus.ACCEPTED.value
 _TIMEOUT = OutcomeStatus.TIMEOUT.value
@@ -100,16 +95,14 @@ _ADVERSARY_KEYS = frozenset(("attacker", "victim", "action", "target_key"))
 # wire payloads (hex-encoded in transcript events; see docs/wire-format.md)
 # ---------------------------------------------------------------------------
 
-def roster_payload(member_ids: Iterable[bytes], id_width: int) -> bytes:
-    return b"".join(encode_identifier(m, id_width) for m in member_ids)
+def roster_payload(member_ids: tuple[bytes, ...], id_width: int) -> bytes:
+    """The request's and the announce's payload: the tag input's id segment."""
+    return encode_identifiers(member_ids, id_width)
 
 
 def broadcast_payload(bcast: KgcBroadcast, ctx: DomainContext) -> bytes:
-    return (
-        bcast.auth
-        + encode_element(bcast.r0, ctx)
-        + b"".join(encode_element(u, ctx) for u in bcast.masked_shares)
-    )
+    """auth | nonce_0 | share_1 .. share_t, the residues encoded as in the tag input."""
+    return bcast.auth + encode_elements((bcast.r0, *bcast.masked_shares), ctx)
 
 
 def parse_challenge_payload(data: bytes, ctx: DomainContext, index: int) -> int:
@@ -130,16 +123,6 @@ def parse_broadcast_payload(data: bytes, ctx: DomainContext, digest_size: int, t
         for i in range(0, len(rest), ctx.byte_width)
     ]
     return KgcBroadcast(auth=auth, r0=vals[0], masked_shares=tuple(vals[1:]))
-
-
-def _payload_for(message: object, ctx: DomainContext, id_width: int) -> bytes:
-    if isinstance(message, (Request, Announcement)):
-        return roster_payload(message.members, id_width)
-    if isinstance(message, ChallengeMessage):
-        return encode_element(message.value, ctx)
-    if isinstance(message, KgcBroadcast):
-        return broadcast_payload(message, ctx)
-    raise TypeError(f"no wire form for {type(message).__name__}")
 
 
 class ChallengeReceivers:
@@ -370,13 +353,6 @@ class ScenarioConfig:
 # transcript records
 # ---------------------------------------------------------------------------
 
-def _check_fields(rec: object, fields: frozenset[str], what: str) -> None:
-    """rec must be an object with exactly the given fields."""
-    if not isinstance(rec, dict) or rec.keys() != fields:
-        found = sorted(rec) if isinstance(rec, dict) else type(rec).__name__
-        raise MalformedTranscript(f"{what} needs the fields {sorted(fields)}, got {found}")
-
-
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise MalformedTranscript(msg)
@@ -507,21 +483,21 @@ class GroundTruth:
 
     @classmethod
     def from_record(cls, rec: dict, ctx: DomainContext) -> "GroundTruth":
-        _check_fields(rec, _TRUTH_FIELDS, "ground_truth")
-        adv = rec["adversary"]
+        """rec's values, typed, a missing one read as None: from_jsonl checks the key set,
+        as it requires the line to be the _dump of the ground truth's record."""
+        adv = rec.get("adversary")
         if adv is not None:
             roles = ("attacker", "victim", "action")
-            _check_fields(adv, _ADVERSARY_FIELDS, "ground_truth adversary")
-            if not all(type(adv[k]) is str for k in roles):
+            if not isinstance(adv, dict) or not all(type(adv.get(k)) is str for k in roles):
                 raise MalformedTranscript("ground_truth adversary: roles must be strings")
             adv = AdversaryTruth(*(adv[k] for k in roles), *(
-                None if adv[k] is None else _residue(adv[k], ctx, f"adversary {k}")
+                None if adv.get(k) is None else _residue(adv[k], ctx, f"adversary {k}")
                 for k in ("recovered_key", "target_key")
             ))
         return cls(
-            _residue(rec["group_key"], ctx, "group_key"), _residue(rec["r0"], ctx, "r0"),
-            _residues(rec["member_keys"], ctx, "member_keys"),
-            _residues(rec["challenges"], ctx, "challenges"), adv,
+            _residue(rec.get("group_key"), ctx, "group_key"), _residue(rec.get("r0"), ctx, "r0"),
+            _residues(rec.get("member_keys"), ctx, "member_keys"),
+            _residues(rec.get("challenges"), ctx, "challenges"), adv,
         )
 
 
@@ -831,56 +807,59 @@ def run_scenario(cfg: ScenarioConfig) -> Transcript:
         )
     elif adv is not None:
         interceptor = BroadcastSuppressor()
-    victim_link = adv and (KGC_NAME, (adv.victim,))
     entries_by_message = itertools.groupby(event_skeleton(meta), key=lambda entry: entry[:2])
     events: list[TranscriptEvent] = []
 
     observers = [members[name].observe_challenge for name in names]  # bound after any tracer is installed
 
-    def deliver(receivers: tuple[str, ...] | ChallengeReceivers, message: object) -> None:
-        if isinstance(message, ChallengeMessage):  # to the KGC, then the other members
-            kgc.receive_challenge(message)
-            i = receivers.i
-            for observe in observers[:i]:
-                observe(message)
-            for observe in observers[i + 1 :]:
-                observe(message)
-        elif isinstance(message, Announcement):
-            for r in receivers:
-                members[r].receive_announcement(message)
-        elif isinstance(message, KgcBroadcast):
-            for r in receivers:
-                members[r].receive_broadcast(message)
-
-    def send(message: object) -> None:
-        """Record message as its next group of skeleton entries, one event per entry,
-        and deliver it to each entry's receivers. The interceptor decides the victim's
-        copy of a KGC message, and its verdict."""
+    def send(message: object, payload: bytes, hand) -> None:
+        """Record message as its next group of skeleton entries, one event per entry
+        with payload, and hand(receivers, message) it to each entry's receivers. The
+        interceptor is offered only the entry the skeleton does not mark delivered,
+        the victim's broadcast, and the event records the verdict it returns."""
         (step, sender), entries = next(entries_by_message)
-        payload = _payload_for(message, ctx, params.id_width)
-        for _, _, receivers, _ in entries:
-            action = _DELIVER
-            if (sender, receivers) == victim_link:
+        for _, _, receivers, verdict in entries:
+            handed, substitute = message, None
+            if verdict != VERDICT_DELIVERED:
                 action = interceptor.intercept(message)
-            handed = message if action.kind is ActionKind.DELIVER else action.message
-            substitute = _payload_for(handed, ctx, params.id_width) if action.kind is ActionKind.REPLACE else None
-            events.append(TranscriptEvent(len(events), step, sender, receivers, payload,
-                                          _ACTION_VERDICTS[action.kind], substitute))
+                verdict = _ACTION_VERDICTS[action.kind]
+                handed = message if action.kind is ActionKind.DELIVER else action.message
+                substitute = broadcast_payload(handed, ctx) if action.kind is ActionKind.REPLACE else None
+            events.append(TranscriptEvent(len(events), step, sender, receivers, payload, verdict, substitute))
             if handed is not None:
-                deliver(receivers, handed)
+                hand(receivers, handed)
 
-    # the KGC takes only challenges: run_scenario answers the request by calling announce
-    send(Request(roster.members))
-    send(kgc.announce(roster.members))
+    def announce_to(receivers: tuple[str, ...], ann) -> None:
+        for r in receivers:
+            members[r].receive_announcement(ann)
+
+    def fan_out(receivers: ChallengeReceivers, msg) -> None:
+        """To the KGC, then the observers of every member but the sender, members[i]."""
+        kgc.receive_challenge(msg)
+        i = receivers.i
+        for observe in observers[:i]:
+            observe(msg)
+        for observe in observers[i + 1 :]:
+            observe(msg)
+
+    def broadcast_to(receivers: tuple[str, ...], bcast: KgcBroadcast) -> None:
+        for r in receivers:
+            members[r].receive_broadcast(bcast)
+
+    # the KGC takes only challenges: run_scenario answers the request by calling announce,
+    # which echoes the roster in request order, so both carry one payload
+    roster_bytes = roster_payload(roster.members, params.id_width)
+    send(Request(roster.members), roster_bytes, lambda receivers, request: None)
+    send(kgc.announce(roster.members), roster_bytes, announce_to)
 
     issued: dict[str, int] = {}
     for name in names:
         msg = members[name].issue_challenge(rng)
         issued[name] = msg.value
-        send(msg)
+        send(msg, encode_element(msg.value, ctx), fan_out)
 
     bcast, group_key = kgc.distribute(rng)
-    send(bcast)
+    send(bcast, broadcast_payload(bcast, ctx), broadcast_to)
 
     outcomes = []
     for name in names:

@@ -31,7 +31,11 @@ from gkdsim.protocol import (
     user_process_broadcast,
 )
 from gkdsim.simnet import (
+    STEP_ANNOUNCE,
     STEP_CHALLENGE,
+    VERDICT_DELIVERED,
+    VERDICT_DROPPED,
+    VERDICT_REPLACED,
     ScenarioConfig,
     broadcast_payload,
     outcome_failures,
@@ -189,9 +193,10 @@ def test_strategy_requires_member_attacker(ring35):
 
 
 def test_interceptor_passes_everything_but_the_victim_broadcast(ring35, honest_bcast):
+    """The run offers the interceptor only the victim's broadcast (see
+    test_the_interceptor_sees_only_the_victims_broadcast); every other
+    delivery is the event skeleton's."""
     icpt = make_interceptor(ring35)
-    challenge = ChallengeMessage(b"A", 1)
-    assert icpt.intercept(challenge).kind is ActionKind.DELIVER
     deliver_challenges(icpt)
     # broadcast to the victim: replaced with the forgery
     action = icpt.intercept(honest_bcast)
@@ -216,7 +221,44 @@ def test_interceptor_needs_rng_for_random_target(ring35):
 def test_suppressor_drops_only_victim_broadcast(ring35, honest_bcast):
     sup = BroadcastSuppressor()
     assert sup.intercept(honest_bcast).kind is ActionKind.DROP
-    assert sup.intercept(ChallengeMessage(b"B", 2)).kind is ActionKind.DELIVER
+
+
+@pytest.mark.parametrize("t", [2, 3, 5])
+@pytest.mark.parametrize("action", ["forge", "suppress"])
+def test_the_interceptor_sees_only_the_victims_broadcast(t, action):
+    """In a run, intercept is called once, with the KGC's honest broadcast, and
+    the victim's announce is delivered by the skeleton, not the interceptor."""
+    cfg = {**_small_config(t, True, 7), "adversary": {"attacker": "m0", "victim": "m1", "action": action}}
+    cls = InsiderInterceptor if action == "forge" else BroadcastSuppressor
+    offered = []
+    original = cls.intercept
+
+    def spied(self, message):
+        offered.append(message)
+        return original(self, message)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cls, "intercept", spied)
+        tr = run_scenario(ScenarioConfig.from_dict(cfg))
+    honest = tr.events[-1].payload
+    ctx = tr.meta.params.ctx
+    assert len(offered) == 1 and type(offered[0]) is KgcBroadcast
+    assert broadcast_payload(offered[0], ctx) == honest
+    (victim_announce,) = [ev for ev in tr.events if ev.step == STEP_ANNOUNCE and ev.receivers == ("m1",)]
+    assert victim_announce.verdict == VERDICT_DELIVERED
+    assert tr.events[-1].verdict == (VERDICT_REPLACED if action == "forge" else VERDICT_DROPPED)
+
+
+def test_an_unannounced_insider_refuses_to_intercept(ring35, honest_bcast):
+    """An insider over a member that has seen no announcement reads no challenge
+    vector: intercept raises NotInRoster, as GroupMember.challenges does."""
+    attacker = GroupMember(ATTACKER, PublicParams(ring35))
+    with pytest.raises(NotInRoster, match="^no announcement seen$"):
+        attacker.challenges()
+    icpt = InsiderInterceptor(attacker, ROSTER, 0, 4)
+    with pytest.raises(NotInRoster, match="^no announcement seen$"):
+        icpt.intercept(honest_bcast)
+    assert icpt.recovered_key is None and icpt.forged_key is None
 
 
 # --- one public challenge vector ------------------------------------------------------

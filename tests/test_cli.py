@@ -151,6 +151,30 @@ def test_run_seed_override_changes_transcript(tmp_path):
     assert a.read_bytes() != b.read_bytes()
 
 
+def test_run_variant_override_writes_a_field_meta(tmp_path, capsys):
+    cfg = write_config(tmp_path, modulus={"bits": 8})
+    out = tmp_path / "t.jsonl"
+    assert main(["run", str(cfg), "--variant", "field", "--out", str(out)]) == EXIT_OK
+    meta = Transcript.load(out).meta
+    assert meta.params.ctx.variant.value == "field" and meta.q is None
+    assert meta.params.ctx.modulus == meta.p and meta.p.bit_length() == 8
+    assert main(["verify", str(out)]) == EXIT_OK
+
+
+def test_run_variant_override_refuses_a_ring_pair(tmp_path, capsys):
+    out = tmp_path / "t.jsonl"
+    assert main(["run", str(CONFIGS / "honest.json"), "--variant", "field", "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.strip() == "error: field variant takes a single prime p"
+    assert not out.exists()
+
+
+def test_run_refuses_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "t.jsonl"
+    assert main(["run", str(CONFIGS / "honest.json"), "--seed", "-3", "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_run_default_transcript_path(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["run", str(cfg)]) == EXIT_OK
@@ -704,7 +728,7 @@ def test_the_hostile_transcript_property_sees_an_escaping_exception(tmp_path, mo
     original = simnet.GroundTruth.from_record.__func__
 
     def unchecked(cls, rec, ctx):
-        [rec[key] for key in simnet._TRUTH_FIELDS]  # a missing field lets a KeyError out
+        [rec[key] for key in ("group_key", "r0", "member_keys", "challenges", "adversary")]  # a missing field lets a KeyError out
         return original(cls, rec, ctx)
 
     monkeypatch.setattr(simnet.GroundTruth, "from_record", classmethod(unchecked))

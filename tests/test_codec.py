@@ -14,11 +14,15 @@ from gkdsim.codec import (
     compute_auth,
     decode_element,
     encode_element,
+    encode_elements,
     encode_identifier,
+    encode_identifiers,
     hash_to_element,
     memo_last,
 )
 from gkdsim.errors import IdentifierTooLong
+from gkdsim.protocol import KgcBroadcast
+from gkdsim.simnet import broadcast_payload
 
 # Golden digests, frozen once. Each was produced with hashlib and
 # cross-checked against the sha256sum command-line tool.
@@ -196,6 +200,57 @@ def test_build_auth_input_16_byte_fields():
     out = build_auth_input(ai, ctx, 16)
     assert len(out) == 16 * (1 + 256 + 257 + 256)
     assert out == reference_build_auth_input(ai, ctx, 16)
+
+
+# --- bulk field encoders against the per-field references -------------------------
+
+def _raised(fn, *args):
+    """What fn returns, or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except (ValueError, IdentifierTooLong) as e:
+        return type(e), str(e)
+
+
+def reference_elements(values, ctx):
+    return b"".join([encode_element(e, ctx) for e in values])
+
+
+def reference_identifiers(ids, id_width):
+    return b"".join([encode_identifier(m, id_width) for m in ids])
+
+
+def reference_broadcast_payload(bcast, ctx):
+    return bcast.auth + encode_element(bcast.r0, ctx) + reference_elements(bcast.masked_shares, ctx)
+
+
+@given(case=wide_auth_cases())
+@settings(max_examples=200, deadline=None)
+def test_bulk_encoders_match_the_per_field_references(case):
+    """Bytes, or the error type and message of the first field that does not fit."""
+    ai, ctx, id_width = case
+    values = ai.nonces + ai.masked_shares
+    assert _raised(encode_elements, values, ctx) == _raised(reference_elements, values, ctx)
+    assert _raised(encode_identifiers, ai.member_ids, id_width) == _raised(
+        reference_identifiers, ai.member_ids, id_width)
+    bcast = KgcBroadcast(hashlib.sha256(ai.member_ids[0]).digest(), ai.nonces[0], ai.masked_shares)
+    assert _raised(broadcast_payload, bcast, ctx) == _raised(reference_broadcast_payload, bcast, ctx)
+
+
+@pytest.mark.parametrize("value", [256**2, 2**64, -1])
+def test_encode_elements_refuses_a_value_outside_its_width(ctx331, value):
+    assert ctx331.byte_width == 2
+    with pytest.raises(ValueError, match=f"^{value} not representable in 2 bytes$"):
+        encode_elements((1, value, 256**2 - 1), ctx331)
+    with pytest.raises(ValueError, match=f"^{value} not representable in 2 bytes$"):
+        broadcast_payload(KgcBroadcast(b"tag", 0, (1, value)), ctx331)
+
+
+def test_encode_identifiers_refuses_a_long_id():
+    with pytest.raises(IdentifierTooLong, match="^id of 3 bytes exceeds width 2$"):
+        encode_identifiers((b"AB", b"ABC", b""), 2)
+    assert encode_identifiers((b"AB", b"A", b""), 2) == b"AB\x00A\x00\x00"
+    assert encode_identifiers((), 2) == b""
 
 
 # --- the tag memo --------------------------------------------------------------

@@ -581,6 +581,16 @@ def test_challenge_requires_announcement(ring35):
         member.issue_challenge(SeededRng(0))
 
 
+def test_challenge_vector_requires_announcement(ring35):
+    """Before an announcement a member has no vector to read, as it has no challenge to issue."""
+    member = GroupMember(PartyIdentity(b"A", 2), PublicParams(ring35))
+    with pytest.raises(NotInRoster, match="^no announcement seen$"):
+        member.challenges()
+    member.receive_announcement(Announcement((b"A", b"B")))
+    with pytest.raises(IncompleteChallenges, match=r"^missing challenges from \[b'A', b'B'\]$"):
+        member.challenges()
+
+
 def test_announcement_must_name_the_member(ring35):
     member = GroupMember(PartyIdentity(b"Z", 2), PublicParams(ring35))
     with pytest.raises(NotInRoster):

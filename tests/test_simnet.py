@@ -60,13 +60,20 @@ _ACCEPTED_FIELDS = frozenset(("member", "status", "key"))
 _UNACCEPTED_FIELDS = frozenset(("member", "status", "reason"))
 
 
+def _check_fields(rec, fields, what):
+    """rec must be an object with exactly the given fields."""
+    if not isinstance(rec, dict) or rec.keys() != fields:
+        found = sorted(rec) if isinstance(rec, dict) else type(rec).__name__
+        raise MalformedTranscript(f"{what} needs the fields {sorted(fields)}, got {found}")
+
+
 def event_from_record(rec, index, expected):
     """A record whose (step, sender, receivers, verdict) equals expected, its
     event-skeleton entry, takes expected's objects: as only a str equals a str,
     that one comparison also types them. Any other record is typed field by
     field and keeps its names as written."""
     replaced = rec.get("verdict") == simnet.VERDICT_REPLACED
-    simnet._check_fields(rec, _REPLACED_FIELDS if replaced else _EVENT_FIELDS, "event")
+    _check_fields(rec, _REPLACED_FIELDS if replaced else _EVENT_FIELDS, "event")
     step, sender, receivers, verdict = shape = rec["step"], rec["sender"], rec["receivers"], rec["verdict"]
     if type(rec["index"]) is not int or rec["index"] != index:
         raise MalformedTranscript(f"event {rec['index']!r} out of order at position {index}")
@@ -90,7 +97,7 @@ def outcome_from_record(rec, ctx, expected):
     """A key exactly when accepted, a residue; a reason exactly when not. A member
     equal to expected, the roster name at the record's position, becomes it."""
     accepted = rec.get("status") == "accepted"
-    simnet._check_fields(rec, _ACCEPTED_FIELDS if accepted else _UNACCEPTED_FIELDS, "outcome")
+    _check_fields(rec, _ACCEPTED_FIELDS if accepted else _UNACCEPTED_FIELDS, "outcome")
     member, status = rec["member"], rec["status"]
     if type(member) is not str or status not in simnet._STATUSES:
         raise MalformedTranscript(f"outcome for {member!r}: bad member or status")
