@@ -353,8 +353,11 @@ def power_vector(x: int, w: int, ctx: DomainContext) -> tuple[int, ...]:
         raise WidthTooSmall(f"power vector width must be >= 2, got {w}")
     m = ctx.modulus
     x %= m
+    powers = [1] * (w + 1)
     power = 1
-    return (1, *[power := power * x % m for _ in range(w)])
+    for k in range(1, w + 1):
+        powers[k] = power = power * x % m
+    return tuple(powers)
 
 
 def inner_product(a: Sequence[int], b: Sequence[int], ctx: DomainContext) -> int:

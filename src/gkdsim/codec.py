@@ -184,8 +184,9 @@ def memo_last(fn):
 def encode_elements(values: tuple[int, ...], ctx: DomainContext) -> bytes:
     """encode_element of each value, concatenated, in bulk; a value that does not fit
     raises what encode_element raises for the first such one, found by reading values again."""
+    width = ctx.byte_width
     try:
-        return b"".join(map(int.to_bytes, values, repeat(ctx.byte_width), repeat("big")))
+        return b"".join([e.to_bytes(width, "big") for e in values])
     except OverflowError:
         for e in values:
             encode_element(e, ctx)

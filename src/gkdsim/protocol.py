@@ -12,30 +12,28 @@ The share formula is intentionally one function used by both sides:
     ring variant:   share = sum_{j=0..t} r_j * x^j               mod m
     field variant:  share = sum_{j=0..t} r_j * (x + H(x|r_i|r_0))^j  mod m
 
-where x is the member's long-term key, r_0 the KGC nonce and r_i the
-member's own challenge. compute_share evaluates the polynomial in blocks of
-b coefficients (Paterson and Stockmeyer): one power vector x^0..x^b, one sum
-per block, and Horner in x^b across the blocks. Above t = 12 the block sums
-come out of one packed integer (Kronecker substitution): lane l holds the
-l-th nonce of every block, one slot per block, and slots of
-2*bits(m) + bits(b+1) bits hold a block sum of up to b+1 products below m^2
-without carrying into the next, so all block sums cost b+1 big-integer
-products. The lanes depend only on the nonces, b and m, and in a session the
-KGC, every member, the insider and the verifier evaluate shares over equal
-nonce vectors, so _lanes keeps the last call's lanes and they are built once
-per session. That memo, like compute_auth's in codec, never hashes the
-vector: a hit costs one identity test when the caller passes the same tuple
-and one element-by-element comparison when it passes an equal copy. A hit
-keeps the caller's copy, so the next caller, whose tuple holds the same int
-objects (verify's replay builds each member's nonces from one challenge
-vector), is matched pointer by pointer. Up to t = 12 the one block is a plain
-inner product.
+where x is the member's long-term key, r_0 the KGC nonce and r_i the member's
+own challenge. compute_share evaluates the polynomial in blocks of b
+coefficients (Paterson and Stockmeyer): one power vector x^0..x^b, one sum
+per block, and Horner in x^b across the blocks. Up to t = 12 the one block is
+a plain inner product. Above, b = isqrt(2t) (22 at t = 256), all block sums
+come out of one packed integer, the sum of b+1 big-integer products
+x^l*lane[l] (Kronecker substitution), and the Horner sum is reduced mod m
+once, at the end, when m < 2^64. The lanes depend only on the nonces, b and
+m, and in a session the KGC, every member, the insider and the verifier
+evaluate shares over equal nonce vectors, so _lanes keeps the last call's
+lanes and they are built once per session. That memo, like compute_auth's in
+codec, never hashes the vector: a hit costs one identity test when the caller
+passes the same tuple and one element-by-element comparison when it passes an
+equal copy. A hit keeps the caller's copy, so the next caller, whose tuple
+holds the same int objects (verify's replay builds each member's nonces from
+one challenge vector), is matched pointer by pointer.
 
 Every step and both state machines take the public parameters as one
 codec.PublicParams: the domain, the hash and the identifier width; the insider
 (adversary) reads its member's. The variant is read only as
 params.ctx.variant, so a party cannot be built with a variant its domain
-contradicts. The primitives below the steps (encode_element, hash_to_element,
+contradicts. The primitives below the steps (encode_elements, hash_to_element,
 build_auth_input, _lanes) keep their narrow arguments, so the _lanes key does
 not depend on the params value; the compute_auth memo keys on the whole (tag
 input, params), and a run or a verify passes one params object throughout, so
@@ -64,7 +62,7 @@ from .codec import (
     AuthInput,
     PublicParams,
     compute_auth,
-    encode_element,
+    encode_elements,
     hash_to_element,
     memo_last,
 )
@@ -203,7 +201,7 @@ def compute_share(secret_key: int, nonces: tuple[int, ...], roster_index: int, p
     id_width plays no part in a share.
 
     The value is inner_product(power_vector(x, t), nonces), evaluated from one
-    power_vector(x, b): b = t up to t = 12, b = isqrt(4t) above (32 at
+    power_vector(x, b): b = t up to t = 12, b = isqrt(2t) above (22 at
     t = 256). Block k holds r_kb..r_(kb+b-1), the top block takes up to b+1
     nonces, and the block sums are combined from the top by Horner in x^b.
 
@@ -213,8 +211,10 @@ def compute_share(secret_key: int, nonces: tuple[int, ...], roster_index: int, p
     l-th nonce of every block, reduced mod m, one w-bit slot per block, with
     w = 2*bits(m) + bits(b+1): a slot sums at most b+1 products below m^2,
     so it stays below 2^w and never carries into the next. The slots are
-    read out by shift and mask. _lanes keeps the lanes of the last
-    (nonces, b, m) only, matched by identity or ==, never by hash: this
+    read out by shift and mask into the Horner sum, reduced mod m once at
+    the end when m < 2^64 and once per block above, where its growth by
+    bits(m) a block outweighs the reductions. _lanes keeps the lanes of the
+    last (nonces, b, m) only, matched by identity or ==, never by hash: this
     relies on every share of a session being over equal nonce vectors, which
     holds for the KGC, the members, the insider and the verifier; a caller
     that alternates vectors rebuilds them on every call.
@@ -225,30 +225,26 @@ def compute_share(secret_key: int, nonces: tuple[int, ...], roster_index: int, p
     if not 0 <= roster_index < t:
         raise IndexOutOfRoster(f"roster index {roster_index} outside roster of {t}")
     ctx = params.ctx
-    x = ctx.reduce(secret_key)
-    if ctx.variant is Variant.FIELD:
-        own_challenge = ctx.reduce(nonces[roster_index + 1])
-        material = (
-            encode_element(x, ctx)
-            + encode_element(own_challenge, ctx)
-            + encode_element(ctx.reduce(nonces[0]), ctx)
-        )
-        x = ctx.add(x, hash_to_element(material, ctx, params.hash_cfg))
-    b = t if t <= 12 else isqrt(4 * t)
-    powers = power_vector(x, b, ctx)
     m = ctx.modulus
+    x = secret_key % m
+    if ctx.variant is Variant.FIELD:
+        material = encode_elements((x, nonces[roster_index + 1] % m, nonces[0] % m), ctx)
+        x = (x + hash_to_element(material, ctx, params.hash_cfg)) % m
+    b = t if t <= 12 else isqrt(2 * t)
+    powers = power_vector(x, b, ctx)
     if b == t:
         return sum(map(mul, powers, nonces)) % m
     lanes, w = _lanes(tuple(nonces), b, m)
     packed = sum(map(mul, powers, lanes))
     mask = (1 << w) - 1
     xb = powers[b]
-    shift = (t - 1) // b * w
-    acc = (packed >> shift) % m
-    while shift:
-        shift -= w
-        acc = (acc * xb + (packed >> shift & mask)) % m
-    return acc
+    wide = m >> 64
+    acc = 0
+    for shift in range((t - 1) // b * w, -1, -w):
+        acc = acc * xb + (packed >> shift & mask)
+        if wide:
+            acc %= m
+    return acc % m
 
 
 @memo_last
@@ -271,8 +267,8 @@ def _lanes(nonces: tuple[int, ...], b: int, m: int) -> tuple[tuple[int, ...], in
 def challenge_vector(roster: GroupRoster, log: list[int | None]) -> tuple[int, ...]:
     """(r_1, ..., r_t) from a challenge log by roster position, None where no
     challenge has arrived: IncompleteChallenges names those senders in roster
-    order."""
-    if None in log:
+    order. all() spares the scan for None unless a challenge is None or 0."""
+    if not all(log) and None in log:
         missing = [m for m, v in zip(roster.members, log) if v is None]
         raise IncompleteChallenges(f"missing challenges from {missing!r}")
     return tuple(log)

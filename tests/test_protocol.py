@@ -35,6 +35,7 @@ from gkdsim.protocol import (
     kgc_distribute,
     user_process_broadcast,
 )
+from gkdsim.simnet import MAX_BITS
 
 
 # --- independent oracles --------------------------------------------------------
@@ -144,11 +145,15 @@ def test_share_matches_naive_oracle_at_scale(variant, in_range):
             assert got == naive_share_field(x, nonces, index, m, ctx.byte_width)
 
 
-# Blocked evaluation against the plain inner product, across block shapes: every
-# t from 2 to 40 (one block up to t = 12, then ragged and exact top blocks), the
-# widths around 64 = 4 * 16 and 256, and t = 1000; over 8-, 64-, 128- and 256-bit
-# primes (the ring modulus is the product of two).
-BLOCK_TS = (*range(2, 41), 63, 64, 65, 255, 256, 257, 1000)
+# Blocked evaluation against the plain inner product, across block shapes of
+# b = isqrt(2t): every t from 2 to 40 (one block up to t = 12, then ragged and
+# exact top blocks), the exact shapes 50 = 5 * 10, 128 = 8 * 16, 242 = 11 * 22,
+# 264 = 12 * 22, 968 = 22 * 44 and 1012 = 23 * 44 beside ragged ones; over 8-,
+# 64-, 128-, 256- and 512-bit primes (the ring modulus is the product of two),
+# so over both readouts, one reduction below 2^64 and one per block above, up
+# to simnet.MAX_BITS. The 512-bit pair is gen_distinct_safe_primes(512,
+# SeededRng(512)).
+BLOCK_TS = (*range(2, 41), 49, 50, 51, 63, 64, 65, 127, 128, 129, 242, 255, 256, 257, 264, 968, 1000, 1012)
 PRIMES_BY_BITS = {
     8: (167, 179),
     64: (RING_P64, RING_Q64),
@@ -157,12 +162,22 @@ PRIMES_BY_BITS = {
         104749286590735697114613829773036310625443839502274178850587864130300388349767,
         111427156808220404598333390809508413518829084314371931086682939062144999363647,
     ),
+    512: (
+        int("792726045181037126877340126568443716301989039123105519705000987761843280410079"
+            "5918167269572284505342376199856113198001302671422697543441874733675406741863"),
+        int("685611432877616327988429513497983614949098772306600866793505596107377183718737"
+            "1053752634980731404680932370879276511149169612669459987541450849169524246959"),
+    ),
 }
 
 
 def _domain(bits, variant):
     p, q = PRIMES_BY_BITS[bits]
     return domain_new(p, q, variant=variant) if variant is Variant.RING else domain_new(p, variant=variant)
+
+
+def test_oracle_primes_reach_the_widest_prime_a_config_takes():
+    assert max(PRIMES_BY_BITS) == MAX_BITS
 
 
 def _oracle_share(x, nonces, index, variant, ctx):
@@ -312,7 +327,7 @@ def test_lanes_memo_matches_on_b_and_m():
 
 
 def test_share_builds_one_power_vector_of_the_block_width(monkeypatch):
-    """One power_vector call per share, of width t up to t = 12 and isqrt(4t) above."""
+    """One power_vector call per share, of width t up to t = 12 and isqrt(2t) above."""
     ctx = _domain(64, Variant.FIELD)
     widths = []
 
@@ -324,7 +339,7 @@ def test_share_builds_one_power_vector_of_the_block_width(monkeypatch):
     for t in BLOCK_TS:
         widths.clear()
         compute_share(3, tuple(range(t + 1)), 0, PublicParams(ctx))
-        assert widths == [t if t <= 12 else math.isqrt(4 * t)], t
+        assert widths == [t if t <= 12 else math.isqrt(2 * t)], t
     compute_share(3, tuple(range(257)), 0, PublicParams(ctx))
     assert widths[-1] <= 33
 
@@ -461,6 +476,22 @@ def test_challenge_vector_matches_the_per_id_oracle(t, data, extra):
         assert str(got.value) == str(e)
     else:
         assert challenge_vector(roster, log) == expected
+
+
+def test_challenge_vector_reads_a_zero_challenge_as_arrived():
+    """0 is falsy but is a challenge: a complete log holding one is the vector."""
+    roster = GroupRoster((b"A", b"B", b"C"))
+    for log in ([0, 4, 7], [5, 0, 7], [0, 0, 0]):
+        assert challenge_vector(roster, log) == tuple(log)
+
+
+@pytest.mark.parametrize("log, missing", [
+    ([None, 0, 7], "[b'A']"), ([0, None, 7], "[b'B']"), ([5, 0, None], "[b'C']"), ([None, 0, None], "[b'A', b'C']"),
+])
+def test_challenge_vector_beside_a_zero_names_only_the_holes(log, missing):
+    with pytest.raises(IncompleteChallenges) as got:
+        challenge_vector(GroupRoster((b"A", b"B", b"C")), log)
+    assert str(got.value) == f"missing challenges from {missing}"
 
 
 def test_unmask_requires_one_challenge_per_member(ring35, honest_bcast):
