@@ -38,7 +38,6 @@ from .protocol import (
     KgcBroadcast,
     OutcomeStatus,
     PartyIdentity,
-    Request,
     SessionOutcome,
     compute_share,
     kgc_distribute,

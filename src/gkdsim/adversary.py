@@ -9,8 +9,9 @@ contents, so the victim verifies and accepts. Everything else on the wire is
 reused byte for byte, and no key other than the attacker's own is needed,
 which is why the identical strategy works in both variants.
 
-In a run an interceptor decides one message: the victim's copy of the key
-broadcast. The event skeleton delivers everything else on the link.
+In a run an interceptor decides one message, the victim's copy of the key
+broadcast, and gives it one of two fates: replaced by a forgery or dropped.
+The event skeleton delivers everything else on the link.
 """
 
 from __future__ import annotations
@@ -25,31 +26,17 @@ from .protocol import GroupMember, GroupRoster, KgcBroadcast, PartyIdentity, unm
 
 
 class ActionKind(Enum):
-    DELIVER = "deliver"
     DROP = "drop"
     REPLACE = "replace"
 
 
 @dataclass(frozen=True)
 class ChannelAction:
-    """What an interceptor does with one message on one link."""
+    """What an interceptor does with the victim's broadcast: drop it (message None)
+    or replace it with message."""
 
     kind: ActionKind
-    message: object | None = None
-
-    @classmethod
-    def deliver(cls) -> "ChannelAction":
-        return cls(ActionKind.DELIVER)
-
-    @classmethod
-    def drop(cls) -> "ChannelAction":
-        return cls(ActionKind.DROP)
-
-    @classmethod
-    def replace(cls, message: object) -> "ChannelAction":
-        if message is None:
-            raise ValueError("replacement message required")
-        return cls(ActionKind.REPLACE, message=message)
+    message: KgcBroadcast | None
 
 
 def insider_recover_key(
@@ -148,7 +135,7 @@ class InsiderInterceptor:
         )
         self.recovered_key = recovered
         self.forged_key = target
-        return ChannelAction.replace(forged)
+        return ChannelAction(ActionKind.REPLACE, forged)
 
 
 class BroadcastSuppressor:
@@ -160,4 +147,4 @@ class BroadcastSuppressor:
     """
 
     def intercept(self, message: KgcBroadcast) -> ChannelAction:
-        return ChannelAction.drop()
+        return ChannelAction(ActionKind.DROP, None)

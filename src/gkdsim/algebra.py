@@ -302,9 +302,6 @@ class DomainContext:
     def sub(self, a: int, b: int) -> int:
         return (a - b) % self.modulus
 
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.modulus
-
 
 def domain_new(p: int, q: int | None = None, *, variant: Variant) -> DomainContext:
     """Validate parameters and build the context.

@@ -230,6 +230,4 @@ def hash_to_element(data: bytes, ctx: DomainContext, hash_cfg: HashConfig = DEFA
     name = hash_cfg.effective_element_hash
     if name == ZERO_HASH:
         return 0
-    h = hashlib.new(name)
-    h.update(data)
-    return ctx.reduce(int.from_bytes(h.digest(), "big"))
+    return ctx.reduce(int.from_bytes(hashlib.new(name, data).digest(), "big"))

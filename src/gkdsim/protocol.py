@@ -130,13 +130,6 @@ def _roster_index(members: tuple[bytes, ...]) -> Mapping[bytes, int]:
 # --- messages ---
 
 @dataclass(frozen=True)
-class Request:
-    """Initiator's step-1 ask: the ordered id list."""
-
-    members: tuple[bytes, ...]
-
-
-@dataclass(frozen=True)
 class Announcement:
     """KGC's step-2 echo of the roster; fixes the canonical order."""
 

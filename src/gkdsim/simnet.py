@@ -25,11 +25,7 @@ from json.decoder import scanstring
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
-from .adversary import (
-    ActionKind,
-    BroadcastSuppressor,
-    InsiderInterceptor,
-)
+from .adversary import BroadcastSuppressor, InsiderInterceptor
 from .algebra import (
     DomainContext,
     SeededRng,
@@ -58,7 +54,6 @@ from .protocol import (
     KgcBroadcast,
     OutcomeStatus,
     PartyIdentity,
-    Request,
     SessionOutcome,
     compute_share,
     user_process_broadcast,
@@ -76,9 +71,6 @@ VERDICT_DELIVERED = "delivered"
 VERDICT_DROPPED = "dropped"
 VERDICT_REPLACED = "replaced"
 
-_ACTION_VERDICTS = {ActionKind.DELIVER: VERDICT_DELIVERED, ActionKind.DROP: VERDICT_DROPPED,
-                    ActionKind.REPLACE: VERDICT_REPLACED}
-
 ACTION_FORGE = "forge"
 ACTION_SUPPRESS = "suppress"
 
@@ -94,11 +86,6 @@ _ADVERSARY_KEYS = frozenset(("attacker", "victim", "action", "target_key"))
 # ---------------------------------------------------------------------------
 # wire payloads (hex-encoded in transcript events; see docs/wire-format.md)
 # ---------------------------------------------------------------------------
-
-def roster_payload(member_ids: tuple[bytes, ...], id_width: int) -> bytes:
-    """The request's and the announce's payload: the tag input's id segment."""
-    return encode_identifiers(member_ids, id_width)
-
 
 def broadcast_payload(bcast: KgcBroadcast, ctx: DomainContext) -> bytes:
     """auth | nonce_0 | share_1 .. share_t, the residues encoded as in the tag input."""
@@ -197,7 +184,7 @@ class AdversarySpec:
     target_key: int | None = None  # None means drawn at attack time, != real key
 
 
-# Field typing shared by configs and transcript metas; validate checks the values.
+# Field typing shared by configs and transcript metas; __post_init__ checks the values.
 
 def _variant(value: object) -> Variant:
     try:
@@ -265,7 +252,7 @@ class ScenarioConfig:
         if not isinstance(hash_d, Mapping):
             raise ConfigError("hash must be an object")
 
-        cfg = cls(
+        return cls(
             variant=_variant(d.get("variant")),
             members=_names(d.get("members")),
             p=mod.get("p"),
@@ -279,8 +266,6 @@ class ScenarioConfig:
             adversary=_adversary_spec(d.get("adversary")),
             redact=d.get("redact", False),
         )
-        cfg.validate()
-        return cfg
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScenarioConfig":
@@ -296,8 +281,8 @@ class ScenarioConfig:
             raise ConfigError("config must be a JSON object")
         return cls.from_dict(d)
 
-    def validate(self) -> None:
-        """Type and check every field; build_domain proves the primes."""
+    def __post_init__(self) -> None:
+        """Type and check every field at construction; build_domain proves the primes."""
         members, id_width, adv = self.members, self.id_width, self.adversary
         if type(id_width) is not int or not 1 <= id_width <= MAX_ID_WIDTH:
             raise ConfigError(f"id_width must be an integer in [1, {MAX_ID_WIDTH}]")
@@ -432,7 +417,6 @@ class TranscriptMeta:
                 id_width=rec.get("id_width"), adversary=_adversary_spec(rec.get("adversary")),
                 redact=rec.get("redacted"),
             )
-            cfg.validate()
             meta = cls.from_config(cfg, *build_domain(cfg.variant, None, p=cfg.p, q=cfg.q))
         except ConfigError as e:
             raise MalformedTranscript(f"meta: {e}") from None
@@ -777,7 +761,6 @@ def run_scenario(cfg: ScenarioConfig) -> Transcript:
     Pure function of the config: the same config always yields a transcript
     with byte-identical serialization.
     """
-    cfg.validate()
     rng = SeededRng(cfg.seed)
     meta = TranscriptMeta.from_config(cfg, *build_domain(cfg.variant, rng, p=cfg.p, q=cfg.q, bits=cfg.bits))
     params = meta.params
@@ -814,17 +797,17 @@ def run_scenario(cfg: ScenarioConfig) -> Transcript:
 
     def send(message: object, payload: bytes, hand) -> None:
         """Record message as its next group of skeleton entries, one event per entry
-        with payload, and hand(receivers, message) it to each entry's receivers. The
-        interceptor is offered only the entry the skeleton does not mark delivered,
-        the victim's broadcast, and the event records the verdict it returns."""
+        with payload, and hand(receivers, message) it to each entry's receivers, unless
+        it is None. The interceptor is offered only the entry the skeleton does not mark
+        delivered, the victim's broadcast, and the event records what it hands back:
+        nothing is dropped, a broadcast replaced, its bytes the delivered payload."""
         (step, sender), entries = next(entries_by_message)
         for _, _, receivers, verdict in entries:
             handed, substitute = message, None
             if verdict != VERDICT_DELIVERED:
-                action = interceptor.intercept(message)
-                verdict = _ACTION_VERDICTS[action.kind]
-                handed = message if action.kind is ActionKind.DELIVER else action.message
-                substitute = broadcast_payload(handed, ctx) if action.kind is ActionKind.REPLACE else None
+                handed = interceptor.intercept(message).message
+                verdict = VERDICT_DROPPED if handed is None else VERDICT_REPLACED
+                substitute = None if handed is None else broadcast_payload(handed, ctx)
             events.append(TranscriptEvent(len(events), step, sender, receivers, payload, verdict, substitute))
             if handed is not None:
                 hand(receivers, handed)
@@ -846,10 +829,10 @@ def run_scenario(cfg: ScenarioConfig) -> Transcript:
         for r in receivers:
             members[r].receive_broadcast(bcast)
 
-    # the KGC takes only challenges: run_scenario answers the request by calling announce,
-    # which echoes the roster in request order, so both carry one payload
-    roster_bytes = roster_payload(roster.members, params.id_width)
-    send(Request(roster.members), roster_bytes, lambda receivers, request: None)
+    # the request reaches no one: run_scenario answers it by calling announce, which
+    # echoes the roster in request order, so both carry one payload
+    roster_bytes = encode_identifiers(roster.members, params.id_width)
+    send(None, roster_bytes, None)
     send(kgc.announce(roster.members), roster_bytes, announce_to)
 
     issued: dict[str, int] = {}
@@ -989,7 +972,7 @@ def verify_transcript(tr: Transcript) -> VerificationReport:
     bcast_events = tr.events[1 + announces + t :]
 
     # --- roster echo ---
-    expected_roster = roster_payload(roster.members, params.id_width)
+    expected_roster = encode_identifiers(roster.members, params.id_width)
     for ev in tr.events[: 1 + announces]:
         if ev.payload != expected_roster:
             echo = "requested" if ev.step == STEP_REQUEST else "announced"

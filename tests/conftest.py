@@ -1,6 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from gkdsim.algebra import Variant, domain_new
+
+# A failing example's reproduction blob goes to the log, on top of the active
+# profile: Hypothesis' own "ci" one where CI is set (derandomized, no example
+# database), else its random default.
+settings.register_profile("print-blob", settings.get_profile(settings.get_current_profile_name()), print_blob=True)
+settings.load_profile("print-blob")
 
 
 @pytest.fixture

@@ -151,17 +151,6 @@ def test_forgery_is_variant_independent(field23):
     assert out.status is OutcomeStatus.ACCEPTED and out.key == target
 
 
-# --- channel actions ----------------------------------------------------------------
-
-def test_channel_action_constructors():
-    assert ChannelAction.deliver().kind is ActionKind.DELIVER
-    assert ChannelAction.drop().kind is ActionKind.DROP
-    replaced = ChannelAction.replace("msg")
-    assert replaced.kind is ActionKind.REPLACE and replaced.message == "msg"
-    with pytest.raises(ValueError):
-        ChannelAction.replace(None)
-
-
 # --- interceptor strategy --------------------------------------------------------------
 
 def make_interceptor(ring35, target_key=4):
@@ -220,7 +209,7 @@ def test_interceptor_needs_rng_for_random_target(ring35):
 
 def test_suppressor_drops_only_victim_broadcast(ring35, honest_bcast):
     sup = BroadcastSuppressor()
-    assert sup.intercept(honest_bcast).kind is ActionKind.DROP
+    assert sup.intercept(honest_bcast) == ChannelAction(ActionKind.DROP, None)
 
 
 @pytest.mark.parametrize("t", [2, 3, 5])

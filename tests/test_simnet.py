@@ -15,8 +15,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gkdsim import adversary as adversary_module, codec, protocol, simnet
-from gkdsim.adversary import ChannelAction
+from gkdsim.adversary import ActionKind, ChannelAction
 from gkdsim.algebra import SeededRng, Variant, domain_new
+from gkdsim.codec import encode_identifiers
 from gkdsim.cli import EXIT_OK, EXIT_VERIFY, main as cli_main
 from gkdsim.errors import ConfigError, MalformedTranscript
 from gkdsim.simnet import (
@@ -24,7 +25,6 @@ from gkdsim.simnet import (
     ScenarioConfig,
     Transcript,
     parse_broadcast_payload,
-    roster_payload,
     build_domain,
     outcome_failures,
     run_scenario,
@@ -750,6 +750,31 @@ def test_config_file_round_trip(tmp_path):
         ScenarioConfig.from_file(path)
 
 
+def test_every_construction_checks_the_config():
+    """A config is checked when it is built, by dataclasses.replace (as run's --seed
+    and --variant overrides build theirs) or directly, not only by from_dict."""
+    cfg = ScenarioConfig.from_dict(scenario_dict())
+    with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+        dataclasses.replace(cfg, seed=-1)
+    with pytest.raises(ConfigError, match="duplicate member names"):
+        ScenarioConfig(Variant.RING, ("alice", "alice"), 167, 179)
+
+
+def test_a_library_session_checks_its_config_twice(monkeypatch):
+    """from_dict, run, to_jsonl, from_jsonl and verify check a config once when it is
+    read and once when the meta is parsed: the run and verify check none."""
+    checks, check = [], ScenarioConfig.__post_init__
+
+    def counted_check(cfg):
+        checks.append(cfg)
+        check(cfg)
+
+    monkeypatch.setattr(ScenarioConfig, "__post_init__", counted_check)
+    tr = run_scenario(ScenarioConfig.from_dict(scenario_dict(adversary=FORGE)))
+    assert verify_transcript(Transcript.from_jsonl(tr.to_jsonl())).ok
+    assert len(checks) == 2
+
+
 # --- frozen transcript format ----------------------------------------------------------
 
 GOLDEN_CONFIG = {
@@ -1406,18 +1431,36 @@ def test_framed_outcome_lines_parse_as_json_and_from_record_read_them(t, scenari
     _read_as_the_oracle(lines, n)
 
 
-@pytest.mark.parametrize("adversary, cls, verdict", [(FORGE, "InsiderInterceptor", "replaced"),
-                                                     (SUPPRESS, "BroadcastSuppressor", "dropped")],
-                         ids=["forge", "suppress"])
-def test_the_run_records_the_interceptors_verdict(monkeypatch, adversary, cls, verdict):
-    """An interceptor that delivers the victim's broadcast gets it recorded as
-    delivered, not as the skeleton's verdict, and verify reports the event."""
+def test_a_forge_insider_replacing_with_the_honest_copy_is_recorded_replaced(monkeypatch):
+    """The verdict is what the interceptor hands back: the honest copy as the
+    replacement is recorded replaced, with its own bytes delivered, and verify
+    reports the victim that accepted the others' key."""
+    monkeypatch.setattr(adversary_module.InsiderInterceptor, "intercept",
+                        lambda self, message: ChannelAction(ActionKind.REPLACE, message))
+    tr = run(adversary=FORGE)
+    ev = tr.events[-1]
+    assert (ev.receivers, ev.verdict, ev.delivered_payload) == (("bob",), "replaced", ev.payload)
+    assert verify_transcript(tr).mismatches[0].startswith(
+        "success condition: victim 'bob': accepted/")
+
+
+@pytest.mark.parametrize("adversary, cls, kind, verdict, expected", [
+    (FORGE, "InsiderInterceptor", ActionKind.DROP, "dropped", "replaced"),
+    (SUPPRESS, "BroadcastSuppressor", ActionKind.REPLACE, "replaced", "dropped"),
+], ids=["forge", "suppress"])
+def test_the_run_records_the_interceptors_verdict(monkeypatch, adversary, cls, kind, verdict, expected):
+    """An interceptor that gives the victim's broadcast the other fate gets it
+    recorded as that fate, not as the skeleton's verdict, and verify reports the
+    event: a dropped broadcast carries no delivered payload, a replacing
+    suppressor the honest copy's bytes."""
     monkeypatch.setattr(getattr(adversary_module, cls), "intercept",
-                        lambda self, message: ChannelAction.deliver())
+                        lambda self, message: ChannelAction(kind, message if kind is ActionKind.REPLACE else None))
     tr = run(adversary=adversary)
-    assert (tr.events[-1].receivers, tr.events[-1].verdict) == (("bob",), "delivered")
+    ev = tr.events[-1]
+    delivered = ev.payload if kind is ActionKind.REPLACE else None
+    assert (ev.receivers, ev.verdict, ev.delivered_payload) == (("bob",), verdict, delivered)
     report = verify_transcript(tr)
-    assert report.mismatches == [f"event {len(tr.events) - 1}: broadcast delivered, expected {verdict}"]
+    assert report.mismatches == [f"event {len(tr.events) - 1}: broadcast {verdict}, expected {expected}"]
 
 
 def test_forge_pipeline_challenges_go_to_the_implied_receivers():
@@ -1828,7 +1871,7 @@ def test_golden_attack_values_match_hand_arithmetic():
 # --- wire helpers ----------------------------------------------------------------------
 
 def test_roster_payload_exact_bytes():
-    assert roster_payload((b"alice", b"bob"), 8) == b"\x00\x00\x00alice" + b"\x00" * 5 + b"bob"
+    assert encode_identifiers((b"alice", b"bob"), 8) == b"\x00\x00\x00alice" + b"\x00" * 5 + b"bob"
 
 
 def test_parse_broadcast_payload_length_check(ring35):
