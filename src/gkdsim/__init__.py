@@ -30,7 +30,6 @@ from .codec import (
     hash_to_element,
 )
 from .protocol import (
-    Announcement,
     ChallengeMessage,
     GroupMember,
     GroupRoster,

@@ -35,6 +35,7 @@ from .simnet import (
     VERDICT_DROPPED,
     VERDICT_REPLACED,
     build_domain,
+    content_start,
     outcome_failures,
     parse_broadcast_payload,
     parse_challenge_payload,
@@ -139,7 +140,7 @@ def cmd_gen_params(args) -> int:
 def _is_parameter_file(text: str) -> bool:
     """Whether the first record is a parameter record, which from_jsonl rejects."""
     try:
-        first = json.loads(text.lstrip().partition("\n")[0])
+        first = json.loads(text[content_start(text) :].partition("\n")[0].lstrip())
     except (ValueError, RecursionError):
         return False
     return isinstance(first, dict) and first.get("record") == "parameters"
@@ -149,13 +150,12 @@ def _verify_parameters(text: str) -> int:
     """Prove the recorded primes, then require the file past any blank lines to be
     the bytes gen-params writes for them and the recorded seed, which must draw
     them: one bit length for both primes, every field typed, no key twice."""
-    line = text[text.rfind("\n", 0, len(text) - len(text.lstrip())) + 1 :]  # past the blank lines
     try:
         record = json.loads(text)
         seed = record.get("seed")
         ctx, p, q = build_domain(Variant(record.get("variant")), None, p=record.get("p"), q=record.get("q"))
         if type(seed) is not int or seed < 0 or (q is not None and q.bit_length() != p.bit_length()) or (
-            line != _parameters_line(ctx, p, q, seed)
+            text[content_start(text) :] != _parameters_line(ctx, p, q, seed)
         ):
             raise ValueError("not the file gen-params writes for its primes and seed")
         if build_domain(ctx.variant, SeededRng(seed), bits=p.bit_length())[1:] != (p, q):

@@ -1,11 +1,12 @@
 """KGC and group-member state machines for the five-step key distribution.
 
 The run is: a registered initiator asks the KGC for a key over a roster of
-t >= 2 members; the KGC echoes the roster; each member broadcasts a fresh
-challenge; the KGC draws a group key, masks it per member with a share
-derived from that member's long-term key and the challenge vector, tags the
-whole thing with a hash, and broadcasts (tag, nonce, masked shares); each
-member unmasks its share and accepts iff the recomputed tag matches.
+t >= 2 members; the KGC echoes it as the session's one GroupRoster, the object
+every member adopts; each member broadcasts a fresh challenge; the KGC draws a
+group key, masks it per member with a share derived from that member's
+long-term key and the challenge vector, tags the whole thing with a hash, and
+broadcasts (tag, nonce, masked shares); each member unmasks its share and
+accepts iff the recomputed tag matches.
 
 The share formula is intentionally one function used by both sides:
 
@@ -51,7 +52,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 from math import isqrt
 from operator import mul
 from types import MappingProxyType
@@ -93,9 +93,9 @@ class PartyIdentity:
 
 @dataclass(frozen=True)
 class GroupRoster:
-    """Ordered member list for one session; position in this tuple is the
-    index used by every formula, so the order is fixed once at announcement.
-    index maps id to position; rosters over the same ids share one."""
+    """Ordered member list for one session; position in this tuple is the index
+    used by every formula. The KGC's announcement is this object and every party
+    of the session holds it, so index, id -> position, is read-only."""
 
     members: tuple[bytes, ...]
     index: Mapping[bytes, int] = field(init=False, repr=False, compare=False)
@@ -103,7 +103,7 @@ class GroupRoster:
     def __post_init__(self):
         if len(self.members) < 2:
             raise ValueError("a session needs at least two members")
-        index = _roster_index(tuple(self.members))
+        index = MappingProxyType({m: i for i, m in enumerate(self.members)})
         if len(index) != len(self.members):
             raise DuplicateMember("roster contains a duplicate id")
         object.__setattr__(self, "index", index)
@@ -122,19 +122,7 @@ class GroupRoster:
             raise NotInRoster(f"{user_id!r} is not a roster member") from None
 
 
-@lru_cache(maxsize=2)
-def _roster_index(members: tuple[bytes, ...]) -> Mapping[bytes, int]:
-    return MappingProxyType({m: i for i, m in enumerate(members)})
-
-
-# --- messages ---
-
-@dataclass(frozen=True)
-class Announcement:
-    """KGC's step-2 echo of the roster; fixes the canonical order."""
-
-    members: tuple[bytes, ...]
-
+# --- messages: the step-2 announcement is the GroupRoster itself ---
 
 @dataclass(frozen=True)
 class ChallengeMessage:
@@ -365,15 +353,16 @@ class KeyGenerationCentre:
             raise DuplicateMember(f"{identity.user_id!r} already registered")
         self._keys[identity.user_id] = self.params.ctx.reduce(identity.secret_key)
 
-    def announce(self, member_ids: tuple[bytes, ...]) -> Announcement:
-        """Step 2: validate the requested roster and echo it in request order."""
+    def announce(self, member_ids: tuple[bytes, ...]) -> GroupRoster:
+        """Step 2: validate the requested roster and echo it, in request order, as
+        the session's one GroupRoster: every member receives this object."""
         roster = GroupRoster(tuple(member_ids))
         for m in roster.members:
             if m not in self._keys:
                 raise UnknownMember(f"{m!r} is not registered")
         self.roster = roster
         self._log = [None] * roster.size
-        return Announcement(members=roster.members)
+        return roster
 
     def receive_challenge(self, msg: ChallengeMessage) -> None:
         if self.roster is None:
@@ -406,9 +395,9 @@ class GroupMember:
         self._log: list[int | None] = []
         self.pending_broadcast: KgcBroadcast | None = None
 
-    def receive_announcement(self, ann: Announcement) -> None:
-        """Adopt the announced roster; resets all per-session state (freshness)."""
-        roster = GroupRoster(ann.members)
+    def receive_announcement(self, roster: GroupRoster) -> None:
+        """Adopt the KGC's announced roster object, NotInRoster unless it names this
+        member; resets all per-session state (freshness)."""
         roster.index_of(self.identity.user_id)
         self.roster = roster
         self._index = roster.index

@@ -417,10 +417,9 @@ class TranscriptMeta:
                 id_width=rec.get("id_width"), adversary=_adversary_spec(rec.get("adversary")),
                 redact=rec.get("redacted"),
             )
-            meta = cls.from_config(cfg, *build_domain(cfg.variant, None, p=cfg.p, q=cfg.q))
+            return cls.from_config(cfg, *build_domain(cfg.variant, None, p=cfg.p, q=cfg.q))
         except ConfigError as e:
             raise MalformedTranscript(f"meta: {e}") from None
-        return meta
 
 
 @dataclass(frozen=True)
@@ -521,7 +520,7 @@ class Transcript:
         is the meta's str object or KGC_NAME. Any other line raises, naming its number
         and the record the writer puts there. The text is walked by offset, one line
         cut at a time, so it is never held twice."""
-        pos = text.rfind("\n", 0, _BLANK.match(text).end()) + 1  # past the leading blank lines
+        pos = content_start(text)
         lineno = text.count("\n", 0, pos)
 
         def line() -> str:
@@ -575,6 +574,11 @@ class Transcript:
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))  # json.dumps builds one per call
 _BLANK = re.compile(r"\s*")  # a text's leading whitespace, found without the copy str.lstrip makes
+
+
+def content_start(text: str) -> int:
+    """The offset of text's first line with content, where every file reader starts."""
+    return text.rfind("\n", 0, _BLANK.match(text).end()) + 1
 
 
 def _dump(obj: object) -> str:
@@ -768,7 +772,6 @@ def run_scenario(cfg: ScenarioConfig) -> Transcript:
 
     names = cfg.members
     ids = {name: name.encode() for name in names}
-    roster = GroupRoster(tuple(ids[n] for n in names))
     keys: dict[str, int] = {}
     for name in names:
         if cfg.keys is not None and name in cfg.keys:
@@ -783,13 +786,6 @@ def run_scenario(cfg: ScenarioConfig) -> Transcript:
         kgc.register(identity)
         members[name] = GroupMember(identity, params)
 
-    adv, interceptor, insider = cfg.adversary, None, None
-    if adv is not None and adv.action == ACTION_FORGE:
-        interceptor = insider = InsiderInterceptor(
-            members[adv.attacker], roster, names.index(adv.victim), adv.target_key, rng
-        )
-    elif adv is not None:
-        interceptor = BroadcastSuppressor()
     entries_by_message = itertools.groupby(event_skeleton(meta), key=lambda entry: entry[:2])
     events: list[TranscriptEvent] = []
 
@@ -812,9 +808,9 @@ def run_scenario(cfg: ScenarioConfig) -> Transcript:
             if handed is not None:
                 hand(receivers, handed)
 
-    def announce_to(receivers: tuple[str, ...], ann) -> None:
+    def announce_to(receivers: tuple[str, ...], roster: GroupRoster) -> None:
         for r in receivers:
-            members[r].receive_announcement(ann)
+            members[r].receive_announcement(roster)
 
     def fan_out(receivers: ChallengeReceivers, msg) -> None:
         """To the KGC, then the observers of every member but the sender, members[i]."""
@@ -829,11 +825,17 @@ def run_scenario(cfg: ScenarioConfig) -> Transcript:
         for r in receivers:
             members[r].receive_broadcast(bcast)
 
-    # the request reaches no one: run_scenario answers it by calling announce, which
-    # echoes the roster in request order, so both carry one payload
+    # the request reaches no one: run_scenario answers it by calling announce, whose
+    # roster, the session's one, echoes the ids in request order, so both carry one payload
+    roster = kgc.announce(tuple(ids.values()))
     roster_bytes = encode_identifiers(roster.members, params.id_width)
     send(None, roster_bytes, None)
-    send(kgc.announce(roster.members), roster_bytes, announce_to)
+    send(roster, roster_bytes, announce_to)
+
+    adv, insider = cfg.adversary, None
+    if adv is not None and adv.action == ACTION_FORGE:
+        insider = InsiderInterceptor(members[adv.attacker], roster, names.index(adv.victim), adv.target_key, rng)
+    interceptor = insider or BroadcastSuppressor()  # offered only an attacked victim's broadcast
 
     issued: dict[str, int] = {}
     for name in names:

@@ -18,7 +18,6 @@ from gkdsim.algebra import SeededRng
 from gkdsim.codec import PublicParams
 from gkdsim.errors import AttackerIsVictim, IndexOutOfRoster, NotInRoster
 from gkdsim.protocol import (
-    Announcement,
     ChallengeMessage,
     GroupMember,
     GroupRoster,
@@ -156,7 +155,7 @@ def test_forgery_is_variant_independent(field23):
 def make_interceptor(ring35, target_key=4):
     """The insider over the attacker's member, announced the roster (A, B)."""
     attacker = GroupMember(ATTACKER, PublicParams(ring35))
-    attacker.receive_announcement(Announcement(ROSTER.members))
+    attacker.receive_announcement(ROSTER)
     return InsiderInterceptor(attacker, ROSTER, 0, target_key, rng=SeededRng(3))
 
 
@@ -327,7 +326,7 @@ def test_claim_2_from_the_public_record(t, ring, data, seed):
 
     roster = GroupRoster(tuple(name.encode() for name in meta.members))
     member = GroupMember(PartyIdentity(attacker.encode(), gt.member_keys[attacker]), params)
-    member.receive_announcement(Announcement(roster.members))
+    member.receive_announcement(roster)
     for ev in tr.events:
         if ev.step == STEP_CHALLENGE:
             value = parse_challenge_payload(ev.payload, ctx, ev.index)

@@ -23,7 +23,6 @@ from gkdsim.errors import (
     WidthTooSmall,
 )
 from gkdsim.protocol import (
-    Announcement,
     GroupMember,
     GroupRoster,
     KeyGenerationCentre,
@@ -617,7 +616,7 @@ def test_challenge_vector_requires_announcement(ring35):
     member = GroupMember(PartyIdentity(b"A", 2), PublicParams(ring35))
     with pytest.raises(NotInRoster, match="^no announcement seen$"):
         member.challenges()
-    member.receive_announcement(Announcement((b"A", b"B")))
+    member.receive_announcement(GroupRoster((b"A", b"B")))
     with pytest.raises(IncompleteChallenges, match=r"^missing challenges from \[b'A', b'B'\]$"):
         member.challenges()
 
@@ -625,15 +624,15 @@ def test_challenge_vector_requires_announcement(ring35):
 def test_announcement_must_name_the_member(ring35):
     member = GroupMember(PartyIdentity(b"Z", 2), PublicParams(ring35))
     with pytest.raises(NotInRoster):
-        member.receive_announcement(Announcement((b"A", b"B")))
+        member.receive_announcement(GroupRoster((b"A", b"B")))
 
 
 def test_reannouncement_resets_session(ring35):
     member = GroupMember(PartyIdentity(b"A", 2), PublicParams(ring35))
     rng = SeededRng(0)
-    member.receive_announcement(Announcement((b"A", b"B")))
+    member.receive_announcement(GroupRoster((b"A", b"B")))
     first = member.issue_challenge(rng)
-    member.receive_announcement(Announcement((b"A", b"B")))
+    member.receive_announcement(GroupRoster((b"A", b"B")))
     assert _logged(member) == {}
     assert member.pending_broadcast is None
     second = member.issue_challenge(rng)
@@ -653,7 +652,7 @@ def test_kgc_rejects_challenge_from_non_member(ring35):
 
 def test_finalize_without_broadcast_times_out(ring35):
     member = GroupMember(PartyIdentity(b"A", 2), PublicParams(ring35))
-    member.receive_announcement(Announcement((b"A", b"B")))
+    member.receive_announcement(GroupRoster((b"A", b"B")))
     assert member.finalize().status is OutcomeStatus.TIMEOUT
 
 
@@ -667,8 +666,9 @@ def test_every_party_names_its_missing_challenges_in_roster_order(ring35):
     for k, m in enumerate(ids):
         kgc.register(PartyIdentity(m, k + 2))
     member = GroupMember(PartyIdentity(b"B", 3), params)
-    member.receive_announcement(kgc.announce(ids))
-    insider = InsiderInterceptor(member, GroupRoster(ids), 0, 4)
+    roster = kgc.announce(ids)
+    member.receive_announcement(roster)
+    insider = InsiderInterceptor(member, roster, 0, 4)
     msg = member.issue_challenge(SeededRng(0))
     kgc.receive_challenge(msg)
     member.receive_broadcast(bcast)
@@ -697,18 +697,29 @@ def test_roster_index_and_errors():
     with pytest.raises(DuplicateMember):
         GroupRoster(ids + (b"m7",))
     with pytest.raises(TypeError):
-        roster.index[b"new"] = 0  # one read-only map, shared
+        roster.index[b"new"] = 0  # read-only: every party of a session holds this roster
 
 
-def test_rosters_over_the_same_ids_are_equal_and_share_one_index():
+def test_rosters_over_the_same_ids_are_equal():
+    """Equal, with one hash and repr, over equal ids, and copied or pickled with
+    an equal read-only index of their own."""
     a = GroupRoster((b"A", b"B", b"C"))
     b = GroupRoster(tuple([b"A", b"B", b"C"]))
     assert a == b and hash(a) == hash(b)
-    assert a.index is b.index
     assert repr(a) == "GroupRoster(members=(b'A', b'B', b'C'))"
     assert a != GroupRoster((b"C", b"B", b"A"))
     for copied in (copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
-        assert copied == a and copied.index is a.index
+        assert copied == a and copied.index == a.index
+        with pytest.raises(TypeError):
+            copied.index[b"D"] = 3
+
+
+def test_every_member_holds_the_roster_the_kgc_announced(ring35):
+    """The announcement is the KGC's roster object: every member that received
+    it holds that object, not a copy."""
+    kgc, members, _, _ = drive_session(ring35, (b"alice", b"bob", b"carol"))
+    assert all(m.roster is kgc.roster for m in members.values())
+    assert isinstance(kgc.roster, GroupRoster)
 
 
 def test_member_ignores_challenges_from_non_members(ring35):
@@ -717,7 +728,7 @@ def test_member_ignores_challenges_from_non_members(ring35):
 
     member.observe_challenge(ChallengeMessage(b"B", 5))  # before any announcement
     assert _logged(member) == {}
-    member.receive_announcement(Announcement((b"A", b"B")))
+    member.receive_announcement(GroupRoster((b"A", b"B")))
     member.observe_challenge(ChallengeMessage(b"C", 5))
     member.observe_challenge(ChallengeMessage(b"B", 40))
     assert _logged(member) == {b"B": 5}  # 40 mod 35
@@ -732,8 +743,7 @@ class _DictMember:
         self.identity, self.params = identity, params
         self.roster, self.observed_challenges, self.pending_broadcast = None, {}, None
 
-    def receive_announcement(self, ann):
-        roster = GroupRoster(ann.members)
+    def receive_announcement(self, roster):
         roster.index_of(self.identity.user_id)
         self.roster, self.observed_challenges, self.pending_broadcast = roster, {}, None
 
@@ -792,7 +802,8 @@ def test_challenge_log_matches_the_dict_reference(field, ops):
     rngs = {member: SeededRng(1), reference: SeededRng(1)}
     for op, *args in ops:
         if op == "announce":
-            steps = {p: (lambda p=p: p.receive_announcement(Announcement(tuple(args[0])))) for p in rngs}
+            announced = GroupRoster(tuple(args[0]))
+            steps = {p: (lambda p=p: p.receive_announcement(announced)) for p in rngs}
         elif op == "issue":
             steps = {p: (lambda p=p: p.issue_challenge(rngs[p])) for p in rngs}
         elif op == "observe":

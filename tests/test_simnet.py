@@ -162,6 +162,20 @@ def test_pipeline_hashes_each_tag_input_once(adversary, inputs):
     assert codec.compute_auth.cache_info().misses == inputs
 
 
+@pytest.mark.parametrize("adversary", [None, FORGE, SUPPRESS], ids=["honest", "forge", "suppress"])
+def test_a_run_and_its_verify_each_build_one_roster(adversary, monkeypatch):
+    """At t = 8, run_scenario builds one GroupRoster, the KGC's announcement, which
+    every member and the insider hold; parse and verify build one of their own."""
+    built = []
+    post_init = protocol.GroupRoster.__post_init__
+    monkeypatch.setattr(protocol.GroupRoster, "__post_init__", lambda self: built.append(self) or post_init(self))
+    tr = run(members=["alice", "bob", "carol", *(f"m{k}" for k in range(5))], adversary=adversary)
+    assert len(built) == 1
+    del built[:]
+    assert verify_transcript(Transcript.from_jsonl(tr.to_jsonl())).ok
+    assert len(built) == 1
+
+
 # --- honest runs -----------------------------------------------------------------
 
 def test_honest_run_all_accept_the_same_key():
