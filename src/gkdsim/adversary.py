@@ -21,7 +21,7 @@ from enum import Enum
 
 from .algebra import SeededRng, sample_element
 from .codec import AuthInput, PublicParams, compute_auth
-from .errors import AttackerIsVictim, IndexOutOfRoster
+from .errors import AttackerIsVictim, IndexOutOfRoster, NotInRoster
 from .protocol import GroupMember, GroupRoster, KgcBroadcast, PartyIdentity, unmask
 
 
@@ -87,8 +87,8 @@ class InsiderInterceptor:
     """The insider strategy on the KGC->victim link, played by the attacker's own
     GroupMember: intercept() is offered only the victim's copy of the key
     broadcast, and replaces it with the forgery, built from what that member
-    holds, its identity, the public parameters and the challenge vector it has
-    seen.
+    holds, its identity, the public parameters, and the roster and challenge
+    vector it has seen. The member must have seen the announcement.
 
     target_key None means "pick one at attack time,
     different from the real key", drawn from rng. Keeps the recovered and planted
@@ -96,20 +96,21 @@ class InsiderInterceptor:
     """
 
     def __init__(
-        self, attacker: GroupMember, roster: GroupRoster, victim_index: int,
+        self, attacker: GroupMember, victim_index: int,
         target_key: int | None = None, rng: SeededRng | None = None,
     ):
+        roster = attacker.roster  # announced, so it names the attacker
+        if roster is None:
+            raise NotInRoster("no announcement seen")
         if not 0 <= victim_index < roster.size:
             raise IndexOutOfRoster(
                 f"victim index {victim_index} outside roster of {roster.size}"
             )
         if roster.members[victim_index] == attacker.identity.user_id:
             raise AttackerIsVictim("attacker and victim must be distinct members")
-        roster.index_of(attacker.identity.user_id)
         if target_key is None and rng is None:
             raise ValueError("a random target key needs an rng")
         self.attacker = attacker
-        self.roster = roster
         self.victim_index = victim_index
         self.target_key = target_key
         self.rng = rng
@@ -120,8 +121,8 @@ class InsiderInterceptor:
         """Does nothing: the insider reads its member. Kept while perfbench/tracing.py names it."""
 
     def intercept(self, message: KgcBroadcast) -> ChannelAction:
-        challenges, params = self.attacker.challenges(), self.attacker.params
-        recovered = insider_recover_key(self.attacker.identity, self.roster, challenges, message, params)
+        challenges, params, roster = self.attacker.challenges(), self.attacker.params, self.attacker.roster
+        recovered = insider_recover_key(self.attacker.identity, roster, challenges, message, params)
         ctx = params.ctx
         target = self.target_key
         if target is None:
@@ -131,7 +132,7 @@ class InsiderInterceptor:
         else:
             target = ctx.reduce(target)
         forged = forge_broadcast(
-            self.victim_index, target, recovered, message, self.roster, challenges, params
+            self.victim_index, target, recovered, message, roster, challenges, params
         )
         self.recovered_key = recovered
         self.forged_key = target

@@ -58,10 +58,12 @@ class HashConfig:
     element_hash: str | None = None
 
     def __post_init__(self):
-        names = [self.algorithm]
+        names = {"algorithm": self.algorithm}
         if self.element_hash not in (None, ZERO_HASH):
-            names.append(self.element_hash)
-        for name in names:
+            names["element_hash"] = self.element_hash
+        for field_name, name in names.items():
+            if type(name) is not str:  # checked before _digest_size's cache hashes the name
+                raise ValueError(f"{field_name} must be a string")
             if not _digest_size(name):  # shake_*: digest() would need a length
                 raise ValueError(f"{name!r} is a variable-length hash")
 

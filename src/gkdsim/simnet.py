@@ -80,6 +80,8 @@ MAX_ID_WIDTH = 255
 _STATUSES = tuple(s.value for s in OutcomeStatus)
 _ACCEPTED = OutcomeStatus.ACCEPTED.value
 _TIMEOUT = OutcomeStatus.TIMEOUT.value
+_CONFIG_KEYS = frozenset(("variant", "members", "modulus", "keys", "initiator",
+                          "seed", "hash", "id_width", "adversary", "redact"))
 _ADVERSARY_KEYS = frozenset(("attacker", "victim", "action", "target_key"))
 
 
@@ -149,13 +151,14 @@ class ChallengeReceivers:
 
 def event_skeleton(meta: TranscriptMeta) -> list[tuple[str, str, tuple[str, ...] | ChallengeReceivers, str]]:
     """(step, sender, receivers, verdict) of every event a run of meta records, in
-    order: run_scenario records each message as its group of entries, from_jsonl
-    types the events that match it, and verify_transcript accepts no other. The
-    insider holds one link, KGC -> victim, so the KGC's announce and broadcast reach
-    the other members in one event and the victim in one of its own: the announce
-    delivered, the broadcast replaced (forge) or dropped (suppress). A challenge's
-    receivers are a ChallengeReceivers over meta.members, so the list is O(t) to
-    build and compare. Every name is the object in meta.members, or KGC_NAME."""
+    order. A meta builds it once, as meta.skeleton: run_scenario records each message
+    as its group of entries, from_jsonl types the events that match it, and
+    verify_transcript accepts no other. The insider holds one link, KGC -> victim, so
+    the KGC's announce and broadcast reach the other members in one event and the
+    victim in one of its own: the announce delivered, the broadcast replaced (forge)
+    or dropped (suppress). A challenge's receivers are a ChallengeReceivers over
+    meta.members, so the list is O(t) to build and compare. Every name is the object
+    in meta.members, or KGC_NAME; the tests call it as their oracle."""
     members, adv = meta.members, meta.adversary
     groups = [(members, VERDICT_DELIVERED)]  # who each KGC event reaches, and the broadcast's verdict
     if adv is not None:
@@ -184,41 +187,6 @@ class AdversarySpec:
     target_key: int | None = None  # None means drawn at attack time, != real key
 
 
-# Field typing shared by configs and transcript metas; __post_init__ checks the values.
-
-def _variant(value: object) -> Variant:
-    try:
-        return Variant(value)
-    except ValueError:
-        raise ConfigError("variant must be 'ring' or 'field'") from None
-
-
-def _names(value: object) -> tuple:
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError("members must be a list of names")
-    return tuple(value)
-
-
-def _hash_config(algorithm: object, element_hash: object) -> HashConfig:
-    try:
-        return HashConfig(algorithm, element_hash)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad hash config: {e}") from None
-
-
-def _adversary_spec(adv: object) -> AdversarySpec | None:
-    if adv is None:
-        return None
-    if not isinstance(adv, Mapping):
-        raise ConfigError("adversary must be an object or null")
-    unknown = adv.keys() - _ADVERSARY_KEYS
-    if unknown:
-        raise ConfigError(f"unknown adversary keys: {sorted(unknown)}")
-    target = adv.get("target_key")
-    return AdversarySpec(adv.get("attacker"), adv.get("victim"), adv.get("action", ACTION_FORGE),
-                         None if target == "random" else target)
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     variant: Variant
@@ -236,14 +204,12 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "ScenarioConfig":
-        known = {
-            "variant", "members", "modulus", "keys", "initiator",
-            "seed", "hash", "id_width", "adversary", "redact",
-        }
-        unknown = set(d) - known
+        if not isinstance(d, Mapping):
+            raise ConfigError("config must be a JSON object")
+        unknown = d.keys() - _CONFIG_KEYS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        mod, hash_d = d.get("modulus"), d.get("hash", {})
+        mod, hash_d, members, adv = d.get("modulus"), d.get("hash", {}), d.get("members"), d.get("adversary")
         if not isinstance(mod, Mapping):
             raise ConfigError("modulus must be an object with p/q or bits")
         mod_unknown = set(mod) - {"p", "q", "bits"}
@@ -251,19 +217,37 @@ class ScenarioConfig:
             raise ConfigError(f"unknown modulus keys: {sorted(mod_unknown)}")
         if not isinstance(hash_d, Mapping):
             raise ConfigError("hash must be an object")
-
+        try:  # typed in field order: the first error names the first bad field
+            variant = Variant(d.get("variant"))
+        except ValueError:
+            raise ConfigError("variant must be 'ring' or 'field'") from None
+        if not isinstance(members, (list, tuple)):
+            raise ConfigError("members must be a list of names")
+        try:
+            hash_cfg = HashConfig(hash_d.get("algorithm", "sha256"), hash_d.get("element_hash"))
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"bad hash config: {e}") from None
+        if adv is not None:
+            if not isinstance(adv, Mapping):
+                raise ConfigError("adversary must be an object or null")
+            unknown = adv.keys() - _ADVERSARY_KEYS
+            if unknown:
+                raise ConfigError(f"unknown adversary keys: {sorted(unknown)}")
+            target = adv.get("target_key")
+            adv = AdversarySpec(adv.get("attacker"), adv.get("victim"), adv.get("action", ACTION_FORGE),
+                                None if target == "random" else target)
         return cls(
-            variant=_variant(d.get("variant")),
-            members=_names(d.get("members")),
+            variant=variant,
+            members=tuple(members),
             p=mod.get("p"),
             q=mod.get("q"),
             bits=mod.get("bits"),
             keys=d.get("keys"),
             initiator=d.get("initiator"),
             seed=d.get("seed", 0),
-            hash_cfg=_hash_config(hash_d.get("algorithm", "sha256"), hash_d.get("element_hash")),
+            hash_cfg=hash_cfg,
             id_width=d.get("id_width", DEFAULT_ID_WIDTH),
-            adversary=_adversary_spec(d.get("adversary")),
+            adversary=adv,
             redact=d.get("redact", False),
         )
 
@@ -277,8 +261,6 @@ class ScenarioConfig:
             d = json.loads(text)
         except (ValueError, RecursionError) as e:
             raise ConfigError(f"config is not valid JSON: {e}") from None
-        if not isinstance(d, dict):
-            raise ConfigError("config must be a JSON object")
         return cls.from_dict(d)
 
     def __post_init__(self) -> None:
@@ -369,6 +351,10 @@ class TranscriptMeta:
     seed: int
     redacted: bool
     adversary: AdversarySpec | None = None  # target_key stays None: ground truth records it
+    skeleton: list = field(init=False, compare=False, repr=False)  # event_skeleton(self), built once
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "skeleton", event_skeleton(self))
 
     @property
     def t(self) -> int:
@@ -396,8 +382,9 @@ class TranscriptMeta:
         }
 
     @classmethod
-    def from_config(cls, cfg: ScenarioConfig, ctx: DomainContext, p: int, q: int | None) -> "TranscriptMeta":
-        """The meta of a run of cfg over the domain build_domain returned for it."""
+    def from_config(cls, cfg: ScenarioConfig, rng: SeededRng | None) -> "TranscriptMeta":
+        """The meta of a run of cfg, over the domain build_domain builds from rng."""
+        ctx, p, q = build_domain(cfg.variant, rng, p=cfg.p, q=cfg.q, bits=cfg.bits)
         adv = cfg.adversary
         if adv is not None and adv.target_key is not None:  # ground truth records it
             adv = AdversarySpec(adv.attacker, adv.victim, adv.action)
@@ -406,18 +393,15 @@ class TranscriptMeta:
 
     @classmethod
     def from_record(cls, rec: dict) -> "TranscriptMeta":
-        """The meta of rec's fields, checked as a config's are, with p and q proven by
-        build_domain. The derived fields and the key set are checked by from_jsonl,
-        which requires the line to be the _dump of the meta's record."""
+        """The meta of rec's settings, read by ScenarioConfig.from_dict, with a config's errors
+        behind "meta: ". from_jsonl checks the derived fields and the key set: the line is its _dump."""
         try:
-            cfg = ScenarioConfig(
-                _variant(rec.get("variant")), _names(rec.get("members")), rec.get("p"), rec.get("q"),
-                initiator=rec.get("initiator"), seed=rec.get("seed"),
-                hash_cfg=_hash_config(rec.get("hash_algorithm"), rec.get("element_hash")),
-                id_width=rec.get("id_width"), adversary=_adversary_spec(rec.get("adversary")),
-                redact=rec.get("redacted"),
-            )
-            return cls.from_config(cfg, *build_domain(cfg.variant, None, p=cfg.p, q=cfg.q))
+            cfg = ScenarioConfig.from_dict({
+                **{key: rec.get(key) for key in ("variant", "members", "initiator", "seed", "id_width", "adversary")},
+                "modulus": {"p": rec.get("p"), "q": rec.get("q")}, "redact": rec.get("redacted"),
+                "hash": {"algorithm": rec.get("hash_algorithm"), "element_hash": rec.get("element_hash")},
+            })
+            return cls.from_config(cfg, None)
         except ConfigError as e:
             raise MalformedTranscript(f"meta: {e}") from None
 
@@ -552,7 +536,7 @@ class Transcript:
         ctx, quoted = meta.params.ctx, _Quoted()
         events = tuple([_written_event(line(), k, entry, quoted)
                         or fail(f"event {k}, the {entry[0]} from {entry[1]!r}, as gkdsim writes it")
-                        for k, entry in enumerate(event_skeleton(meta))])
+                        for k, entry in enumerate(meta.skeleton)])
         outcomes = tuple([_framed_outcome(line(), member, quoted, ctx)
                           or fail(f"the outcome of {member!r} as gkdsim writes it") for member in meta.members])
         del quoted  # t names' JSON texts: not held while the ground truth is checked
@@ -766,7 +750,7 @@ def run_scenario(cfg: ScenarioConfig) -> Transcript:
     with byte-identical serialization.
     """
     rng = SeededRng(cfg.seed)
-    meta = TranscriptMeta.from_config(cfg, *build_domain(cfg.variant, rng, p=cfg.p, q=cfg.q, bits=cfg.bits))
+    meta = TranscriptMeta.from_config(cfg, rng)
     params = meta.params
     ctx = params.ctx
 
@@ -786,7 +770,7 @@ def run_scenario(cfg: ScenarioConfig) -> Transcript:
         kgc.register(identity)
         members[name] = GroupMember(identity, params)
 
-    entries_by_message = itertools.groupby(event_skeleton(meta), key=lambda entry: entry[:2])
+    entries_by_message = itertools.groupby(meta.skeleton, key=lambda entry: entry[:2])
     events: list[TranscriptEvent] = []
 
     observers = [members[name].observe_challenge for name in names]  # bound after any tracer is installed
@@ -834,7 +818,7 @@ def run_scenario(cfg: ScenarioConfig) -> Transcript:
 
     adv, insider = cfg.adversary, None
     if adv is not None and adv.action == ACTION_FORGE:
-        insider = InsiderInterceptor(members[adv.attacker], roster, names.index(adv.victim), adv.target_key, rng)
+        insider = InsiderInterceptor(members[adv.attacker], names.index(adv.victim), adv.target_key, rng)
     interceptor = insider or BroadcastSuppressor()  # offered only an attacked victim's broadcast
 
     issued: dict[str, int] = {}
@@ -962,9 +946,8 @@ def verify_transcript(tr: Transcript) -> VerificationReport:
     roster = GroupRoster(tuple(ids.values()))
 
     shape = [(ev.step, ev.sender, ev.receivers, ev.verdict) for ev in tr.events]
-    skeleton = event_skeleton(meta)
-    if shape != skeleton:
-        for line in _skeleton_mismatches(shape, skeleton):
+    if shape != meta.skeleton:
+        for line in _skeleton_mismatches(shape, meta.skeleton):
             report.fail(line)
         report.skipped.append("payload, outcome and ground-truth checks: the events differ from the event skeleton")
         return report

@@ -152,11 +152,16 @@ def test_forgery_is_variant_independent(field23):
 
 # --- interceptor strategy --------------------------------------------------------------
 
+def _announced(identity, ring35):
+    """identity's member, announced the roster (A, B)."""
+    member = GroupMember(identity, PublicParams(ring35))
+    member.receive_announcement(ROSTER)
+    return member
+
+
 def make_interceptor(ring35, target_key=4):
     """The insider over the attacker's member, announced the roster (A, B)."""
-    attacker = GroupMember(ATTACKER, PublicParams(ring35))
-    attacker.receive_announcement(ROSTER)
-    return InsiderInterceptor(attacker, ROSTER, 0, target_key, rng=SeededRng(3))
+    return InsiderInterceptor(_announced(ATTACKER, ring35), 0, target_key, rng=SeededRng(3))
 
 
 def deliver_challenges(icpt):
@@ -167,17 +172,20 @@ def deliver_challenges(icpt):
 
 def test_strategy_rejects_attacker_as_victim(ring35):
     with pytest.raises(AttackerIsVictim):
-        InsiderInterceptor(GroupMember(ATTACKER, PublicParams(ring35)), ROSTER, 1, 4)
+        InsiderInterceptor(_announced(ATTACKER, ring35), 1, 4)
 
 
 def test_strategy_rejects_victim_outside_roster(ring35):
     with pytest.raises(IndexOutOfRoster):
-        InsiderInterceptor(GroupMember(ATTACKER, PublicParams(ring35)), ROSTER, 9, 4)
+        InsiderInterceptor(_announced(ATTACKER, ring35), 9, 4)
 
 
 def test_strategy_requires_member_attacker(ring35):
+    """A non-member cannot adopt the roster, so it holds none to attack with."""
     with pytest.raises(NotInRoster):
-        InsiderInterceptor(GroupMember(PartyIdentity(b"Z", 1), PublicParams(ring35)), ROSTER, 0, 4)
+        _announced(PartyIdentity(b"Z", 1), ring35)
+    with pytest.raises(NotInRoster):
+        InsiderInterceptor(GroupMember(PartyIdentity(b"Z", 1), PublicParams(ring35)), 0, 4)
 
 
 def test_interceptor_passes_everything_but_the_victim_broadcast(ring35, honest_bcast):
@@ -203,7 +211,7 @@ def test_interceptor_draws_random_target_distinct_from_key(ring35, honest_bcast)
 
 def test_interceptor_needs_rng_for_random_target(ring35):
     with pytest.raises(ValueError):
-        InsiderInterceptor(GroupMember(ATTACKER, PublicParams(ring35)), ROSTER, 0, None)
+        InsiderInterceptor(_announced(ATTACKER, ring35), 0, None)
 
 
 def test_suppressor_drops_only_victim_broadcast(ring35, honest_bcast):
@@ -237,16 +245,14 @@ def test_the_interceptor_sees_only_the_victims_broadcast(t, action):
     assert tr.events[-1].verdict == (VERDICT_REPLACED if action == "forge" else VERDICT_DROPPED)
 
 
-def test_an_unannounced_insider_refuses_to_intercept(ring35, honest_bcast):
-    """An insider over a member that has seen no announcement reads no challenge
-    vector: intercept raises NotInRoster, as GroupMember.challenges does."""
+def test_an_unannounced_insider_refuses_to_intercept(ring35):
+    """An insider over a member that has seen no announcement has no roster to read:
+    it is refused at construction with NotInRoster, as GroupMember.challenges is."""
     attacker = GroupMember(ATTACKER, PublicParams(ring35))
     with pytest.raises(NotInRoster, match="^no announcement seen$"):
         attacker.challenges()
-    icpt = InsiderInterceptor(attacker, ROSTER, 0, 4)
     with pytest.raises(NotInRoster, match="^no announcement seen$"):
-        icpt.intercept(honest_bcast)
-    assert icpt.recovered_key is None and icpt.forged_key is None
+        InsiderInterceptor(attacker, 0, 4)
 
 
 # --- one public challenge vector ------------------------------------------------------
@@ -332,7 +338,7 @@ def test_claim_2_from_the_public_record(t, ring, data, seed):
             value = parse_challenge_payload(ev.payload, ctx, ev.index)
             member.observe_challenge(ChallengeMessage(ev.sender.encode(), value))
     honest = parse_broadcast_payload(tr.events[-1].payload, ctx, params.hash_cfg.digest_size, t)
-    insider = InsiderInterceptor(member, roster, meta.members.index(victim), target)
+    insider = InsiderInterceptor(member, meta.members.index(victim), target)
     forged = insider.intercept(honest).message
 
     adversary = {"attacker": attacker, "victim": victim, "target_key": target}

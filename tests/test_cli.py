@@ -578,6 +578,28 @@ def test_verify_rejects_a_meta_whose_modulus_is_not_prime(tmp_path, capsys, gold
     assert "35 is not prime" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(("field", "value"), [
+    pytest.param(field, value, id=f"{field}-{kind}")
+    for field in ("algorithm", "element_hash")
+    for kind, value in (("list", ["x"]), ("dict", {"a": 1}), ("int", 5), ("bool", True), ("null", None))
+    if (field, kind) != ("element_hash", "null")  # a null element_hash is the tag hash
+])
+def test_a_hash_name_that_is_not_a_string_fails_naming_its_field(tmp_path, capsys, field, value):
+    """In a config, run exits 2; in the golden's meta, verify exits 3 with the same
+    message behind "line 1: meta: ". Either way it names the field, before the
+    digest-size cache sees an unhashable name."""
+    path = write_config(tmp_path, hash={field: value})
+    assert main(["run", str(path), "--out", str(tmp_path / "t.jsonl")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: bad hash config: {field} must be a string\n"
+    lines = (GOLDEN / "honest-ring35.jsonl").read_text().splitlines(keepends=True)
+    meta = json.loads(lines[0])
+    meta["hash_algorithm" if field == "algorithm" else field] = value
+    path = tmp_path / "t.jsonl"
+    path.write_text(json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n" + "".join(lines[1:]))
+    assert main(["verify", str(path)]) == EXIT_VERIFY
+    assert capsys.readouterr().err == f"error: line 1: meta: bad hash config: {field} must be a string\n"
+
+
 def _attack_golden_records():
     path = Path(__file__).parent / "golden" / "attack-ring35.jsonl"
     return [json.loads(line) for line in path.read_text().splitlines()]

@@ -668,7 +668,7 @@ def test_every_party_names_its_missing_challenges_in_roster_order(ring35):
     member = GroupMember(PartyIdentity(b"B", 3), params)
     roster = kgc.announce(ids)
     member.receive_announcement(roster)
-    insider = InsiderInterceptor(member, roster, 0, 4)
+    insider = InsiderInterceptor(member, 0, 4)
     msg = member.issue_challenge(SeededRng(0))
     kgc.receive_challenge(msg)
     member.receive_broadcast(bcast)
@@ -875,8 +875,10 @@ def test_insider_takes_no_params_and_reads_its_members(ring35):
     """The insider is the attacker's own member: its constructor takes no public
     parameters, and it holds none apart from the member's."""
     assert not set(inspect.signature(InsiderInterceptor).parameters) & {
-        "params", "ctx", "hash_cfg", "variant", "id_width"}
+        "params", "ctx", "hash_cfg", "variant", "id_width", "roster"}
     params = PublicParams(ring35)
-    insider = InsiderInterceptor(GroupMember(PartyIdentity(b"B", 3), params), ROSTER, 0, 4)
-    assert insider.attacker.params is params
-    assert not {"params", "variant", "ctx", "hash_cfg", "id_width"} & set(vars(insider))
+    member = GroupMember(PartyIdentity(b"B", 3), params)
+    member.receive_announcement(ROSTER)
+    insider = InsiderInterceptor(member, 0, 4)
+    assert insider.attacker.params is params and insider.attacker.roster is ROSTER
+    assert not {"params", "variant", "ctx", "hash_cfg", "id_width", "roster"} & set(vars(insider))

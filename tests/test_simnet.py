@@ -789,6 +789,89 @@ def test_a_library_session_checks_its_config_twice(monkeypatch):
     assert len(checks) == 2
 
 
+@pytest.mark.parametrize("adversary", [None, FORGE, SUPPRESS], ids=["honest", "forge", "suppress"])
+def test_a_session_builds_its_skeleton_once_per_meta(monkeypatch, adversary):
+    """run, to_jsonl, from_jsonl and verify build the event skeleton twice, once
+    for the run's meta and once for the parsed one; the runner, the reader and
+    verify each read meta.skeleton, which is event_skeleton's list."""
+    builds, build = [], simnet.event_skeleton
+
+    def counted_build(meta):
+        builds.append(meta)
+        return build(meta)
+
+    monkeypatch.setattr(simnet, "event_skeleton", counted_build)
+    tr = run(adversary=adversary)
+    parsed = Transcript.from_jsonl(tr.to_jsonl())
+    assert verify_transcript(parsed).ok
+    assert builds == [tr.meta, parsed.meta] and builds[0] is tr.meta and builds[1] is parsed.meta
+    assert type(parsed.meta.skeleton) is list and parsed.meta.skeleton == build(parsed.meta)
+
+
+@pytest.mark.parametrize("value", [[], 5, None, "ab"], ids=["list", "int", "null", "string"])
+def test_from_dict_refuses_anything_but_an_object(value):
+    with pytest.raises(ConfigError, match="^config must be a JSON object$"):
+        ScenarioConfig.from_dict(value)
+
+
+# Every setting a meta shares with a config: (its path in a config, its key in a meta).
+_SHARED_SETTINGS = {
+    "variant": (("variant",), "variant"),
+    "members": (("members",), "members"),
+    "p": (("modulus", "p"), "p"),
+    "q": (("modulus", "q"), "q"),
+    "initiator": (("initiator",), "initiator"),
+    "seed": (("seed",), "seed"),
+    "id_width": (("id_width",), "id_width"),
+    "hash-algorithm": (("hash", "algorithm"), "hash_algorithm"),
+    "element-hash": (("hash", "element_hash"), "element_hash"),
+    "adversary": (("adversary",), "adversary"),
+    "redact": (("redact",), "redacted"),
+}
+_HOSTILE_SETTINGS = (None, True, -1, 2**70, "", "kgc", [], {}, ["x"])
+
+
+def _config_of(meta):
+    """The config holding a meta record's settings."""
+    return {"variant": meta["variant"], "members": meta["members"], "modulus": {"p": meta["p"], "q": meta["q"]},
+            "initiator": meta["initiator"], "seed": meta["seed"], "id_width": meta["id_width"],
+            "hash": {"algorithm": meta["hash_algorithm"], "element_hash": meta["element_hash"]},
+            "adversary": meta["adversary"], "redact": meta["redacted"]}
+
+
+# The hostile values a config may hold: initiator null is the first member, element
+# hash null the tag hash, and 2**70 a seed; a transcript's own checks judge those.
+_READ_BY_THE_CONFIG_READER = {"initiator": [None], "seed": [2**70], "element-hash": [None],
+                              "adversary": [None], "redact": [True]}
+
+
+@pytest.mark.parametrize("setting", _SHARED_SETTINGS)
+@pytest.mark.parametrize("golden", ["honest-ring35.jsonl", "attack-ring35.jsonl"])
+def test_a_meta_is_read_by_the_config_reader(golden, setting):
+    """Each hostile value of each shared setting, put in a config holding the golden
+    meta's settings and in the golden's meta line: wherever the config is refused,
+    by from_dict or by proving its p and q, the transcript is refused with that
+    message behind "line 1: meta: "."""
+    path, key = _SHARED_SETTINGS[setting]
+    meta, *rest = _golden_path(golden).read_text().splitlines(keepends=True)
+    assert ScenarioConfig.from_dict(_config_of(json.loads(meta)))  # the unedited settings are a config
+    accepted = []
+    for value in _HOSTILE_SETTINGS:
+        cfg, rec = _config_of(json.loads(meta)), json.loads(meta)
+        functools.reduce(lambda d, k: d[k], path[:-1], cfg)[path[-1]] = value
+        rec[key] = value
+        text = json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n" + "".join(rest)
+        try:
+            simnet.TranscriptMeta.from_config(ScenarioConfig.from_dict(cfg), None)  # proves p and q, as a run does
+        except ConfigError as e:
+            with pytest.raises(MalformedTranscript) as got:
+                Transcript.from_jsonl(text)
+            assert str(got.value) == f"line 1: meta: {e}", value
+        else:
+            accepted.append(value)
+    assert accepted == _READ_BY_THE_CONFIG_READER.get(setting, [])
+
+
 # --- frozen transcript format ----------------------------------------------------------
 
 GOLDEN_CONFIG = {
