@@ -218,12 +218,12 @@ def summarize_run(tr: Transcript) -> tuple[bool, list[str]]:
     for oc in tr.outcomes:
         note = f"accepted key {oc.key}" if oc.status == "accepted" else f"{oc.status} ({oc.reason})"
         lines.append(f"  {oc.member}: {note}")
-    ok = not outcome_failures(tr)
-    lines.append(_VERDICT_LINES[meta.adversary and meta.adversary.action][ok])
+    ok, action = not outcome_failures(tr), meta.adversary and meta.adversary.action
+    lines.append(_VERDICT_LINES[action][ok])
     truth = gt and gt.adversary
     if ok and plants_the_others_key(tr):
         lines[-1] = "victim accepted the planted key (identical to the true key)"
-    elif ok and truth and truth.action == ACTION_FORGE:
+    elif ok and truth and action == ACTION_FORGE:
         lines.append(f"  planted key {truth.target_key}, true group key {gt.group_key}")
     return ok, lines
 
@@ -293,10 +293,10 @@ def cmd_explain(args) -> int:
         lines.append("ground truth: redacted")
     else:
         lines.append(f"ground truth: group key {gt.group_key}, nonce {gt.r0}")
-        if gt.adversary and gt.adversary.action == ACTION_FORGE:
+        if adv and adv.action == ACTION_FORGE:  # a loaded ground truth holds the insider's keys
             lines.append(
-                f"  {gt.adversary.attacker} recovered {gt.adversary.recovered_key} from its own "
-                f"share and planted {gt.adversary.target_key} on {gt.adversary.victim}"
+                f"  {adv.attacker} recovered {gt.adversary.recovered_key} from its own "
+                f"share and planted {gt.adversary.target_key} on {adv.victim}"
             )
     print("\n".join(lines))
     return EXIT_OK

@@ -64,7 +64,11 @@ class HashConfig:
         for field_name, name in names.items():
             if type(name) is not str:  # checked before _digest_size's cache hashes the name
                 raise ValueError(f"{field_name} must be a string")
-            if not _digest_size(name):  # shake_*: digest() would need a length
+            try:
+                size = _digest_size(name)
+            except (TypeError, ValueError):  # an unknown name, a NUL or a lone surrogate in it
+                raise ValueError(f"{field_name} {name!r} is not a hash hashlib provides") from None
+            if not size:  # shake_*: digest() would need a length
                 raise ValueError(f"{name!r} is a variable-length hash")
 
     @property

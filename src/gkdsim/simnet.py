@@ -266,6 +266,12 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         """Type and check every field at construction; build_domain proves the primes."""
         members, id_width, adv = self.members, self.id_width, self.adversary
+        if not isinstance(self.variant, Variant):
+            raise ConfigError("variant must be 'ring' or 'field'")
+        if not isinstance(self.hash_cfg, HashConfig):
+            raise ConfigError("hash_cfg must be a HashConfig")
+        if adv is not None and not isinstance(adv, AdversarySpec):
+            raise ConfigError("adversary must be an AdversarySpec or None")
         if type(id_width) is not int or not 1 <= id_width <= MAX_ID_WIDTH:
             raise ConfigError(f"id_width must be an integer in [1, {MAX_ID_WIDTH}]")
         if not all(isinstance(name, str) and name for name in members):
@@ -320,23 +326,18 @@ class ScenarioConfig:
 # transcript records
 # ---------------------------------------------------------------------------
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise MalformedTranscript(msg)
-
-
 def _residue(value: object, ctx: DomainContext, what: str) -> int:
     if type(value) is not int or not ctx.contains(value):
         raise MalformedTranscript(f"{what} must be a residue in [0, {ctx.modulus})")
     return value
 
 
-def _residues(value: object, ctx: DomainContext, what: str) -> dict[str, int]:
-    m = ctx.modulus
-    ok = isinstance(value, dict) and all(type(v) is int and 0 <= v < m for v in value.values())
-    if not ok:
-        raise MalformedTranscript(f"{what} must map names to residues in [0, {m})")
-    return value
+def _member_residues(value: object, meta: TranscriptMeta, what: str) -> dict[str, int]:
+    m, get = meta.params.ctx.modulus, value.get if isinstance(value, dict) else {}.get
+    residues = {name: get(name) for name in meta.members}  # keyed by the meta's str objects
+    if not all(type(v) is int and 0 <= v < m for v in residues.values()):
+        raise MalformedTranscript(f"{what} must map every member to a residue in [0, {m})")
+    return residues
 
 
 @dataclass(frozen=True)
@@ -430,41 +431,39 @@ class OutcomeRecord:
 
 @dataclass(frozen=True)
 class AdversaryTruth:
-    attacker: str
-    victim: str
-    action: str
+    """The insider's recovered and planted keys, both None for suppress; its roles are meta.adversary."""
+
     recovered_key: int | None = None
     target_key: int | None = None
 
 
 @dataclass(frozen=True)
 class GroundTruth:
+    """A run's keys and randomness over its meta: each member's key and challenge, and the
+    insider's keys exactly when meta.adversary is set, whose roles to_record writes with them."""
+
     group_key: int
     r0: int
     member_keys: Mapping[str, int]
     challenges: Mapping[str, int]
     adversary: AdversaryTruth | None = None
 
-    def to_record(self) -> dict:
-        return {**vars(self), "adversary": self.adversary and vars(self.adversary)}
+    def to_record(self, meta: TranscriptMeta) -> dict:
+        adv, roles = self.adversary, meta.adversary
+        return {**vars(self), "adversary": adv and roles and {**vars(roles), **vars(adv)}}
 
     @classmethod
-    def from_record(cls, rec: dict, ctx: DomainContext) -> "GroundTruth":
-        """rec's values, typed, a missing one read as None: from_jsonl checks the key set,
-        as it requires the line to be the _dump of the ground truth's record."""
-        adv = rec.get("adversary")
-        if adv is not None:
-            roles = ("attacker", "victim", "action")
-            if not isinstance(adv, dict) or not all(type(adv.get(k)) is str for k in roles):
-                raise MalformedTranscript("ground_truth adversary: roles must be strings")
-            adv = AdversaryTruth(*(adv[k] for k in roles), *(
-                None if adv.get(k) is None else _residue(adv[k], ctx, f"adversary {k}")
-                for k in ("recovered_key", "target_key")
-            ))
+    def from_record(cls, rec: dict, meta: TranscriptMeta) -> "GroundTruth":
+        """rec's values typed over meta, a missing one read as None. from_jsonl requires the line
+        to be the _dump of to_record(meta), so a name, role or section meta does not fix is malformed."""
+        ctx, section = meta.params.ctx, rec.get("adversary")
+        get = section.get if isinstance(section, dict) else {}.get  # a section not an object has no keys
+        adv = meta.adversary and AdversaryTruth(*(None if get(k) is None else _residue(get(k), ctx, f"adversary {k}")
+                                                  for k in ("recovered_key", "target_key")))
         return cls(
             _residue(rec.get("group_key"), ctx, "group_key"), _residue(rec.get("r0"), ctx, "r0"),
-            _residues(rec.get("member_keys"), ctx, "member_keys"),
-            _residues(rec.get("challenges"), ctx, "challenges"), adv,
+            _member_residues(rec.get("member_keys"), meta, "member_keys"),
+            _member_residues(rec.get("challenges"), meta, "challenges"), adv,
         )
 
 
@@ -483,7 +482,7 @@ class Transcript:
         lines += (_event_line(ev, quoted) for ev in self.events)
         lines += (_outcome_line(oc, quoted) for oc in self.outcomes)
         if self.ground_truth is not None:
-            lines.append(_dump({"record": "ground_truth", **self.ground_truth.to_record()}))
+            lines.append(_dump({"record": "ground_truth", **self.ground_truth.to_record(self.meta)}))
         lines.append("")  # the last newline, without copying the joined text to add it
         return "\n".join(lines)
 
@@ -496,14 +495,14 @@ class Transcript:
         MalformedTranscript for any other text. It reads the lines front to back in the
         order the writer writes them: the meta, one event per entry of the meta's event
         skeleton, one outcome per roster member, the ground truth exactly when the meta
-        is not redacted, then nothing. The meta and the ground truth are JSON-decoded
-        for their values, and each line must be _dump of the record built from them.
+        is not redacted, then nothing. The meta and the ground truth, over the meta, are
+        JSON-decoded for their values, and each line must be _dump of the record built.
         Event and outcome lines are read by writing them: the entry's event, or the
         member's outcome, is built from the payloads, key or reason in the line and
-        kept only if _event_line or _outcome_line writes that line back. So every name
-        is the meta's str object or KGC_NAME. Any other line raises, naming its number
-        and the record the writer puts there. The text is walked by offset, one line
-        cut at a time, so it is never held twice."""
+        kept only if _event_line or _outcome_line writes that line back. So every name,
+        ground-truth keys too, is the meta's str object or KGC_NAME. Any other line
+        raises, naming its number and the record the writer puts there. The text is
+        walked by offset, one line cut at a time, so it is never held twice."""
         pos = content_start(text)
         lineno = text.count("\n", 0, pos)
 
@@ -519,15 +518,15 @@ class Transcript:
         def fail(what: str):
             raise MalformedTranscript(f"line {lineno}: expected {what}")
 
-        def decoded(kind: str, build):
-            """The record build makes of the next line's values, if the line is its _dump.
-            The line is compared in the text: it is not held while the record is encoded."""
+        def decoded(kind: str, build, *over):
+            """The record build makes of the next line's values, over the meta if given, if the
+            line is its _dump. The line is compared in the text: it is not held while encoding."""
             start = pos
             try:
-                record = build(_fields(line(), kind))
+                record = build(_fields(line(), kind), *over)
             except MalformedTranscript as e:
                 raise MalformedTranscript(f"line {lineno}: {e}") from None
-            written = _dump({"record": kind, **record.to_record()})
+            written = _dump({"record": kind, **record.to_record(*over)})
             if pos - start != len(written) + 1 or not text.startswith(written, start):
                 fail(f"the {kind} record as gkdsim writes it")
             return record
@@ -542,10 +541,7 @@ class Transcript:
         del quoted  # t names' JSON texts: not held while the ground truth is checked
         ground_truth = None
         if not meta.redacted:
-            ground_truth = decoded("ground_truth", lambda rec: GroundTruth.from_record(rec, ctx))
-            _require(ground_truth.member_keys.keys() == set(meta.members), "ground-truth keys do not cover the roster")
-            _require(ground_truth.challenges.keys() == set(meta.members),
-                     "ground-truth challenges do not cover the roster")
+            ground_truth = decoded("ground_truth", GroundTruth.from_record, meta)
         if pos < len(text):
             lineno += 1
             fail("the end of the transcript" + (", as the meta is redacted" if meta.redacted else ""))
@@ -837,10 +833,7 @@ def run_scenario(cfg: ScenarioConfig) -> Transcript:
 
     ground_truth = None
     if not cfg.redact:
-        adv_truth = adv and AdversaryTruth(
-            adv.attacker, adv.victim, adv.action,
-            insider.recovered_key if insider else None, insider.forged_key if insider else None,
-        )
+        adv_truth = adv and AdversaryTruth(insider and insider.recovered_key, insider and insider.forged_key)
         ground_truth = GroundTruth(group_key, bcast.r0, dict(keys), issued, adv_truth)
     return Transcript(meta, tuple(events), tuple(outcomes), ground_truth)
 
@@ -935,8 +928,8 @@ def verify_transcript(tr: Transcript) -> VerificationReport:
     and every way the outcomes miss the scenario's success condition, lands in the
     report, naming the event it was found at; only an undecodable payload raises.
     The forgery is judged from the public record, its key shift read from the
-    outcomes; ground truth adds the recomputations that need keys and
-    cross-checks the recorded adversary.
+    outcomes; ground truth adds the recomputations that need keys and checks the
+    insider's keys, under the meta's roles (only in memory can the two disagree).
     """
     report = VerificationReport()
     meta = tr.meta
@@ -1058,12 +1051,11 @@ def verify_transcript(tr: Transcript) -> VerificationReport:
     report.note("outcomes: match replayed processing")
 
     truth = gt.adversary
-    if (truth is None) != (adv is None):
+    if (truth is None) != (adv is None):  # only in memory: from_jsonl reads the section exactly with adv
         report.fail("ground-truth adversary section inconsistent with meta")
-    elif truth and AdversarySpec(truth.attacker, truth.victim, truth.action) != adv:
-        report.fail("ground-truth adversary identity differs from meta")
-    if truth and truth.action == ACTION_FORGE and truth.target_key is None:
-        report.fail("forge scenario lacks a recorded target key")
-    if truth and truth.action == ACTION_FORGE and truth.recovered_key != group_key:
-        report.fail("attacker's recovered key differs from the KGC's group key")
+    elif truth and adv.action == ACTION_FORGE:
+        if truth.target_key is None:
+            report.fail("forge scenario lacks a recorded target key")
+        if truth.recovered_key != group_key:
+            report.fail("attacker's recovered key differs from the KGC's group key")
     return report

@@ -94,15 +94,15 @@ def test_criterion_2_attack_success():
     cache = _attack_runs()
     successes = 0
     for i, tr in enumerate(cache["transcripts"]):
-        gt = tr.ground_truth
+        gt, victim_name = tr.ground_truth, tr.meta.adversary.victim
         adv = gt.adversary
         assert adv.recovered_key == gt.group_key, i
         assert adv.target_key != gt.group_key, i
         by_member = {oc.member: oc for oc in tr.outcomes}
-        victim = by_member[adv.victim]
+        victim = by_member[victim_name]
         assert victim.status == "accepted" and victim.key == adv.target_key, (i, victim)
         for oc in tr.outcomes:
-            if oc.member != adv.victim:
+            if oc.member != victim_name:
                 assert oc.status == "accepted" and oc.key == gt.group_key, (i, oc)
         successes += 1
     assert successes == 200
@@ -127,7 +127,7 @@ def test_criterion_3_forgery_algebra_and_footprint():
         honest = parse_broadcast_payload(honest_ev.payload, ctx, digest_size, meta.t)
         forged = parse_broadcast_payload(forged_ev.delivered_payload, ctx, digest_size, meta.t)
         gt = tr.ground_truth
-        v = meta.members.index(gt.adversary.victim)
+        v = meta.members.index(meta.adversary.victim)
         m = ctx.modulus
         assert (forged.masked_shares[v] - honest.masked_shares[v]) % m == (
             gt.adversary.target_key - gt.group_key

@@ -600,6 +600,28 @@ def test_a_hash_name_that_is_not_a_string_fails_naming_its_field(tmp_path, capsy
     assert capsys.readouterr().err == f"error: line 1: meta: bad hash config: {field} must be a string\n"
 
 
+@pytest.mark.parametrize(("field", "value"), [
+    pytest.param(field, value, id=f"{field}-{kind}")
+    for field in ("algorithm", "element_hash")
+    for kind, value in (("nul", "sha\u0000"), ("surrogate", "\ud800"), ("unknown", "nosuch"))
+])
+def test_a_hash_name_hashlib_refuses_fails_naming_its_field(tmp_path, capsys, field, value):
+    """A string hashlib has no hash for, a NUL or a lone surrogate in it included, is
+    named with its field: run exits 2 on the config, and verify exits 3 on the golden
+    with it in the meta, with the same message behind "line 1: meta: "."""
+    message = f"bad hash config: {field} {value!r} is not a hash hashlib provides"
+    path = write_config(tmp_path, hash={field: value})
+    assert main(["run", str(path), "--out", str(tmp_path / "t.jsonl")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+    lines = (GOLDEN / "honest-ring35.jsonl").read_text().splitlines(keepends=True)
+    meta = json.loads(lines[0])
+    meta["hash_algorithm" if field == "algorithm" else field] = value
+    path = tmp_path / "t.jsonl"
+    path.write_text(json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n" + "".join(lines[1:]))
+    assert main(["verify", str(path)]) == EXIT_VERIFY
+    assert capsys.readouterr().err == f"error: line 1: meta: {message}\n"
+
+
 def _attack_golden_records():
     path = Path(__file__).parent / "golden" / "attack-ring35.jsonl"
     return [json.loads(line) for line in path.read_text().splitlines()]
@@ -749,9 +771,9 @@ def test_the_hostile_transcript_property_sees_an_escaping_exception(tmp_path, mo
         _ends_in_a_documented_exit(tmp_path / "t.jsonl", base, edits)
     original = simnet.GroundTruth.from_record.__func__
 
-    def unchecked(cls, rec, ctx):
+    def unchecked(cls, rec, meta):
         [rec[key] for key in ("group_key", "r0", "member_keys", "challenges", "adversary")]  # a missing field lets a KeyError out
-        return original(cls, rec, ctx)
+        return original(cls, rec, meta)
 
     monkeypatch.setattr(simnet.GroundTruth, "from_record", classmethod(unchecked))
     with pytest.raises(KeyError):
@@ -1015,8 +1037,10 @@ def _swap_first_outcomes(records):
 
 @pytest.mark.parametrize("edit, message", [
     (_swap_first_outcomes, "line 9: expected the outcome of 'ann' as gkdsim writes it"),
-    (lambda records: records[10].update(member_keys={"ann": 2}), "ground-truth keys do not cover the roster"),
-    (lambda records: records[10].update(challenges={"ann": 2}), "ground-truth challenges do not cover the roster"),
+    (lambda records: records[10].update(member_keys={"ann": 2}),
+     "line 11: member_keys must map every member to a residue in [0, 35)"),
+    (lambda records: records[10].update(challenges={"ann": 2}),
+     "line 11: challenges must map every member to a residue in [0, 35)"),
 ], ids=["outcome-order", "ground-truth-keys", "ground-truth-challenges"])
 def test_verify_and_explain_reject_the_same_record_sets(tmp_path, capsys, edit, message):
     """Outcomes out of roster order, and ground truth that misses a member, make
@@ -1029,6 +1053,44 @@ def test_verify_and_explain_reject_the_same_record_sets(tmp_path, capsys, edit, 
     for command in ("verify", "explain"):
         assert main([command, str(path)]) == EXIT_VERIFY
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+_GROUND_TRUTH_EDITS = {  # id: (golden, edit of its ground-truth record, the message both commands print)
+    "roles-swapped": ("attack", lambda gt: gt["adversary"].update(attacker="ann", victim="bob"), None),
+    "non-member-attacker": ("attack", lambda gt: gt["adversary"].update(attacker="zed"), None),
+    "victim-is-attacker": ("attack", lambda gt: gt["adversary"].update(victim="bob"), None),
+    "action-changed": ("attack", lambda gt: gt["adversary"].update(action="suppress"), None),
+    "role-not-a-string": ("attack", lambda gt: gt["adversary"].update(attacker=5), None),
+    "adversary-dropped": ("attack", lambda gt: gt.update(adversary=None), None),
+    "adversary-not-an-object": ("attack", lambda gt: gt.update(adversary=["bob", "ann"]), None),
+    "adversary-added": ("honest", lambda gt: gt.update(adversary={
+        "attacker": "bob", "victim": "ann", "action": "forge", "recovered_key": 4, "target_key": 9}), None),
+    "extra-member-key": ("attack", lambda gt: gt["member_keys"].update(zed=1), None),
+    "extra-challenge": ("attack", lambda gt: gt["challenges"].update(zed=1), None),
+    "missing-member-key": ("attack", lambda gt: gt["member_keys"].pop("bob"),
+                           "member_keys must map every member to a residue in [0, 35)"),
+    "missing-challenge": ("attack", lambda gt: gt["challenges"].pop("ann"),
+                          "challenges must map every member to a residue in [0, 35)"),
+}
+
+
+@pytest.mark.parametrize("golden, edit, message", _GROUND_TRUTH_EDITS.values(), ids=_GROUND_TRUTH_EDITS)
+def test_verify_and_explain_refuse_a_ground_truth_the_meta_does_not_fix(tmp_path, capsys, golden, edit, message):
+    """The ground truth is read over the meta: its roles are the meta's adversary, its
+    adversary section is there exactly when the meta has one, and its member maps key
+    the roster. A name, role or section the meta does not fix makes the line malformed,
+    so verify and explain exit 3 with the same message and print nothing."""
+    lines = GOLDEN.joinpath(f"{golden}-ring35.jsonl").read_text().splitlines()
+    gt = json.loads(lines[-1])
+    assert gt.pop("record") == "ground_truth"
+    edit(gt)
+    lines[-1] = simnet._dump({"record": "ground_truth", **gt})
+    path = tmp_path / "t.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    error = f"line {len(lines)}: {message or 'expected the ground_truth record as gkdsim writes it'}"
+    for command in ("verify", "explain"):
+        assert main([command, str(path)]) == EXIT_VERIFY
+        assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
 def test_explain_redacted_transcript(tmp_path, capsys):

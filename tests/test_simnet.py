@@ -610,25 +610,40 @@ def test_malformed_transcripts_raise(tmp_path):
 
 
 def test_verify_flags_stripped_adversary_truth():
+    """A file whose ground truth lacks the meta's adversary section is refused on
+    loading; verify reports it in a transcript built in memory."""
     tr = run(adversary={"attacker": "carol", "victim": "bob", "target_key": "random"})
     lines = tr.to_jsonl().splitlines()
     rec = json.loads(lines[-1])
     assert rec["record"] == "ground_truth"
     rec["adversary"] = None
     lines[-1] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
-    report = verify_transcript(Transcript.from_jsonl("\n".join(lines) + "\n"))
-    assert not report.ok
-    assert any("inconsistent with meta" in m for m in report.mismatches)
+    refused = rf"^line {len(lines)}: expected the ground_truth record as gkdsim writes it$"
+    with pytest.raises(MalformedTranscript, match=refused):
+        Transcript.from_jsonl("\n".join(lines) + "\n")
+    stripped = dataclasses.replace(tr, ground_truth=dataclasses.replace(tr.ground_truth, adversary=None))
+    assert "ground-truth adversary section inconsistent with meta" in verify_transcript(stripped).mismatches
 
 
 def test_verify_flags_renamed_adversary_victim():
+    """A victim the meta does not name makes the ground truth's line malformed."""
     tr = run(adversary={"attacker": "carol", "victim": "bob", "target_key": "random"})
     lines = tr.to_jsonl().splitlines()
     rec = json.loads(lines[-1])
     rec["adversary"]["victim"] = "mallory"
     lines[-1] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
-    report = verify_transcript(Transcript.from_jsonl("\n".join(lines) + "\n"))
-    assert not report.ok
+    refused = rf"^line {len(lines)}: expected the ground_truth record as gkdsim writes it$"
+    with pytest.raises(MalformedTranscript, match=refused):
+        Transcript.from_jsonl("\n".join(lines) + "\n")
+
+
+def test_verify_reports_adversary_truth_on_an_honest_meta_in_memory():
+    """An honest transcript with the insider's keys attached, built in memory: verify
+    reports the section the meta has no adversary for, and reads no role from it."""
+    tr = run()
+    attached = dataclasses.replace(tr, ground_truth=dataclasses.replace(
+        tr.ground_truth, adversary=simnet.AdversaryTruth(tr.ground_truth.group_key, 1)))
+    assert verify_transcript(attached).mismatches == ["ground-truth adversary section inconsistent with meta"]
 
 
 def test_redacted_transcript_skips_recomputation():
@@ -772,6 +787,20 @@ def test_every_construction_checks_the_config():
         dataclasses.replace(cfg, seed=-1)
     with pytest.raises(ConfigError, match="duplicate member names"):
         ScenarioConfig(Variant.RING, ("alice", "alice"), 167, 179)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("variant", "ring", "variant must be 'ring' or 'field'"),
+    ("hash_cfg", "sha256", "hash_cfg must be a HashConfig"),
+    ("adversary", {"attacker": "carol", "victim": "bob"}, "adversary must be an AdversarySpec or None"),
+], ids=["variant", "hash_cfg", "adversary"])
+def test_a_config_field_of_another_type_is_a_config_error(field, value, message):
+    """__post_init__ types the fields from_dict converts, so a config built around
+    from_dict with an untyped one fails as ConfigError before run_scenario reads it."""
+    cfg = ScenarioConfig.from_dict(scenario_dict(adversary=FORGE))
+    with pytest.raises(ConfigError) as e:
+        run_scenario(dataclasses.replace(cfg, **{field: value}))
+    assert str(e.value) == message
 
 
 def test_a_library_session_checks_its_config_twice(monkeypatch):
@@ -1076,14 +1105,15 @@ def _forge_pipeline_text():
 
 @pytest.mark.parametrize("source", [*GOLDEN_NAMES, "t40-forge"])
 def test_parsed_names_are_the_meta_objects(source):
-    """from_jsonl stores each name once: every sender, receiver and outcome
-    member is the meta's str object for that name, or KGC_NAME."""
+    """from_jsonl stores each name once: every sender, receiver, outcome member and
+    ground-truth key is the meta's str object for that name, or KGC_NAME."""
     text = _forge_pipeline_text() if source == "t40-forge" else _golden_path(source).read_text()
     tr = Transcript.from_jsonl(text)
     canonical = {name: name for name in (simnet.KGC_NAME, *tr.meta.members)}
     parsed = [ev.sender for ev in tr.events]
     parsed += [r for ev in tr.events for r in ev.receivers]
     parsed += [oc.member for oc in tr.outcomes]
+    parsed += [*tr.ground_truth.member_keys, *tr.ground_truth.challenges]
     assert all(name is canonical[name] for name in parsed)
 
 
@@ -1279,7 +1309,7 @@ def _record_dump(tr):
         if ev.delivered_payload is not None:
             records[-1]["delivered_payload"] = ev.delivered_payload.hex()
     records += ({"record": "outcome", **oc.to_record()} for oc in tr.outcomes)
-    records.append({"record": "ground_truth", **tr.ground_truth.to_record()})
+    records.append({"record": "ground_truth", **tr.ground_truth.to_record(tr.meta)})
     return "".join(simnet._dump(rec) + "\n" for rec in records)
 
 
@@ -1727,10 +1757,23 @@ def _source_records(source):
     return records
 
 
-def _edited_records(source, edit):
+class _InMemory:
+    """A rule-table edit of the typed transcript, not of its records, for a rule only
+    a transcript built in memory trips: the file to_jsonl writes of it is refused."""
+
+    def __init__(self, edit):
+        self.edit = edit
+
+
+def _edited(source, edit):
+    """The transcript a rule-table row's edit makes of its source, in memory, and the
+    text of the file that holds it."""
     records = _source_records(source)
+    if isinstance(edit, _InMemory):
+        tr = edit.edit(_typed(records))
+        return tr, tr.to_jsonl()
     edit(records)
-    return records
+    return _typed(records), "".join(simnet._dump(rec) + "\n" for rec in records)
 
 
 def _typed(records):
@@ -1745,7 +1788,7 @@ def _typed(records):
                    for i, rec in enumerate(by_kind["event"]))
     outcomes = tuple(outcome_from_record(rec, ctx, members[i] if i < len(members) else None)
                      for i, rec in enumerate(by_kind["outcome"]))
-    truth = [simnet.GroundTruth.from_record(rec, ctx) for rec in by_kind["ground_truth"]]
+    truth = [simnet.GroundTruth.from_record(rec, meta) for rec in by_kind["ground_truth"]]
     return Transcript(meta, events, outcomes, *truth)
 
 
@@ -1795,8 +1838,9 @@ _RULES = [
     ("attack", _set_at(10, ("member_keys", "ann"), 5), "event 5: masked share for 'ann' is 20, recomputed 28"),
     ("honest", _set_byte(5, "payload", 0, 0), "event 4: tag does not match recomputation"),
     ("honest", _set_at(6, ("key",), 5), "outcome for 'ann': recorded accepted/5, recomputed accepted/4"),
-    ("attack", _set_at(10, ("adversary",), None), "ground-truth adversary section inconsistent with meta"),
-    ("attack", _set_at(10, ("adversary", "victim"), "bob"), "ground-truth adversary identity differs from meta"),
+    ("attack", _InMemory(lambda tr: dataclasses.replace(
+        tr, ground_truth=dataclasses.replace(tr.ground_truth, adversary=None))),
+     "ground-truth adversary section inconsistent with meta"),
 ]
 _RULE_IDS = [
     "recovered-key", "nonce-altered", "footprint", "same-key-footprint", "no-target-key", "ground-truth-r0",
@@ -1804,7 +1848,7 @@ _RULE_IDS = [
     "announce-roster", "announce-cover", "challenge-order", "challenge-receivers", "broadcast-sender",
     "broadcast-original", "outcome-status", "verdicts-without-adversary", "suppress-count", "forge-count",
     "aimed", "algebra", "ground-truth-challenge", "masked-share", "tag", "outcome-replay",
-    "ground-truth-adversary", "ground-truth-identity",
+    "ground-truth-adversary",
 ]
 # Transcripts no run writes, which only the comparison with the skeleton rejects.
 _RULES += [
@@ -1832,15 +1876,16 @@ def test_each_forgery_rule_trips_on_its_own_edit(source, edit, message, tmp_path
     """One edit per verify rule, claim 2's and every other report.fail site in
     verify_transcript: the rule's own message is among the mismatches, and
     gkdsim verify exits 3. An edit of what the event skeleton fixes is refused
-    as the file loads, and verify reports it in the transcript built in memory."""
-    records = _edited_records(source, edit)
-    tr, text = _typed(records), "".join(simnet._dump(rec) + "\n" for rec in records)
+    as the file loads, and verify reports it in the transcript built in memory, as
+    it does an in-memory edit, whose file is refused too."""
+    tr, text = _edited(source, edit)
     assert message in verify_transcript(tr).mismatches
     path = tmp_path / "t.jsonl"
     path.write_text(text)
     assert cli_main(["verify", str(path)]) == EXIT_VERIFY
     out, err = capsys.readouterr()
-    if [(ev.step, ev.sender, ev.receivers, ev.verdict) for ev in tr.events] == simnet.event_skeleton(tr.meta):
+    shape = [(ev.step, ev.sender, ev.receivers, ev.verdict) for ev in tr.events]
+    if shape == simnet.event_skeleton(tr.meta) and not isinstance(edit, _InMemory):
         assert Transcript.from_jsonl(text) == tr
         assert f"MISMATCH: {message}\n" in out
     else:
@@ -1865,7 +1910,7 @@ def test_every_report_fail_site_in_verify_runs_in_the_rule_table():
     run over the rule table, so deleting or shadowing a rule fails here."""
     code, ran = verify_transcript.__code__, set()
     sites = _report_fail_lines(verify_transcript)
-    transcripts = [_typed(_edited_records(source, edit)) for source, edit, _ in _RULES]
+    transcripts = [_edited(source, edit)[0] for source, edit, _ in _RULES]
 
     def lines(frame, event, arg):
         if event == "line":
@@ -1879,7 +1924,7 @@ def test_every_report_fail_site_in_verify_runs_in_the_rule_table():
             verify_transcript(tr)
     finally:
         sys.settrace(previous)
-    assert len(sites) == 18  # a deleted rule shows here, a shadowed one below
+    assert len(sites) == 17  # a deleted rule shows here, a shadowed one below
     assert sorted(sites - ran) == []
 
 
