@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache, partial, wraps
 from itertools import repeat
 
 from .algebra import DomainContext
@@ -41,8 +41,11 @@ ZERO_HASH = "zero"
 
 
 @lru_cache(maxsize=64)  # one entry per hashlib name a config or transcript uses
-def _digest_size(name: str) -> int:
-    return hashlib.new(name).digest_size
+def _hash(name: str) -> tuple:
+    """(constructor, digest size) of name: hashlib's own constructor, or hashlib.new bound
+    to name, the same digests without hashlib.new finding the constructor on every call."""
+    new = getattr(hashlib, name) if name in hashlib.algorithms_guaranteed else partial(hashlib.new, name)
+    return new, new().digest_size
 
 
 @dataclass(frozen=True)
@@ -62,10 +65,10 @@ class HashConfig:
         if self.element_hash not in (None, ZERO_HASH):
             names["element_hash"] = self.element_hash
         for field_name, name in names.items():
-            if type(name) is not str:  # checked before _digest_size's cache hashes the name
+            if type(name) is not str:  # checked before _hash's cache hashes the name
                 raise ValueError(f"{field_name} must be a string")
             try:
-                size = _digest_size(name)
+                size = _hash(name)[1]
             except (TypeError, ValueError):  # an unknown name, a NUL or a lone surrogate in it
                 raise ValueError(f"{field_name} {name!r} is not a hash hashlib provides") from None
             if not size:  # shake_*: digest() would need a length
@@ -73,7 +76,7 @@ class HashConfig:
 
     @property
     def digest_size(self) -> int:
-        return _digest_size(self.algorithm)
+        return _hash(self.algorithm)[1]
 
     @property
     def effective_element_hash(self) -> str:
@@ -105,8 +108,8 @@ class AuthInput:
 
     def __post_init__(self):
         # tuples, so a list the caller mutates later cannot match compute_auth's memo
-        for name in ("member_ids", "nonces", "masked_shares"):
-            if not isinstance(getattr(self, name), tuple):
+        if not type(self.member_ids) is type(self.nonces) is type(self.masked_shares) is tuple:
+            for name in ("member_ids", "nonces", "masked_shares"):
                 object.__setattr__(self, name, tuple(getattr(self, name)))
         t = len(self.member_ids)
         if len(self.nonces) != t + 1:
@@ -224,7 +227,7 @@ def compute_auth(ai: AuthInput, params: PublicParams) -> bytes:
     equal inputs, and a session encodes and hashes each distinct input once.
     A field that does not fit raises every time, and nothing is memoised."""
     data = build_auth_input(ai, params.ctx, params.id_width)
-    return hashlib.new(params.hash_cfg.algorithm, data).digest()
+    return _hash(params.hash_cfg.algorithm)[0](data).digest()
 
 
 def hash_to_element(data: bytes, ctx: DomainContext, hash_cfg: HashConfig = DEFAULT_HASH) -> int:
@@ -236,4 +239,4 @@ def hash_to_element(data: bytes, ctx: DomainContext, hash_cfg: HashConfig = DEFA
     name = hash_cfg.effective_element_hash
     if name == ZERO_HASH:
         return 0
-    return ctx.reduce(int.from_bytes(hashlib.new(name, data).digest(), "big"))
+    return ctx.reduce(int.from_bytes(_hash(name)[0](data).digest(), "big"))

@@ -154,10 +154,6 @@ class SessionOutcome:
     reason: str | None = None
 
     @classmethod
-    def accepted(cls, key: int) -> "SessionOutcome":
-        return cls(OutcomeStatus.ACCEPTED, key=key)
-
-    @classmethod
     def rejected(cls, reason: str) -> "SessionOutcome":
         return cls(OutcomeStatus.REJECTED, reason=reason)
 
@@ -332,7 +328,7 @@ def user_process_broadcast(
     expected = compute_auth(ai, params)
     if expected != bcast.auth:
         return SessionOutcome.rejected(TAG_MISMATCH)
-    return SessionOutcome.accepted(candidate)
+    return SessionOutcome(OutcomeStatus.ACCEPTED, candidate)
 
 
 # ---------------------------------------------------------------------------

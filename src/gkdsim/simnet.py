@@ -20,10 +20,11 @@ import json
 import os
 import re
 import stat
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from json.decoder import scanstring
+from json.encoder import encode_basestring_ascii as _quote  # a str as json writes it
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
 
 from .adversary import BroadcastSuppressor, InsiderInterceptor
 from .algebra import (
@@ -103,15 +104,12 @@ def parse_challenge_payload(data: bytes, ctx: DomainContext, index: int) -> int:
 
 
 def parse_broadcast_payload(data: bytes, ctx: DomainContext, digest_size: int, t: int) -> KgcBroadcast:
-    expected = digest_size + (t + 1) * ctx.byte_width
+    width = ctx.byte_width
+    expected = digest_size + (t + 1) * width
     if len(data) != expected:
         raise MalformedTranscript(f"broadcast payload of {len(data)} bytes, expected {expected}")
-    auth, rest = data[:digest_size], data[digest_size:]
-    vals = [
-        int.from_bytes(rest[i : i + ctx.byte_width], "big")
-        for i in range(0, len(rest), ctx.byte_width)
-    ]
-    return KgcBroadcast(auth=auth, r0=vals[0], masked_shares=tuple(vals[1:]))
+    values = [int.from_bytes(data[i : i + width], "big") for i in range(digest_size, expected, width)]
+    return KgcBroadcast(data[:digest_size], values[0], tuple(values[1:]))
 
 
 class ChallengeReceivers:
@@ -361,27 +359,6 @@ class TranscriptMeta:
     def t(self) -> int:
         return len(self.members)
 
-    def to_record(self) -> dict:
-        adv, params, ctx = self.adversary, self.params, self.params.ctx
-        return {
-            "format": TRANSCRIPT_FORMAT,
-            "variant": ctx.variant.value,
-            "modulus": ctx.modulus,
-            "p": self.p,
-            "q": self.q,
-            "byte_width": ctx.byte_width,
-            "digest_size": params.hash_cfg.digest_size,
-            "hash_algorithm": params.hash_cfg.algorithm,
-            "element_hash": params.hash_cfg.element_hash,
-            "id_width": params.id_width,
-            "members": list(self.members),
-            "initiator": self.initiator,
-            "seed": self.seed,
-            "t": self.t,
-            "adversary": adv and dict(attacker=adv.attacker, victim=adv.victim, action=adv.action),
-            "redacted": self.redacted,
-        }
-
     @classmethod
     def from_config(cls, cfg: ScenarioConfig, rng: SeededRng | None) -> "TranscriptMeta":
         """The meta of a run of cfg, over the domain build_domain builds from rng."""
@@ -395,7 +372,7 @@ class TranscriptMeta:
     @classmethod
     def from_record(cls, rec: dict) -> "TranscriptMeta":
         """The meta of rec's settings, read by ScenarioConfig.from_dict, with a config's errors
-        behind "meta: ". from_jsonl checks the derived fields and the key set: the line is its _dump."""
+        behind "meta: ". from_jsonl checks the derived fields and the key set: the line is its _meta_line."""
         try:
             cfg = ScenarioConfig.from_dict({
                 **{key: rec.get(key) for key in ("variant", "members", "initiator", "seed", "id_width", "adversary")},
@@ -425,9 +402,6 @@ class OutcomeRecord:
     key: int | None = None
     reason: str | None = None
 
-    def to_record(self) -> dict:
-        return {k: v for k, v in vars(self).items() if v is not None}
-
 
 @dataclass(frozen=True)
 class AdversaryTruth:
@@ -440,7 +414,7 @@ class AdversaryTruth:
 @dataclass(frozen=True)
 class GroundTruth:
     """A run's keys and randomness over its meta: each member's key and challenge, and the
-    insider's keys exactly when meta.adversary is set, whose roles to_record writes with them."""
+    insider's keys exactly when meta.adversary is set, whose roles _ground_truth_line writes with them."""
 
     group_key: int
     r0: int
@@ -448,17 +422,14 @@ class GroundTruth:
     challenges: Mapping[str, int]
     adversary: AdversaryTruth | None = None
 
-    def to_record(self, meta: TranscriptMeta) -> dict:
-        adv, roles = self.adversary, meta.adversary
-        return {**vars(self), "adversary": adv and roles and {**vars(roles), **vars(adv)}}
-
     @classmethod
     def from_record(cls, rec: dict, meta: TranscriptMeta) -> "GroundTruth":
-        """rec's values typed over meta, a missing one read as None. from_jsonl requires the line
-        to be the _dump of to_record(meta), so a name, role or section meta does not fix is malformed."""
-        ctx, section = meta.params.ctx, rec.get("adversary")
-        get = section.get if isinstance(section, dict) else {}.get  # a section not an object has no keys
-        adv = meta.adversary and AdversaryTruth(*(None if get(k) is None else _residue(get(k), ctx, f"adversary {k}")
+        """rec's values typed over meta, a missing one read as None, as are a suppress run's keys. from_jsonl
+        requires the line to be its _ground_truth_line, so a name, role or section meta does not fix is malformed."""
+        ctx, section, roles = meta.params.ctx, rec.get("adversary"), meta.adversary
+        forged = isinstance(section, dict) and roles and roles.action == ACTION_FORGE
+        get = section.get if forged else {}.get  # a section not an object has no keys, nor has a suppress run's
+        adv = roles and AdversaryTruth(*(None if get(k) is None else _residue(get(k), ctx, f"adversary {k}")
                                                   for k in ("recovered_key", "target_key")))
         return cls(
             _residue(rec.get("group_key"), ctx, "group_key"), _residue(rec.get("r0"), ctx, "r0"),
@@ -478,11 +449,11 @@ class Transcript:
 
     def to_jsonl(self) -> str:
         quoted = _Quoted()
-        lines = [_dump({"record": "meta", **self.meta.to_record()})]
+        lines = [_meta_line(self.meta)]
         lines += (_event_line(ev, quoted) for ev in self.events)
         lines += (_outcome_line(oc, quoted) for oc in self.outcomes)
         if self.ground_truth is not None:
-            lines.append(_dump({"record": "ground_truth", **self.ground_truth.to_record(self.meta)}))
+            lines.append(_ground_truth_line(self.ground_truth, self.meta))
         lines.append("")  # the last newline, without copying the joined text to add it
         return "\n".join(lines)
 
@@ -495,10 +466,10 @@ class Transcript:
         MalformedTranscript for any other text. It reads the lines front to back in the
         order the writer writes them: the meta, one event per entry of the meta's event
         skeleton, one outcome per roster member, the ground truth exactly when the meta
-        is not redacted, then nothing. The meta and the ground truth, over the meta, are
-        JSON-decoded for their values, and each line must be _dump of the record built.
-        Event and outcome lines are read by writing them: the entry's event, or the
-        member's outcome, is built from the payloads, key or reason in the line and
+        is not redacted, then nothing. Every line is read by writing it. The meta and the
+        ground truth, over the meta, are JSON-decoded for their values, and the line must
+        be the _meta_line or _ground_truth_line of the record built. The entry's event, or
+        the member's outcome, is built from the payloads, key or reason in the line and
         kept only if _event_line or _outcome_line writes that line back. So every name,
         ground-truth keys too, is the meta's str object or KGC_NAME. Any other line
         raises, naming its number and the record the writer puts there. The text is
@@ -518,20 +489,20 @@ class Transcript:
         def fail(what: str):
             raise MalformedTranscript(f"line {lineno}: expected {what}")
 
-        def decoded(kind: str, build, *over):
-            """The record build makes of the next line's values, over the meta if given, if the
-            line is its _dump. The line is compared in the text: it is not held while encoding."""
+        def decoded(kind: str, build, write, *over):
+            """The record build makes of the next line's values, over the meta if given, if write
+            gives back the line. The line is compared in the text: it is not held while writing."""
             start = pos
             try:
                 record = build(_fields(line(), kind), *over)
             except MalformedTranscript as e:
                 raise MalformedTranscript(f"line {lineno}: {e}") from None
-            written = _dump({"record": kind, **record.to_record(*over)})
+            written = write(record, *over)
             if pos - start != len(written) + 1 or not text.startswith(written, start):
                 fail(f"the {kind} record as gkdsim writes it")
             return record
 
-        meta = decoded("meta", TranscriptMeta.from_record)
+        meta = decoded("meta", TranscriptMeta.from_record, _meta_line)
         ctx, quoted = meta.params.ctx, _Quoted()
         events = tuple([_written_event(line(), k, entry, quoted)
                         or fail(f"event {k}, the {entry[0]} from {entry[1]!r}, as gkdsim writes it")
@@ -541,7 +512,7 @@ class Transcript:
         del quoted  # t names' JSON texts: not held while the ground truth is checked
         ground_truth = None
         if not meta.redacted:
-            ground_truth = decoded("ground_truth", GroundTruth.from_record, meta)
+            ground_truth = decoded("ground_truth", GroundTruth.from_record, _ground_truth_line, meta)
         if pos < len(text):
             lineno += 1
             fail("the end of the transcript" + (", as the meta is redacted" if meta.redacted else ""))
@@ -552,17 +523,12 @@ class Transcript:
         return cls.from_jsonl(read_text(path))
 
 
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))  # json.dumps builds one per call
 _BLANK = re.compile(r"\s*")  # a text's leading whitespace, found without the copy str.lstrip makes
 
 
 def content_start(text: str) -> int:
     """The offset of text's first line with content, where every file reader starts."""
     return text.rfind("\n", 0, _BLANK.match(text).end()) + 1
-
-
-def _dump(obj: object) -> str:
-    return _ENCODER.encode(obj)
 
 
 def _fields(line: str, kind: str) -> dict:
@@ -579,13 +545,13 @@ def _fields(line: str, kind: str) -> dict:
 
 
 class _Quoted(dict):
-    """name -> its JSON string, encoded by _dump on first use; and the JSON text of a
+    """name -> its JSON string, quoted on first use; and the JSON text of a
     receivers list, a ChallengeReceivers' cut from its roster's text, not joined."""
 
     _roster = None  # (members, a comma before each quoted name, where each comma is)
 
     def __missing__(self, name: str) -> str:
-        self[name] = quoted = _dump(name)
+        self[name] = quoted = _quote(name)
         return quoted
 
     def receivers(self, receivers: Iterable[str]) -> str:
@@ -599,8 +565,41 @@ class _Quoted(dict):
         return self[KGC_NAME] + text[: commas[i]] + text[commas[i + 1] :]
 
 
+def _scalar(value: str | int | None) -> str:
+    """value as json writes it."""
+    return "null" if value is None else _quote(value) if type(value) is str else str(value)
+
+
+def _meta_line(meta: TranscriptMeta) -> str:
+    """The meta record as json.dumps writes it with sorted keys and no spaces, as every
+    line is: the settings, their derived fields and the roster, with the adversary's roles."""
+    adv, params, ctx, hash_cfg = meta.adversary, meta.params, meta.params.ctx, meta.params.hash_cfg
+    roles = adv and f'{{"action":{_quote(adv.action)},"attacker":{_quote(adv.attacker)},"victim":{_quote(adv.victim)}}}'
+    return (f'{{"adversary":{roles or "null"},"byte_width":{ctx.byte_width},"digest_size":{hash_cfg.digest_size},'
+            f'"element_hash":{_scalar(hash_cfg.element_hash)},"format":{TRANSCRIPT_FORMAT},'
+            f'"hash_algorithm":{_quote(hash_cfg.algorithm)},"id_width":{params.id_width},'
+            f'"initiator":{_quote(meta.initiator)},"members":[{",".join(map(_quote, meta.members))}],'
+            f'"modulus":{ctx.modulus},"p":{meta.p},"q":{_scalar(meta.q)},"record":"meta",'
+            f'"redacted":{"true" if meta.redacted else "false"},"seed":{meta.seed},"t":{meta.t},'
+            f'"variant":{_quote(ctx.variant.value)}}}')
+
+
+def _ground_truth_line(gt: GroundTruth, meta: TranscriptMeta) -> str:
+    """The ground-truth record: the member maps in name order, and the insider's keys exactly
+    when gt.adversary is set, between meta's roles if it has them (in memory it may not)."""
+    adv, roles, section = gt.adversary, meta.adversary, "null"
+    if adv is not None:
+        section = f'"recovered_key":{_scalar(adv.recovered_key)},"target_key":{_scalar(adv.target_key)}'
+        section = (f'{{"action":{_quote(roles.action)},"attacker":{_quote(roles.attacker)},{section},'
+                   f'"victim":{_quote(roles.victim)}}}' if roles else f"{{{section}}}")
+    keys, challenges = (",".join([f"{_quote(name)}:{residues[name]}" for name in sorted(residues)])
+                        for residues in (gt.member_keys, gt.challenges))
+    return (f'{{"adversary":{section},"challenges":{{{challenges}}},"group_key":{gt.group_key},'
+            f'"member_keys":{{{keys}}},"r0":{gt.r0},"record":"ground_truth"}}')
+
+
 def _event_line(ev: TranscriptEvent, quoted: _Quoted) -> str:
-    """ev as _dump writes {"record": "event", **fields}: keys sorted, hex payloads,
+    """ev's record, {"record": "event", **fields}: keys sorted, hex payloads,
     delivered_payload only on a replaced event, and every name, step and verdict
     JSON-encoded once per transcript, not once per appearance."""
     head = "{" if ev.delivered_payload is None else f'{{"delivered_payload":"{ev.delivered_payload.hex()}",'
@@ -609,28 +608,25 @@ def _event_line(ev: TranscriptEvent, quoted: _Quoted) -> str:
             f'"sender":{quoted[ev.sender]},"step":{quoted[ev.step]},"verdict":{quoted[ev.verdict]}}}')
 
 
-def _hex_after(line: str, key: str) -> bytes:
-    """The bytes of the hex text between key and the next quote; ValueError if it is not hex."""
-    start = line.find(key) + len(key)
-    return bytes.fromhex(line[start : line.find('"', start)])
-
-
 def _written_event(line: str, index: int, entry: tuple, quoted: _Quoted) -> TranscriptEvent | None:
     """The event at index with entry's names and the payloads read from line, if
     _event_line writes line for it; None for any other line, such as one with
-    uppercase hex, whitespace or another verdict."""
+    uppercase hex, whitespace or another verdict. Each payload is read as the hex
+    text up to the next quote after its key, which a written line has first."""
+    step, sender, receivers, verdict = entry
+    start = line.find('"payload":"') + 11
     try:
-        payload = _hex_after(line, '"payload":"')
-        delivered = _hex_after(line, '"delivered_payload":"') if entry[3] == VERDICT_REPLACED else None
+        payload = bytes.fromhex(line[start : line.find('"', start)])
+        delivered = bytes.fromhex(line[22 : line.find('"', 22)]) if verdict == VERDICT_REPLACED else None
     except ValueError:
         return None
-    ev = TranscriptEvent(index, *entry[:3], payload, entry[3], delivered)
+    ev = TranscriptEvent(index, step, sender, receivers, payload, verdict, delivered)
     return ev if _event_line(ev, quoted) == line else None
 
 
 def _outcome_line(oc: OutcomeRecord, quoted: _Quoted) -> str:
-    """oc as _dump writes {"record": "outcome", **oc.to_record()}: keys sorted, the key
-    an int, and no field that is None."""
+    """oc's record, {"record": "outcome", **fields}: keys sorted, the key an int, and
+    no field that is None."""
     key = "" if oc.key is None else f'"key":{oc.key},'
     reason = "" if oc.reason is None else f'"reason":{quoted[oc.reason]},'
     return f'{{{key}"member":{quoted[oc.member]},{reason}"record":"outcome","status":{quoted[oc.status]}}}'
@@ -644,10 +640,10 @@ def _framed_outcome(line: str, member: str, quoted: _Quoted, ctx: DomainContext)
     a residue or a reason not accepted; None for any other line. The key or the reason
     is the frame's hole: it is read from the line, the reason as the JSON string it
     is, and the line must be the one written for it, so a key off its canonical
-    digits or a reason escaped otherwise than _dump escapes it is refused."""
+    digits or a reason escaped otherwise than json escapes it is refused."""
     if line.startswith('{"key":'):
         try:
-            oc = OutcomeRecord(member, _ACCEPTED, key=int(line[7 : line.find(",")]))
+            oc = OutcomeRecord(member, _ACCEPTED, int(line[7 : line.find(",")]))
         except ValueError:  # not digits, or thousands of them
             return None
         ok = ctx.contains(oc.key)

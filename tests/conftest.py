@@ -1,7 +1,10 @@
+import json
+
 import pytest
 from hypothesis import settings
 
 from gkdsim.algebra import Variant, domain_new
+from gkdsim.simnet import TRANSCRIPT_FORMAT
 
 # A failing example's reproduction blob goes to the log, on top of the active
 # profile: Hypothesis' own "ci" one where CI is set (derandomized, no example
@@ -36,3 +39,50 @@ def scenario_dict(**overrides):
     }
     base.update(overrides)
     return base
+
+
+# --- the line oracle: each transcript line is its record as json.dumps writes it with
+# sorted keys and no spaces. simnet writes every line with a framed writer; these build
+# the records field by field and dump them the slow way.
+
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))  # json.dumps builds one per call
+
+
+def dump(record):
+    """record as a transcript line holds it."""
+    return _ENCODER.encode(record)
+
+
+def meta_record(meta):
+    """The fields of meta's header record."""
+    adv, params, ctx = meta.adversary, meta.params, meta.params.ctx
+    return {
+        "format": TRANSCRIPT_FORMAT,
+        "variant": ctx.variant.value,
+        "modulus": ctx.modulus,
+        "p": meta.p,
+        "q": meta.q,
+        "byte_width": ctx.byte_width,
+        "digest_size": params.hash_cfg.digest_size,
+        "hash_algorithm": params.hash_cfg.algorithm,
+        "element_hash": params.hash_cfg.element_hash,
+        "id_width": params.id_width,
+        "members": list(meta.members),
+        "initiator": meta.initiator,
+        "seed": meta.seed,
+        "t": meta.t,
+        "adversary": adv and dict(attacker=adv.attacker, victim=adv.victim, action=adv.action),
+        "redacted": meta.redacted,
+    }
+
+
+def ground_truth_record(gt, meta):
+    """The fields of gt's record over meta: the insider's keys exactly when gt has them,
+    with meta's roles when it has them."""
+    adv, roles = gt.adversary, meta.adversary
+    return {**vars(gt), "adversary": adv and {**(vars(roles) if roles else {}), **vars(adv)}}
+
+
+def outcome_record(oc):
+    """The fields of an outcome record: no field that is None."""
+    return {k: v for k, v in vars(oc).items() if v is not None}

@@ -347,7 +347,7 @@ def test_claim_2_from_the_public_record(t, ring, data, seed):
     victim_identity = PartyIdentity(victim.encode(), gt.member_keys[victim])
     challenges = member.challenges()
     outcome = user_process_broadcast(victim_identity, roster, challenges, forged, params)
-    assert outcome == SessionOutcome.accepted(target)
+    assert outcome == SessionOutcome(OutcomeStatus.ACCEPTED, target)
     if target != gt.group_key:  # planting the group key changes nothing, the tag included
         kept_tag = dataclasses.replace(forged, auth=honest.auth)
         outcome = user_process_broadcast(victim_identity, roster, challenges, kept_tag, params)

@@ -19,7 +19,7 @@ from gkdsim.algebra import is_prime
 from gkdsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_SCENARIO, EXIT_VERIFY, build_parser, main
 from gkdsim.errors import MalformedTranscript
 from gkdsim.simnet import ScenarioConfig, Transcript, parse_broadcast_payload, run_scenario
-from conftest import FORGE, SUPPRESS, scenario_dict
+from conftest import FORGE, SUPPRESS, dump, scenario_dict
 
 
 CONFIGS = Path(__file__).parent.parent / "configs"
@@ -1084,13 +1084,33 @@ def test_verify_and_explain_refuse_a_ground_truth_the_meta_does_not_fix(tmp_path
     gt = json.loads(lines[-1])
     assert gt.pop("record") == "ground_truth"
     edit(gt)
-    lines[-1] = simnet._dump({"record": "ground_truth", **gt})
+    lines[-1] = dump({"record": "ground_truth", **gt})
     path = tmp_path / "t.jsonl"
     path.write_text("\n".join(lines) + "\n")
     error = f"line {len(lines)}: {message or 'expected the ground_truth record as gkdsim writes it'}"
     for command in ("verify", "explain"):
         assert main([command, str(path)]) == EXIT_VERIFY
         assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
+@pytest.mark.parametrize("keys", [{"recovered_key": 5, "target_key": 7}, {"recovered_key": 5}, {"target_key": 7}],
+                         ids=["both", "recovered", "target"])
+def test_verify_and_explain_refuse_keys_in_a_suppress_ground_truth(tmp_path, capsys, keys):
+    """A suppressing insider recovers and plants no key, so the run writes both as null:
+    the transcript of configs/suppress.json with either set is malformed, and verify and
+    explain exit 3 with the same message and print nothing."""
+    path = tmp_path / "t.jsonl"
+    assert main(["run", str(CONFIGS / "suppress.json"), "--out", str(path)]) == EXIT_OK
+    capsys.readouterr()
+    lines = path.read_text().splitlines()
+    gt = json.loads(lines[-1])
+    assert gt["adversary"]["recovered_key"] is gt["adversary"]["target_key"] is None
+    gt["adversary"].update(keys)
+    lines[-1] = dump(gt)
+    path.write_text("\n".join(lines) + "\n")
+    for command in ("verify", "explain"):
+        assert main([command, str(path)]) == EXIT_VERIFY
+        assert capsys.readouterr() == ("", f"error: line {len(lines)}: expected the ground_truth record as gkdsim writes it\n")
 
 
 def test_explain_redacted_transcript(tmp_path, capsys):

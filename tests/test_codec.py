@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gkdsim import codec
 from gkdsim.algebra import DomainContext, Variant, domain_new
 from gkdsim.codec import (
     AuthInput,
@@ -458,3 +459,46 @@ def test_hash_config_rejects_unknown_algorithms():
         HashConfig(algorithm="not-a-hash")
     with pytest.raises(ValueError):
         HashConfig(element_hash="not-a-hash")
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"algorithm": "nosuch"}, "algorithm 'nosuch' is not a hash hashlib provides"),
+    ({"algorithm": "sha\x00"}, "algorithm 'sha\\x00' is not a hash hashlib provides"),
+    ({"algorithm": "\ud800"}, "algorithm '\\ud800' is not a hash hashlib provides"),
+    ({"element_hash": "nosuch"}, "element_hash 'nosuch' is not a hash hashlib provides"),
+    ({"algorithm": 5}, "algorithm must be a string"),
+    ({"algorithm": ["sha256"]}, "algorithm must be a string"),
+    ({"element_hash": b"sha256"}, "element_hash must be a string"),
+    ({"algorithm": "shake_128"}, "'shake_128' is a variable-length hash"),
+    ({"element_hash": "shake_256"}, "'shake_256' is a variable-length hash"),
+], ids=["unknown", "nul", "lone-surrogate", "unknown-element", "int", "list", "bytes", "shake", "shake-element"])
+def test_hash_config_errors_name_their_field(kwargs, message):
+    """HashConfig refuses a name hashlib has no fixed-length hash for with one ValueError
+    per kind of name, whichever way codec looks the constructor up."""
+    with pytest.raises(ValueError) as raised:
+        HashConfig(**kwargs)
+    assert str(raised.value) == message
+
+
+def test_each_accepted_hash_name_hashes_as_hashlib_new(field23):
+    """codec looks a hash name's constructor up once: hashlib's own for a name it has
+    one for, else hashlib.new bound to the name. For every name HashConfig accepts in
+    hashlib.algorithms_available, and for aliases hashlib.new accepts, the tag and the
+    element hash are hashlib.new's digests."""
+    accepted = []
+    for name in sorted(hashlib.algorithms_available) + ["SHA256", "sha-256", "SHA512_256"]:
+        try:
+            cfg = HashConfig(name)
+        except ValueError:
+            continue
+        accepted.append(name)
+        assert cfg.digest_size == hashlib.new(name).digest_size
+        for data in (b"", b"gkdsim", bytes(range(256))):
+            assert codec._hash(name)[0](data).digest() == hashlib.new(name, data).digest(), name
+            reference = int.from_bytes(hashlib.new(name, data).digest(), "big") % field23.modulus
+            assert hash_to_element(data, field23, HashConfig(element_hash=name)) == reference, name
+        ai = AuthInput(10, (b"A", b"B"), (3, 1, 2), (2, 3))
+        data = build_auth_input(ai, field23)
+        assert compute_auth(ai, PublicParams(field23, cfg)) == hashlib.new(name, data).digest(), name
+    assert {"blake2b", "md5", "sha256", "sha3_512"} <= set(accepted)
+    assert set(accepted) - hashlib.algorithms_guaranteed  # some name took hashlib.new's path

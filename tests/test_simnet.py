@@ -30,7 +30,8 @@ from gkdsim.simnet import (
     run_scenario,
     verify_transcript,
 )
-from conftest import FORGE, SUPPRESS, scenario_dict
+from conftest import FORGE, SUPPRESS, dump, ground_truth_record, meta_record, outcome_record, scenario_dict
+from test_config_properties import scenario_configs
 
 
 CONFIGS = Path(__file__).parent.parent / "configs"
@@ -637,13 +638,25 @@ def test_verify_flags_renamed_adversary_victim():
         Transcript.from_jsonl("\n".join(lines) + "\n")
 
 
-def test_verify_reports_adversary_truth_on_an_honest_meta_in_memory():
+def test_verify_reports_adversary_truth_on_an_honest_meta_in_memory(tmp_path, capsys):
     """An honest transcript with the insider's keys attached, built in memory: verify
-    reports the section the meta has no adversary for, and reads no role from it."""
+    reports the section the meta has no adversary for, and reads no role from it. The
+    file to_jsonl writes of it holds the keys with no roles, which the meta does not
+    fix, so the file is refused on load: in memory and on file it does not verify."""
     tr = run()
     attached = dataclasses.replace(tr, ground_truth=dataclasses.replace(
         tr.ground_truth, adversary=simnet.AdversaryTruth(tr.ground_truth.group_key, 1)))
     assert verify_transcript(attached).mismatches == ["ground-truth adversary section inconsistent with meta"]
+    text = attached.to_jsonl()
+    lines = text.splitlines()
+    assert f'"adversary":{{"recovered_key":{tr.ground_truth.group_key},"target_key":1}},' in lines[-1]
+    refused = f"line {len(lines)}: expected the ground_truth record as gkdsim writes it"
+    with pytest.raises(MalformedTranscript, match=f"^{refused}$"):
+        Transcript.from_jsonl(text)
+    path = tmp_path / "t.jsonl"
+    path.write_text(text)
+    assert cli_main(["verify", str(path)]) == EXIT_VERIFY
+    assert capsys.readouterr() == ("", f"error: {refused}\n")
 
 
 def test_redacted_transcript_skips_recomputation():
@@ -985,7 +998,7 @@ _AWKWARD_NAMES = st.text(st.one_of(_AWKWARD_CHARS, st.characters()), min_size=1,
 )
 @settings(max_examples=60, deadline=None)
 def test_event_lines_match_the_record_dump(events):
-    """Each event line is _dump of its record: sorted keys, \\uXXXX escapes for
+    """Each event line is the dump of its record: sorted keys, \\uXXXX escapes for
     non-ASCII (astral characters as surrogate pairs), escaped quotes,
     backslashes and control characters, and delivered_payload on replaced events."""
     evs = [
@@ -999,7 +1012,7 @@ def test_event_lines_match_the_record_dump(events):
                "receivers": list(ev.receivers), "payload": ev.payload.hex(), "verdict": ev.verdict}
         if ev.delivered_payload is not None:
             rec["delivered_payload"] = ev.delivered_payload.hex()
-        assert line == simnet._dump(rec)
+        assert line == dump(rec)
         assert line.isascii()
 
 
@@ -1007,16 +1020,41 @@ def test_event_lines_match_the_record_dump(events):
                                    st.none() | st.integers(0, 2**80), st.none() | _AWKWARD_NAMES), max_size=4))
 @settings(max_examples=60, deadline=None)
 def test_outcome_lines_match_the_record_dump(outcomes):
-    """Each outcome line is _dump of its record, whichever of key and reason it has."""
+    """Each outcome line is the dump of its record, whichever of key and reason it has."""
     quoted = simnet._Quoted()
     for oc in (simnet.OutcomeRecord(*fields) for fields in outcomes):
         line = simnet._outcome_line(oc, quoted)
-        assert line == simnet._dump({"record": "outcome", **oc.to_record()})
+        assert line == dump({"record": "outcome", **outcome_record(oc)})
         assert line.isascii()
 
 
+@given(cfg=scenario_configs(max_t=12))
+@example(cfg={"variant": "field", "modulus": {"p": 227}, "members": ["zo\u00eb", "\U0001f600", 'a"b\\'], "seed": 1,
+              "hash": {"algorithm": "sha3_256", "element_hash": "zero"}, "id_width": 16, "redact": True,
+              "adversary": {"attacker": "zo\u00eb", "victim": "\U0001f600", "action": "suppress"}})
+@example(cfg={"variant": "ring", "modulus": {"p": 167, "q": 179}, "members": ["ann", "bob"], "seed": 2,
+              "hash": {"algorithm": "sha256", "element_hash": "blake2b"}, "id_width": 16, "redact": False,
+              "adversary": {"attacker": "bob", "victim": "ann", "action": "forge", "target_key": "random"}})
+@settings(max_examples=25, deadline=None)
+def test_framed_meta_and_ground_truth_lines_match_the_record_dump(cfg):
+    """_meta_line and _ground_truth_line write their records as dump does, over the
+    configs the CLI accepts: names with multi-byte characters, redacted and suppress
+    runs, q null (field), and an element hash that is null, "zero" or a named hash;
+    and, as only a transcript built in memory can hold, the insider's keys over a meta
+    with no adversary."""
+    tr = run_scenario(ScenarioConfig.from_dict({**cfg, "redact": False}))
+    gt = tr.ground_truth
+    for meta in (tr.meta, dataclasses.replace(tr.meta, redacted=True)):
+        assert simnet._meta_line(meta) == dump({"record": "meta", **meta_record(meta)})
+        assert simnet._ground_truth_line(gt, meta) == dump({"record": "ground_truth", **ground_truth_record(gt, meta)})
+    honest = dataclasses.replace(tr.meta, adversary=None)
+    for truth in (gt, dataclasses.replace(gt, adversary=simnet.AdversaryTruth(gt.group_key, None))):
+        assert simnet._ground_truth_line(truth, honest) == dump({"record": "ground_truth",
+                                                                 **ground_truth_record(truth, honest)})
+
+
 def test_transcript_with_a_receiver_outside_the_roster_round_trips():
-    """The writer gives a receiver name that meta.members lacks its _dump, so it
+    """The writer gives a receiver name that meta.members lacks its dump, so it
     keeps no closed table of names; the loader refuses the event, and verify
     reports it in memory."""
     tr = run(adversary=FORGE)
@@ -1124,7 +1162,7 @@ def test_receivers_of_roster_names_not_in_a_list_are_rejected(receivers):
     lines = _golden_path("honest-ring35.jsonl").read_text().splitlines()
     rec = json.loads(lines[3])
     rec["receivers"] = receivers
-    lines[3] = simnet._dump(rec)
+    lines[3] = dump(rec)
     with pytest.raises(MalformedTranscript) as e:
         Transcript.from_jsonl("\n".join(lines) + "\n")
     assert str(e.value) == "line 4: expected event 2, the challenge from 'ann', as gkdsim writes it"
@@ -1301,16 +1339,16 @@ def test_run_memory_at_t_256():
 
 
 def _record_dump(tr):
-    """tr written the slow way: one _dump per record, with the fields of each."""
-    records = [{"record": "meta", **tr.meta.to_record()}]
+    """tr written the slow way: one dump per record, with the fields of each."""
+    records = [{"record": "meta", **meta_record(tr.meta)}]
     for ev in tr.events:
         records.append({"record": "event", "index": ev.index, "step": ev.step, "sender": ev.sender,
                         "receivers": list(ev.receivers), "payload": ev.payload.hex(), "verdict": ev.verdict})
         if ev.delivered_payload is not None:
             records[-1]["delivered_payload"] = ev.delivered_payload.hex()
-    records += ({"record": "outcome", **oc.to_record()} for oc in tr.outcomes)
-    records.append({"record": "ground_truth", **tr.ground_truth.to_record(tr.meta)})
-    return "".join(simnet._dump(rec) + "\n" for rec in records)
+    records += ({"record": "outcome", **outcome_record(oc)} for oc in tr.outcomes)
+    records.append({"record": "ground_truth", **ground_truth_record(tr.ground_truth, tr.meta)})
+    return "".join(dump(rec) + "\n" for rec in records)
 
 
 def _off_frame(lines):
@@ -1322,7 +1360,7 @@ def _off_frame(lines):
 @pytest.mark.parametrize("variant, modulus", [("ring", {"p": 167, "q": 179}), ("field", {"p": 227})],
                          ids=["ring", "field"])
 def test_written_event_lines_are_read_against_their_frames(variant, modulus, t, monkeypatch):
-    """to_jsonl writes every record byte for byte as _dump does, and from_jsonl
+    """to_jsonl writes every record byte for byte as dump does, and from_jsonl
     json-decodes no event or outcome line, yet gives back the run's events and
     outcomes."""
     decoded, loads = [], json.loads
@@ -1773,7 +1811,7 @@ def _edited(source, edit):
         tr = edit.edit(_typed(records))
         return tr, tr.to_jsonl()
     edit(records)
-    return _typed(records), "".join(simnet._dump(rec) + "\n" for rec in records)
+    return _typed(records), "".join(dump(rec) + "\n" for rec in records)
 
 
 def _typed(records):
